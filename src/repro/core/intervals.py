@@ -312,7 +312,9 @@ class IntervalSet:
     # -- transforms --------------------------------------------------------
 
     def clip(self, start: int, end: int) -> "IntervalSet":
-        """Restrict to the window ``[start, end)``."""
+        """Restrict to the window ``[start, end)``; empty when ``start >= end``."""
+        if start >= end:
+            return IntervalSet._from_arrays(_EMPTY, _EMPTY, _EMPTY)
         s, e, c = self._arrays()
         n = len(s)
         if n < SMALL_KERNEL_CUTOFF:

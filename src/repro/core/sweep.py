@@ -10,14 +10,14 @@ grid cell becomes a journaled task, so a long sweep is restartable and a
 cell that fails (a harness bug on one configuration) is reported and
 skipped instead of aborting the grid.
 
-The same hook distributes a sweep: pass a
-:class:`~repro.runtime.fabric.FabricExecutor` built around the ``sweep``
-entrypoint (:func:`repro.runtime.fabric.sweep_job`) and each cell is
-leased to a worker node instead — the nodes rebuild the study from the
+The same hook distributes a sweep: pass an executor built with
+``fabric=`` (a :class:`~repro.runtime.fabric.FabricCoordinator`) and
+``job=`` the ``sweep`` entrypoint (:func:`repro.runtime.fabric.sweep_job`)
+and each cell is leased to a worker node instead — the nodes rebuild the study from the
 job context and return the same JSON-safe points, the replicated
 journal keeps the sweep resumable across node loss, and cells the fleet
-cannot finish are demoted to local execution through the ``cell_fn``
-fallback.  Registry schemes only (:data:`repro.core.protection.SCHEMES`):
+cannot finish are demoted to the driver, which runs them through
+``cell_fn``.  Registry schemes only (:data:`repro.core.protection.SCHEMES`):
 a custom scheme object cannot be shipped as JSON.
 """
 
@@ -83,10 +83,9 @@ def _run_grid(
     schemes and modes); with an executor, each cell is instead a journaled
     task returning the point as a JSON-safe dict (so journaled sweeps
     reload exactly) and failed cells are warned about and dropped — the
-    sweep degrades instead of dying.  ``executor`` may equally be a
-    :class:`~repro.runtime.fabric.FabricExecutor` (same ``run`` contract):
-    cells are then leased to worker nodes and ``cell_fn`` serves as the
-    local fallback for demoted cells.
+    sweep degrades instead of dying.  An executor built with ``fabric=``
+    leases the cells to worker nodes instead, and runs demoted cells on
+    the driver through ``cell_fn``.
     """
     if executor is None:
         if measure_batch is not None:

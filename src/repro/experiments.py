@@ -212,7 +212,7 @@ def _sweep_benchmarks_fabric(
 ) -> Tuple[Dict[str, List[SweepPoint]], Dict[str, str]]:
     """Cell-granular distributed sweep through the ``sweep_grid`` job."""
     from .core.sweep import _grid
-    from .runtime.fabric import FabricExecutor, sweep_grid_job
+    from .runtime.fabric import sweep_grid_job
 
     cells = _grid(structure, list(modes), list(schemes), list(layouts))
     tasks = []
@@ -246,9 +246,9 @@ def _sweep_benchmarks_fabric(
 
     points: Dict[str, List[SweepPoint]] = {}
     failed: Dict[str, str] = {}
-    with FabricExecutor(
-        fabric, sweep_grid_job(structure),
-        local_fn=local_cell, journal=journal, retry=retry,
+    with Executor(
+        local_cell, fabric=fabric, job=sweep_grid_job(structure),
+        journal=journal, retry=retry,
         timeout=timeout, progress=progress, store=store,
     ) as executor:
         with get_tracer().span(

@@ -295,20 +295,20 @@ def _make_executor(
 ):
     if fabric is not None:
         # Distributed mode: shard injections across the fabric's worker
-        # nodes.  The runner's inject is the local-fallback function, so
+        # nodes.  The runner's inject runs demoted tasks on the driver, so
         # a dead or partitioned fleet degrades to inline execution
         # without a second golden run.  Executor-level chaos does not
         # apply here — the fabric has its own node-level chaos points
         # (ChaosSpec: node_kill, rpc_*, heartbeat_blackout) carried by
         # the worker processes and RPC clients.
-        from ..runtime.fabric import FabricExecutor, injection_job
+        from ..runtime.fabric import injection_job
 
-        return FabricExecutor(
-            fabric,
-            injection_job(
+        return Executor(
+            runner.inject,
+            fabric=fabric,
+            job=injection_job(
                 benchmark, seed=seed, n_cus=n_cus, max_cycles=max_cycles
             ),
-            local_fn=runner.inject,
             journal=journal,
             retry=retry,
             timeout=timeout,

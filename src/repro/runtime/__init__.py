@@ -21,7 +21,7 @@ from .errors import (
     TaskOutcome,
     classify_exception,
 )
-from .executor import Executor, Task, TaskResult, run_tasks
+from .executor import Executor, Task, TaskResult
 from .guard import (
     AdmissionGate,
     CircuitBreaker,
@@ -58,5 +58,4 @@ __all__ = [
     "TaskResult",
     "TokenBucket",
     "classify_exception",
-    "run_tasks",
 ]

@@ -9,11 +9,13 @@ when the fleet dies.  Built on the stdlib only (``http.server`` /
 ``http.client``); node-level chaos rides the same
 :class:`~repro.runtime.chaos.ChaosSpec` as the rest of the runtime.
 
-See ``docs/distributed.md`` for the protocol, the lease/heartbeat
+Fabric runs go through the one :class:`~repro.runtime.Executor`
+(``Executor(fn, fabric=coordinator, job=spec)``); see
+``docs/distributed.md`` for the protocol, the lease/heartbeat
 semantics and the failure matrix.
 """
 
-from .coordinator import FabricCoordinator, FabricExecutor
+from .coordinator import FabricCoordinator
 from .merge import SPAN_SHARD_SUFFIX, find_shards, merge_shards
 from .protocol import JobSpec, RpcError, RpcUnavailable
 from .rpc import DEFAULT_RPC_TIMEOUT, RpcClient
@@ -34,7 +36,6 @@ __all__ = [
     "ENTRYPOINTS",
     "Entrypoint",
     "FabricCoordinator",
-    "FabricExecutor",
     "FabricWorker",
     "JobSpec",
     "RpcClient",

@@ -1,12 +1,10 @@
 """The fabric coordinator: lease-based task sharding over HTTP/JSON.
 
-A :class:`FabricCoordinator` owns one stdlib ``ThreadingHTTPServer``
-and the shared campaign state behind it; a :class:`FabricExecutor`
-wraps it with the same ``run(tasks)`` contract as the local
-:class:`~repro.runtime.executor.Executor`, so campaigns and sweeps can
-swap a process pool for a worker fleet without changing shape.
-
-Execution semantics (the distributed mirror of the executor's):
+A :class:`FabricCoordinator` owns one stdlib ``ThreadingHTTPServer``.
+An :class:`~repro.runtime.executor.Executor` built with ``fabric=`` and
+``job=`` publishes its :class:`~repro.runtime.executor.TaskTable` here
+for the length of a run, and the RPC handlers translate worker-node
+calls into operations on that one table:
 
 * **lease-based assignment** — a worker *pulls* a batch of tasks and
   holds a lease with a wall-clock deadline; heartbeats renew it (capped
@@ -19,86 +17,33 @@ Execution semantics (the distributed mirror of the executor's):
   identity (the task id) and the first final result wins, duplicates
   are counted and dropped.
 * **replicated journal** — nodes append every record to a local CRC'd
-  shard before reporting it; the coordinator appends accepted records
-  to the canonical journal (the commit), and merges shard files at the
-  end of a round and on drain so records the coordinator never saw are
-  still resumable (:mod:`repro.runtime.fabric.merge`).
+  shard before reporting it; the executor appends accepted records to
+  the canonical journal (the commit), and merges shard files at the end
+  of a run and on drain so records it never saw are still resumable
+  (:mod:`repro.runtime.fabric.merge`).
 * **graceful degradation** — tasks whose leases keep expiring, and all
   tasks when no worker has been heard from within a grace period, are
-  *demoted* to local execution in the driver; a dead or partitioned
-  fleet slows the campaign down to single-host speed instead of
-  failing it.
-
-Journaling and resume go through the exact machinery the local
-executor uses (:func:`~repro.runtime.executor.load_journaled_results`,
-:class:`~repro.runtime.journal.Journal`), so a journal written by a
-fabric campaign resumes under a local one and vice versa.
+  *demoted* to the driver; a dead or partitioned fleet slows the
+  campaign down to single-host speed instead of failing it.
 """
-
-# staticcheck: scope=executor
-# (FabricExecutor owns the SIGINT/SIGTERM drain handlers here exactly
-# as runtime.Executor does, and F303 holds it to timed network calls.)
 
 from __future__ import annotations
 
-import signal
-import sys
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
-from ...obs import ProgressMeter, get_metrics, get_tracer
-from ..errors import (
-    CampaignInterrupted,
-    ExecutorError,
-    JournalWriteError,
-    TaskOutcome,
-    classify_exception,
-)
-from ..executor import Task, TaskResult, load_journaled_results
+from ...obs import get_metrics
+from ..errors import ExecutorError
+from ..executor import Task, TaskTable
 from ..guard import GuardConfig, GuardRejection, ServiceGuard
-from ..journal import Journal, PathLike
-from ..retry import RetryPolicy
+from ..journal import PathLike
 from . import tasks as task_registry
-from .merge import merge_shards
 from .protocol import JobSpec, RpcError, decode_request, encode_error, \
     encode_response
 
-__all__ = ["FabricCoordinator", "FabricExecutor"]
-
-_INFINITY = float("inf")
-
-
-@dataclass
-class _TaskState:
-    """Coordinator-side state of one task in the current round."""
-
-    task: Task
-    payload_json: Any
-    dispatches: int = 0           # remote lease grants so far
-    status: str = "queued"        # queued | leased | demoted | done
-    node: Optional[str] = None
-    lease_deadline: float = _INFINITY
-    lease_started: float = 0.0
-    first_dispatch: float = 0.0
-
-
-@dataclass
-class _Round:
-    """One ``FabricExecutor.run`` call's worth of shared state."""
-
-    job: JobSpec
-    states: Dict[str, _TaskState]
-    queue: deque = field(default_factory=deque)
-    demoted: deque = field(default_factory=deque)
-    #: accepted (node, record, spans) reports awaiting driver finalize
-    inbox: List[Tuple[str, dict, list]] = field(default_factory=list)
-    #: ids accepted into the inbox or finalized (duplicate guard)
-    settled: set = field(default_factory=set)
-    draining: bool = False
+__all__ = ["FabricCoordinator"]
 
 
 class _RpcHandler(BaseHTTPRequestHandler):
@@ -202,8 +147,9 @@ class FabricCoordinator:
         #: coordinator can see them, e.g. localhost or a shared mount)
         self.shard_dir = shard_dir
         self.nodes: Dict[str, float] = {}  # node id -> last contact (mono)
-        self._lock = threading.Condition()
-        self._round: Optional[_Round] = None
+        self._lock = threading.Lock()
+        self._table: Optional[TaskTable] = None
+        self._job: Dict[str, Any] = {}
         self._timeout: Optional[float] = None
         self._shutdown_workers = False
         self._server: Optional[ThreadingHTTPServer] = None
@@ -268,27 +214,22 @@ class FabricCoordinator:
         pending: List[Task],
         *,
         timeout: Optional[float] = None,
-    ) -> _Round:
-        encode = task_registry.resolve(job).encode
-        states = {
-            t.id: _TaskState(task=t, payload_json=encode(t.payload))
-            for t in pending
-        }
-        rnd = _Round(job=job, states=states)
+    ) -> TaskTable:
+        """Publish a task table for ``pending`` (payloads JSON-encoded)."""
+        table = TaskTable(pending, task_registry.resolve(job).encode)
         with self._lock:
-            if self._round is not None:
+            if self._table is not None:
                 raise ExecutorError("a fabric round is already in flight")
-            # fill the queue under the lock: handler threads touch it the
-            # moment the round is published
-            rnd.queue.extend(t.id for t in pending)
-            self._round = rnd
+            self._job = job.to_dict()
+            self._table = table
             self._timeout = timeout
-        return rnd
+        return table
 
     def end_round(self) -> None:
         with self._lock:
-            self._round = None
-            self._timeout = None
+            table, self._table = self._table, None
+        if table is not None:
+            table.drain()  # a late lease must not start a finished run
 
     def seconds_since_contact(self) -> Optional[float]:
         """Seconds since any worker RPC, or None if none ever arrived."""
@@ -296,109 +237,6 @@ class FabricCoordinator:
             if self._last_contact is None:
                 return None
             return time.monotonic() - self._last_contact
-
-    def sweep_leases(self, retry: RetryPolicy, local_fallback: bool) -> None:
-        """Expire overdue leases: re-queue, demote, or fail their tasks.
-
-        A lease expiry is the fabric's ``worker_died``: the node may be
-        dead, partitioned, or blacked out.  The retry policy governs
-        further *remote* dispatches; once spent, the task is demoted to
-        local execution (graceful degradation) or — with local fallback
-        disabled — finalized as ``worker_died`` by the driver.
-        """
-        now = time.monotonic()
-        with self._lock:
-            rnd = self._round
-            if rnd is None:
-                return
-            for state in rnd.states.values():
-                if state.status != "leased" or now < state.lease_deadline:
-                    continue
-                get_metrics().counter("fabric.lease_expired").inc()
-                get_tracer().add_event(
-                    "lease_expired", 0.0,
-                    id=state.task.id, node=state.node,
-                    dispatch=state.dispatches,
-                )
-                state.node = None
-                state.lease_deadline = _INFINITY
-                if not rnd.draining and retry.should_retry(
-                    TaskOutcome.WORKER_DIED, state.dispatches
-                ):
-                    state.status = "queued"
-                    rnd.queue.append(state.task.id)
-                else:
-                    state.status = "demoted"
-                    rnd.demoted.append(state.task.id)
-                    if local_fallback:
-                        get_metrics().counter("fabric.demoted_local").inc()
-            self._lock.notify_all()
-
-    def demote_idle_queue(self) -> Optional[str]:
-        """Move one queued task to the demoted (local) queue, if any."""
-        with self._lock:
-            rnd = self._round
-            if rnd is None or not rnd.queue:
-                return None
-            task_id = rnd.queue.popleft()
-            state = rnd.states[task_id]
-            state.status = "demoted"
-            rnd.demoted.append(task_id)
-            get_metrics().counter("fabric.demoted_local").inc()
-            return task_id
-
-    def take_inbox(self) -> List[Tuple[str, dict, list]]:
-        with self._lock:
-            rnd = self._round
-            if rnd is None or not rnd.inbox:
-                return []
-            batch, rnd.inbox = rnd.inbox, []
-            return batch
-
-    def take_demoted(self) -> Optional[_TaskState]:
-        with self._lock:
-            rnd = self._round
-            if rnd is None or not rnd.demoted:
-                return None
-            return rnd.states[rnd.demoted.popleft()]
-
-    def requeue(self, task_id: str) -> None:
-        """Return an un-executed demoted task to the remote queue."""
-        with self._lock:
-            rnd = self._round
-            if rnd is None:
-                return
-            state = rnd.states[task_id]
-            if state.status == "demoted":
-                state.status = "queued"
-                rnd.queue.append(task_id)
-
-    def mark_done(self, task_id: str) -> None:
-        with self._lock:
-            rnd = self._round
-            if rnd is None:
-                return
-            rnd.states[task_id].status = "done"
-            rnd.settled.add(task_id)
-            self._lock.notify_all()
-
-    def set_draining(self) -> None:
-        with self._lock:
-            if self._round is not None:
-                self._round.draining = True
-
-    def outstanding_leases(self) -> int:
-        with self._lock:
-            rnd = self._round
-            if rnd is None:
-                return 0
-            return sum(
-                1 for s in rnd.states.values() if s.status == "leased"
-            )
-
-    def wait(self, timeout: float) -> None:
-        with self._lock:
-            self._lock.wait(timeout)
 
     # -- RPC handling (server threads) ---------------------------------------
 
@@ -409,83 +247,46 @@ class FabricCoordinator:
         with self._lock:
             self.nodes[node] = time.monotonic()
             self._last_contact = self.nodes[node]
-            if method == "register":
-                get_metrics().counter("fabric.nodes_registered").inc()
-                return {
-                    "lease_ttl": self.lease_ttl,
-                    "poll_interval": self.poll_interval,
-                }
-            if method == "lease":
-                return self._handle_lease(node, params)
-            if method == "heartbeat":
-                return self._handle_heartbeat(node, params)
-            if method == "report":
-                return self._handle_report(node, params)
             if method == "goodbye":
-                return self._handle_goodbye(node)
+                self.nodes.pop(node, None)
+            table, job, timeout = self._table, self._job, self._timeout
+            shutdown = self._shutdown_workers
+        if method == "register":
+            get_metrics().counter("fabric.nodes_registered").inc()
+            return {
+                "lease_ttl": self.lease_ttl,
+                "poll_interval": self.poll_interval,
+            }
+        if method == "lease":
+            if shutdown:
+                return {"shutdown": True}
+            want = max(1, int(params.get("max_tasks", 1)))
+            granted = [] if table is None else table.lease(
+                node, min(want, self.lease_batch), self.lease_ttl
+            )
+            if not granted:
+                return {"idle": True, "poll": self.poll_interval}
+            return {
+                "job": job,
+                "tasks": granted,
+                "lease_ttl": self.lease_ttl,
+            }
+        if method == "heartbeat":
+            if table is None:
+                return {"ok": True}
+            renewed = table.renew(
+                node, params.get("tasks", ()), self.lease_ttl, timeout
+            )
+            return {"ok": True, "renewed": renewed}
+        if method == "report":
+            return self._handle_report(table, node, params)
+        if method == "goodbye":
+            return {"released": 0 if table is None else table.release(node)}
         raise RpcError(f"unhandled method {method!r}")  # pragma: no cover
 
-    def _handle_lease(self, node: str, params: Dict) -> Dict[str, Any]:
-        if self._shutdown_workers:
-            return {"shutdown": True}
-        rnd = self._round
-        if rnd is None or rnd.draining or not rnd.queue:
-            return {"idle": True, "poll": self.poll_interval}
-        want = max(1, int(params.get("max_tasks", 1)))
-        now = time.monotonic()
-        granted = []
-        while rnd.queue and len(granted) < min(want, self.lease_batch):
-            task_id = rnd.queue.popleft()
-            state = rnd.states[task_id]
-            state.status = "leased"
-            state.node = node
-            state.dispatches += 1
-            state.lease_started = now
-            if state.dispatches == 1:
-                state.first_dispatch = now
-            state.lease_deadline = now + self.lease_ttl
-            granted.append(
-                {
-                    "id": task_id,
-                    "payload": state.payload_json,
-                    "meta": state.task.meta,
-                    "attempt": state.dispatches,
-                }
-            )
-        get_metrics().counter("fabric.leases").inc(len(granted))
-        return {
-            "job": rnd.job.to_dict(),
-            "tasks": granted,
-            "lease_ttl": self.lease_ttl,
-        }
-
-    def _handle_heartbeat(self, node: str, params: Dict) -> Dict[str, Any]:
-        rnd = self._round
-        if rnd is None:
-            return {"ok": True}
-        now = time.monotonic()
-        renewed = 0
-        for task_id in params.get("tasks", ()):
-            state = rnd.states.get(task_id)
-            if state is None or state.status != "leased":
-                continue
-            if state.node != node:
-                continue  # lease moved on; the late node's report will dup
-            deadline = now + self.lease_ttl
-            if self._timeout is not None:
-                # A task past its wall-clock budget stops renewing: the
-                # lease expires and the work is re-dispatched or demoted
-                # even though the wedged node still heartbeats.
-                deadline = min(
-                    deadline,
-                    state.lease_started + self._timeout + self.lease_ttl,
-                )
-            state.lease_deadline = max(state.lease_deadline, deadline)
-            renewed += 1
-        return {"ok": True, "renewed": renewed}
-
-    def _handle_report(self, node: str, params: Dict) -> Dict[str, Any]:
-        rnd = self._round
+    def _handle_report(
+        self, table: Optional[TaskTable], node: str, params: Dict
+    ) -> Dict[str, Any]:
         acked = []
         for entry in params.get("records", ()):
             rec = entry.get("record") if isinstance(entry, dict) else None
@@ -493,424 +294,10 @@ class FabricCoordinator:
                 rec.get("task"), str
             ):
                 raise RpcError(f"malformed report entry: {entry!r}")
-            task_id = rec["task"]
             # Always ack: the worker may be re-reporting after a
             # partition, for a round that has since completed.
-            acked.append(task_id)
-            if rnd is None:
-                continue
-            state = rnd.states.get(task_id)
-            if state is None:
-                continue  # not this round's task (stale worker)
-            if task_id in rnd.settled:
-                get_metrics().counter("fabric.duplicate_results").inc()
-                continue
-            spans = entry.get("spans") or []
-            rnd.settled.add(task_id)
-            state.status = "done"
-            state.node = None
-            state.lease_deadline = _INFINITY
-            rnd.inbox.append((node, rec, spans))
+            acked.append(rec["task"])
+            if table is not None:
+                table.accept(node, rec, entry.get("spans") or [])
         get_metrics().counter("fabric.reports").inc()
-        self._lock.notify_all()
         return {"acked": acked}
-
-    def _handle_goodbye(self, node: str) -> Dict[str, Any]:
-        rnd = self._round
-        released = 0
-        if rnd is not None:
-            for state in rnd.states.values():
-                if state.status == "leased" and state.node == node:
-                    state.status = "queued"
-                    state.node = None
-                    state.lease_deadline = _INFINITY
-                    rnd.queue.append(state.task.id)
-                    released += 1
-        self.nodes.pop(node, None)
-        self._lock.notify_all()
-        return {"released": released}
-
-
-class FabricExecutor:
-    """Executor-shaped driver running tasks through a fabric coordinator.
-
-    Mirrors :class:`~repro.runtime.executor.Executor.run`'s contract:
-    journaled tasks are skipped, every final result is durably appended
-    to the canonical journal, a SIGINT/SIGTERM drain seals the journal
-    and raises :class:`CampaignInterrupted`, and failures degrade to
-    labelled results instead of exceptions.  Remote attempts are
-    accounted per dispatch; tasks the fleet cannot finish run locally.
-    """
-
-    def __init__(
-        self,
-        coordinator: FabricCoordinator,
-        job: JobSpec,
-        *,
-        local_fn: Optional[Callable[[Any], Any]] = None,
-        journal: Optional[Union[Journal, PathLike]] = None,
-        retry: Optional[RetryPolicy] = None,
-        timeout: Optional[float] = None,
-        local_fallback: bool = True,
-        worker_grace: float = 1.5,
-        progress: Union[bool, str] = False,
-        drain_signals: bool = True,
-        stop_after: Optional[int] = None,
-        store: Optional[Any] = None,
-    ) -> None:
-        self.coordinator = coordinator
-        self.job = job
-        #: optional results-store sink (a ``repro.store.ResultStore`` or a
-        #: path to one): after shard commit the canonical journal is
-        #: ingested, so every fabric round lands in the store the moment
-        #: it finalizes.  Requires a journal — without one there is no
-        #: durable record to fold in, and the sink is skipped.
-        self.store = store
-        #: driver-side task function for demoted (local-fallback) tasks,
-        #: taking the *original* payload; when None, the job's entrypoint
-        #: is built locally and fed the JSON payload instead
-        self.local_fn = local_fn
-        self.journal = (
-            journal if isinstance(journal, Journal) or journal is None
-            else Journal(journal)
-        )
-        self.retry = retry or RetryPolicy()
-        self.timeout = timeout
-        self.local_fallback = local_fallback
-        #: demote queued work to local execution after this long without
-        #: hearing from any worker node
-        self.worker_grace = worker_grace
-        self.progress = progress
-        self.drain_signals = drain_signals
-        #: test hook: drain after this many newly finalized results
-        self.stop_after = stop_after
-        self._local_fn: Optional[Callable[[Any], Any]] = None
-        self._local_fn_is_json = False
-        self._draining = False
-        self._meter: Optional[ProgressMeter] = None
-
-    # -- public API ----------------------------------------------------------
-
-    def run(
-        self,
-        tasks: Any,
-        fn: Optional[Callable[[Any], Any]] = None,
-    ) -> Dict[str, TaskResult]:
-        """Execute ``tasks`` across the fleet; see class docstring."""
-        tasks = list(tasks)
-        ids = [t.id for t in tasks]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate task ids")
-        fn = fn or self.local_fn
-        self._local_fn = fn
-        self._local_fn_is_json = fn is None
-        results, pending = load_journaled_results(self.journal, tasks)
-        if not pending:
-            return results
-        self.coordinator.start()
-        rnd = self.coordinator.begin_round(
-            self.job, pending, timeout=self.timeout
-        )
-        self._draining = False
-        finalized_now = 0
-        saved = self._install_signal_handlers()
-        self._meter = None
-        if self.progress:
-            label = (
-                self.progress if isinstance(self.progress, str) else "tasks"
-            )
-            self._meter = ProgressMeter(len(pending), label)
-        with get_tracer().span(
-            "fabric", job=self.job.kind, tasks=len(pending),
-        ):
-            try:
-                while len(results) < len(tasks):
-                    if self._draining:
-                        self._drain(rnd, results)
-                        break
-                    self.coordinator.sweep_leases(
-                        self.retry, self.local_fallback
-                    )
-                    for node, rec, spans in self.coordinator.take_inbox():
-                        self._absorb(node, rec, spans, results)
-                        finalized_now += 1
-                    state = self.coordinator.take_demoted()
-                    if state is not None:
-                        if self.local_fallback:
-                            self._run_local(state, results)
-                            finalized_now += 1
-                        else:
-                            self._finalize(
-                                state.task,
-                                TaskResult(
-                                    state.task.id, TaskOutcome.WORKER_DIED,
-                                    None,
-                                    "lease expired and local fallback is "
-                                    "disabled",
-                                    attempts=max(1, state.dispatches),
-                                ),
-                                results,
-                            )
-                            finalized_now += 1
-                        continue
-                    if (
-                        self.stop_after is not None
-                        and finalized_now >= self.stop_after
-                        and len(results) < len(tasks)
-                    ):
-                        self._draining = True
-                        continue
-                    self._maybe_demote_for_dead_fleet()
-                    if len(results) < len(tasks):
-                        self.coordinator.wait(0.05)
-            finally:
-                self.coordinator.end_round()
-                self._restore_signal_handlers(saved)
-                if self._meter is not None:
-                    self._meter.finish()
-                    self._meter = None
-        if self._draining and len(results) < len(tasks):
-            self._commit_shards()
-            self._ingest_store()
-            if self.journal is not None:
-                self.journal.close()
-            get_metrics().counter("runtime.drains").inc()
-            raise CampaignInterrupted(
-                len(results), len(tasks),
-                self.journal.path if self.journal else None,
-            )
-        self._commit_shards()
-        self._ingest_store()
-        return results
-
-    def close(self) -> None:
-        if self.journal is not None:
-            self.journal.close()
-
-    def __enter__(self) -> "FabricExecutor":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    # -- signal drain --------------------------------------------------------
-
-    def _install_signal_handlers(self):
-        if not self.drain_signals:
-            return None
-        if threading.current_thread() is not threading.main_thread():
-            return None
-        saved = {}
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                saved[sig] = signal.signal(sig, self._on_signal)
-            except (ValueError, OSError):  # pragma: no cover - exotic hosts
-                pass
-        return saved
-
-    @staticmethod
-    def _restore_signal_handlers(saved) -> None:
-        if not saved:
-            return
-        for sig, handler in saved.items():
-            try:
-                signal.signal(sig, handler)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-
-    def _on_signal(self, signum, frame) -> None:
-        if self._draining:
-            raise KeyboardInterrupt
-        self._draining = True
-        print(
-            "\nsignal received: draining fabric — absorbing in-flight "
-            "reports and sealing the journal (signal again to abort)",
-            file=sys.stderr,
-        )
-
-    def _drain(self, rnd: _Round, results: Dict[str, TaskResult]) -> None:
-        """Stop dispatch, absorb in-flight reports for up to one lease."""
-        self.coordinator.set_draining()
-        deadline = time.monotonic() + self.coordinator.lease_ttl
-        while (
-            self.coordinator.outstanding_leases()
-            and time.monotonic() < deadline
-        ):
-            for node, rec, spans in self.coordinator.take_inbox():
-                self._absorb(node, rec, spans, results)
-            self.coordinator.wait(0.05)
-        for node, rec, spans in self.coordinator.take_inbox():
-            self._absorb(node, rec, spans, results)
-
-    # -- finalization (driver thread only) -----------------------------------
-
-    def _maybe_demote_for_dead_fleet(self) -> None:
-        """With no worker heard from within the grace window, pull queued
-        work to the local queue so a fleetless campaign still completes."""
-        if not self.local_fallback:
-            return
-        since = self.coordinator.seconds_since_contact()
-        if since is None or since > self.worker_grace:
-            self.coordinator.demote_idle_queue()
-
-    def _local_callable(self) -> Callable[[Any], Any]:
-        if self._local_fn is None:
-            self._local_fn = task_registry.resolve(self.job).build(
-                self.job.ctx
-            )
-            self._local_fn_is_json = True
-        return self._local_fn
-
-    def _run_local(
-        self, state: _TaskState, results: Dict[str, TaskResult]
-    ) -> None:
-        fn = self._local_callable()
-        payload = (
-            state.payload_json if self._local_fn_is_json
-            else state.task.payload
-        )
-        t0 = time.monotonic()
-        try:
-            value = fn(payload)
-            outcome, error = TaskOutcome.OK, ""
-        except Exception as exc:
-            value = None
-            outcome = classify_exception(exc)
-            error = f"{type(exc).__name__}: {exc}"
-        duration = time.monotonic() - t0
-        self.coordinator.mark_done(state.task.id)
-        self._finalize(
-            state.task,
-            TaskResult(
-                state.task.id, outcome, value, error,
-                attempts=state.dispatches + 1, duration=duration,
-            ),
-            results,
-            node="local",
-        )
-
-    def _absorb(
-        self,
-        node: str,
-        rec: dict,
-        spans: list,
-        results: Dict[str, TaskResult],
-    ) -> None:
-        """Finalize one accepted worker report (or re-dispatch it)."""
-        rnd_state = None
-        try:
-            result = TaskResult.from_record(rec)
-        except Exception:
-            # A worker shipped garbage: treat as an infra failure of that
-            # node and re-queue the task by reusing the demoted path.
-            result = TaskResult(
-                str(rec.get("task")), TaskOutcome.INFRA_ERROR, None,
-                f"unusable report from node {node}",
-            )
-        with self.coordinator._lock:
-            rnd = self.coordinator._round
-            if rnd is not None:
-                rnd_state = rnd.states.get(result.task_id)
-        if rnd_state is None:  # pragma: no cover - stale report
-            return
-        attempts = max(result.attempts, rnd_state.dispatches)
-        if result.outcome != TaskOutcome.OK and self.retry.should_retry(
-            result.outcome, rnd_state.dispatches
-        ):
-            # Retryable infra outcome: hand it back to the fleet.
-            get_metrics().counter("runtime.retries").inc()
-            with self.coordinator._lock:
-                rnd = self.coordinator._round
-                if rnd is not None:
-                    rnd.settled.discard(result.task_id)
-                    rnd_state.status = "queued"
-                    rnd.queue.append(result.task_id)
-            return
-        # final: stamp fabric provenance and total dispatch count
-        result.attempts = attempts
-        self._merge_spans(node, rec, spans)
-        self._finalize(rnd_state.task, result, results, node=node)
-
-    def _merge_spans(self, node: str, rec: dict, spans: list) -> None:
-        """Fold a worker's per-task interior spans into the session trace."""
-        tracer = get_tracer()
-        if not tracer or not spans:
-            return
-        now_rel = time.perf_counter() - tracer.t0
-        base = now_rel - float(rec.get("duration", 0.0))
-        tracer.merge_foreign(spans, offset=base, node=node)
-        get_metrics().counter("fabric.worker_spans_merged").inc(len(spans))
-
-    def _finalize(
-        self,
-        task: Task,
-        result: TaskResult,
-        results: Dict[str, TaskResult],
-        node: Optional[str] = None,
-    ) -> None:
-        results[task.id] = result
-        if self.journal is not None:
-            record = result.to_record(task.meta)
-            if node is not None:
-                record["node"] = node
-            try:
-                self.journal.append(record)
-            except JournalWriteError as exc:
-                raise ExecutorError(
-                    "journal append failed; campaign aborted so completed "
-                    f"work stays resumable: {exc}"
-                ) from exc
-        mx = get_metrics()
-        if mx:
-            mx.counter("runtime.tasks_completed").inc()
-            mx.counter(f"runtime.outcome.{result.outcome}").inc()
-            mx.histogram("runtime.task_seconds").observe(result.duration)
-        get_tracer().add_event(
-            "task", result.duration,
-            id=task.id, outcome=result.outcome, attempts=result.attempts,
-            node=node or "local",
-        )
-        if self._meter is not None:
-            self._meter.advance()
-
-    # -- commit --------------------------------------------------------------
-
-    def _commit_shards(self) -> None:
-        """Merge visible node shards into the canonical journal."""
-        if self.journal is None or not self.coordinator.shard_dir:
-            return
-        merge_shards(self.journal, self.coordinator.shard_dir)
-
-    def _ingest_store(self) -> None:
-        """Fold the committed canonical journal into the results store.
-
-        Runs after every shard commit (normal completion and drain), so
-        the store tracks the journal's durable state; the ingest is keyed
-        by record identity and is therefore a no-op for anything a prior
-        commit already folded in.
-
-        The journal — not the store — is the durable record, so a store
-        sink that fails here (full disk, corrupt file, held lock) must
-        not fail the completed campaign: the error is reported and
-        counted, and ``repro store rebuild`` (or any later re-ingest)
-        folds the same journal in once the store recovers.
-        """
-        if self.store is None or self.journal is None:
-            return
-        # Lazy import: the fabric must stay importable on worker nodes
-        # that never touch the results store.
-        from ...store import ingest_journal, open_store
-
-        try:
-            with open_store(self.store) as store:
-                ingest_journal(store, self.journal.path)
-        except Exception as exc:
-            get_metrics().counter("store.ingest_failures").inc()
-            print(
-                "warning: results-store ingest failed "
-                f"({type(exc).__name__}: {exc}); the journal at "
-                f"{self.journal.path} remains the durable record — "
-                "re-ingest it once the store is healthy "
-                "(repro store rebuild)",
-                file=sys.stderr,
-            )

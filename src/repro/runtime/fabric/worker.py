@@ -42,7 +42,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from ... import obs
 from ...obs import get_metrics, get_tracer
 from ..chaos import ChaosPolicy, ChaosSpec
-from ..errors import TaskOutcome, classify_exception
+from ..errors import TaskOutcome
+from ..executor import TaskResult, run_attempt
 from ..journal import Journal, PathLike
 from ..retry import RetryPolicy
 from . import tasks as task_registry
@@ -281,34 +282,13 @@ class FabricWorker:
                 # what recover from this.
                 get_metrics().counter("chaos.node_kill").inc()
                 os._exit(66)
-            self._execute_one(fn, t, task_id, attempt)
+            self._execute_one(fn, t, task_id)
             self._flush_reports()
 
-    def _execute_one(self, fn, t: Dict, task_id: str, attempt: int) -> None:
-        tracer = get_tracer()
-        mark = len(tracer.events) if tracer else 0
-        t0_wall = time.perf_counter()
-        t0 = time.monotonic()
-        try:
-            with tracer.span("fabric_task", id=task_id, node=self.node):
-                value = fn(t.get("payload"))
-            outcome, error = TaskOutcome.OK, ""
-        except Exception as exc:
-            value = None
-            outcome = classify_exception(exc)
-            error = f"{type(exc).__name__}: {exc}"
-        duration = time.monotonic() - t0
-        spans: List[Dict] = []
-        if tracer:
-            # Ship the task's interior spans re-based to the task start,
-            # then drop them locally: the coordinator owns the timeline.
-            base = t0_wall - tracer.t0
-            for e in tracer.events[mark:]:
-                d = e.to_dict()
-                d["start"] = round(d["start"] - base, 9)
-                spans.append(d)
-            del tracer.events[mark:]
-        self._queue_record(t, outcome, value, error, duration, spans)
+    def _execute_one(self, fn, t: Dict, task_id: str) -> None:
+        self._queue_record(t, *run_attempt(
+            fn, t.get("payload"), span={"id": task_id, "node": self.node}
+        ))
 
     def _queue_record(
         self,
@@ -319,8 +299,6 @@ class FabricWorker:
         duration: float,
         spans: List[Dict],
     ) -> None:
-        from ..executor import TaskResult
-
         task_id = str(t["id"])
         attempt = int(t.get("attempt", 1))
         result = TaskResult(

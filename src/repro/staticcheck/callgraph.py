@@ -319,8 +319,9 @@ class CallGraph:
         """Canonical identity of a textual lock expression.
 
         ``self._lock`` inside ``FabricCoordinator`` and
-        ``self.coordinator._lock`` inside ``FabricExecutor`` both
-        normalize to ``coordinator.py::FabricCoordinator._lock``.
+        ``self.coordinator._lock`` inside a class whose ``coordinator``
+        attribute is typed ``FabricCoordinator`` both normalize to
+        ``coordinator.py::FabricCoordinator._lock``.
         """
         parts = text.split(".")
         if parts[0] == "self" and len(parts) >= 2:

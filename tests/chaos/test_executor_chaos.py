@@ -9,7 +9,6 @@ worker is quarantined instead of eating the campaign.
 
 import multiprocessing as mp
 import time
-from collections import deque
 
 from repro import obs
 from repro.runtime import (
@@ -137,6 +136,7 @@ class TestHeartbeatSweep:
         stays open elsewhere delivers neither a message nor an EOF — only
         the periodic liveness sweep can notice and respawn it."""
         ex = Executor(dispatch, jobs=1, heartbeat=0.2)
+        table = ex._start([Task("stuck", ("ok", 1))], dispatch)
         ctx = mp.get_context("spawn")
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(target=_noop, daemon=True)
@@ -146,15 +146,12 @@ class TestHeartbeatSweep:
         # child_conn is deliberately kept open in this process, simulating
         # the fd leaked to a grandchild.
         w = _Worker(proc, parent_conn)
-        w.state = "busy"
-        w.task = Task("stuck", ("ok", 1))
-        w.attempt = 1
-        w.start = time.monotonic()
+        w.ready = True
+        w.entry = table.pop("queued", w, time.monotonic())
         workers = [w]
-        results = {}
         try:
-            ex._sweep_dead_workers(workers, deque(), results, ctx, dispatch)
-            assert results["stuck"].outcome == TaskOutcome.WORKER_DIED
+            ex._sweep_dead_workers(workers)
+            assert ex._results["stuck"].outcome == TaskOutcome.WORKER_DIED
             assert workers[0] is not w
             assert workers[0].proc.is_alive()
         finally:

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import _reference as ref
@@ -105,6 +105,9 @@ def test_combine_outcomes_matches_reference(sets, due, cutoff):
 
 @settings(max_examples=60, deadline=None)
 @given(iset=interval_sets(), lo=st.integers(0, 200), span=st.integers(0, 200))
+# an empty window inside an interval: the numpy path once returned [(1, 1, 1)]
+@example(iset=IntervalSet([(0, 2, 1)]), lo=1, span=0)
+@example(iset=IntervalSet([(5 * i, 5 * i + 4, 1) for i in range(60)]), lo=12, span=0)
 @pytest.mark.parametrize("cutoff", CUTOFFS)
 def test_clip_matches_reference(iset, lo, span, cutoff):
     with kernel_cutoff(cutoff):

@@ -24,7 +24,6 @@ import pytest
 from repro.runtime import Task, TaskOutcome
 from repro.runtime.fabric import (
     FabricCoordinator,
-    FabricExecutor,
     FabricWorker,
     run_worker,
     stub_job,
@@ -148,7 +147,6 @@ def wait_for(predicate, timeout=10.0, interval=0.02):
 __all__ = [
     "FABRIC_CHAOS_SEEDS",
     "FabricCoordinator",
-    "FabricExecutor",
     "ThreadWorker",
     "expected_map",
     "journaled_ids",

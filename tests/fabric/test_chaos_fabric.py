@@ -17,10 +17,10 @@ import json
 
 import pytest
 
-from repro.runtime import Task, TaskOutcome
+from repro.runtime import Executor, Task, TaskOutcome
 from repro.runtime.chaos import ChaosSpec
 from repro.runtime.errors import CampaignInterrupted
-from repro.runtime.fabric import FabricCoordinator, FabricExecutor, stub_job
+from repro.runtime.fabric import FabricCoordinator, stub_job
 
 from .conftest import (
     FABRIC_CHAOS_SEEDS,
@@ -65,8 +65,8 @@ class TestNodeLossAcceptance:
             chaos_seed=2,
         )
         try:
-            ex = FabricExecutor(
-                coord, job, journal=journal,
+            ex = Executor(
+                fabric=coord, job=job, journal=journal,
                 worker_grace=30.0, drain_signals=False, stop_after=10,
             )
             # Kill n0 the moment its shard proves it executed work: a
@@ -111,8 +111,8 @@ class TestNodeLossAcceptance:
         # Resume from the merged journal — no fleet this time: the
         # remaining tasks demote to local execution.
         coord2 = FabricCoordinator(shard_dir=shard_dir)
-        ex2 = FabricExecutor(
-            coord2, job, journal=journal,
+        ex2 = Executor(
+            fabric=coord2, job=job, journal=journal,
             worker_grace=0.05, drain_signals=False,
         )
         try:
@@ -160,8 +160,8 @@ class TestChaosFleetConvergence:
             for i in range(2)
         ]
         try:
-            ex = FabricExecutor(
-                coord, stub_job(), journal=journal,
+            ex = Executor(
+                fabric=coord, job=stub_job(), journal=journal,
                 worker_grace=2.0, drain_signals=False,
             )
             results = ex.run(tasks)
@@ -183,8 +183,8 @@ class TestIdempotentReexecution:
         journal = tmp_path / "j.jsonl"
         tasks = [Task("idem/0", 5)]
         coord = FabricCoordinator()
-        ex = FabricExecutor(
-            coord, stub_job(mul=2), journal=journal,
+        ex = Executor(
+            fabric=coord, job=stub_job(mul=2), journal=journal,
             worker_grace=0.05, drain_signals=False,
         )
         try:
@@ -195,8 +195,8 @@ class TestIdempotentReexecution:
         assert first["idem/0"].value == 10
         # Re-run with a *different* job: the journaled result wins.
         coord2 = FabricCoordinator()
-        ex2 = FabricExecutor(
-            coord2, stub_job(mul=999), journal=journal,
+        ex2 = Executor(
+            fabric=coord2, job=stub_job(mul=999), journal=journal,
             worker_grace=0.05, drain_signals=False,
         )
         try:

@@ -5,6 +5,8 @@ These tests call ``FabricCoordinator.handle`` with hand-built envelopes
 heartbeat / report interleaving is deterministic.
 """
 
+import sys
+import threading
 import time
 
 import pytest
@@ -62,8 +64,8 @@ class TestRegisterAndLease:
         assert len(set(granted)) == len(granted)
 
     def test_drained_round_stops_granting(self, coord):
-        begin(coord)
-        coord.set_draining()
+        _, rnd = begin(coord)
+        rnd.drain()
         assert coord.handle(env("lease", params={"max_tasks": 2}))["idle"]
 
     def test_one_round_at_a_time(self, coord):
@@ -77,7 +79,7 @@ class TestLeaseExpiry:
         tasks, rnd = begin(coord, n=1)
         coord.handle(env("lease", params={"max_tasks": 1}))
         time.sleep(0.6)  # > lease_ttl with no heartbeat
-        coord.sweep_leases(RetryPolicy(max_attempts=3), True)
+        rnd.expire_leases(RetryPolicy(max_attempts=3))
         state = rnd.states[tasks[0].id]
         assert state.status == "queued"
         # the re-dispatch carries an incremented attempt
@@ -88,20 +90,20 @@ class TestLeaseExpiry:
         tasks, rnd = begin(coord, n=1)
         coord.handle(env("lease", params={"max_tasks": 1}))
         time.sleep(0.6)
-        coord.sweep_leases(RetryPolicy(max_attempts=1), True)
+        rnd.expire_leases(RetryPolicy(max_attempts=1))
         assert rnd.states[tasks[0].id].status == "demoted"
-        assert coord.take_demoted().task.id == tasks[0].id
+        assert rnd.pop("demoted", "local", time.monotonic()).task.id == tasks[0].id
 
     def test_heartbeat_renews_held_leases(self, coord):
         tasks, rnd = begin(coord, n=1)
         coord.handle(env("lease", params={"max_tasks": 1}))
-        before = rnd.states[tasks[0].id].lease_deadline
+        before = rnd.states[tasks[0].id].deadline
         time.sleep(0.3)
         resp = coord.handle(
             env("heartbeat", params={"tasks": [tasks[0].id]})
         )
         assert resp["renewed"] == 1
-        assert rnd.states[tasks[0].id].lease_deadline > before
+        assert rnd.states[tasks[0].id].deadline > before
 
     def test_heartbeat_from_wrong_node_does_not_renew(self, coord):
         tasks, _ = begin(coord, n=1)
@@ -118,10 +120,10 @@ class TestLeaseExpiry:
         tasks, rnd = begin(coord, n=1, timeout=0.2)
         coord.handle(env("lease", params={"max_tasks": 1}))
         state = rnd.states[tasks[0].id]
-        cap = state.lease_started + 0.2 + coord.lease_ttl
+        cap = state.started + 0.2 + coord.lease_ttl
         for _ in range(3):
             coord.handle(env("heartbeat", params={"tasks": [tasks[0].id]}))
-        assert state.lease_deadline <= cap + 1e-6
+        assert state.deadline <= cap + 1e-6
 
 
 class TestReportIdempotence:
@@ -143,16 +145,16 @@ class TestReportIdempotence:
         # both are acked (the late node must clear its outbox) ...
         assert first["acked"] == dup["acked"] == [tasks[0].id]
         # ... but only the first landed in the inbox
-        inbox = coord.take_inbox()
+        inbox = rnd.take_inbox()
         assert len(inbox) == 1
         node, rec, _ = inbox[0]
         assert node == "n0" and rec["value"] == "first"
 
     def test_report_for_unknown_task_acked_and_ignored(self, coord):
-        begin(coord, n=1)
+        _, rnd = begin(coord, n=1)
         resp = self._report(coord, "n0", "someone/elses/task", 1)
         assert resp["acked"] == ["someone/elses/task"]
-        assert coord.take_inbox() == []
+        assert rnd.take_inbox() == []
 
     def test_report_without_round_still_acks(self, coord):
         resp = self._report(coord, "n0", "stale/task", 1)
@@ -172,10 +174,10 @@ class TestGoodbye:
     def test_goodbye_requeues_held_leases(self, coord):
         tasks, rnd = begin(coord, n=2)
         coord.handle(env("lease", params={"max_tasks": 2}))
-        assert coord.outstanding_leases() == 2
+        assert rnd.outstanding() == 2
         resp = coord.handle(env("goodbye"))
         assert resp["released"] == 2
-        assert coord.outstanding_leases() == 0
+        assert rnd.outstanding() == 0
         assert all(
             s.status == "queued" for s in rnd.states.values()
         )
@@ -183,3 +185,54 @@ class TestGoodbye:
     def test_shutdown_flag_reaches_workers(self, coord):
         coord._shutdown_workers = True
         assert coord.handle(env("lease"))["shutdown"] is True
+
+
+class TestConcurrentHandlers:
+    def test_racing_nodes_settle_each_task_once(self, coord):
+        """More handler threads than cores lease and double-report into
+        one table with a tiny switch interval: every task is accepted
+        exactly once and every second report is a counted duplicate."""
+        from repro import obs
+
+        tasks, rnd = begin(coord, n=120)
+
+        def record(task_id):
+            return {"record": {
+                "task": task_id, "outcome": TaskOutcome.OK, "value": 0,
+                "error": "", "attempts": 1, "duration": 0.0,
+            }, "spans": []}
+
+        def node(name):
+            while True:
+                lease = coord.handle(
+                    env("lease", node=name, params={"max_tasks": 2})
+                )
+                if not lease.get("tasks"):
+                    return
+                for t in lease["tasks"]:
+                    for _ in range(2):
+                        coord.handle(env("report", node=name, params={
+                            "records": [record(t["id"])],
+                        }))
+
+        threads = [
+            threading.Thread(target=node, args=(f"n{i}",), daemon=True)
+            for i in range(8)
+        ]
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.observe() as (registry, _tracer):
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30.0)
+                duplicates = registry.counter(
+                    "fabric.duplicate_results"
+                ).value
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(t.is_alive() for t in threads)
+        accepted = [rec["task"] for _, rec, _ in rnd.take_inbox()]
+        assert sorted(accepted) == sorted(t.id for t in tasks)
+        assert duplicates == len(tasks)

@@ -1,4 +1,4 @@
-"""FabricExecutor integration: thread fleets, fallback, drain, resume.
+"""Fabric-mode Executor integration: thread fleets, fallback, drain, resume.
 
 Covers the executor-shaped contract end to end over real HTTP on
 localhost — journaled skip, at-least-once finalize, graceful
@@ -8,12 +8,13 @@ live in ``test_chaos_fabric.py``).
 """
 
 import json
+import time
 
 import pytest
 
 from repro.obs.trace import Tracer
-from repro.runtime import CampaignInterrupted, Task, TaskOutcome
-from repro.runtime.fabric import FabricExecutor, stub_job
+from repro.runtime import CampaignInterrupted, Executor, Task, TaskOutcome
+from repro.runtime.fabric import stub_job
 from repro.runtime.journal import Journal
 
 from .conftest import (
@@ -30,8 +31,8 @@ class TestFleetExecution:
         thread_fleet(2)
         tasks = stub_tasks("fleet", 12)
         journal = tmp_path / "campaign.jsonl"
-        ex = FabricExecutor(
-            coordinator, stub_job(), journal=journal, drain_signals=False,
+        ex = Executor(
+            fabric=coordinator, job=stub_job(), journal=journal, drain_signals=False,
         )
         results = ex.run(tasks)
         ex.close()
@@ -52,8 +53,8 @@ class TestFleetExecution:
     ):
         thread_fleet(1)
         tasks = stub_tasks("mix", 4) + [Task("mix/bad", "not-an-int")]
-        ex = FabricExecutor(
-            coordinator, stub_job(),
+        ex = Executor(
+            fabric=coordinator, job=stub_job(),
             journal=tmp_path / "j.jsonl", drain_signals=False,
         )
         results = ex.run(tasks)
@@ -64,7 +65,7 @@ class TestFleetExecution:
         assert all(r.outcome == TaskOutcome.OK for r in ok.values())
 
     def test_duplicate_task_ids_rejected(self, coordinator):
-        ex = FabricExecutor(coordinator, stub_job(), drain_signals=False)
+        ex = Executor(fabric=coordinator, job=stub_job(), drain_signals=False)
         with pytest.raises(ValueError, match="duplicate task ids"):
             ex.run([Task("same", 1), Task("same", 2)])
 
@@ -76,8 +77,8 @@ class TestGracefulDegradation:
         # every task to local execution — the campaign must still finish.
         tasks = stub_tasks("alone", 6)
         journal = tmp_path / "j.jsonl"
-        ex = FabricExecutor(
-            coordinator, stub_job(), journal=journal,
+        ex = Executor(
+            fabric=coordinator, job=stub_job(), journal=journal,
             worker_grace=0.05, drain_signals=False,
         )
         results = ex.run(tasks)
@@ -99,8 +100,8 @@ class TestGracefulDegradation:
             return payload * 10
 
         tasks = [Task("orig/0", 7)]
-        ex = FabricExecutor(
-            coordinator, stub_job(), local_fn=local_fn,
+        ex = Executor(
+            local_fn, fabric=coordinator, job=stub_job(),
             worker_grace=0.05, drain_signals=False,
         )
         results = ex.run(tasks)
@@ -114,8 +115,8 @@ class TestDrainAndResume:
     ):
         tasks = stub_tasks("drain", 8)
         journal = tmp_path / "j.jsonl"
-        ex = FabricExecutor(
-            coordinator, stub_job(), journal=journal,
+        ex = Executor(
+            fabric=coordinator, job=stub_job(), journal=journal,
             worker_grace=0.05, drain_signals=False, stop_after=3,
         )
         with pytest.raises(CampaignInterrupted) as exc_info:
@@ -130,15 +131,15 @@ class TestDrainAndResume:
                                                   tmp_path):
         tasks = stub_tasks("resume", 8)
         journal = tmp_path / "j.jsonl"
-        ex = FabricExecutor(
-            coordinator, stub_job(), journal=journal,
+        ex = Executor(
+            fabric=coordinator, job=stub_job(), journal=journal,
             worker_grace=0.05, drain_signals=False, stop_after=3,
         )
         with pytest.raises(CampaignInterrupted):
             ex.run(tasks)
         already = set(journaled_ids(journal))
-        ex2 = FabricExecutor(
-            coordinator, stub_job(), journal=journal,
+        ex2 = Executor(
+            fabric=coordinator, job=stub_job(), journal=journal,
             worker_grace=0.05, drain_signals=False,
         )
         results = ex2.run(tasks)
@@ -166,8 +167,8 @@ class TestDrainAndResume:
             })
         journal.close()
         coord = FabricCoordinator()
-        ex = FabricExecutor(
-            coord, stub_job(), journal=tmp_path / "j.jsonl",
+        ex = Executor(
+            fabric=coord, job=stub_job(), journal=tmp_path / "j.jsonl",
             drain_signals=False,
         )
         results = ex.run(tasks)
@@ -199,16 +200,16 @@ class TestSpanMerging:
 
     def test_worker_spans_reach_the_session_trace(self, coordinator,
                                                   thread_fleet):
-        # The report path carries spans; _merge_spans folds them into the
+        # The report path carries spans; _on_report folds them into the
         # driver's tracer with node provenance.  Simulate the worker side
         # by reporting a record with spans directly.
         from repro import obs
 
         tasks = stub_tasks("spans", 1)
-        ex = FabricExecutor(coordinator, stub_job(), drain_signals=False)
+        ex = Executor(fabric=coordinator, job=stub_job(), drain_signals=False)
         registry, tracer = obs.enable()
         try:
-            rnd = coordinator.begin_round(stub_job(), tasks)
+            rnd = ex._start(tasks, None)
             coordinator.handle({
                 "v": 1, "method": "lease", "node": "n0", "seq": 0,
                 "deadline_ms": 1000, "params": {"max_tasks": 1},
@@ -225,9 +226,7 @@ class TestSpanMerging:
                 "deadline_ms": 1000,
                 "params": {"records": [{"record": rec, "spans": spans}]},
             })
-            results = {}
-            for node, r, s in coordinator.take_inbox():
-                ex._absorb(node, r, s, results)
+            ex._settle_inbox(rnd, time.monotonic())
             merged = [e for e in tracer.events
                       if e.name == "fabric_task"
                       and e.args.get("node") == "n0"]
@@ -237,5 +236,59 @@ class TestSpanMerging:
                        for e in tracer.events)
             assert registry.counter("fabric.worker_spans_merged").value == 1
         finally:
-            coordinator.end_round()
+            ex._stop()
             obs.disable()
+
+
+class TestLateReportAfterDemotion:
+    def test_late_report_is_a_dropped_duplicate(self, coordinator, tmp_path):
+        """Timing-free replay of the double-finalize race: a lease expires,
+        the task is demoted and claimed by the driver, and the original
+        node's report lands while the local run is still in flight."""
+        from repro import obs
+
+        task = Task("late/00", 4)
+        journal = tmp_path / "j.jsonl"
+
+        def env(method, params):
+            return {"v": 1, "method": method, "node": "n0", "seq": 0,
+                    "deadline_ms": 1000, "params": params}
+
+        def local_fn(payload):
+            # 4. n0's report arrives mid-run, after the driver's claim
+            rec = {"task": task.id, "outcome": TaskOutcome.OK,
+                   "value": "remote", "error": "", "attempts": 1,
+                   "duration": 0.0}
+            resp = coordinator.handle(
+                env("report", {"records": [{"record": rec, "spans": []}]})
+            )
+            assert resp["acked"] == [task.id]
+            return payload * 2  # 5. the local run finishes
+
+        ex = Executor(
+            local_fn, fabric=coordinator, job=stub_job(), journal=journal,
+            drain_signals=False,
+        )
+        with obs.observe() as (registry, _tracer):
+            table = ex._start([task], local_fn)
+            try:
+                # 1. lease the task to n0
+                lease = coordinator.handle(env("lease", {"max_tasks": 1}))
+                assert [t["id"] for t in lease["tasks"]] == [task.id]
+                # 2. expire the lease: retries spent, so it demotes
+                table.expire_leases(ex.retry, now=time.monotonic() + 60)
+                assert table.states[task.id].status == "demoted"
+                # 3. the driver claims the demoted task and runs it
+                ex._drive(table, 1)
+                # the driver's next settle pass finds nothing to settle
+                ex._settle_inbox(table, time.monotonic())
+            finally:
+                ex._stop()
+            ex.close()
+            duplicates = registry.counter("fabric.duplicate_results").value
+        assert journaled_ids(journal) == [task.id]
+        assert duplicates == 1
+        assert ex._results[task.id].value == 8
+        rec = json.loads(journal.read_text().splitlines()[0])
+        assert rec["node"] == "local"
+        assert rec["attempts"] == 2

@@ -21,8 +21,9 @@ import time
 import pytest
 
 from repro import obs
+from repro.runtime import Executor
 from repro.runtime.chaos import ChaosPolicy, ChaosSpec
-from repro.runtime.fabric import FabricCoordinator, FabricExecutor, stub_job
+from repro.runtime.fabric import FabricCoordinator, stub_job
 from repro.runtime.fabric.protocol import encode_request
 from repro.runtime.guard import GuardConfig
 
@@ -32,6 +33,7 @@ from .conftest import (
     journaled_ids,
     outcome_map,
     stub_tasks,
+    wait_for,
 )
 
 #: the service-chaos CI job runs two fixed seeds; assertions hold for any
@@ -264,9 +266,20 @@ class TestOverloadAcceptance:
             ]
             for t in flood:
                 t.start()
+
+            def shed_seen():
+                with statuses_lock:
+                    answered = 503 in statuses
+                return answered and (
+                    registry.counter("guard.fabric.shed").value > 0
+                )
+
             try:
-                ex = FabricExecutor(
-                    coord, stub_job(sleep=0.01), journal=journal,
+                # Start the campaign only once the flood has saturated
+                # the gate, so a fast campaign cannot finish unshed.
+                wait_for(shed_seen, timeout=30.0)
+                ex = Executor(
+                    fabric=coord, job=stub_job(sleep=0.01), journal=journal,
                     worker_grace=2.0, drain_signals=False,
                 )
                 results = ex.run(tasks)

@@ -272,6 +272,47 @@ class TestProcessIsolation:
         assert results["slow"].attempts == 2
 
 
+class TestOneTableThreeSlots:
+    def test_driver_pool_and_fabric_slots_agree(self, tmp_path):
+        """The same table and settle path serve every slot kind: inline,
+        a two-worker spawn pool, and a fleetless fabric whose tasks all
+        demote to the driver."""
+        from repro.runtime.fabric import FabricCoordinator, stub_job
+
+        outcomes = {}
+        record_keys = {}
+        for kind in ("driver", "pool", "fabric"):
+            journal = tmp_path / f"{kind}.jsonl"
+            coord = FabricCoordinator() if kind == "fabric" else None
+            ex = Executor(
+                dispatch, jobs=2 if kind == "pool" else 0, journal=journal,
+                fabric=coord, job=stub_job() if coord else None,
+                drain_signals=False,
+            )
+            try:
+                results = ex.run(TAXONOMY_TASKS)
+            finally:
+                ex.close()
+                if coord is not None:
+                    coord.stop()
+            outcomes[kind] = {
+                k: (r.outcome, r.value, r.attempts) for k, r in results.items()
+            }
+            records = [
+                json.loads(line) for line in journal.read_text().splitlines()
+            ]
+            if kind == "fabric":
+                assert {r.pop("node") for r in records} == {"local"}
+            record_keys[kind] = {r["task"]: sorted(r) for r in records}
+        assert outcomes["driver"] == outcomes["pool"] == outcomes["fabric"]
+        assert {k: o for k, (o, _, _) in outcomes["driver"].items()} == (
+            EXPECTED_OUTCOMES
+        )
+        assert record_keys["driver"] == record_keys["pool"] == (
+            record_keys["fabric"]
+        )
+
+
 class TestTaskResultRecord:
     def test_round_trip(self):
         r = TaskResult("t", TaskOutcome.OK, value={"a": 1}, attempts=2,
