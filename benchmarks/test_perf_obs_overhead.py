@@ -2,9 +2,9 @@
 
 The instrumentation added by :mod:`repro.obs` stays in the simulator, the
 AVF engine and the campaign runtime permanently, so its *disabled* cost
-must be negligible.  The contract is < 2% on the engine workload of
-``test_perf_engine.py`` (minife L1 lifetimes through the 2x1 MB-AVF
-engine).
+must be negligible.  The contract is < 2% on the engine workload:
+minife L1 lifetimes through the 2x1 MB-AVF engine, with way-physical
+x2 interleaving.
 
 Measuring a sub-2% delta by timing two runs directly is hopeless in a
 noisy CI container, so the guard measures it analytically instead:
@@ -70,7 +70,8 @@ class CountingTracer(Tracer):
 
 @pytest.fixture(scope="module")
 def prepared():
-    """The engine workload of ``test_perf_engine.py``."""
+    """The engine workload: minife L1 lifetimes plus a way-physical x2
+    interleaved L1 layout."""
     result = run("minife", apu_kwargs=scaled_apu_kwargs())
     study = AvfStudy(result.apu, result.output_ranges)
     lifetimes = study.l1_lifetimes()[0]

@@ -65,9 +65,7 @@ def main() -> None:
     # -- 3. render the report from the store alone ----------------------
     with ResultStore(store_path) as store:
         index = build_report(store, Path("report"))
-    print(f"\nreport written to {index}")
-    print("open it in a browser, or serve it live:")
-    print(f"  python -m repro report serve --store {store_path}")
+    print(f"\nreport written to {index} (open it in a browser)")
 
 
 if __name__ == "__main__":

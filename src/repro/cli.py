@@ -25,7 +25,6 @@ Examples::
     python -m repro query --store results.sqlite --group-by scheme,style \\
         --value sdc_avf --agg mean
     python -m repro report build --store results.sqlite --out report/
-    python -m repro report serve --store results.sqlite --listen 127.0.0.1:0
 """
 
 from __future__ import annotations
@@ -530,30 +529,14 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    """``repro report build|serve``: render the store as the paper's
-    figures — statically to disk, or live over HTTP."""
-    from .report import ReportService, build_report
+    """``repro report build``: render the store as the paper's figures,
+    as byte-stable static HTML."""
+    from .report import build_report
     from .store import open_store
 
-    if args.action == "build":
-        with open_store(args.store) as store:
-            index = build_report(store, args.out)
-        print(f"report written to {index}")
-        return 0
-    host, port = _parse_endpoint(args.listen or "127.0.0.1:0")
-    service = ReportService(args.store, host=host, port=port)
-    service.start()
-    print(f"report service listening on {service.endpoint} (Ctrl-C stops)",
-          file=sys.stderr)
-    try:
-        import time
-
-        while True:
-            time.sleep(1.0)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        service.stop()
+    with open_store(args.store) as store:
+        index = build_report(store, args.out)
+    print(f"report written to {index}")
     return 0
 
 
@@ -881,13 +864,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_report = subs.add_parser(
         "report",
-        help="render a results store as the paper's figures: static HTML "
-             "or a live dashboard service",
+        help="render a results store as the paper's figures "
+             "(static HTML)",
     )
     p_report.add_argument(
-        "action", choices=("build", "serve"),
-        help="'build' writes byte-stable HTML to --out; 'serve' runs the "
-             "live dashboard (HTML + JSON API) until interrupted",
+        "action", choices=("build",),
+        help="'build' writes byte-stable HTML to --out",
     )
     p_report.add_argument(
         "--store", metavar="PATH", required=True,
@@ -896,10 +878,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_report.add_argument(
         "--out", metavar="DIR", default="report",
         help="output directory for 'build' (default: report/)",
-    )
-    p_report.add_argument(
-        "--listen", metavar="HOST:PORT", default=None,
-        help="bind address for 'serve' (default 127.0.0.1:0 = any port)",
     )
 
     p_store = subs.add_parser(
@@ -1045,11 +1023,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 parser.error(f"--shard-dir {args.shard_dir}: not a directory")
         elif args.journals or args.shard_dir:
             parser.error("--from-journal/--shard-dir are 'rebuild' options")
-    if args.command == "report" and args.listen:
-        try:
-            _parse_endpoint(args.listen)
-        except ValueError as exc:
-            parser.error(f"--listen: {exc}")
     if args.command == "query" and args.group_by:
         from .store import FILTER_COLUMNS
 

@@ -9,13 +9,13 @@ no-op method call — and touches **no lock** (the overhead contract is
 asserted by ``benchmarks/test_perf_obs_overhead.py``: < 2% on the
 engine workload).
 
-Enabled-mode instruments ARE thread-safe: since the fabric coordinator,
-the service guard and the report service run HTTP handler threads that
-increment counters while the driver snapshots or resets the same
-registry, every mutation and read goes through a per-instrument lock,
-and the registry's create-or-get tables are guarded by a registry lock
-(lock order: registry before instrument — instrument methods never take
-the registry lock, so the order cannot invert).  Unsynchronized, a
+Enabled-mode instruments ARE thread-safe: since the fabric coordinator
+runs HTTP handler threads that increment counters while the driver
+snapshots or resets the same registry, every mutation and read goes
+through a per-instrument lock, and the registry's create-or-get tables
+are guarded by a registry lock (lock order: registry before instrument
+— instrument methods never take the registry lock, so the order cannot
+invert).  Unsynchronized, a
 driver ``reset()`` racing a handler ``inc()`` loses updates, and
 ``snapshot()`` iterating a dict a handler thread is growing raises
 ``RuntimeError: dictionary changed size during iteration``.

@@ -1,15 +1,10 @@
-"""``repro.report`` — figures and dashboards from the results store.
+"""``repro.report`` — the paper's figures from the results store.
 
-Two faces over one renderer:
-
-* :func:`build_report` writes a byte-stable static ``index.html``
-  reproducing the paper's Figure 2 MTTF table and the Sec. VIII
-  protection comparison purely from stored rows (``repro report build``).
-* :class:`ReportService` serves the same page live over HTTP with a
-  small JSON query API (``repro report serve``).
+:func:`build_report` writes a byte-stable static ``index.html``
+reproducing the paper's Figure 2 MTTF table and the Sec. VIII
+protection comparison purely from stored rows (``repro report build``).
 """
 
 from .html import build_report, render_index
-from .service import ReportService
 
-__all__ = ["ReportService", "build_report", "render_index"]
+__all__ = ["build_report", "render_index"]

@@ -274,7 +274,7 @@ def _section_campaigns(store: ResultStore) -> str:
 
 
 def render_index(store: ResultStore) -> str:
-    """The whole dashboard/report page as one self-contained HTML string."""
+    """The whole report page as one self-contained HTML string."""
     sections = [
         _section_summary(store),
         _section_mttf(store),

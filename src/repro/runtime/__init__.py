@@ -22,40 +22,26 @@ from .errors import (
     classify_exception,
 )
 from .executor import Executor, Task, TaskResult
-from .guard import (
-    AdmissionGate,
-    CircuitBreaker,
-    GuardConfig,
-    GuardRejection,
-    ServiceGuard,
-    TokenBucket,
-)
 from .journal import Journal
 from .retry import RetryPolicy
 
 __all__ = [
-    "AdmissionGate",
     "CampaignInterrupted",
     "ChaosError",
     "ChaosPolicy",
     "ChaosSpec",
-    "CircuitBreaker",
     "Executor",
     "ExecutorError",
-    "GuardConfig",
-    "GuardRejection",
     "InfraError",
     "Journal",
     "JournalRecordError",
     "JournalWriteError",
     "RetryPolicy",
-    "ServiceGuard",
     "SimulationCrash",
     "SimulationError",
     "SimulationHang",
     "Task",
     "TaskOutcome",
     "TaskResult",
-    "TokenBucket",
     "classify_exception",
 ]

@@ -44,9 +44,6 @@ fabric     ``rpc_dup``       request sent twice (tests idempotent handlers)
 fabric     ``rpc_partition`` coordinator<->worker link down for a window
                              of ``partition_span`` consecutive RPCs
 fabric     ``heartbeat_blackout`` a window of heartbeats silently skipped
-service    ``request_oversized`` client sends a body past the server cap
-service    ``request_malformed`` client sends bytes that are not JSON
-service    ``request_slow``  client stalls ``slow_request_seconds`` first
 store      ``store_locked``  a write txn begins with "database is locked"
 store      ``store_enospc``  commit raises ``OSError(ENOSPC)`` mid-ingest
 store      ``store_corrupt`` store file bytes flipped (applied by tests)
@@ -60,12 +57,9 @@ is the node's monotonic RPC counter, and the two *window* points
 one firing blacks out a contiguous stretch of traffic — a partition, not
 a lone lost packet.
 
-The service points model a *hostile or buggy client* of either HTTP
-surface (keyed on ``(client, seq)`` and applied by the RPC client or a
-test driver: the serving layer must shed them, never die), and the
-store points model a *failing persistence dependency* (keyed on the
-store's write-transaction counter; ``store_locked`` rolls fresh dice
-per retry attempt so the locked-db retry converges exactly like a
+The store points model a *failing persistence dependency* (keyed on
+the store's write-transaction counter; ``store_locked`` rolls fresh
+dice per retry attempt so the locked-db retry converges exactly like a
 chaos-ridden task retry does).
 """
 
@@ -91,15 +85,10 @@ FABRIC_POINTS = (
     "node_kill", "rpc_drop", "rpc_delay", "rpc_dup", "rpc_partition",
     "heartbeat_blackout",
 )
-#: hostile-client fault points applied against an HTTP surface
-SERVICE_POINTS = ("request_oversized", "request_malformed", "request_slow")
 #: persistence fault points applied inside the results store
 STORE_POINTS = ("store_locked", "store_enospc", "store_corrupt")
 #: spec fields that are magnitudes, not probabilities
-_MAGNITUDE_FIELDS = (
-    "slow_seconds", "rpc_delay_seconds", "partition_span",
-    "slow_request_seconds",
-)
+_MAGNITUDE_FIELDS = ("slow_seconds", "rpc_delay_seconds", "partition_span")
 
 
 class ChaosError(InfraError):
@@ -128,9 +117,6 @@ class ChaosSpec:
     rpc_dup: float = 0.0
     rpc_partition: float = 0.0
     heartbeat_blackout: float = 0.0
-    request_oversized: float = 0.0
-    request_malformed: float = 0.0
-    request_slow: float = 0.0
     store_locked: float = 0.0
     store_enospc: float = 0.0
     store_corrupt: float = 0.0
@@ -140,8 +126,6 @@ class ChaosSpec:
     rpc_delay_seconds: float = 0.02
     #: consecutive RPCs (or heartbeats) lost per partition/blackout window
     partition_span: int = 6
-    #: client stall when ``request_slow`` fires
-    slow_request_seconds: float = 0.2
 
     def __post_init__(self) -> None:
         if self.partition_span < 1:
@@ -278,26 +262,6 @@ class ChaosPolicy:
             return ("dup", 0.0)
         if self.should("rpc_delay", key):
             return ("delay", self.spec.rpc_delay_seconds)
-        return None
-
-    # -- service (HTTP surface) side -----------------------------------------
-
-    def request_action(
-        self, client: str, seq: int
-    ) -> Optional[Tuple[str, float]]:
-        """The hostile-client fault for request ``seq`` from ``client``.
-
-        Keyed like :meth:`rpc_action` on the client's monotonic request
-        counter, so a retried request rolls fresh dice and a chaos-ridden
-        client still converges once the server has shed the bad attempt.
-        """
-        key = f"{client}#{seq}"
-        if self.should("request_oversized", key):
-            return ("oversized", 0.0)
-        if self.should("request_malformed", key):
-            return ("malformed", 0.0)
-        if self.should("request_slow", key):
-            return ("slow", self.spec.slow_request_seconds)
         return None
 
     # -- store (persistence) side --------------------------------------------

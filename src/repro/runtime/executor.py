@@ -41,7 +41,8 @@ A task runs on one of three slot kinds, which differ only in transport:
   register/lease/heartbeat/report/goodbye into operations on the table.
   An expired lease re-queues its task, or demotes it to the driver once
   retries are spent; with no node heard from for ``worker_grace``
-  seconds, queued work is demoted too.
+  seconds (timed from the round start until a node calls in), queued
+  work is demoted too.
 
 Every slot runs an attempt through :func:`run_attempt`, and pool
 workers send back the same report-record shape fabric nodes ship, so
@@ -744,11 +745,11 @@ class Executor:
                     if entry is not None:
                         self._run_on_driver(entry)
                         continue
-                    if self.fabric is not None:
-                        since = self.fabric.seconds_since_contact()
-                        if (since is None or since > self.worker_grace) \
-                                and table.demote_one():
-                            continue
+                    if self.fabric is not None and (
+                        self.fabric.seconds_since_contact()
+                        > self.worker_grace
+                    ) and table.demote_one():
+                        continue
                 else:
                     self._dispatch(table, workers, now)
                 if workers:

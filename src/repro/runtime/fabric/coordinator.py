@@ -22,9 +22,10 @@ calls into operations on that one table:
   of a run and on drain so records it never saw are still resumable
   (:mod:`repro.runtime.fabric.merge`).
 * **graceful degradation** — tasks whose leases keep expiring, and all
-  tasks when no worker has been heard from within a grace period, are
-  *demoted* to the driver; a dead or partitioned fleet slows the
-  campaign down to single-host speed instead of failing it.
+  tasks when no worker has been heard from within a grace period (timed
+  from the round start until a node calls in), are *demoted* to the
+  driver; a dead or partitioned fleet slows the campaign down to
+  single-host speed instead of failing it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from ...obs import get_metrics
 from ..errors import ExecutorError
 from ..executor import Task, TaskTable
-from ..guard import GuardConfig, GuardRejection, ServiceGuard
 from ..journal import PathLike
 from . import tasks as task_registry
 from .protocol import JobSpec, RpcError, decode_request, encode_error, \
@@ -46,20 +46,62 @@ from .protocol import JobSpec, RpcError, decode_request, encode_error, \
 __all__ = ["FabricCoordinator"]
 
 
+#: largest accepted request body; a larger Content-Length gets 413
+_MAX_BODY_BYTES = 8 << 20
+#: chunk size for body reads (bounds a single recv, not the body)
+_READ_CHUNK = 65536
+
+
+class _BodyRejected(Exception):
+    """A request body refused before it was parsed; carries the status."""
+
+    def __init__(self, status: int, reason: str) -> None:
+        super().__init__(reason)
+        self.status = status
+
+
+def _read_body(rfile: Any, headers: Any) -> bytes:
+    """Read one request body, validating Content-Length *first*.
+
+    Negative or malformed lengths get 400 and oversized ones 413 before
+    a single body byte is read; the read itself proceeds in bounded
+    chunks, so a lying client cannot balloon memory (staticcheck rule
+    F304 holds handlers to this).  A missing length is an empty body.
+    """
+    raw = headers.get("Content-Length") or "0"
+    try:
+        length = int(raw)
+    except (TypeError, ValueError):
+        raise _BodyRejected(400, f"malformed Content-Length {raw!r}")
+    if length < 0:
+        raise _BodyRejected(400, f"negative Content-Length {length}")
+    if length > _MAX_BODY_BYTES:
+        raise _BodyRejected(
+            413, f"request body of {length} bytes exceeds the "
+            f"{_MAX_BODY_BYTES}-byte cap",
+        )
+    chunks = []
+    remaining = length
+    while remaining > 0:
+        chunk = rfile.read(min(remaining, _READ_CHUNK))
+        if not chunk:
+            raise _BodyRejected(
+                400, f"truncated request body ({length - remaining} of "
+                f"{length} bytes received)",
+            )
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)
+
+
 class _RpcHandler(BaseHTTPRequestHandler):
     """One POST endpoint (``/rpc``); everything else is a 404.
 
-    Every request passes through the coordinator's
-    :class:`~repro.runtime.guard.ServiceGuard`: admission control and
-    rate limiting run *before* the body is read (a shed request costs
-    one queue probe, not a parse), Content-Length is validated before
-    any bytes move (413/400), and an envelope whose ``deadline_ms``
-    budget was burned waiting in the queue is rejected with 504 instead
-    of executed for a client that already gave up.
+    The body is read through :func:`_read_body`, so Content-Length is
+    validated before any bytes move (413/400).
     """
 
     # a worker that stalls mid-request must not pin a server thread
-    # (overridden from GuardConfig.socket_timeout by start())
     timeout = 30.0
     protocol_version = "HTTP/1.1"
     coordinator: "FabricCoordinator"
@@ -68,22 +110,13 @@ class _RpcHandler(BaseHTTPRequestHandler):
         if self.path != "/rpc":
             self._reply(404, encode_error("unknown path"))
             return
-        guard = self.coordinator.guard
-        arrival = time.monotonic()
         try:
-            with guard.admit():
-                env = decode_request(
-                    guard.read_body(self.rfile, self.headers)
-                )
-                guard.check_deadline(env.get("deadline_ms"), arrival)
-                result = self.coordinator.handle(env)
-        except GuardRejection as rej:
+            env = decode_request(_read_body(self.rfile, self.headers))
+            result = self.coordinator.handle(env)
+        except _BodyRejected as rej:
             # The body may be unread: close the connection so HTTP/1.1
             # keep-alive framing cannot desynchronize.
-            self._reply(
-                rej.status, encode_error(rej.reason),
-                retry_after=rej.retry_after, close=True,
-            )
+            self._reply(rej.status, encode_error(str(rej)), close=True)
         except RpcError as exc:
             self._reply(400, encode_error(str(exc)))
         except Exception as exc:  # server must answer, never hang a node
@@ -91,20 +124,11 @@ class _RpcHandler(BaseHTTPRequestHandler):
         else:
             self._reply(200, encode_response(result))
 
-    def _reply(
-        self,
-        status: int,
-        body: bytes,
-        *,
-        retry_after: Optional[float] = None,
-        close: bool = False,
-    ) -> None:
+    def _reply(self, status: int, body: bytes, *, close: bool = False) -> None:
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
-            if retry_after is not None:
-                self.send_header("Retry-After", f"{retry_after:g}")
             if close:
                 self.send_header("Connection", "close")
                 self.close_connection = True
@@ -129,7 +153,6 @@ class FabricCoordinator:
         lease_batch: int = 2,
         poll_interval: float = 0.15,
         shard_dir: Optional[PathLike] = None,
-        guard: Optional[GuardConfig] = None,
     ) -> None:
         if lease_ttl <= 0:
             raise ValueError("lease_ttl must be > 0 seconds")
@@ -140,9 +163,6 @@ class FabricCoordinator:
         self.lease_ttl = lease_ttl
         self.lease_batch = lease_batch
         self.poll_interval = poll_interval
-        #: overload protection for the RPC surface (admission control,
-        #: rate limiting, body caps, deadline enforcement)
-        self.guard = ServiceGuard("fabric", guard or GuardConfig())
         #: directory of node shard journals to merge on commit (when the
         #: coordinator can see them, e.g. localhost or a shared mount)
         self.shard_dir = shard_dir
@@ -155,6 +175,7 @@ class FabricCoordinator:
         self._server: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
         self._last_contact: Optional[float] = None
+        self._round_started = time.monotonic()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -163,11 +184,7 @@ class FabricCoordinator:
         if self._server is not None:
             return self.address
         handler = type(
-            "_BoundRpcHandler", (_RpcHandler,),
-            {
-                "coordinator": self,
-                "timeout": self.guard.config.socket_timeout,
-            },
+            "_BoundRpcHandler", (_RpcHandler,), {"coordinator": self}
         )
         self._server = ThreadingHTTPServer((self.host, self.port), handler)
         self._server.daemon_threads = True
@@ -223,6 +240,7 @@ class FabricCoordinator:
             self._job = job.to_dict()
             self._table = table
             self._timeout = timeout
+            self._round_started = time.monotonic()
         return table
 
     def end_round(self) -> None:
@@ -231,12 +249,14 @@ class FabricCoordinator:
         if table is not None:
             table.drain()  # a late lease must not start a finished run
 
-    def seconds_since_contact(self) -> Optional[float]:
-        """Seconds since any worker RPC, or None if none ever arrived."""
+    def seconds_since_contact(self) -> float:
+        """Seconds since any worker RPC or the round start, whichever is
+        later: a fleet still starting up gets the full grace period."""
         with self._lock:
-            if self._last_contact is None:
-                return None
-            return time.monotonic() - self._last_contact
+            since = self._round_started
+            if self._last_contact is not None:
+                since = max(since, self._last_contact)
+            return time.monotonic() - since
 
     # -- RPC handling (server threads) ---------------------------------------
 

@@ -43,19 +43,6 @@ DEFAULT_RPC_RETRY = RetryPolicy(
     jitter=0.5,
 )
 
-#: HTTP statuses that mean "try again later", not "you are wrong":
-#: 429 rate-limited, 503 shed by admission control, 504 deadline burn.
-#: A shed worker backs off and retries; only protocol errors are fatal.
-_RETRYABLE_STATUSES = frozenset((429, 503, 504))
-
-#: ceiling on an advertised Retry-After the client will honour
-_MAX_RETRY_AFTER = 5.0
-
-#: chaos request bodies: big enough to trip any test-sized body cap,
-#: and bytes that can never parse as a protocol envelope
-_CHAOS_OVERSIZED_BODY = b"\x7b" * (256 * 1024)
-_CHAOS_MALFORMED_BODY = b"\xff\xfenot json at all"
-
 
 class RpcClient:
     """JSON-RPC-over-HTTP client for one fabric node."""
@@ -108,7 +95,7 @@ class RpcClient:
                 self._seq += 1
             try:
                 return self._attempt(method, params, seq, deadline)
-            except RpcUnavailable as exc:
+            except RpcUnavailable:
                 mx = get_metrics()
                 if mx:
                     mx.counter("fabric.rpc_failures").inc()
@@ -116,15 +103,7 @@ class RpcClient:
                     raise
                 if mx:
                     mx.counter("fabric.rpc_retries").inc()
-                # A shed/rate-limited reply advertises Retry-After; honour
-                # it when it asks for more patience than our own backoff.
-                advertised = getattr(exc, "retry_after", None) or 0.0
-                time.sleep(
-                    max(
-                        self.retry.delay(f"{method}#{seq}", attempt),
-                        min(float(advertised), _MAX_RETRY_AFTER),
-                    )
-                )
+                time.sleep(self.retry.delay(f"{method}#{seq}", attempt))
             except RpcError:
                 raise
 
@@ -155,32 +134,6 @@ class RpcClient:
                 time.sleep(arg)
             elif kind == "dup":
                 duplicate = True
-        request_action = (
-            self.chaos.request_action(self.node, seq)
-            if self.chaos is not None else None
-        )
-        if request_action is not None:
-            kind, arg = request_action
-            get_metrics().counter(f"chaos.request_{kind}").inc()
-            if kind == "slow":
-                # A trickling client: the request still lands, late; the
-                # server's socket timeout bounds how long it will wait.
-                time.sleep(arg)
-            else:
-                # A buggy client ships garbage (oversized or non-JSON
-                # bytes); the server must shed it with 413/400 and this
-                # client recovers by retrying the *real* envelope.
-                junk = (
-                    _CHAOS_OVERSIZED_BODY if kind == "oversized"
-                    else _CHAOS_MALFORMED_BODY
-                )
-                try:
-                    self._post(junk, deadline)
-                except (RpcError, RpcUnavailable):
-                    pass
-                raise RpcUnavailable(
-                    f"{method}: chaos: {kind} request rejected (seq {seq})"
-                )
         body = encode_request(
             method, params, node=self.node, seq=seq,
             deadline_ms=int(deadline * 1000),
@@ -208,8 +161,6 @@ class RpcClient:
             )
             resp = conn.getresponse()
             raw = resp.read()
-            status = resp.status
-            retry_after = resp.getheader("Retry-After")
         except (ConnectionError, socket.timeout, OSError,
                 http.client.HTTPException) as exc:
             raise RpcUnavailable(
@@ -218,22 +169,6 @@ class RpcClient:
             ) from exc
         finally:
             conn.close()
-        if status in _RETRYABLE_STATUSES:
-            # Shed, rate-limited or deadline-expired: the coordinator is
-            # alive but overloaded — transient by definition, so back
-            # off and retry instead of failing the worker.
-            mx = get_metrics()
-            if mx:
-                mx.counter("fabric.rpc_shed").inc()
-            exc = RpcUnavailable(
-                f"coordinator {self.host}:{self.port} shed the request "
-                f"(HTTP {status})"
-            )
-            try:
-                exc.retry_after = float(retry_after or 0.0)
-            except ValueError:
-                exc.retry_after = 0.0
-            raise exc
         try:
             payload = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:

@@ -105,7 +105,7 @@ def classify_scopes(relpath: str) -> Set[str]:
         scopes.add("executor")
     if "fabric" in parts:
         scopes.add("fabric")
-    if "report" in parts or rel.endswith("runtime/guard.py"):
+    if "report" in parts:
         scopes.add("service")
     return scopes
 

@@ -958,7 +958,7 @@ class ProjectIndex:
     def resolve_module(self, dotted: str) -> Optional[str]:
         """relpath of an imported dotted name, tolerating package roots.
 
-        ``repro.runtime.guard`` matches the scanned ``runtime.guard``
+        ``repro.runtime.journal`` matches the scanned ``runtime.journal``
         (imports spell the installed package name; relpaths are
         scan-root-relative), by stripping leading segments until a
         scanned module matches.

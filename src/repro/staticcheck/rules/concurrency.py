@@ -1,6 +1,6 @@
 """Concurrency / lock-discipline rules (family C) — whole-program.
 
-The fabric, guard and report layers run real threads: every HTTP
+The fabric layer runs real threads: every HTTP
 request executes a handler-class method on a server thread while the
 driver mutates the same objects from the main thread.  A data race here
 does not crash — it silently skews counters, leases and AVF roll-ups,
@@ -110,7 +110,7 @@ class UnsyncSharedState(_ProjectRule):
         "accessed elsewhere without a common lock"
     )
     rationale = (
-        "Handler threads and the driver share coordinator/guard/report "
+        "Handler threads and the driver share coordinator and table "
         "objects; an attribute written from one side and read or "
         "written from the other without one common lock is a data race "
         "— torn multi-step updates (`self.x += 1`, dict grown during "

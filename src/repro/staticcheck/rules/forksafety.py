@@ -315,17 +315,17 @@ class UnboundedBodyRead(Rule):
     rationale = (
         "``rfile.read(length)`` with a client-supplied Content-Length "
         "(or no argument at all) lets one hostile or buggy request "
-        "allocate arbitrary memory before admission control can refuse "
-        "it — the classic way a serving process dies under one bad "
-        "client instead of shedding it.  Handlers must cap the length "
-        "*first* and read in constant-bounded chunks; "
-        "``ServiceGuard.read_body`` packages the whole pattern "
+        "allocate arbitrary memory before the handler can refuse it "
+        "— the classic way a serving process dies under one bad "
+        "client instead of rejecting it.  Handlers must cap the length "
+        "*first* and read in constant-bounded chunks; the fabric "
+        "coordinator's ``_read_body`` packages the whole pattern "
         "(validate, 413/400, chunked read)."
     )
     scope = "service"
 
-    #: both HTTP surfaces are held to this: the report dashboard and
-    #: the fabric coordinator's RPC endpoint
+    #: any HTTP handler under report/ and the fabric coordinator's RPC
+    #: endpoint are held to this
     _SCOPES = frozenset({"service", "fabric"})
 
     def applies(self, module: Module) -> bool:
@@ -351,7 +351,7 @@ class UnboundedBodyRead(Rule):
                 call, self.code,
                 "rfile.read(n) where n comes from the request: a lying "
                 "Content-Length allocates unbounded memory; clamp it "
-                "(min(n, CAP)) or use ServiceGuard.read_body",
+                "(min(n, CAP)) or use the coordinator's _read_body",
             )
 
     @staticmethod

@@ -17,7 +17,6 @@ from repro.runtime import (
 from repro.runtime.chaos import (
     EXECUTOR_POINTS,
     JOURNAL_POINTS,
-    SERVICE_POINTS,
     STORE_POINTS,
     apply_worker_action,
 )
@@ -146,48 +145,15 @@ class TestChaosPriorities:
         assert policy.task_action("t", 1) == ("slow", 0.25)
 
 
-class TestServiceAndStorePoints:
+class TestStorePoints:
     def test_defaults_are_all_off(self):
         spec = ChaosSpec()
-        assert all(
-            getattr(spec, p) == 0.0
-            for p in SERVICE_POINTS + STORE_POINTS
-        )
+        assert all(getattr(spec, p) == 0.0 for p in STORE_POINTS)
 
-    def test_from_string_accepts_service_and_store_points(self):
-        spec = ChaosSpec.from_string(
-            "request_oversized=0.2,store_locked=0.3,"
-            "slow_request_seconds=0.05"
-        )
-        assert spec.request_oversized == 0.2
+    def test_from_string_accepts_store_points(self):
+        spec = ChaosSpec.from_string("store_locked=0.3,store_enospc=0.1")
         assert spec.store_locked == 0.3
-        assert spec.slow_request_seconds == 0.05
-
-    def test_request_action_deterministic(self):
-        spec = ChaosSpec(
-            request_oversized=0.3, request_malformed=0.3, request_slow=0.3
-        )
-        a = ChaosPolicy(spec, seed=CHAOS_SEED)
-        b = ChaosPolicy(spec, seed=CHAOS_SEED)
-        for seq in range(50):
-            assert a.request_action("n0", seq) == b.request_action(
-                "n0", seq
-            )
-
-    def test_request_action_harsher_fault_wins(self):
-        spec = ChaosSpec(
-            request_oversized=1.0, request_malformed=1.0,
-            request_slow=1.0, slow_request_seconds=0.1,
-        )
-        policy = ChaosPolicy(spec, seed=CHAOS_SEED)
-        assert policy.request_action("n0", 0) == ("oversized", 0.0)
-
-    def test_request_slow_carries_duration(self):
-        policy = ChaosPolicy(
-            ChaosSpec(request_slow=1.0, slow_request_seconds=0.07),
-            seed=CHAOS_SEED,
-        )
-        assert policy.request_action("n0", 0) == ("slow", 0.07)
+        assert spec.store_enospc == 0.1
 
     def test_store_locked_rolls_fresh_dice_per_attempt(self):
         """Lock contention is keyed (txn, attempt) so a bounded retry

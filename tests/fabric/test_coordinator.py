@@ -1,19 +1,32 @@
 """Coordinator semantics, exercised through its RPC surface directly.
 
-These tests call ``FabricCoordinator.handle`` with hand-built envelopes
+Most tests call ``FabricCoordinator.handle`` with hand-built envelopes
 (no HTTP, no threads beyond the coordinator's own lock) so every lease /
-heartbeat / report interleaving is deterministic.
+heartbeat / report interleaving is deterministic.  The body-read tests
+drive ``_read_body`` on in-memory streams and, for hostile
+Content-Lengths, the live ``/rpc`` endpoint.
 """
 
+import http.client
+import io
+import json
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.runtime import RetryPolicy, Task, TaskOutcome
 from repro.runtime.errors import ExecutorError
 from repro.runtime.fabric import FabricCoordinator, stub_job
+from repro.runtime.fabric import coordinator as coordinator_mod
+from repro.runtime.fabric.coordinator import (
+    _MAX_BODY_BYTES,
+    _BodyRejected,
+    _read_body,
+)
+from repro.runtime.fabric.protocol import encode_request
 
 
 def env(method, node="n0", params=None, seq=0):
@@ -236,3 +249,176 @@ class TestConcurrentHandlers:
         accepted = [rec["task"] for _, rec, _ in rnd.take_inbox()]
         assert sorted(accepted) == sorted(t.id for t in tasks)
         assert duplicates == len(tasks)
+
+
+class FakeClock:
+    def __init__(self, now=0.0):
+        self.now = now
+
+    def __call__(self):
+        return self.now
+
+    def advance(self, dt):
+        self.now += dt
+
+
+class TestWorkerGrace:
+    """The driver demotes queued work once no node has called in for
+    ``worker_grace`` seconds (``Executor._drive``: ``since > grace``);
+    until the first node calls in, the grace runs from the round start.
+    Driven on a fake clock: nothing sleeps."""
+
+    GRACE = 1.5
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        clock = FakeClock(1000.0)
+        monkeypatch.setattr(
+            coordinator_mod, "time", SimpleNamespace(monotonic=clock)
+        )
+        return clock
+
+    def silent(self, coord):
+        return coord.seconds_since_contact() > self.GRACE
+
+    def test_no_contact_within_grace_demotes_nothing(self, coord, clock):
+        _, rnd = begin(coord)
+        clock.advance(self.GRACE - 0.1)
+        assert not self.silent(coord)
+        assert all(s.status == "queued" for s in rnd.states.values())
+
+    def test_grace_expired_without_contact_demotes(self, coord, clock):
+        tasks, rnd = begin(coord)
+        clock.advance(self.GRACE + 0.1)
+        assert self.silent(coord)
+        assert rnd.demote_one()
+        assert rnd.pop("demoted", "driver", clock()).task.id == tasks[0].id
+
+    def test_contact_restarts_the_grace(self, coord, clock):
+        begin(coord)
+        clock.advance(1.0)
+        coord.handle(env("register"))
+        clock.advance(self.GRACE - 0.1)  # 2.4s since round start
+        assert not self.silent(coord)
+        clock.advance(0.2)
+        assert self.silent(coord)
+
+    def test_contact_before_the_round_does_not_count(self, coord, clock):
+        coord.handle(env("register"))
+        clock.advance(10.0)
+        begin(coord)
+        assert not self.silent(coord)
+
+
+class _Headers(dict):
+    """Just enough of http.client's message API for _read_body."""
+
+
+def _read(payload, content_length):
+    return _read_body(
+        io.BytesIO(payload), _Headers({"Content-Length": content_length})
+    )
+
+
+class TestReadBody:
+    def test_reads_exact_body(self):
+        assert _read(b"hello", "5") == b"hello"
+
+    def test_big_body_read_in_chunks(self):
+        payload = b"x" * 300_000
+        assert _read(payload, str(len(payload))) == payload
+
+    def test_missing_length_means_empty_body(self):
+        assert _read_body(io.BytesIO(b""), _Headers()) == b""
+        # an empty header value is treated as absent, not malformed
+        assert _read(b"", "") == b""
+
+    @pytest.mark.parametrize("raw", ["abc", "1.5"])
+    def test_malformed_length_is_400(self, raw):
+        with pytest.raises(_BodyRejected) as exc_info:
+            _read(b"", raw)
+        assert exc_info.value.status == 400
+
+    def test_negative_length_is_400(self):
+        with pytest.raises(_BodyRejected) as exc_info:
+            _read(b"", "-10")
+        assert exc_info.value.status == 400
+
+    def test_oversized_length_is_413_before_reading(self):
+        class ExplodingStream:
+            def read(self, n):  # pragma: no cover - must never run
+                raise AssertionError("read before the length check")
+
+        with pytest.raises(_BodyRejected) as exc_info:
+            _read_body(
+                ExplodingStream(),
+                _Headers({"Content-Length": str(_MAX_BODY_BYTES + 1)}),
+            )
+        assert exc_info.value.status == 413
+
+    def test_truncated_body_is_400(self):
+        with pytest.raises(_BodyRejected) as exc_info:
+            _read(b"abc", "10")  # promises 10, delivers 3
+        assert exc_info.value.status == 400
+
+
+def raw_post(address, body=b"", headers=None, timeout=5.0):
+    """One bare POST to /rpc; returns (status, headers, payload bytes)."""
+    conn = http.client.HTTPConnection(*address, timeout=timeout)
+    try:
+        conn.putrequest("POST", "/rpc")
+        conn.putheader("Content-Type", "application/json")
+        sent = dict(headers or {})
+        sent.setdefault("Content-Length", str(len(body)))
+        for name, value in sent.items():
+            conn.putheader(name, value)
+        conn.endheaders()
+        if body:
+            conn.send(body)
+        resp = conn.getresponse()
+        return resp.status, dict(resp.getheaders()), resp.read()
+    finally:
+        conn.close()
+
+
+@pytest.fixture
+def served():
+    """A default coordinator serving /rpc on an ephemeral port."""
+    with FabricCoordinator() as c:
+        yield c
+
+
+class TestHostileBodies:
+    def test_oversized_content_length_is_413_before_read(self, served):
+        # The body is never sent: the server must reject on the header
+        # alone instead of waiting for bytes that never come.
+        status, headers, payload = raw_post(
+            served.address,
+            headers={"Content-Length": str(50 * 1024 * 1024)},
+        )
+        assert status == 413
+        assert json.loads(payload)["ok"] is False
+        # rejection before the body desynchronizes keep-alive framing,
+        # so the server closes the connection
+        assert headers.get("Connection") == "close"
+
+    def test_negative_content_length_is_400(self, served):
+        status, _, payload = raw_post(
+            served.address, headers={"Content-Length": "-7"}
+        )
+        assert status == 400
+        assert "Content-Length" in json.loads(payload)["error"]
+
+    def test_malformed_content_length_is_400(self, served):
+        status, _, _ = raw_post(
+            served.address, headers={"Content-Length": "banana"}
+        )
+        assert status == 400
+
+    def test_valid_rpc_still_succeeds(self, served):
+        status, _, payload = raw_post(
+            served.address,
+            body=encode_request("register", {}, node="probe", seq=0),
+        )
+        assert status == 200
+        assert json.loads(payload)["ok"] is True

@@ -33,8 +33,7 @@ class TestScopeClassification:
         assert "executor" not in classify_scopes("runtime/journal.py")
 
     def test_service_surfaces(self):
-        assert "service" in classify_scopes("report/service.py")
-        assert "service" in classify_scopes("runtime/guard.py")
+        assert "service" in classify_scopes("report/html.py")
         assert "service" not in classify_scopes("runtime/journal.py")
 
     def test_cli_has_no_scopes(self):

@@ -2,13 +2,12 @@
 
 The store is a derived artifact — every row folded in from a durable
 journal — so corruption must be an inconvenience, not data loss.
-Acceptance (``service_chaos`` marker): a corrupted store rebuilt from
-its journals serves byte-identical ``/api/query`` responses to a store
-that was never corrupted, and seeded locked/full-disk chaos never
-leaves a broken file behind.
+Acceptance: a corrupted store rebuilt from its journals answers
+``repro query --json`` and renders the report page byte-identically to
+a store that was never corrupted, and seeded locked/full-disk chaos
+never leaves a broken file behind.
 """
 
-import http.client
 import json
 import os
 import shutil
@@ -17,7 +16,8 @@ import sqlite3
 import pytest
 
 from repro import obs
-from repro.report import ReportService
+from repro.cli import main
+from repro.report import build_report
 from repro.runtime.chaos import ChaosPolicy, ChaosSpec
 from repro.store import (
     ResultStore,
@@ -30,8 +30,8 @@ from repro.store.schema import SCHEMA_VERSION
 
 from .conftest import avf_row, point_record, sweep_point, write_journal
 
-#: the service-chaos CI job runs two fixed seeds; assertions hold for any
-SERVICE_SEED = int(os.environ.get("REPRO_SERVICE_SEED", "1"))
+#: the store CI job runs two fixed seeds; assertions hold for any
+STORE_SEED = int(os.environ.get("REPRO_STORE_SEED", "1"))
 
 
 def corrupt(path):
@@ -171,24 +171,19 @@ class TestRebuild:
         assert counters["store.rebuilds"] == 1
 
 
-def _get(service, path):
-    conn = http.client.HTTPConnection(*service.address, timeout=10.0)
-    try:
-        conn.request("GET", path)
-        resp = conn.getresponse()
-        return resp.status, resp.read()
-    finally:
-        conn.close()
+def _query_json(path, capsys, *filters):
+    """The stdout bytes of ``repro query --json`` against ``path``."""
+    capsys.readouterr()
+    assert main(["query", "--store", str(path), "--json", *filters]) == 0
+    return capsys.readouterr().out.encode()
 
 
-@pytest.mark.service_chaos
 class TestRebuildConvergence:
-    def test_rebuilt_store_serves_byte_identical_api_responses(
-        self, tmp_path
-    ):
-        """Acceptance (b): corrupt the store, rebuild from journals, and
-        the dashboard cannot tell the difference — raw ``/api/query``
-        response bytes match a store that was never corrupted."""
+    def test_rebuilt_store_answers_byte_identically(self, tmp_path, capsys):
+        """Acceptance: corrupt the store, rebuild from journals, and no
+        reader can tell the difference — ``repro query --json`` output
+        and the report page (with its Fig. 2 MTTF table) match a store
+        that was never corrupted, byte for byte."""
         journal = sample_journal(tmp_path, n=5)
         control = tmp_path / "control.sqlite"
         with ResultStore(control) as store:
@@ -203,17 +198,22 @@ class TestRebuildConvergence:
         assert result["verify"]["ok"] is True
         assert result["quarantined"].endswith(".corrupt-1")
 
-        with ReportService(control) as a, ReportService(victim) as b:
-            for path in ("/api/query", "/api/query?workload=matmul",
-                         "/api/mttf"):
-                status_a, body_a = _get(a, path)
-                status_b, body_b = _get(b, path)
-                assert (status_a, status_b) == (200, 200)
-                assert body_a == body_b, path
-        assert json.loads(body_a)["rows"] == []  # mttf: empty in both
+        for filters in ((), ("--workload", "matmul")):
+            body_a = _query_json(control, capsys, *filters)
+            body_b = _query_json(victim, capsys, *filters)
+            assert body_a == body_b, filters
+            assert json.loads(body_a)["count"] == 5
+
+        pages = []
+        for name, path in (("a", control), ("b", victim)):
+            with ResultStore(path) as store:
+                pages.append(
+                    build_report(store, tmp_path / name).read_bytes()
+                )
+        assert pages[0] == pages[1]
+        assert b"Figure 2" in pages[0]
 
 
-@pytest.mark.service_chaos
 class TestStoreChaos:
     def test_locked_chaos_exhausts_bounded_retries(self, tmp_path):
         """store_locked=1.0: the bounded retry gives up after its budget
@@ -221,7 +221,7 @@ class TestStoreChaos:
         path = tmp_path / "r.sqlite"
         ResultStore(path).close()  # healthy schema, no chaos
         policy = ChaosPolicy(
-            ChaosSpec(store_locked=1.0), seed=SERVICE_SEED
+            ChaosSpec(store_locked=1.0), seed=STORE_SEED
         )
         with obs.observe() as (registry, _tracer):
             with ResultStore(path, chaos=policy) as store:
@@ -239,7 +239,7 @@ class TestStoreChaos:
         path = tmp_path / "r.sqlite"
         ResultStore(path).close()
         policy = ChaosPolicy(
-            ChaosSpec(store_locked=0.5), seed=SERVICE_SEED
+            ChaosSpec(store_locked=0.5), seed=STORE_SEED
         )
         rows = [avf_row(seed=s) for s in range(6)]
         with ResultStore(path, chaos=policy) as store:
@@ -262,7 +262,7 @@ class TestStoreChaos:
         path = tmp_path / "r.sqlite"
         ResultStore(path).close()
         policy = ChaosPolicy(
-            ChaosSpec(store_enospc=1.0), seed=SERVICE_SEED
+            ChaosSpec(store_enospc=1.0), seed=STORE_SEED
         )
         with ResultStore(path, chaos=policy) as store:
             with pytest.raises(OSError, match="space"):
