@@ -11,73 +11,30 @@ reads convert SDCs into DUEs); parity tx4 achieves the lowest SDC of all —
 far below SEC-DED rx2 despite 7x less area (paper: 86% lower).
 """
 
-import math
-
 import pytest
 
-from repro.core import (
-    TABLE_III,
-    FaultMode,
-    Interleaving,
-    NoProtection,
-    Parity,
-    SecDed,
-    soft_error_rate,
-)
+from repro.core import VGPR_DESIGN_PALETTE, evaluate_designs, sb_approx_ser
 
 WORKLOADS = ("matmul", "transpose", "histogram", "dct", "reduction")
-DESIGNS = [
-    ("parity rx2", Parity(), Interleaving.INTRA_THREAD, 2),
-    ("parity rx4", Parity(), Interleaving.INTRA_THREAD, 4),
-    ("parity tx2", Parity(), Interleaving.INTER_THREAD, 2),
-    ("parity tx4", Parity(), Interleaving.INTER_THREAD, 4),
-    ("secded rx2", SecDed(), Interleaving.INTRA_THREAD, 2),
-    ("secded tx2", SecDed(), Interleaving.INTER_THREAD, 2),
-]
-MODES = sorted(int(m.split("x")[0]) for m in TABLE_III)
-
-
-def _sb_approx_ser(study, scheme, factor):
-    """What a designer estimates with only single-bit AVF in hand.
-
-    Every fault mode's AVF is approximated by the single-bit ACE fraction;
-    the scheme reaction is derived from the worst per-word flip count
-    (ceil(M / interleave)).
-    """
-    sb = study.vgpr_avf(FaultMode.linear(1), NoProtection()).sdc_avf
-    avf_by_mode = {}
-    for m in MODES:
-        per_word = math.ceil(m / factor)
-        reaction = scheme.react(per_word)
-        name = reaction.value
-        if name in ("undetected", "miscorrected"):
-            avf_by_mode[f"{m}x1"] = (0.0, sb)
-        elif name == "detected":
-            avf_by_mode[f"{m}x1"] = (sb, 0.0)
-        else:
-            avf_by_mode[f"{m}x1"] = (0.0, 0.0)
-    return soft_error_rate(TABLE_III, avf_by_mode, "vgpr")
+DESIGN_LABELS = (
+    "parity rx2", "parity rx4", "parity tx2", "parity tx4",
+    "secded rx2", "secded tx2",
+)
+_PALETTE = {point.label: point for point in VGPR_DESIGN_PALETTE}
+DESIGNS = [_PALETTE[label] for label in DESIGN_LABELS]
 
 
 def _measure(study_of):
     studies = [study_of(wl) for wl in WORKLOADS]
     table = {}
-    for label, scheme, style, factor in DESIGNS:
-        sdc = due = approx_sdc = 0.0
+    for res in evaluate_designs(studies, designs=DESIGNS):
+        approx_sdc = 0.0
         for study in studies:
-            avf_by_mode = {}
-            for m in MODES:
-                res = study.vgpr_avf(
-                    FaultMode.linear(m), scheme, style=style, factor=factor
-                )
-                avf_by_mode[f"{m}x1"] = (res.due_avf, res.sdc_avf)
-            ser = soft_error_rate(TABLE_III, avf_by_mode, "vgpr")
-            sdc += ser.sdc_fit / len(studies)
-            due += ser.due_fit / len(studies)
-            approx_sdc += _sb_approx_ser(study, scheme, factor).sdc_fit / len(
+            approx_sdc += sb_approx_ser(study, res.point).sdc_fit / len(
                 studies
             )
-        table[label] = (scheme.area_overhead(32), sdc, due, approx_sdc)
+        table[res.label] = (res.area_overhead, res.sdc_rate, res.due_rate,
+                            approx_sdc)
     return table
 
 

@@ -589,16 +589,9 @@ def _cmd_store(args) -> int:
 def _cmd_stats(args) -> int:
     """Run a workload plus one AVF measurement with full observability on,
     then print the per-stage timing and metrics report."""
-    from .obs import get_metrics
-
     study = _build_study(args)
     study.cache_avf("l1", FaultMode.linear(2), SCHEMES["parity"])
-    if args.prometheus:
-        # Scrapeable text exposition instead of the human report, so the
-        # engine counters feed straight into a Prometheus file collector.
-        print(get_metrics().to_prometheus(), end="")
-    else:
-        print(observability_report())
+    print(observability_report())
     return 0
 
 
@@ -721,7 +714,7 @@ def _add_runtime_args(sub) -> None:
 
 
 def _stats_wrap(argv: List[str]) -> int:
-    """``repro stats [--trace F] [--metrics F] [--prometheus] -- CMD ...``:
+    """``repro stats [--trace F] [--metrics F] -- CMD ...``:
     run any subcommand with full observability on, then print the
     per-stage timing and metrics report for what it actually did."""
     idx = argv.index("--")
@@ -731,7 +724,6 @@ def _stats_wrap(argv: List[str]) -> int:
         description="profile another repro subcommand",
     )
     _add_obs_args(parser)
-    parser.add_argument("--prometheus", action="store_true")
     opts = parser.parse_args(own)
     if not inner:
         parser.error("nothing to profile after '--'")
@@ -742,10 +734,7 @@ def _stats_wrap(argv: List[str]) -> int:
         # directly, so this session owns the export and the report.
         code = main(inner)
     print()
-    if opts.prometheus:
-        print(registry.to_prometheus(), end="")
-    else:
-        print(obs.format_report(registry, tracer))
+    print(obs.format_report(registry, tracer))
     return code
 
 
@@ -921,11 +910,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     _add_common(p_stats)
     _add_obs_args(p_stats)
-    p_stats.add_argument(
-        "--prometheus", action="store_true",
-        help="print the metrics in the Prometheus text exposition format "
-             "instead of the human-readable report",
-    )
 
     p_lint = subs.add_parser(
         "lint",

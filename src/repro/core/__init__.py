@@ -7,6 +7,7 @@ from .designer import (
     DesignResult,
     choose_design,
     evaluate_designs,
+    sb_approx_ser,
 )
 from .markov import WordMarkovModel, cache_mttf_hours, word_mttf_hours
 from .sweep import SweepPoint, sweep_cache_avf, sweep_vgpr_avf, tabulate
@@ -57,6 +58,7 @@ __all__ = [
     "DesignResult",
     "choose_design",
     "evaluate_designs",
+    "sb_approx_ser",
     "WordMarkovModel",
     "cache_mttf_hours",
     "word_mttf_hours",

@@ -4,22 +4,30 @@ Sec. VIII of the paper frames the architect's problem as "minimize overall
 die area spent on reliability while achieving specified SER targets".  This
 module automates that flow: evaluate a palette of (scheme, interleaving)
 design points against measured MB-AVFs and per-mode raw fault rates, then
-pick the cheapest design meeting the target.
+pick the cheapest design meeting the target.  :func:`sb_approx_ser` is the
+estimate a designer without MB-AVF analysis would make instead (Fig. 11).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .analysis import AvfStudy
 from .faultmodes import FaultMode
 from .layout import Interleaving
-from .protection import Parity, ProtectionScheme, SecDed
-from .ser import TABLE_III, soft_error_rate
+from .protection import (
+    NoProtection,
+    Parity,
+    ProtectionScheme,
+    Reaction,
+    SecDed,
+)
+from .ser import TABLE_III, StructureSer, soft_error_rate
 
 __all__ = ["DesignPoint", "DesignResult", "evaluate_designs", "choose_design",
-           "VGPR_DESIGN_PALETTE"]
+           "sb_approx_ser", "VGPR_DESIGN_PALETTE"]
 
 
 @dataclass(frozen=True)
@@ -103,6 +111,26 @@ def evaluate_designs(
             DesignResult(point, sdc, due, point.area_overhead(word_bits))
         )
     return results
+
+
+def sb_approx_ser(study: AvfStudy, point: DesignPoint) -> StructureSer:
+    """The VGPR SER a designer estimates with only single-bit AVF in hand.
+
+    Every fault mode's AVF is approximated by the single-bit ACE fraction;
+    the scheme reaction is derived from the worst per-word flip count
+    (``ceil(M / factor)``).
+    """
+    sb = study.vgpr_avf(FaultMode.linear(1), NoProtection()).sdc_avf
+    avf_by_mode: Dict[str, Tuple[float, float]] = {}
+    for m in _modes_of(TABLE_III):
+        reaction = point.scheme.react(math.ceil(m / point.factor))
+        if reaction in (Reaction.UNDETECTED, Reaction.MISCORRECTED):
+            avf_by_mode[f"{m}x1"] = (0.0, sb)
+        elif reaction is Reaction.DETECTED:
+            avf_by_mode[f"{m}x1"] = (sb, 0.0)
+        else:
+            avf_by_mode[f"{m}x1"] = (0.0, 0.0)
+    return soft_error_rate(TABLE_III, avf_by_mode, "vgpr")
 
 
 def choose_design(

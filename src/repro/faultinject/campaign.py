@@ -336,17 +336,19 @@ def _make_executor(
 
 
 def _tally(
-    campaign: BenchmarkCampaign, result: TaskResult
+    failures: Dict[str, int], result: TaskResult
 ) -> Optional[str]:
-    """Map a runtime result to an injection verdict; count failures."""
+    """Map a runtime result to an injection verdict.
+
+    A result with no verdict is an infrastructure failure: it is counted
+    in ``failures`` by outcome and None is returned.
+    """
     if result.outcome == TaskOutcome.OK:
         return result.value
     verdict = _TASK_TO_VERDICT.get(result.outcome)
     if verdict is not None:
         return verdict
-    campaign.failures[result.outcome] = (
-        campaign.failures.get(result.outcome, 0) + 1
-    )
+    failures[result.outcome] = failures.get(result.outcome, 0) + 1
     return None
 
 
@@ -445,7 +447,7 @@ def run_campaign(
         with tracer.span("singles", benchmark=benchmark, n=len(single_tasks)):
             results = executor.run(single_tasks)
         for task, spec in zip(single_tasks, singles):
-            verdict = _tally(out, results[task.id])
+            verdict = _tally(out.failures, results[task.id])
             if verdict is None:
                 continue
             out.single_outcomes[verdict] = (
@@ -476,7 +478,7 @@ def run_campaign(
             results = executor.run(t for _, t in group_tasks)
         tallies = {m: [0, 0] for m in modes}
         for m, task in group_tasks:
-            verdict = _tally(out, results[task.id])
+            verdict = _tally(out.failures, results[task.id])
             if verdict is None:
                 continue
             tallies[m][0] += 1

@@ -169,7 +169,7 @@ def validate_memory_avf(
     """
     if benchmark not in REGISTRY:
         raise KeyError(f"unknown benchmark {benchmark!r}")
-    from .campaign import InjectionOutcome
+    from .campaign import InjectionOutcome, _tally
 
     runner = _MemRunner(benchmark, seed, n_cus, max_cycles=max_cycles)
     golden_run = runner.golden_run
@@ -216,17 +216,8 @@ def validate_memory_avf(
     with executor:
         results = executor.run(tasks)
     for task in tasks:
-        r = results[task.id]
-        if r.outcome == TaskOutcome.OK:
-            verdict = r.value
-        elif r.outcome == TaskOutcome.SIM_CRASH:
-            verdict = InjectionOutcome.CRASH
-        elif r.outcome == TaskOutcome.SIM_HANG:
-            verdict = InjectionOutcome.HANG
-        else:
-            result.failures[r.outcome] = (
-                result.failures.get(r.outcome, 0) + 1
-            )
+        verdict = _tally(result.failures, results[task.id])
+        if verdict is None:
             continue
         if verdict == InjectionOutcome.MASKED:
             result.masked += 1

@@ -23,7 +23,6 @@ driver ``reset()`` racing a handler ``inc()`` loses updates, and
 
 from __future__ import annotations
 
-import re
 import threading
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -175,22 +174,6 @@ class Histogram:
             }
 
 
-_PROM_BAD_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _prom_name(prefix: str, name: str) -> str:
-    """``avf.batch_cache_hits`` → ``repro_avf_batch_cache_hits``."""
-    return _PROM_BAD_CHARS.sub("_", f"{prefix}_{name}" if prefix else name)
-
-
-def _prom_value(v: float) -> str:
-    """Render numbers the way Prometheus parsers expect (ints bare)."""
-    if isinstance(v, int):
-        return str(v)
-    f = float(v)
-    return str(int(f)) if f.is_integer() else repr(f)
-
-
 class MetricsRegistry:
     """Create-or-get registry of named instruments.
 
@@ -260,39 +243,6 @@ class MetricsRegistry:
                 g.reset()
             for h in self._histograms.values():
                 h.reset()
-
-    def to_prometheus(self, prefix: str = "repro") -> str:
-        """Render every instrument in the Prometheus text exposition format.
-
-        Instrument names are mapped to metric names by prefixing and
-        sanitizing (``avf.batch_cache_hits`` → ``repro_avf_batch_cache_hits``);
-        counters get a ``_total`` suffix per the naming conventions, and
-        histograms are emitted with cumulative ``_bucket{le=...}`` series
-        plus ``_sum``/``_count``, ending in ``le="+Inf"``.
-        """
-        lines: List[str] = []
-        with self._lock:
-            for name, c in sorted(self._counters.items()):
-                metric = _prom_name(prefix, name) + "_total"
-                lines.append(f"# TYPE {metric} counter")
-                lines.append(f"{metric} {_prom_value(c.value)}")
-            for name, g in sorted(self._gauges.items()):
-                metric = _prom_name(prefix, name)
-                lines.append(f"# TYPE {metric} gauge")
-                lines.append(f"{metric} {_prom_value(g.value)}")
-            for name, h in sorted(self._histograms.items()):
-                metric = _prom_name(prefix, name)
-                lines.append(f"# TYPE {metric} histogram")
-                cum = 0
-                for bound, n in zip(h.bounds, h.counts):
-                    cum += n
-                    lines.append(
-                        f'{metric}_bucket{{le="{_prom_value(bound)}"}} {cum}'
-                    )
-                lines.append(f'{metric}_bucket{{le="+Inf"}} {h.count}')
-                lines.append(f"{metric}_sum {_prom_value(h.sum)}")
-                lines.append(f"{metric}_count {h.count}")
-        return "\n".join(lines) + "\n" if lines else ""
 
 
 class _NullCounter(Counter):

@@ -10,20 +10,16 @@ Exit codes::
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from . import baseline as baseline_mod
 from .engine import run
 from .registry import rule_classes
-from .reporters import render_json, render_sarif, render_text
+from .reporters import render_json, render_text
 
 __all__ = ["main", "build_parser", "lint_command", "add_lint_arguments"]
-
-#: default location of the incremental cache (bare ``--cache``)
-DEFAULT_CACHE = "tools/staticcheck_cache.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,24 +42,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="files or directories to lint (default: src/repro)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--changed", action="store_true",
-        help="only report findings for files changed since HEAD (plus "
-             "their reverse-dependency closure); the whole-program index "
-             "is still built over everything",
-    )
-    parser.add_argument(
-        "--cache", metavar="FILE", nargs="?", const=DEFAULT_CACHE,
-        default=None,
-        help="enable the incremental per-file cache (bare --cache uses "
-             f"{DEFAULT_CACHE})",
-    )
-    parser.add_argument(
-        "--jobs", metavar="N", type=int, default=1,
-        help="analyze cache misses with N worker processes (default: 1)",
     )
     parser.add_argument(
         "--baseline", metavar="FILE", default=None,
@@ -81,47 +61,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
     )
-
-
-def _git_lines(*args: str) -> List[str]:
-    proc = subprocess.run(
-        ["git", *args], capture_output=True, text=True, check=True
-    )
-    return [ln.strip() for ln in proc.stdout.splitlines() if ln.strip()]
-
-
-def changed_relpaths(lint_paths: List[Path]) -> Optional[Set[str]]:
-    """Changed ``*.py`` files (vs HEAD, plus untracked) as lint relpaths.
-
-    Returns None when git is unavailable or the tree is not a work tree
-    — callers should fall back to a full lint.  Paths are mapped into
-    the same relpath space :func:`~repro.staticcheck.engine.scan_paths`
-    uses (relative to the lint directory that contains them).
-    """
-    try:
-        top = _git_lines("rev-parse", "--show-toplevel")
-        touched = _git_lines("diff", "--name-only", "HEAD")
-        touched += _git_lines("ls-files", "--others", "--exclude-standard")
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    if not top:
-        return None
-    root = Path(top[0])
-    changed_files = {
-        (root / name).resolve() for name in touched if name.endswith(".py")
-    }
-    rel: Set[str] = set()
-    for base in lint_paths:
-        resolved = base.resolve()
-        if base.is_dir():
-            for f in changed_files:
-                try:
-                    rel.add(f.relative_to(resolved).as_posix())
-                except ValueError:
-                    continue
-        elif resolved in changed_files:
-            rel.add(base.name)
-    return rel
 
 
 def _list_rules() -> str:
@@ -162,23 +101,7 @@ def lint_command(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    changed: Optional[Set[str]] = None
-    if getattr(args, "changed", False):
-        changed = changed_relpaths(paths)
-        if changed is None:
-            print(
-                "repro.staticcheck: --changed needs a git work tree; "
-                "linting everything",
-                file=sys.stderr,
-            )
-
-    cache = getattr(args, "cache", None)
-    result = run(
-        paths,
-        cache_path=Path(cache) if cache else None,
-        jobs=max(1, getattr(args, "jobs", 1)),
-        changed=changed,
-    )
+    result = run(paths)
 
     comparison = None
     if args.baseline:
@@ -203,11 +126,7 @@ def lint_command(args: argparse.Namespace) -> int:
             return 2
         comparison = baseline_mod.compare(result.findings, known)
 
-    render = {
-        "json": render_json,
-        "sarif": render_sarif,
-        "text": render_text,
-    }[args.format]
+    render = render_json if args.format == "json" else render_text
     report = render(result, comparison)
 
     if args.output:

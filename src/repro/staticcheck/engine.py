@@ -1,4 +1,4 @@
-"""The lint engine: discovery, caching, per-file rules, project rules.
+"""The lint engine: discovery, per-file rules, project rules.
 
 One :func:`run` walks a source tree and analyzes every ``.py`` file in
 two layers:
@@ -6,22 +6,17 @@ two layers:
 * a **per-file layer** — parse, classify into *scopes*
   (``deterministic``, ``kernel``, ``persistence``, ...), run every
   registered per-file rule, and build the file's
-  :class:`~repro.staticcheck.index.FileSummary`.  This layer is
-  *incremental*: with a cache file, an unchanged file (same content
-  hash) replays its stored findings and summary without re-parsing —
-  and *parallel*: misses fan out over a spawn-context process pool
-  (``jobs``).
-* a **whole-program layer** — the summaries (cached or fresh) form a
+  :class:`~repro.staticcheck.index.FileSummary`.
+* a **whole-program layer** — the summaries form a
   :class:`~repro.staticcheck.index.ProjectIndex` +
   :class:`~repro.staticcheck.callgraph.CallGraph`, and every
   ``project_rule`` (the C-family, O402) emits from
-  ``finalize_project``.  Because summaries are cache-stable, these
-  rules see the complete program on warm runs too.
+  ``finalize_project``.
 
-Inline suppression is applied centrally (from summaries, so cached
-files keep suppressing), findings are sorted, and the run is
-instrumented: a ``lint`` span plus ``staticcheck.*`` counters including
-``staticcheck.cache_hits`` and ``index.files``.
+Inline suppression is applied centrally (from summaries, so project
+findings are suppressed too), findings are sorted, and the run is
+instrumented: a ``lint`` span plus ``staticcheck.*`` counters and
+``index.files``.
 
 Suppression pragmas (in comments)::
 
@@ -37,12 +32,9 @@ import ast
 import io
 import re
 import tokenize
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from pathlib import Path
 from typing import (
-    Any,
     Dict,
     FrozenSet,
     Iterable,
@@ -55,7 +47,6 @@ from typing import (
 )
 
 from ..obs import get_metrics, get_tracer
-from .cache import CacheEntry, LintCache, content_hash, engine_fingerprint
 from .callgraph import CallGraph
 from .findings import Finding, Module, Rule, walk_with_parents
 from .astutil import collect_aliases
@@ -99,8 +90,6 @@ def classify_scopes(relpath: str) -> Set[str]:
         scopes.update(("obs", "persistence"))
     if "store" in parts:
         scopes.update(("store", "persistence"))
-    if rel.endswith("core/serialize.py"):
-        scopes.add("persistence")
     if rel.endswith("runtime/executor.py"):
         scopes.add("executor")
     if "fabric" in parts:
@@ -120,10 +109,6 @@ class RunResult:
     files_skipped: int = 0
     #: files that failed to parse (also present as E001 findings)
     parse_errors: List[str] = field(default_factory=list)
-    #: incremental-cache accounting (not part of the JSON report, so
-    #: warm and cold runs stay byte-identical)
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: files contributing summaries to the whole-program index
     index_files: int = 0
 
@@ -235,167 +220,79 @@ def _analyze_source(
     path: str,
     relpath: str,
     rules: Sequence[Rule],
-) -> Tuple[Optional[Module], CacheEntry]:
-    """Per-file layer for one file: findings + summary as a cache entry."""
-    digest = content_hash(source.encode("utf-8"))
+) -> Tuple[List[Finding], Optional[FileSummary]]:
+    """Per-file layer for one file: its findings and its summary.
+
+    A file that does not parse yields one ``E001`` finding and no
+    summary; a ``skip-file`` file yields neither.
+    """
     try:
         module = parse_module(source, path, relpath)
     except SyntaxError as exc:
-        return None, CacheEntry(
-            hash=digest,
-            parse_error=[exc.lineno or 1, (exc.offset or 1) - 1,
-                         exc.msg or "syntax error"],
-        )
+        return [
+            Finding(
+                path=relpath.replace("\\", "/"),
+                line=exc.lineno or 1,
+                col=(exc.offset or 1) - 1,
+                rule=PARSE_ERROR,
+                message=f"file does not parse: {exc.msg or 'syntax error'}",
+            )
+        ], None
     if module is None:
-        return None, CacheEntry(hash=digest, skipped=True)
+        return [], None
     findings: List[Finding] = []
     for rule in rules:
         if rule.project_rule or not rule.applies(module):
             continue
         findings.extend(rule.check(module))
-    summary = build_summary(module)
-    return module, CacheEntry(
-        hash=digest,
-        findings=[dict(f.to_dict()) for f in findings],
-        summary=summary.to_dict(),
-    )
-
-
-def _analyze_file_task(
-    args: Tuple[str, str],
-) -> Tuple[str, Dict[str, Any]]:
-    """Process-pool task: analyze one file with the registered rules.
-
-    Runs in a spawn-context worker, so it re-derives the per-file rule
-    set from the registry (rule instances do not cross the pool
-    boundary).
-    """
-    path, relpath = args
-    source = Path(path).read_text(encoding="utf-8", errors="replace")
-    _module, entry = _analyze_source(source, path, relpath, all_rules())
-    return relpath, entry.to_dict()
-
-
-def _entry_findings(relpath: str, entry: CacheEntry) -> List[Finding]:
-    if entry.parse_error is not None:
-        line, col, msg = entry.parse_error
-        return [
-            Finding(
-                path=relpath.replace("\\", "/"),
-                line=int(line),
-                col=int(col),
-                rule=PARSE_ERROR,
-                message=f"file does not parse: {msg}",
-            )
-        ]
-    return entry.restore_findings()
+    return findings, build_summary(module)
 
 
 def run(
     paths: Sequence[Path],
     rules: Optional[Iterable[Rule]] = None,
-    *,
-    cache_path: Optional[Path] = None,
-    jobs: int = 1,
-    changed: Optional[Set[str]] = None,
 ) -> RunResult:
-    """Lint ``paths`` with every registered (or the given) rule.
-
-    ``cache_path`` enables the incremental per-file cache (created on
-    first use, rebuilt silently when corrupt or version-skewed).
-    ``jobs > 1`` fans cache misses out over a spawn-context process
-    pool — only available with the default registered rule set, since
-    custom rule instances cannot cross the pool boundary.  ``changed``
-    restricts *reported* findings to those relpaths plus their
-    reverse-dependency closure from the import graph; the index is
-    still built over everything, so whole-program rules stay sound.
-    """
+    """Lint ``paths`` with every registered (or the given) rule."""
     tracer = get_tracer()
     metrics = get_metrics()
     files = scan_paths(paths)
     active = list(rules) if rules is not None else all_rules()
-    if rules is not None:
-        jobs = 1  # custom instances cannot cross the pool boundary
-    fingerprint = engine_fingerprint([r.code for r in active])
-    cache = LintCache.load(cache_path, fingerprint)
     findings: List[Finding] = []
-    entries: Dict[str, CacheEntry] = {}
+    summaries: List[FileSummary] = []
     parse_errors: List[str] = []
     skipped = 0
     with tracer.span("lint", files=len(files), rules=len(active)) as span:
-        pending: List[Tuple[Path, str, str]] = []
         for path, relpath in files:
             try:
                 raw = path.read_bytes()
             except OSError:
                 continue
-            hit = cache.get(relpath, content_hash(raw))
-            if hit is not None:
-                entries[relpath] = hit
-            else:
-                pending.append(
-                    (path.as_posix(), relpath,
-                     raw.decode("utf-8", errors="replace"))
-                )
-        if jobs > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(
-                max_workers=jobs, mp_context=get_context("spawn")
-            ) as pool:
-                for relpath, raw_entry in pool.map(
-                    _analyze_file_task,
-                    [(p, rp) for p, rp, _src in pending],
-                ):
-                    entries[relpath] = CacheEntry.from_dict(raw_entry)
-                    cache.put(relpath, entries[relpath])
-        else:
-            for path_str, relpath, source in pending:
-                _module, entry = _analyze_source(
-                    source, path_str, relpath, active
-                )
-                entries[relpath] = entry
-                cache.put(relpath, entry)
-        summaries: List[FileSummary] = []
-        for relpath in sorted(entries):
-            entry = entries[relpath]
-            if entry.skipped:
-                skipped += 1
-                continue
-            if entry.parse_error is not None:
-                parse_errors.append(relpath)
-            findings.extend(_entry_findings(relpath, entry))
-            summary = entry.restore_summary()
+            file_findings, summary = _analyze_source(
+                raw.decode("utf-8", errors="replace"),
+                path.as_posix(), relpath, active,
+            )
+            findings.extend(file_findings)
             if summary is not None:
                 summaries.append(summary)
-        parse_errors.sort()
+            elif file_findings:
+                parse_errors.append(relpath)
+            else:
+                skipped += 1
         project = ProjectIndex(summaries)
         graph = CallGraph(project)
         for rule in active:
             if rule.project_rule:
                 findings.extend(rule.finalize_project(project, graph))
-        # legacy cross-file hook: runs over freshly-parsed modules only
-        # (project rules see cached files too — new cross-file rules
-        # should use finalize_project)
-        for rule in active:
-            findings.extend(rule.finalize())
-        # Inline suppression is applied centrally — from summaries, so
-        # pragmas keep working on cache hits and for project findings.
         kept = [
             f for f in findings
             if f.rule == PARSE_ERROR
             or not project.suppressed(f.path, f.line, f.rule)
         ]
-        if changed is not None:
-            visible = project.reverse_closure(set(changed))
-            kept = [f for f in kept if f.path in visible]
         kept.sort()
-        span.set(findings=len(kept), cache_hits=cache.hits)
-    if cache_path is not None:
-        cache.prune([rp for _p, rp in files])
-        cache.save(cache_path)
+        span.set(findings=len(kept))
     if metrics:
         metrics.counter("staticcheck.files_scanned").inc(len(files))
         metrics.counter("staticcheck.findings").inc(len(kept))
-        metrics.counter("staticcheck.cache_hits").inc(cache.hits)
         metrics.counter("index.files").inc(len(summaries))
         for f in kept:
             metrics.counter(f"staticcheck.findings.{f.rule}").inc()
@@ -405,7 +302,5 @@ def run(
         files_scanned=len(files),
         files_skipped=skipped,
         parse_errors=parse_errors,
-        cache_hits=cache.hits,
-        cache_misses=cache.misses,
         index_files=len(summaries),
     )

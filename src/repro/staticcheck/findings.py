@@ -1,9 +1,9 @@
 """Finding and rule primitives for the invariant linter.
 
 A :class:`Finding` is one rule violation at one source location; a
-:class:`Rule` is a pluggable AST check producing findings.  Rules are
-small classes (not functions) so cross-file rules can accumulate state
-in ``check`` and emit in ``finalize`` — see
+:class:`Rule` is a pluggable AST check producing findings.  Per-file
+rules implement ``check``; cross-file rules set ``project_rule`` and
+emit from ``finalize_project`` — see
 :class:`~repro.staticcheck.rules.obs_discipline.MetricNameCollision`.
 """
 
@@ -115,9 +115,9 @@ class Module:
 class Rule:
     """Base class for one lint rule.
 
-    Subclasses set the class attributes, implement :meth:`check`, and —
-    for rules needing whole-project context — :meth:`finalize`, which
-    runs once after every module has been checked.
+    Subclasses set the class attributes and implement :meth:`check`, or
+    — for rules needing whole-project context — set ``project_rule``
+    and implement :meth:`finalize_project`.
     """
 
     #: stable short code, e.g. ``"D101"`` (letter = family)
@@ -140,13 +140,8 @@ class Rule:
         """Yield findings for one module."""
         raise NotImplementedError
 
-    def finalize(self) -> Iterator[Finding]:
-        """Yield cross-module findings after every module was checked."""
-        return iter(())
-
     #: whole-program rules run exclusively from :meth:`finalize_project`
     #: (their :meth:`check` never fires); per-file rules leave this False
-    #: so cached files can skip them safely
     project_rule: ClassVar[bool] = False
 
     def finalize_project(
@@ -155,8 +150,8 @@ class Rule:
         """Yield findings from the whole-program index.
 
         Runs once per lint with the :class:`ProjectIndex` built over
-        *every* scanned file (cached or fresh) and its
-        :class:`CallGraph`.  Unlike :meth:`check`/:meth:`finalize`, this
+        *every* scanned file and its
+        :class:`CallGraph`.  Unlike :meth:`check`, this
         hook sees cross-file structure: class inventories, lock fields,
         thread-entry seeding and resolved call edges.
         """

@@ -8,14 +8,8 @@ and who calls whom.  This module builds that knowledge as one
 :class:`FileSummary` per file plus a :class:`ProjectIndex` over all of
 them.
 
-Summaries are deliberately **plain JSON data** (no AST nodes), for two
-reasons:
-
-* the incremental cache (:mod:`repro.staticcheck.cache`) persists them
-  keyed by content hash, so an unchanged file contributes to the index
-  without being re-parsed; and
-* the whole-program rules consume summaries only, so they work
-  identically on a cold parse and a warm cache hit.
+Summaries are plain data (no AST nodes): the whole-program rules
+consume summaries only, never a file's syntax tree.
 
 Two tiny sub-languages encode cross-file references:
 
@@ -186,31 +180,6 @@ class FuncSummary:
     #: explicit ``<lock>.acquire()`` sites (C602)
     acquires: List[Dict[str, Any]] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "params": [list(p) for p in self.params],
-            "returns": self.returns,
-            "calls": self.calls,
-            "writes": self.writes,
-            "reads": self.reads,
-            "acquires": self.acquires,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FuncSummary":
-        return cls(
-            name=data["name"],
-            line=data["line"],
-            params=[(p[0], p[1]) for p in data["params"]],
-            returns=data["returns"],
-            calls=data["calls"],
-            writes=data["writes"],
-            reads=data["reads"],
-            acquires=data["acquires"],
-        )
-
 
 @dataclass
 class ClassSummary:
@@ -231,36 +200,6 @@ class ClassSummary:
     attr_types: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     methods: Dict[str, FuncSummary] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "bases": self.bases,
-            "attrs": self.attrs,
-            "locks": self.locks,
-            "events": self.events,
-            "attr_types": self.attr_types,
-            "methods": {
-                name: m.to_dict() for name, m in self.methods.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClassSummary":
-        return cls(
-            name=data["name"],
-            line=data["line"],
-            bases=data["bases"],
-            attrs=data["attrs"],
-            locks=data["locks"],
-            events=data["events"],
-            attr_types=data["attr_types"],
-            methods={
-                name: FuncSummary.from_dict(m)
-                for name, m in data["methods"].items()
-            },
-        )
-
 
 @dataclass
 class FileSummary:
@@ -269,8 +208,8 @@ class FileSummary:
     relpath: str
     module: str
     scopes: List[str] = field(default_factory=list)
-    #: line -> suppressed codes (None = every rule), JSON-safe copy of
-    #: the Module's pragma table so cached files keep suppressing
+    #: line -> suppressed codes (None = every rule), a copy of the
+    #: Module's pragma table so project findings are suppressed too
     suppressions: Dict[int, Optional[List[str]]] = field(
         default_factory=dict
     )
@@ -283,49 +222,6 @@ class FileSummary:
     #: ``threading.Thread(target=...)`` sites: ``{"t": cexpr, "cls": name}``
     #: where ``cls`` is the class whose method created the thread
     thread_targets: List[Dict[str, Any]] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "relpath": self.relpath,
-            "module": self.module,
-            "scopes": self.scopes,
-            "suppressions": {
-                str(line): codes
-                for line, codes in self.suppressions.items()
-            },
-            "imports": self.imports,
-            "metric_sites": self.metric_sites,
-            "classes": {
-                name: c.to_dict() for name, c in self.classes.items()
-            },
-            "functions": {
-                name: f.to_dict() for name, f in self.functions.items()
-            },
-            "thread_targets": self.thread_targets,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FileSummary":
-        return cls(
-            relpath=data["relpath"],
-            module=data["module"],
-            scopes=data["scopes"],
-            suppressions={
-                int(line): codes
-                for line, codes in data["suppressions"].items()
-            },
-            imports=data["imports"],
-            metric_sites=data["metric_sites"],
-            classes={
-                name: ClassSummary.from_dict(c)
-                for name, c in data["classes"].items()
-            },
-            functions={
-                name: FuncSummary.from_dict(f)
-                for name, f in data["functions"].items()
-            },
-            thread_targets=data["thread_targets"],
-        )
 
 
 # -- summary construction -----------------------------------------------------
@@ -951,7 +847,6 @@ class ProjectIndex:
                 self.classes.setdefault(cls.name, []).append(
                     (s.relpath, cls)
                 )
-        self._reverse: Optional[Dict[str, Set[str]]] = None
 
     # -- module / import resolution -----------------------------------------
 
@@ -969,41 +864,6 @@ class ProjectIndex:
             if candidate in self.modules:
                 return self.modules[candidate]
         return None
-
-    def import_edges(self) -> Dict[str, Set[str]]:
-        """relpath -> set of in-tree relpaths it imports."""
-        edges: Dict[str, Set[str]] = {}
-        for relpath, summary in self.files.items():
-            deps: Set[str] = set()
-            for imp in summary.imports:
-                target = self.resolve_module(imp)
-                if target is not None and target != relpath:
-                    deps.add(target)
-            edges[relpath] = deps
-        return edges
-
-    def reverse_deps(self) -> Dict[str, Set[str]]:
-        """relpath -> set of relpaths that (directly) import it."""
-        if self._reverse is None:
-            rev: Dict[str, Set[str]] = {rp: set() for rp in self.files}
-            for src, deps in self.import_edges().items():
-                for dep in deps:
-                    rev.setdefault(dep, set()).add(src)
-            self._reverse = rev
-        return self._reverse
-
-    def reverse_closure(self, changed: Set[str]) -> Set[str]:
-        """``changed`` plus everything that transitively imports it."""
-        rev = self.reverse_deps()
-        out = set(changed) & set(self.files)
-        frontier = list(out)
-        while frontier:
-            current = frontier.pop()
-            for dependent in rev.get(current, ()):
-                if dependent not in out:
-                    out.add(dependent)
-                    frontier.append(dependent)
-        return out
 
     # -- class resolution ----------------------------------------------------
 

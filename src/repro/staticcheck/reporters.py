@@ -1,4 +1,4 @@
-"""Render lint results as human text, machine JSON, or SARIF 2.1.0."""
+"""Render lint results as human text or machine JSON."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from .engine import RunResult
 from .findings import Finding
 from .registry import rule_classes
 
-__all__ = ["render_text", "render_json", "render_sarif"]
+__all__ = ["render_text", "render_json"]
 
 
 def _finding_lines(findings: List[Finding], tag: str = "") -> List[str]:
@@ -93,88 +93,3 @@ def render_json(
             ],
         }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-
-def render_sarif(
-    result: RunResult, comparison: Optional[Comparison] = None
-) -> str:
-    """SARIF 2.1.0 log, for code-scanning upload and editor ingestion.
-
-    With a baseline comparison only the *new* (unbaselined) findings are
-    emitted as results — SARIF consumers treat every result as
-    actionable, so baselined debt is withheld rather than re-announced.
-    """
-    classes = rule_classes()
-    codes = sorted(classes)
-    rule_index = {code: i for i, code in enumerate(codes)}
-    rules: List[Dict[str, object]] = []
-    for code in codes:
-        cls = classes[code]
-        rules.append(
-            {
-                "id": code,
-                "name": cls.slug,
-                "shortDescription": {"text": cls.summary},
-                "fullDescription": {"text": cls.rationale},
-                "defaultConfiguration": {"level": "error"},
-                "properties": {
-                    "family": cls.family,
-                    "scope": cls.scope or "all",
-                },
-            }
-        )
-    findings = comparison.new if comparison is not None else result.findings
-    # E001 (parse error) is emitted by the engine, not a registered rule
-    for code in sorted({f.rule for f in findings} - set(rule_index)):
-        rule_index[code] = len(rules)
-        rules.append(
-            {
-                "id": code,
-                "name": "parse-error" if code == "E001" else code,
-                "shortDescription": {"text": "file does not parse"},
-                "defaultConfiguration": {"level": "error"},
-            }
-        )
-    results: List[Dict[str, object]] = []
-    for f in findings:
-        results.append(
-            {
-                "ruleId": f.rule,
-                "ruleIndex": rule_index[f.rule],
-                "level": "error",
-                "message": {"text": f.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": f.path},
-                            "region": {
-                                "startLine": f.line,
-                                "startColumn": f.col + 1,
-                            },
-                        }
-                    }
-                ],
-            }
-        )
-    log = {
-        "$schema": _SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro.staticcheck",
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(log, indent=2, sort_keys=True) + "\n"

@@ -11,7 +11,7 @@ so a lock acquired in one file protects — or fails to protect — state
 mutated from another.
 
 All five rules emit from :meth:`finalize_project`; their per-file
-``check`` never fires, which is what lets cache hits skip them safely.
+``check`` never fires.
 """
 
 from __future__ import annotations

@@ -91,14 +91,11 @@ class MetricNameCollision(Rule):
     rationale = (
         "MetricsRegistry keys counters, gauges and histograms in "
         "separate namespaces, so the same name used as two kinds "
-        "produces two silently diverging series — and a Prometheus "
-        "exposition with duplicate metric names of conflicting types, "
-        "which scrapers reject."
+        "produces two silently diverging series under one name in "
+        "every metrics dump and report."
     )
     scope = None
-    #: index-driven since the whole-program pass landed: metric sites
-    #: come from each FileSummary, so cached (unparsed) files still
-    #: participate in collision detection
+    #: index-driven: metric sites come from each FileSummary
     project_rule = True
 
     _KINDS = ("counter", "gauge", "histogram")

@@ -1,22 +1,37 @@
 """Tests for the protection-design optimizer."""
 
+import math
+
 import pytest
 
-from repro.core import AvfStudy, Interleaving, Parity
+from repro.core import (
+    TABLE_III,
+    AvfStudy,
+    FaultMode,
+    Interleaving,
+    NoProtection,
+    Parity,
+    SecDed,
+)
 from repro.core.designer import (
     VGPR_DESIGN_PALETTE,
     DesignPoint,
     DesignResult,
     choose_design,
     evaluate_designs,
+    sb_approx_ser,
 )
 from repro.workloads import run
 
 
 @pytest.fixture(scope="module")
-def results():
+def study():
     r = run("matmul")
-    study = AvfStudy(r.apu, r.output_ranges)
+    return AvfStudy(r.apu, r.output_ranges)
+
+
+@pytest.fixture(scope="module")
+def results(study):
     return evaluate_designs([study])
 
 
@@ -45,6 +60,45 @@ class TestEvaluateDesigns:
                 rx = by_label[f"{scheme} rx{f}"].sdc_rate
                 tx = by_label[f"{scheme} tx{f}"].sdc_rate
                 assert tx <= rx + 1e-9
+
+
+class TestSbApproxSer:
+    """The single-bit-AVF estimate Fig. 11 compares MB-AVF against."""
+
+    def _sb(self, study):
+        return study.vgpr_avf(FaultMode.linear(1), NoProtection()).sdc_avf
+
+    def test_unprotected_scales_single_bit_avf(self, study):
+        point = DesignPoint(
+            "none", NoProtection(), Interleaving.INTRA_THREAD, 1
+        )
+        ser = sb_approx_ser(study, point)
+        assert ser.structure == "vgpr"
+        assert ser.due_fit == 0.0
+        assert ser.sdc_fit == pytest.approx(
+            self._sb(study) * sum(TABLE_III.values())
+        )
+
+    def test_reaction_at_worst_per_word_flip_count(self, study):
+        """Parity x2 sees ceil(M/2) flips per word: odd is DUE, even SDC."""
+        point = DesignPoint("p2", Parity(), Interleaving.INTER_THREAD, 2)
+        ser = sb_approx_ser(study, point)
+        flips = {m: math.ceil(int(m.split("x")[0]) / 2) for m in TABLE_III}
+        due_modes = [m for m, n in flips.items() if n % 2 == 1]
+        sdc_modes = [m for m, n in flips.items() if n % 2 == 0]
+        sb = self._sb(study)
+        assert ser.due_fit == pytest.approx(
+            sb * sum(TABLE_III[m] for m in due_modes)
+        )
+        assert ser.sdc_fit == pytest.approx(
+            sb * sum(TABLE_III[m] for m in sdc_modes)
+        )
+
+    def test_corrected_modes_contribute_nothing(self, study):
+        """SEC-DED x8 corrects every Table III mode: one flip per word."""
+        point = DesignPoint("s8", SecDed(), Interleaving.INTER_THREAD, 8)
+        ser = sb_approx_ser(study, point)
+        assert (ser.due_fit, ser.sdc_fit) == (0.0, 0.0)
 
 
 class TestChooseDesign:

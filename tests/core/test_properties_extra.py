@@ -1,49 +1,13 @@
-"""Additional property-based tests: serialization, Markov model, designer."""
+"""Additional property-based tests: Markov model, designer."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.avf import StructureLifetimes
 from repro.core.designer import DesignPoint, DesignResult, choose_design
-from repro.core.intervals import IntervalSet
 from repro.core.layout import Interleaving
 from repro.core.markov import WordMarkovModel
 from repro.core.protection import Parity
-from repro.core.serialize import (
-    load_lifetimes,
-    save_lifetimes,
-)
-
-
-@st.composite
-def lifetime_sets(draw):
-    n_bytes = draw(st.integers(1, 6))
-    isets = []
-    for _ in range(n_bytes):
-        ivals = []
-        t = 0
-        for _ in range(draw(st.integers(0, 4))):
-            gap = draw(st.integers(0, 5))
-            length = draw(st.integers(1, 5))
-            cls = draw(st.integers(1, 2))
-            ivals.append((t + gap, t + gap + length, cls))
-            t += gap + length
-        isets.append(IntervalSet(ivals))
-    return StructureLifetimes("prop", isets, 0, 100)
-
-
-class TestSerializeProperties:
-    @given(lt=lifetime_sets())
-    @settings(max_examples=40, deadline=None)
-    def test_lifetime_roundtrip_exact(self, lt, tmp_path_factory):
-        path = tmp_path_factory.mktemp("ser") / "lt.npz"
-        save_lifetimes(lt, path)
-        back = load_lifetimes(path)
-        assert back.start_cycle == lt.start_cycle
-        assert back.end_cycle == lt.end_cycle
-        for a, b in zip(back.byte_isets, lt.byte_isets):
-            assert a.intervals() == b.intervals()
 
 
 class TestMarkovProperties:

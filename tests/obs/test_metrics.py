@@ -148,39 +148,3 @@ class TestModuleState:
                 assert obs.get_metrics() is inner
             assert obs.get_metrics() is outer
         assert not obs.enabled()
-
-
-class TestPrometheusExport:
-    def test_counters_and_gauges(self):
-        reg = MetricsRegistry()
-        reg.counter("avf.batch_cache_hits").inc(7)
-        reg.gauge("campaign.workers").set(4)
-        text = reg.to_prometheus()
-        lines = text.splitlines()
-        assert "# TYPE repro_avf_batch_cache_hits_total counter" in lines
-        assert "repro_avf_batch_cache_hits_total 7" in lines
-        assert "# TYPE repro_campaign_workers gauge" in lines
-        assert "repro_campaign_workers 4" in lines
-        assert text.endswith("\n")
-
-    def test_histogram_cumulative_buckets(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("stage.seconds", bounds=(0.1, 1.0, 10.0))
-        for v in (0.05, 0.5, 0.5, 5.0, 50.0):
-            h.observe(v)
-        lines = reg.to_prometheus().splitlines()
-        assert 'repro_stage_seconds_bucket{le="0.1"} 1' in lines
-        assert 'repro_stage_seconds_bucket{le="1"} 3' in lines
-        assert 'repro_stage_seconds_bucket{le="10"} 4' in lines
-        assert 'repro_stage_seconds_bucket{le="+Inf"} 5' in lines
-        assert "repro_stage_seconds_count 5" in lines
-        assert any(line.startswith("repro_stage_seconds_sum ") for line in lines)
-
-    def test_empty_registry_renders_empty(self):
-        assert MetricsRegistry().to_prometheus() == ""
-
-    def test_names_are_sanitized(self):
-        reg = MetricsRegistry()
-        reg.counter("weird-name.with:parts").inc()
-        text = reg.to_prometheus()
-        assert "repro_weird_name_with:parts_total 1" in text

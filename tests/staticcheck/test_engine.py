@@ -20,12 +20,12 @@ class TestScopeClassification:
     def test_kernels(self):
         assert "kernel" in classify_scopes("core/intervals.py")
         assert "kernel" in classify_scopes("core/avf.py")
-        assert "kernel" not in classify_scopes("core/serialize.py")
+        assert "kernel" not in classify_scopes("core/lifetime.py")
 
     def test_persistence(self):
         assert "persistence" in classify_scopes("runtime/journal.py")
         assert "persistence" in classify_scopes("obs/trace.py")
-        assert "persistence" in classify_scopes("core/serialize.py")
+        assert "persistence" in classify_scopes("store/db.py")
         assert "persistence" not in classify_scopes("core/avf.py")
 
     def test_executor_is_special(self):

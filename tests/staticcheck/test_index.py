@@ -34,19 +34,6 @@ class TestImportGraph:
         idx = self._project()
         assert "pkg.c" in idx.files["pkg/b.py"].imports
 
-    def test_reverse_deps(self):
-        idx = self._project()
-        rev = idx.reverse_deps()
-        assert rev["pkg/b.py"] == {"pkg/a.py"}
-        assert rev["pkg/c.py"] == {"pkg/b.py"}
-
-    def test_reverse_closure_is_transitive(self):
-        idx = self._project()
-        assert idx.reverse_closure({"pkg/c.py"}) == {
-            "pkg/a.py", "pkg/b.py", "pkg/c.py",
-        }
-        assert idx.reverse_closure({"pkg/a.py"}) == {"pkg/a.py"}
-
 
 THREADS_SRC = """
     import threading

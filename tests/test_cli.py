@@ -239,14 +239,6 @@ class TestObservabilityFlags:
         assert "simulate" in out
         assert "sim.instructions" in out
 
-    def test_stats_prometheus(self, capsys):
-        assert main(["stats", "vectoradd", "--prometheus"]) == 0
-        out = capsys.readouterr().out
-        assert "== metrics ==" not in out
-        assert "# TYPE repro_avf_computations_total counter" in out
-        assert "repro_avf_computations_total " in out
-        assert "# TYPE repro_sim_instructions_total counter" in out
-
     def test_trace_to_directory_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["run", "vectoradd", "--trace", str(tmp_path)])
@@ -280,12 +272,6 @@ class TestObservabilityFlags:
         assert "FIT/Mbit" in out  # the wrapped mttf table ran
         assert "== stage timings ==" in out
         assert "== metrics ==" in out
-
-    def test_stats_wrapper_prometheus(self, capsys):
-        assert main(["stats", "--prometheus", "--", "run", "vectoradd"]) == 0
-        out = capsys.readouterr().out
-        assert "== metrics ==" not in out
-        assert "# TYPE repro_sim_instructions_total counter" in out
 
     def test_stats_wrapper_propagates_exit_code(self, capsys, tmp_path):
         assert main(
