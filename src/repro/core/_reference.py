@@ -3,10 +3,12 @@
 The production kernels in :mod:`repro.core.intervals` and
 :mod:`repro.core.avf` are numpy-vectorized; this module preserves the
 original (pre-vectorization) per-event / per-placement implementations as
-an executable specification.  The equivalence suite
-(``tests/core/test_vectorized_equivalence.py``) property-tests that the
-vectorized kernels, the windowed 2-D enumerator and the batch API produce
-byte-identical intervals, signatures, outcome cycles and series.
+an executable specification, plus the whole-array windowed enumerator that
+band deduplication replaced.  The equivalence suites
+(``tests/core/test_vectorized_equivalence.py``,
+``tests/core/test_band_enumeration.py``) test that the vectorized kernels,
+the band-deduplicated enumerator and the batch API produce byte-identical
+intervals, signatures, outcome cycles and series.
 
 Nothing here is used on the production path — do not optimise it.
 """
@@ -31,6 +33,7 @@ __all__ = [
     "total_at_least_ref",
     "intersection_duration_ref",
     "enumerate_signatures_ref",
+    "enumerate_signatures_windowed_ref",
     "ace_locality_ref",
     "compute_outcome_cycles_ref",
 ]
@@ -206,9 +209,10 @@ def enumerate_signatures_ref(
     """Per-placement fault-group signature counting (any mode geometry).
 
     This is the generic nested-loop enumerator the vectorized 2-D windowed
-    path replaced.  Unlike the production enumerator it also emits the
-    signature of all-lifetime-empty placements (whose regions classify to
-    nothing either way); equivalence tests compare after dropping it.
+    path (:func:`enumerate_signatures_windowed_ref`) replaced.  Unlike the
+    production enumerator it also emits the signature of all-lifetime-empty
+    placements (whose regions classify to nothing either way); equivalence
+    tests compare after dropping it.
     """
     h, w = mode.height, mode.width
     rows, cols = array.rows, array.cols
@@ -238,6 +242,45 @@ def enumerate_signatures_ref(
             )
             sigs[sig] = sigs.get(sig, 0) + 1
     return sigs
+
+
+def enumerate_signatures_windowed_ref(
+    array: SramArray, byte2iid: np.ndarray, mode
+) -> Dict[GroupSignature, int]:
+    """Whole-array windowed signature counting (any mode geometry).
+
+    This is the vectorized enumerator that band deduplication replaced:
+    every ``HxW`` placement of the whole array becomes a row of one 2-axis
+    :func:`sliding_window_view`, restricted to the mode's offsets, keyed by
+    (domain id relative to the first offset's domain, lifetime id) per
+    position and bucketed with one lexsort.  Like the production enumerator
+    it drops all-lifetime-empty placements.
+    """
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from .avf import _sigs_from_keys, _unique_rows
+
+    h, w = mode.height, mode.width
+    if h > array.rows or w > array.cols:
+        return {}
+    k = mode.n_bits
+    iid_of = byte2iid[array.byte_of]
+    dom_win = sliding_window_view(array.domain_of, (h, w))
+    iid_win = sliding_window_view(iid_of, (h, w))
+    n_win = dom_win.shape[0] * dom_win.shape[1]
+    sel = np.fromiter(
+        (r * w + c for r, c in mode.offsets), dtype=np.intp, count=k
+    )
+    iid_flat = iid_win.reshape(n_win, h * w)[:, sel]
+    active = iid_flat.any(axis=1)
+    if not active.any():
+        return {}
+    dom_flat = dom_win.reshape(n_win, h * w)[:, sel][active]
+    keys = np.empty((len(dom_flat), 2 * k), dtype=np.int32)
+    keys[:, :k] = dom_flat - dom_flat[:, :1]
+    keys[:, k:] = iid_flat[active]
+    uniq, counts = _unique_rows(keys)
+    return _sigs_from_keys(uniq, counts, k)
 
 
 def ace_locality_ref(array: SramArray, lifetimes) -> float:

@@ -17,9 +17,9 @@ Groups whose classification is identical — same per-region faulty-bit counts
 and same member lifetime content — are deduplicated, which makes the
 enumeration of the ~1e5 groups of a real cache array cheap.  Enumeration is
 fully vectorized: every mode geometry (contiguous Mx1 wordline faults and
-2-D ``HxW`` rectangles alike) runs through one 2-axis
-``sliding_window_view`` pass keyed by domain-relative ids, bucketed with a
-single lexsort.
+2-D ``HxW`` rectangles alike) runs one 2-axis ``sliding_window_view`` pass
+keyed by domain-relative ids over each *distinct* band of H rows, weighted
+by how often the band occurs, bucketed with a single weighted lexsort.
 
 Cross-configuration reuse
 -------------------------
@@ -258,8 +258,14 @@ def _canonical_iset_ids(lifetimes: StructureLifetimes) -> _CanonicalIds:
 GroupSignature = Tuple[Tuple[int, FrozenSet[int]], ...]
 
 
-def _unique_rows(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(unique rows, counts) via lexsort — much faster than unique(axis=0)."""
+def _unique_rows(
+    a: np.ndarray, weights: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(unique rows, counts) via lexsort — much faster than unique(axis=0).
+
+    Counts are run lengths, or with ``weights`` the per-row weights summed
+    over each run.
+    """
     if not len(a):
         return a[:0], np.zeros(0, dtype=np.int64)
     order = np.lexsort(a.T[::-1])
@@ -268,8 +274,17 @@ def _unique_rows(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     change[0] = True
     np.any(b[1:] != b[:-1], axis=1, out=change[1:])
     starts = np.where(change)[0]
-    counts = np.diff(np.append(starts, len(b)))
+    if weights is None:
+        counts = np.diff(np.append(starts, len(b)))
+    else:
+        counts = np.add.reduceat(weights[order], starts)
     return b[starts], counts
+
+
+def _as_scalars(a: np.ndarray) -> np.ndarray:
+    """Each row of 2-D ``a`` as one opaque void scalar (equality only)."""
+    a = np.ascontiguousarray(a, dtype=a.dtype)
+    return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
 
 
 def _sigs_from_keys(
@@ -295,45 +310,72 @@ def _sigs_from_keys(
 
 def _enumerate_signatures(
     array: SramArray, byte2iid: np.ndarray, mode: FaultMode
-) -> Dict[GroupSignature, int]:
+) -> Tuple[Dict[GroupSignature, int], int]:
     """Count fault groups per canonical (regions) signature.
 
     A signature is the multiset of the group's overlapped regions, each
     region being ``(n_faulty_bits, frozenset of member lifetime ids)``.  Two
-    groups with equal signatures have identical AVF classification.
+    groups with equal signatures have identical AVF classification.  Returns
+    the signature counts and the number of distinct row bands enumerated.
 
-    All mode geometries share one vectorized path: every ``HxW`` placement
-    becomes a row of a 2-axis :func:`sliding_window_view`, restricted to the
-    mode's offsets, keyed by the vector of (domain id relative to the first
-    offset's domain, lifetime id) per position — equal keys imply an
-    identical domain-equality pattern and identical member lifetimes, hence
-    an identical classification — and bucketed with one lexsort.  Windows
-    whose members are all lifetime-empty classify to nothing and are dropped
-    up front (they still count in the denominator via ``n_groups``).
+    An ``HxW`` group lies within a band of H consecutive rows, and its key —
+    the vector of (domain id relative to the first offset's domain, lifetime
+    id) per position — does not change when every domain id of the band
+    shifts by one amount.  Rows therefore get dense ids over ``[lifetime ids
+    | domain ids − the row's first domain id]``; a band is keyed by its H
+    row ids plus the H−1 first-domain deltas to its first row, and only one
+    representative per distinct band is windowed.
+
+    The window pass is one 2-axis :func:`sliding_window_view` over the
+    representatives, restricted to the mode's offsets; each window weighs
+    as many groups as its band occurs.  Equal keys imply an identical
+    domain-equality pattern and identical member lifetimes, hence an
+    identical classification; they are bucketed with one weighted lexsort.
+    Windows whose members are all lifetime-empty classify to nothing and
+    are dropped up front (they still count in the denominator via
+    ``n_groups``).
     """
     from numpy.lib.stride_tricks import sliding_window_view
 
     h, w = mode.height, mode.width
     if h > array.rows or w > array.cols:
-        return {}
+        return {}, 0
     k = mode.n_bits
     iid_of = byte2iid[array.byte_of]
-    dom_win = sliding_window_view(array.domain_of, (h, w))
-    iid_win = sliding_window_view(iid_of, (h, w))
-    n_win = dom_win.shape[0] * dom_win.shape[1]
+    dom_of = array.domain_of
+    first_dom = dom_of[:, 0]
+    _, row_id = np.unique(
+        _as_scalars(np.hstack([iid_of, dom_of - first_dom[:, None]])),
+        return_inverse=True,
+    )
+    first_win = sliding_window_view(first_dom, h)
+    band_keys = np.hstack([
+        sliding_window_view(row_id, h),
+        first_win[:, 1:] - first_win[:, :1],
+    ])
+    _, band_start, band_count = np.unique(
+        _as_scalars(band_keys), return_index=True, return_counts=True
+    )
+    n_bands = len(band_start)
+    band_rows = band_start[:, None] + np.arange(h, dtype=np.intp)
+    dom_win = sliding_window_view(dom_of[band_rows], (h, w), axis=(1, 2))
+    iid_win = sliding_window_view(iid_of[band_rows], (h, w), axis=(1, 2))
+    per_band = dom_win.shape[2]
+    n_win = n_bands * per_band
     sel = np.fromiter(
         (r * w + c for r, c in mode.offsets), dtype=np.intp, count=k
     )
     iid_flat = iid_win.reshape(n_win, h * w)[:, sel]
     active = iid_flat.any(axis=1)
     if not active.any():
-        return {}
+        return {}, n_bands
     dom_flat = dom_win.reshape(n_win, h * w)[:, sel][active]
     keys = np.empty((len(dom_flat), 2 * k), dtype=np.int32)
     keys[:, :k] = dom_flat - dom_flat[:, :1]
     keys[:, k:] = iid_flat[active]
-    uniq, counts = _unique_rows(keys)
-    return _sigs_from_keys(uniq, counts, k)
+    weights = np.repeat(band_count, per_band)[active]
+    uniq, counts = _unique_rows(keys, weights)
+    return _sigs_from_keys(uniq, counts, k), n_bands
 
 
 def _signatures_for(
@@ -356,8 +398,8 @@ def _signatures_for(
     with get_tracer().span(
         "enumerate", structure=lifetimes.name, mode=mode.name
     ) as span:
-        sigs = _enumerate_signatures(array, canon.byte2iid, mode)
-        span.set(signatures=len(sigs))
+        sigs, n_bands = _enumerate_signatures(array, canon.byte2iid, mode)
+        span.set(rows=array.rows, bands=n_bands, signatures=len(sigs))
     memo[key] = sigs
     return sigs
 

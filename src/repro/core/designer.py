@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .analysis import AvfStudy
+from .avf import AvfConfig
 from .faultmodes import FaultMode
 from .layout import Interleaving
 from .protection import (
@@ -85,32 +86,46 @@ def evaluate_designs(
     """Measure the SDC/DUE rate of every design point over the workloads.
 
     Rates are the per-mode raw fault rates weighted by the per-mode MB-AVFs
-    (eq. 3), averaged across the given studies.
+    (eq. 3), averaged across the given studies.  Design points sharing a
+    layout are measured in one engine batch per study, with the Sec. VIII
+    DUE-preempts-SDC rule on for inter-thread interleaving (as
+    :meth:`AvfStudy.vgpr_avf` applies it).
     """
-    results = []
-    for point in designs:
-        sdc = due = 0.0
-        for study in studies:
-            avf_by_mode: Dict[str, Tuple[float, float]] = {}
-            for m in _modes_of(fit_by_mode):
-                if structure == "vgpr":
-                    res = study.vgpr_avf(
-                        FaultMode.linear(m), point.scheme,
-                        style=point.style, factor=point.factor,
-                    )
-                else:
-                    res = study.cache_avf(
-                        structure, FaultMode.linear(m), point.scheme,
-                        style=point.style, factor=point.factor,
-                    )
-                avf_by_mode[f"{m}x1"] = (res.due_avf, res.sdc_avf)
-            ser = soft_error_rate(fit_by_mode, avf_by_mode, structure)
-            sdc += ser.sdc_fit / len(studies)
-            due += ser.due_fit / len(studies)
-        results.append(
-            DesignResult(point, sdc, due, point.area_overhead(word_bits))
-        )
-    return results
+    modes = _modes_of(fit_by_mode)
+    by_layout: Dict[Tuple[Interleaving, int], List[int]] = {}
+    for i, point in enumerate(designs):
+        by_layout.setdefault((point.style, point.factor), []).append(i)
+    sdc = [0.0] * len(designs)
+    due = [0.0] * len(designs)
+    for study in studies:
+        for (style, factor), members in by_layout.items():
+            configs = [
+                AvfConfig(
+                    mode=FaultMode.linear(m), scheme=designs[i].scheme,
+                    due_preempts_sdc=style is Interleaving.INTER_THREAD,
+                )
+                for i in members
+                for m in modes
+            ]
+            if structure == "vgpr":
+                res = study.vgpr_avf_batch(configs, style=style, factor=factor)
+            else:
+                res = study.cache_avf_batch(
+                    structure, configs, style=style, factor=factor
+                )
+            for j, i in enumerate(members):
+                chunk = res[j * len(modes):(j + 1) * len(modes)]
+                avf_by_mode = {
+                    f"{m}x1": (r.due_avf, r.sdc_avf)
+                    for m, r in zip(modes, chunk)
+                }
+                ser = soft_error_rate(fit_by_mode, avf_by_mode, structure)
+                sdc[i] += ser.sdc_fit / len(studies)
+                due[i] += ser.due_fit / len(studies)
+    return [
+        DesignResult(point, sdc[i], due[i], point.area_overhead(word_bits))
+        for i, point in enumerate(designs)
+    ]
 
 
 def sb_approx_ser(study: AvfStudy, point: DesignPoint) -> StructureSer:

@@ -1,0 +1,223 @@
+"""Band-deduplicated enumeration vs both enumeration references.
+
+The production enumerator windows one representative per distinct row band
+and weights its windows by how often the band occurs.  It must return the
+same signature dict, in the same insertion order, as the whole-array
+windowed enumerator it replaced, and the same multiset as the per-placement
+reference.  Random lifetimes rarely repeat a row, so the arrays here are
+stacked the way :meth:`AvfStudy._stacked_vgpr` stacks wavefronts: one
+block's layout and lifetimes tiled several times, byte and domain ids
+offset per block.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import _reference as ref
+from repro.core.avf import (
+    StructureLifetimes,
+    _canonical_iset_ids,
+    _enumerate_signatures,
+)
+from repro.core.faultmodes import MX1_MODES, FaultMode
+from repro.core.intervals import IntervalSet
+from repro.core.layout import (
+    Interleaving,
+    SramArray,
+    build_cache_array,
+    build_regfile_array,
+    build_tag_array,
+)
+
+MODES = [
+    FaultMode.linear(1),
+    FaultMode.linear(4),
+    FaultMode.linear(8),
+    FaultMode.rect(2, 1),
+    FaultMode.rect(2, 2),
+    FaultMode.rect(3, 3),
+    FaultMode.rect(4, 4),
+    # non-contiguous: a knight's-move pair plus a far bit on the first row
+    FaultMode("knight", ((0, 0), (1, 2), (0, 5))),
+]
+
+LAYOUTS = {
+    **{
+        f"regfile-{style.value}x{factor}": build_regfile_array(
+            8, 4, style=style, factor=factor, name="t"
+        )
+        for style in (Interleaving.INTRA_THREAD, Interleaving.INTER_THREAD)
+        for factor in (1, 2, 4)
+    },
+    **{
+        f"cache-{style.value}": build_cache_array(
+            4, 2, 16, domain_bytes=4, style=style,
+            factor=1 if style is Interleaving.NONE else 2, name="t",
+        )
+        for style in (
+            Interleaving.NONE,
+            Interleaving.LOGICAL,
+            Interleaving.WAY_PHYSICAL,
+            Interleaving.INDEX_PHYSICAL,
+        )
+    },
+    "tags-x2": build_tag_array(4, 4, factor=2, name="t"),
+}
+
+
+def _block_lifetimes(rng, n_bytes, end_cycle=120):
+    """One block's per-byte lifetimes, drawn from a small pool."""
+    pool = [IntervalSet()]
+    for _ in range(3):
+        s = IntervalSet()
+        t = int(rng.integers(0, 20))
+        while t < end_cycle - 30:
+            d = int(rng.integers(1, 20))
+            s.append(t, t + d, int(rng.integers(1, 4)))
+            t += d + int(rng.integers(1, 15))
+        pool.append(s)
+    return [pool[int(rng.integers(0, len(pool)))] for _ in range(n_bytes)]
+
+
+def _stacked(base, rng, n_blocks=5):
+    """``n_blocks`` copies of ``base`` stacked, ids offset per block.
+
+    Every block but one reuses the first block's lifetimes, so whole bands
+    repeat; the odd block adds bands that occur once.
+    """
+    first = _block_lifetimes(rng, base.n_bytes)
+    odd = _block_lifetimes(rng, base.n_bytes)
+    isets = []
+    for k in range(n_blocks):
+        isets.extend(odd if k == 2 else first)
+    array = SramArray(
+        "t",
+        np.vstack([base.byte_of + np.int32(k * base.n_bytes)
+                   for k in range(n_blocks)]),
+        np.vstack([base.domain_of + np.int32(k * base.n_domains)
+                   for k in range(n_blocks)]),
+        base.domain_bytes, base.interleave_factor, base.style,
+    )
+    return array, StructureLifetimes("t", isets, 0, 120)
+
+
+def _nonempty(sigs):
+    """The per-placement reference also counts all-empty placements."""
+    return {sig: n for sig, n in sigs.items() if any(ids for _, ids in sig)}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_stacked_arrays_match_both_references(layout, seed):
+    rng = np.random.default_rng(seed)
+    array, lts = _stacked(LAYOUTS[layout], rng)
+    byte2iid = _canonical_iset_ids(lts).byte2iid
+    for mode in MODES:
+        got, n_bands = _enumerate_signatures(array, byte2iid, mode)
+        windowed = ref.enumerate_signatures_windowed_ref(array, byte2iid, mode)
+        assert got == windowed, mode.name
+        assert list(got) == list(windowed), mode.name
+        want = ref.enumerate_signatures_ref(array, byte2iid, mode)
+        assert got == _nonempty(want), mode.name
+        if mode.height <= array.rows:
+            # stacking repeats bands, so fewer are windowed than exist
+            assert 0 < n_bands < array.rows - mode.height + 1, mode.name
+
+
+def test_band_key_keeps_cross_row_domain_stride():
+    """Equal rows whose first domains step by different strides.
+
+    Every row holds the same lifetimes and the same domain pattern, so all
+    rows share one row id.  Rows 0 and 1 start at the same domain (a
+    vertical group there has one region), the later rows at different
+    ones (two regions): without the base deltas in the band key, every
+    band would count as the first one.
+    """
+    cols = 16
+    pattern = np.repeat(np.arange(cols // 8, dtype=np.int32), 8)
+    first = np.array([0, 0, 10, 20, 30, 30], dtype=np.int32)
+    domain_of = pattern[None, :] + first[:, None]
+    byte_of = domain_of * 4 + (np.arange(cols, dtype=np.int32) % 8 // 2)
+    isets = {}
+    for b in np.unique(byte_of).tolist():
+        isets[b] = IntervalSet([(b % 4 * 10, b % 4 * 10 + 5, 2)])
+    n_bytes = int(byte_of.max()) + 1
+    lts = StructureLifetimes(
+        "t", [isets.get(b, IntervalSet()) for b in range(n_bytes)], 0, 120
+    )
+    array = SramArray("t", byte_of, domain_of, 4, 1, Interleaving.NONE)
+    byte2iid = _canonical_iset_ids(lts).byte2iid
+    for mode in (FaultMode.rect(2, 1), FaultMode.rect(2, 2), MODES[-1]):
+        got, n_bands = _enumerate_signatures(array, byte2iid, mode)
+        assert got == ref.enumerate_signatures_windowed_ref(
+            array, byte2iid, mode
+        ), mode.name
+        assert got == _nonempty(
+            ref.enumerate_signatures_ref(array, byte2iid, mode)
+        ), mode.name
+        assert n_bands == 2, mode.name
+
+
+def test_enumerate_span_records_rows_and_bands():
+    from repro import obs
+    from repro.core.avf import compute_mb_avf
+    from repro.core.protection import SCHEMES
+
+    array, lts = _stacked(
+        LAYOUTS["regfile-intra_threadx2"], np.random.default_rng(0)
+    )
+    mode = FaultMode.rect(2, 2)
+    _, tracer = obs.enable()
+    try:
+        compute_mb_avf(array, lts, mode, SCHEMES["parity"])
+    finally:
+        obs.disable()
+    (span,) = [e for e in tracer.events if e.name == "enumerate"]
+    sigs, n_bands = _enumerate_signatures(
+        array, _canonical_iset_ids(lts).byte2iid, mode
+    )
+    assert span.args == {
+        "structure": "t", "mode": mode.name, "rows": array.rows,
+        "bands": n_bands, "signatures": len(sigs),
+    }
+
+
+#: the ``pipeline-*`` benchmark grid: Sec. VIII palette VGPR layouts, four
+#: L1 layouts and the L2, each over the Table III modes plus a 2x2 block
+GRID = (
+    [("vgpr", Interleaving.INTRA_THREAD, f) for f in (2, 4)]
+    + [("vgpr", Interleaving.INTER_THREAD, f) for f in (2, 4)]
+    + [
+        ("l1", Interleaving.NONE, 1),
+        ("l1", Interleaving.LOGICAL, 2),
+        ("l1", Interleaving.WAY_PHYSICAL, 2),
+        ("l1", Interleaving.INDEX_PHYSICAL, 2),
+        ("l2", Interleaving.NONE, 1),
+    ]
+)
+
+
+def test_real_workload_grid_matches_windowed_reference():
+    from repro.experiments import build_study
+
+    study = build_study("matmul", n_cus=1)
+    for structure, style, factor in GRID:
+        if structure == "vgpr":
+            cases = [study._stacked_vgpr(style, factor)]
+        else:
+            array = study._cache_layout(structure, style, factor, 4)
+            lts = (
+                study.l1_lifetimes() if structure == "l1"
+                else [study.l2_lifetime()]
+            )
+            cases = [(array, lt) for lt in lts]
+        for array, lt in cases:
+            byte2iid = _canonical_iset_ids(lt).byte2iid
+            for mode in list(MX1_MODES) + [FaultMode.rect(2, 2)]:
+                got, _ = _enumerate_signatures(array, byte2iid, mode)
+                want = ref.enumerate_signatures_windowed_ref(
+                    array, byte2iid, mode
+                )
+                label = (structure, style.value, factor, mode.name)
+                assert got == want, label
+                assert list(got) == list(want), label

@@ -1,6 +1,6 @@
 """Equivalence suite: vectorized engine vs the pure-Python reference.
 
-The numpy interval kernels, the windowed 2-D enumerator and the batch API
+The numpy interval kernels, the band-deduplicated enumerator and the batch API
 must be *bit-for-bit* interchangeable with the reference implementations
 preserved in :mod:`repro.core._reference` — same intervals, same signature
 multisets, same outcome cycles, same series arrays.  Randomized inputs are
@@ -12,6 +12,7 @@ numpy) and to a huge value (always Python) and comparing against the
 reference either way.
 """
 
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -161,7 +162,7 @@ def test_bucket_accumulate_matches_reference(iset, edges, cutoff):
     np.testing.assert_array_equal(got, want)
 
 
-# -- _unique_rows (satellite: empty-input fix) --------------------------------
+# -- _unique_rows --------------------------------------------------------------
 
 
 def test_unique_rows_empty_input():
@@ -177,6 +178,26 @@ def test_unique_rows_counts():
     got = {tuple(r): c for r, c in zip(uniq.tolist(), counts.tolist())}
     assert got == {(0, 1): 2, (1, 2): 3}
     assert counts.sum() == len(a)
+
+
+def test_unique_rows_weighted_counts_match_counter():
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 3, size=(200, 3)).astype(np.int32)
+    weights = rng.integers(1, 50, size=len(a)).astype(np.int64)
+    want = Counter()
+    for row, wt in zip(a.tolist(), weights.tolist()):
+        want[tuple(row)] += wt
+    uniq, counts = _unique_rows(a, weights)
+    got = {tuple(r): c for r, c in zip(uniq.tolist(), counts.tolist())}
+    assert got == dict(want)
+    assert len(got) == len(uniq)
+
+
+def test_unique_rows_weighted_empty_input():
+    empty = np.empty((0, 4), dtype=np.int32)
+    uniq, counts = _unique_rows(empty, np.zeros(0, dtype=np.int64))
+    assert uniq.shape == (0, 4)
+    assert counts.shape == (0,)
 
 
 # -- enumeration + full engine -----------------------------------------------
@@ -224,7 +245,7 @@ def test_enumerator_matches_reference(seed, mode):
     )
     lts = _random_lifetimes(rng, array.n_bytes)
     canon = _canonical_iset_ids(lts)
-    got = _enumerate_signatures(array, canon.byte2iid, mode)
+    got, _ = _enumerate_signatures(array, canon.byte2iid, mode)
     want = ref.enumerate_signatures_ref(array, canon.byte2iid, mode)
     # The production enumerator drops all-lifetime-empty placements (they
     # classify to nothing); the reference emits their signature.  Outcomes
