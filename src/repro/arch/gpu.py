@@ -283,6 +283,9 @@ class Apu:
             raise RuntimeError("finish() already called")
         self.memsys.flush(self.cycle)
         self.cycle += 1
+        # Memory flips due by the end of the run still corrupt the image
+        # the host reads back.
+        self._apply_mem_injections()
         self._finished = True
         mx = get_metrics()
         if mx:

@@ -100,6 +100,7 @@ class AvfStudy:
         self._l1_lifetimes: Optional[List[StructureLifetimes]] = None
         self._l2_lifetime: Optional[StructureLifetimes] = None
         self._vgpr_lifetimes: Optional[List[StructureLifetimes]] = None
+        self._memory_lifetimes: Dict[Tuple[int, int], StructureLifetimes] = {}
         self._layout_cache: Dict[Tuple, SramArray] = {}
 
     # -- lifetimes (lazy, cached) -------------------------------------------
@@ -303,9 +304,12 @@ class AvfStudy:
     def memory_lifetimes(self, region: Tuple[int, int]) -> StructureLifetimes:
         """Architectural lifetimes of a flat memory region (see
         :func:`repro.core.lifetime.analyze_memory`)."""
-        return analyze_memory(
-            self.apu.records, region, self.output_ranges, self.end_cycle
-        )
+        key = (region[0], region[1])
+        if key not in self._memory_lifetimes:
+            self._memory_lifetimes[key] = analyze_memory(
+                self.apu.records, key, self.output_ranges, self.end_cycle
+            )
+        return self._memory_lifetimes[key]
 
     def _tag_lifetimes(self, level: str, tag_bytes: int) -> List[StructureLifetimes]:
         """Derived tag-array lifetimes, cached so repeated tag AVFs share

@@ -4,28 +4,18 @@ The experiments repeatedly measure (fault mode x protection scheme x
 interleaving) grids; this utility packages that loop with caching-friendly
 iteration order and a flat, easily-tabulated result form.
 
-Sweeps can optionally run through the campaign runtime
-(:mod:`repro.runtime`): pass an :class:`~repro.runtime.Executor` and each
-grid cell becomes a journaled task, so a long sweep is restartable and a
-cell that fails (a harness bug on one configuration) is reported and
-skipped instead of aborting the grid.
-
-The same hook distributes a sweep: pass an executor built with
-``fabric=`` (a :class:`~repro.runtime.fabric.FabricCoordinator`) and
-``job=`` the ``sweep`` entrypoint (:func:`repro.runtime.fabric.sweep_job`)
-and each cell is leased to a worker node instead — the nodes rebuild the study from the
-job context and return the same JSON-safe points, the replicated
-journal keeps the sweep resumable across node loss, and cells the fleet
-cannot finish are demoted to the driver, which runs them through
-``cell_fn``.  Registry schemes only (:data:`repro.core.protection.SCHEMES`):
-a custom scheme object cannot be shipped as JSON.
+Every sweep runs the engine's batch path: the cells that share a physical
+layout form one batch, so enumeration and region caches are shared
+across that layout's schemes and modes.  Journaled, resumable and
+distributed sweeps go through :func:`repro.experiments.sweep_benchmarks`
+(``journal=``, ``jobs=``, ``fabric=``).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .analysis import AvfStudy
 from .avf import AvfConfig, MbAvfResult
@@ -71,70 +61,20 @@ def _scheme_label(scheme: ProtectionScheme) -> str:
     return getattr(scheme, "name", type(scheme).__name__.lower())
 
 
-def _run_grid(
-    structure, cells, measure, executor, measure_batch=None
-) -> List[SweepPoint]:
-    """Evaluate grid cells directly, or as journaled runtime tasks.
+def _run_grid(structure, cells, measure_batch) -> List[SweepPoint]:
+    """Evaluate grid cells, one engine batch per physical layout.
 
-    ``cells`` is a list of ``(cell_id, (style, factor, scheme, mode))``.
-    The direct path groups cells sharing a physical layout and hands each
-    group to ``measure_batch(style, factor, pairs)`` (one engine batch per
-    layout, so enumeration and region caches are shared across the group's
-    schemes and modes); with an executor, each cell is instead a journaled
-    task returning the point as a JSON-safe dict (so journaled sweeps
-    reload exactly) and failed cells are warned about and dropped — the
-    sweep degrades instead of dying.  An executor built with ``fabric=``
-    leases the cells to worker nodes instead, and runs demoted cells on
-    the driver through ``cell_fn``.
+    ``cells`` is a list of ``(cell_id, (style, factor, scheme, mode))``;
+    cells sharing a layout go to ``measure_batch(style, factor, pairs)``
+    together.
     """
-    if executor is None:
-        if measure_batch is not None:
-            groups: Dict[Tuple, List[Tuple]] = {}
-            for _, (style, factor, scheme, mode) in cells:
-                groups.setdefault((style, factor), []).append((scheme, mode))
-            points: List[SweepPoint] = []
-            for (style, factor), pairs in groups.items():
-                for res in measure_batch(style, factor, pairs):
-                    points.append(
-                        SweepPoint.from_result(structure, style, factor, res)
-                    )
-            return points
-        return [
-            SweepPoint.from_result(
-                structure, style, factor, measure(style, factor, scheme, mode)
-            )
-            for _, (style, factor, scheme, mode) in cells
-        ]
-    from ..runtime import Task, TaskOutcome
-
-    def cell_fn(args) -> dict:
-        style, factor, scheme, mode = args
-        res = measure(style, factor, scheme, mode)
-        return asdict(SweepPoint.from_result(structure, style, factor, res))
-
-    tasks = [Task(id=cell_id, payload=args) for cell_id, args in cells]
-    results = executor.run(tasks, fn=cell_fn)
+    groups: Dict[Tuple, List[Tuple]] = {}
+    for _, (style, factor, scheme, mode) in cells:
+        groups.setdefault((style, factor), []).append((scheme, mode))
     points: List[SweepPoint] = []
-    for task in tasks:
-        r = results[task.id]
-        if r.ok:
-            points.append(SweepPoint(**r.value))
-        elif r.outcome == TaskOutcome.POISONED:
-            # The breaker quarantined this cell: it repeatedly killed its
-            # worker, which for a pure-python AVF measurement points at a
-            # systematic problem (OOM on that configuration), not noise.
-            warnings.warn(
-                f"sweep cell {task.id} was quarantined by the circuit "
-                f"breaker ({r.error}); point dropped — this configuration "
-                "likely cannot be measured on this host",
-                stacklevel=3,
-            )
-        else:
-            warnings.warn(
-                f"sweep cell {task.id} failed ({r.outcome}): {r.error}; "
-                "point dropped",
-                stacklevel=3,
-            )
+    for (style, factor), pairs in groups.items():
+        for res in measure_batch(style, factor, pairs):
+            points.append(SweepPoint.from_result(structure, style, factor, res))
     return points
 
 
@@ -178,7 +118,6 @@ def sweep_cache_avf(
     schemes: Iterable[ProtectionScheme],
     layouts: Iterable[Tuple[Interleaving, int]] = ((Interleaving.NONE, 1),),
     domain_bytes: int = 4,
-    executor: Optional["Executor"] = None,
     store=None,
     workload: str = "unknown",
     seed: int = 0,
@@ -191,12 +130,6 @@ def sweep_cache_avf(
     the same store is a no-op.
     """
 
-    def measure(style, factor, scheme, mode):
-        return study.cache_avf(
-            level, mode, scheme,
-            style=style, factor=factor, domain_bytes=domain_bytes,
-        )
-
     def measure_batch(style, factor, pairs):
         configs = [AvfConfig(mode=m, scheme=s) for s, m in pairs]
         return study.cache_avf_batch(
@@ -206,7 +139,7 @@ def sweep_cache_avf(
 
     points = _run_grid(
         level, _grid(level, list(modes), list(schemes), list(layouts)),
-        measure, executor, measure_batch,
+        measure_batch,
     )
     _sink(points, store, workload, seed)
     return points
@@ -220,7 +153,6 @@ def sweep_vgpr_avf(
     layouts: Iterable[Tuple[Interleaving, int]] = (
         (Interleaving.INTRA_THREAD, 1),
     ),
-    executor: Optional["Executor"] = None,
     store=None,
     workload: str = "unknown",
     seed: int = 0,
@@ -230,9 +162,6 @@ def sweep_vgpr_avf(
     ``store``/``workload``/``seed`` persist the points exactly as in
     :func:`sweep_cache_avf`.
     """
-
-    def measure(style, factor, scheme, mode):
-        return study.vgpr_avf(mode, scheme, style=style, factor=factor)
 
     def measure_batch(style, factor, pairs):
         due = style is Interleaving.INTER_THREAD
@@ -244,7 +173,7 @@ def sweep_vgpr_avf(
 
     points = _run_grid(
         "vgpr", _grid("vgpr", list(modes), list(schemes), list(layouts)),
-        measure, executor, measure_batch,
+        measure_batch,
     )
     _sink(points, store, workload, seed)
     return points

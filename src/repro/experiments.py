@@ -230,24 +230,12 @@ def _sweep_benchmarks_fabric(
                 meta={"benchmark": name, "structure": structure},
             ))
 
-    studies = StudyCache()
-
-    def local_cell(payload) -> dict:
-        """Driver-side fallback for cells the fleet cannot finish."""
-        name, (style, factor, scheme, mode) = payload
-        study = studies(name)
-        if structure == "vgpr":
-            res = study.vgpr_avf(mode, scheme, style=style, factor=factor)
-        else:
-            res = study.cache_avf(
-                structure, mode, scheme, style=style, factor=factor
-            )
-        return asdict(SweepPoint.from_result(structure, style, factor, res))
-
     points: Dict[str, List[SweepPoint]] = {}
     failed: Dict[str, str] = {}
+    # No task function: cells the fleet cannot finish run on the driver
+    # through the same sweep_grid entrypoint the nodes build.
     with Executor(
-        local_cell, fabric=fabric, job=sweep_grid_job(structure),
+        fabric=fabric, job=sweep_grid_job(structure),
         journal=journal, retry=retry,
         timeout=timeout, progress=progress, store=store,
     ) as executor:

@@ -4,7 +4,9 @@ from .campaign import (
     BenchmarkCampaign,
     InjectionOutcome,
     InjectionSpec,
+    MemorySpec,
     ace_interference_study,
+    injection_class,
     run_campaign,
 )
 from .validation import ValidationResult, validate_memory_avf
@@ -13,7 +15,9 @@ __all__ = [
     "BenchmarkCampaign",
     "InjectionOutcome",
     "InjectionSpec",
+    "MemorySpec",
     "ace_interference_study",
+    "injection_class",
     "run_campaign",
     "ValidationResult",
     "validate_memory_avf",

@@ -22,15 +22,22 @@ Every injection runs through the fault-tolerant campaign runtime
 isolated worker process with a wall-clock timeout and bounded retries,
 and with a ``journal`` every completed injection is checkpointed so a
 killed campaign resumes from where it died.
+
+The same runner serves the memory-image validation
+(:mod:`repro.faultinject.validation`): a :class:`MemorySpec` schedules
+its flip in the data image where an :class:`InjectionSpec` schedules
+one in a register, and everything else is shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core.analysis import AvfStudy
+from ..core.intervals import AceClass
 from ..obs import get_metrics, get_tracer
 from ..runtime import (
     ChaosPolicy,
@@ -48,6 +55,8 @@ from ..workloads.suite import OPENCL_SAMPLES, REGISTRY
 __all__ = [
     "InjectionOutcome",
     "InjectionSpec",
+    "MemorySpec",
+    "injection_class",
     "BenchmarkCampaign",
     "run_campaign",
     "ace_interference_study",
@@ -106,6 +115,64 @@ class InjectionSpec:
             int(data["wf"]), int(data["reg"]), int(data["lane"]),
             tuple(int(b) for b in data["bits"]), int(data["cycle"]),
         )
+
+    @property
+    def trace_args(self) -> Dict:
+        return {"wf": self.wf, "reg": self.reg, "bits": len(self.bits)}
+
+    def schedule(self, apu) -> None:
+        apu.inject_fault(self.wf, self.reg, self.lane, self.bitmask, self.cycle)
+
+
+class MemorySpec(NamedTuple):
+    """One fault: flip ``bit`` of the memory byte at ``addr`` at ``cycle``."""
+
+    addr: int
+    bit: int
+    cycle: int
+
+    @property
+    def trace_args(self) -> Dict:
+        return {"addr": self.addr, "bit": self.bit}
+
+    def schedule(self, apu) -> None:
+        apu.inject_memory_fault(self.addr, 1 << self.bit, self.cycle)
+
+
+def injection_class(
+    study: AvfStudy,
+    spec: Union[InjectionSpec, MemorySpec],
+    region: Optional[Tuple[int, int]] = None,
+) -> int:
+    """The lifetime class that decides the flip ``spec`` schedules.
+
+    A flip scheduled at cycle ``c`` lands before the first instruction
+    issued at ``t >= c``.  Lifetime intervals are half-open
+    ``[write, read)``, so the injection interval of a byte is
+    ``(write, read]`` and the deciding class is ``class_at(c - 1)``.  A
+    class below ``AceClass.ACE`` proves the flip masked.
+
+    A VGPR spec reads byte ``(lane * study.vgpr_regs + reg) * 4 + bit // 8``
+    of its wavefront's lifetimes (``vgpr_regs`` is the padded register
+    count, not the wavefront's own) and takes the highest class over its
+    bits.  A memory spec reads ``study.memory_lifetimes(region)``.
+    """
+    if isinstance(spec, MemorySpec):
+        if region is None:
+            raise ValueError("a memory spec needs the region it was drawn in")
+        base, size = region
+        if not 0 <= spec.addr - base < size:
+            raise ValueError(f"address {spec.addr} outside region {region}")
+        lifetimes = study.memory_lifetimes(region)
+        isets = [lifetimes.byte_isets[spec.addr - base]]
+    else:
+        if spec.reg >= study.apu.wf_programs[spec.wf].n_vregs:
+            return AceClass.UNACE  # the simulator drops the flip
+        wfs = sorted(study.apu.wf_programs)
+        lifetimes = study.vgpr_lifetimes()[wfs.index(spec.wf)]
+        row = (spec.lane * study.vgpr_regs + spec.reg) * 4
+        isets = [lifetimes.byte_isets[row + b // 8] for b in spec.bits]
+    return max(iset.class_at(spec.cycle - 1) for iset in isets)
 
 
 @dataclass
@@ -169,8 +236,17 @@ class BenchmarkCampaign:
         )
 
 
-class _Runner:
-    """Executes one workload repeatedly with identical inputs."""
+def _output_bytes(mem, names: Sequence[str]) -> bytes:
+    """The bytes of the named output buffers, as the host reads them."""
+    return b"".join(
+        mem.data[b : b + sz].tobytes()
+        for b, sz in (mem.buffer(n) for n in names)
+    )
+
+
+class _Injector:
+    """Runs one workload repeatedly with identical inputs: one golden run,
+    then one simulation per injected fault, VGPR or memory alike."""
 
     def __init__(
         self, workload_cls, seed: int, n_cus: int,
@@ -180,12 +256,13 @@ class _Runner:
         self.seed = seed
         self.n_cus = n_cus
         self.max_cycles = max_cycles
-        golden_run = run_workload(workload_cls(seed=seed), n_cus=n_cus)
-        #: kept for the ACE-model context stage of :func:`run_campaign`
+        wl = workload_cls(seed=seed)
+        golden_run = run_workload(wl, n_cus=n_cus)
+        #: kept for the ACE-model side of the campaign and the validation
         self.golden_run = golden_run
-        self.golden = self._snapshot(golden_run)
+        self.golden = _output_bytes(golden_run.memory, wl.outputs)
         recs = golden_run.apu.records
-        # Injection targeting: wavefront activity windows + register counts.
+        # VGPR targeting: wavefront activity windows + register counts.
         self.windows: Dict[int, Tuple[int, int]] = {}
         for r in recs:
             lo, hi = self.windows.get(r.wf, (r.t, r.t))
@@ -193,12 +270,6 @@ class _Runner:
         self.n_vregs = {
             w: p.n_vregs for w, p in golden_run.apu.wf_programs.items()
         }
-
-    @staticmethod
-    def _snapshot(run) -> bytes:
-        return b"".join(
-            run.memory.data[b : b + sz].tobytes() for b, sz in run.output_ranges
-        )
 
     def random_spec(self, rng: np.random.Generator, n_bits: int = 1) -> InjectionSpec:
         wf = int(rng.choice(sorted(self.windows)))
@@ -216,23 +287,19 @@ class _Runner:
         assert len(spec.bits) == n_bits
         return spec
 
-    def inject(self, spec: InjectionSpec) -> str:
+    def inject(self, spec: Union[InjectionSpec, MemorySpec]) -> str:
         from ..arch.gpu import Apu
         from ..arch.memory import GlobalMemory
 
         get_metrics().counter("campaign.injections").inc()
-        with get_tracer().span(
-            "inject", wf=spec.wf, reg=spec.reg, bits=len(spec.bits),
-        ) as span:
+        with get_tracer().span("inject", **spec.trace_args) as span:
             # Setup failures happen before any fault lands: they are harness
             # bugs and propagate (the runtime reports them as INFRA_ERROR).
             wl = self.workload_cls(seed=self.seed)
             mem = GlobalMemory()
             wl.setup(mem)
             apu = Apu(n_cus=self.n_cus, memory=mem, max_cycles=self.max_cycles)
-            apu.inject_fault(
-                spec.wf, spec.reg, spec.lane, spec.bitmask, spec.cycle
-            )
+            spec.schedule(apu)
             try:
                 wl.launch(apu)
                 apu.finish()
@@ -240,47 +307,40 @@ class _Runner:
                 # Post-injection exceptions are fault consequences: a cycle
                 # budget overrun is a hang, a simulator trap is a crash.
                 # Anything the taxonomy pins on the harness still propagates.
-                outcome = classify_exception(exc)
-                if outcome == TaskOutcome.SIM_HANG:
-                    span.set(verdict=InjectionOutcome.HANG)
-                    return InjectionOutcome.HANG
-                if outcome == TaskOutcome.SIM_CRASH:
-                    span.set(verdict=InjectionOutcome.CRASH)
-                    return InjectionOutcome.CRASH
-                raise
-            got = b"".join(
-                mem.data[b : b + sz].tobytes()
-                for b, sz in (mem.buffer(n) for n in wl.outputs)
-            )
-            verdict = (
-                InjectionOutcome.MASKED if got == self.golden
-                else InjectionOutcome.SDC
-            )
+                verdict = _TASK_TO_VERDICT.get(classify_exception(exc))
+                if verdict is None:
+                    raise
+            else:
+                verdict = (
+                    InjectionOutcome.MASKED
+                    if _output_bytes(mem, wl.outputs) == self.golden
+                    else InjectionOutcome.SDC
+                )
             span.set(verdict=verdict)
             return verdict
 
 
 # -- worker-process entry points (must be module-level for spawn pickling) ----
 
-_WORKER_RUNNER: Optional[_Runner] = None
+_WORKER_RUNNER: Optional[_Injector] = None
 
 
 def _init_injection_worker(
     benchmark: str, seed: int, n_cus: int, max_cycles: int
 ) -> None:
-    """Build this worker's runner (golden run + targeting data) once."""
+    """Build this worker's runner (one golden run) once."""
     global _WORKER_RUNNER
-    _WORKER_RUNNER = _Runner(
+    _WORKER_RUNNER = _Injector(
         REGISTRY[benchmark], seed, n_cus, max_cycles=max_cycles
     )
 
 
-def _injection_task(spec: InjectionSpec) -> str:
+def _injection_task(spec: Union[InjectionSpec, MemorySpec]) -> str:
     return _WORKER_RUNNER.inject(spec)
 
 
 def _make_executor(
-    runner: _Runner,
+    runner: _Injector,
     benchmark: str,
     seed: int,
     n_cus: int,
@@ -352,7 +412,7 @@ def _tally(
     return None
 
 
-def _model_sdc_avf(runner: _Runner) -> float:
+def _model_sdc_avf(runner: _Injector) -> float:
     """ACE-model context for one benchmark: the unprotected single-bit
     VGPR SDC AVF that the campaign's injection verdicts validate.
 
@@ -361,7 +421,6 @@ def _model_sdc_avf(runner: _Runner) -> float:
     run, so a traced campaign records the full methodology — simulate,
     lifetime, enumerate, integrate, inject — in one timeline.
     """
-    from ..core.analysis import AvfStudy
     from ..core.faultmodes import FaultMode
     from ..core.protection import SCHEMES
 
@@ -424,7 +483,7 @@ def run_campaign(
         raise KeyError(f"unknown benchmark {benchmark!r}")
     tracer = get_tracer()
     with tracer.span("golden", benchmark=benchmark):
-        runner = _Runner(
+        runner = _Injector(
             REGISTRY[benchmark], seed, n_cus, max_cycles=max_cycles
         )
     rng = np.random.default_rng(seed + 0xFA117)

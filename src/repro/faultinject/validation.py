@@ -27,20 +27,18 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core.analysis import AvfStudy
-from ..runtime import (
-    Executor,
-    Journal,
-    RetryPolicy,
-    Task,
-    TaskOutcome,
-    classify_exception,
-)
-from ..workloads.base import run_workload
+from ..runtime import Journal, RetryPolicy, Task
 from ..workloads.suite import REGISTRY
+from .campaign import (
+    DEFAULT_MAX_CYCLES,
+    InjectionOutcome,
+    MemorySpec,
+    _Injector,
+    _make_executor,
+    _tally,
+)
 
 __all__ = ["ValidationResult", "validate_memory_avf"]
-
-_DEFAULT_MAX_CYCLES = 2_000_000
 
 
 @dataclass
@@ -75,74 +73,26 @@ class ValidationResult:
         return float(np.sqrt(p * (1 - p) / n)) if n else 0.0
 
 
-def _snapshot(mem, outputs) -> bytes:
-    return b"".join(
-        mem.data[b : b + sz].tobytes()
-        for b, sz in (mem.buffer(n) for n in outputs)
-    )
+def _footprint(memory) -> Tuple[int, int]:
+    """``(base, size)`` spanning every allocated buffer."""
+    bases = list(memory.buffers().values())
+    lo = min(b for b, _ in bases)
+    hi = max(b + s for b, s in bases)
+    return lo, hi - lo
 
 
-class _MemRunner:
-    """Executes one benchmark repeatedly with a single memory bit flip."""
-
-    def __init__(
-        self, benchmark: str, seed: int, n_cus: int,
-        max_cycles: int = _DEFAULT_MAX_CYCLES,
-    ) -> None:
-        self.cls = REGISTRY[benchmark]
-        self.seed = seed
-        self.n_cus = n_cus
-        self.max_cycles = max_cycles
-        self.golden_run = run_workload(self.cls(seed=seed), n_cus=n_cus)
-        self.golden = _snapshot(self.golden_run.memory, self.cls.outputs)
-
-    def inject(self, point: Tuple[int, int, int]) -> str:
-        from ..arch.gpu import Apu
-        from ..arch.memory import GlobalMemory
-        from .campaign import InjectionOutcome
-
-        addr, bit, cycle = point
-        wl = self.cls(seed=self.seed)
-        mem = GlobalMemory()
-        wl.setup(mem)
-        apu = Apu(n_cus=self.n_cus, memory=mem, max_cycles=self.max_cycles)
-        apu.inject_memory_fault(addr, 1 << bit, cycle)
-        try:
-            wl.launch(apu)
-            apu.finish()
-            # Late injections (after the last instruction) still corrupt
-            # output buffers the host reads; apply any stragglers.
-            apu._apply_mem_injections()
-        except Exception as exc:
-            outcome = classify_exception(exc)
-            if outcome == TaskOutcome.SIM_HANG:
-                return InjectionOutcome.HANG
-            if outcome == TaskOutcome.SIM_CRASH:
-                return InjectionOutcome.CRASH
-            raise
-        got = _snapshot(mem, self.cls.outputs)
-        return (
-            InjectionOutcome.MASKED if got == self.golden
-            else InjectionOutcome.SDC
+def _draw_points(
+    rng: np.random.Generator, region: Tuple[int, int], end_cycle: int, n: int
+) -> List[MemorySpec]:
+    """``n`` uniform (byte in ``region``, bit, cycle) flips."""
+    return [
+        MemorySpec(
+            region[0] + int(rng.integers(0, region[1])),
+            int(rng.integers(0, 8)),
+            int(rng.integers(0, max(end_cycle, 1))),
         )
-
-
-# -- worker-process entry points (module-level for spawn pickling) ----------
-
-_WORKER_MEM_RUNNER: Optional[_MemRunner] = None
-
-
-def _init_memory_worker(
-    benchmark: str, seed: int, n_cus: int, max_cycles: int
-) -> None:
-    global _WORKER_MEM_RUNNER
-    _WORKER_MEM_RUNNER = _MemRunner(
-        benchmark, seed, n_cus, max_cycles=max_cycles
-    )
-
-
-def _memory_task(point: Tuple[int, int, int]) -> str:
-    return _WORKER_MEM_RUNNER.inject(point)
+        for _ in range(n)
+    ]
 
 
 def validate_memory_avf(
@@ -156,7 +106,7 @@ def validate_memory_avf(
     timeout: Optional[float] = None,
     retry: Optional[RetryPolicy] = None,
     journal: Optional[Union[Journal, str]] = None,
-    max_cycles: int = _DEFAULT_MAX_CYCLES,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> ValidationResult:
     """Run the injection-vs-ACE validation for one benchmark.
 
@@ -169,51 +119,27 @@ def validate_memory_avf(
     """
     if benchmark not in REGISTRY:
         raise KeyError(f"unknown benchmark {benchmark!r}")
-    from .campaign import InjectionOutcome, _tally
-
-    runner = _MemRunner(benchmark, seed, n_cus, max_cycles=max_cycles)
+    runner = _Injector(
+        REGISTRY[benchmark], seed, n_cus, max_cycles=max_cycles
+    )
     golden_run = runner.golden_run
     if region is None:
-        bases = list(golden_run.memory.buffers().values())
-        lo = min(b for b, _ in bases)
-        hi = max(b + s for b, s in bases)
-        region = (lo, hi - lo)
+        region = _footprint(golden_run.memory)
     study = AvfStudy(golden_run.apu, golden_run.output_ranges)
     lifetimes = study.memory_lifetimes(region)
     result = ValidationResult(
         benchmark, region, lifetimes.sb_ace_fraction(), n_injections
     )
-    end_cycle = golden_run.end_cycle
     rng = np.random.default_rng(seed + 0x5EED)
-    points: List[Tuple[int, int, int]] = [
-        (
-            region[0] + int(rng.integers(0, region[1])),
-            int(rng.integers(0, 8)),
-            int(rng.integers(0, max(end_cycle, 1))),
-        )
-        for _ in range(n_injections)
-    ]
-    if jobs >= 1:
-        executor = Executor(
-            _memory_task,
-            jobs=jobs,
-            timeout=timeout,
-            retry=retry,
-            journal=journal,
-            initializer=_init_memory_worker,
-            initargs=(benchmark, seed, n_cus, max_cycles),
-        )
-    else:
-        executor = Executor(runner.inject, jobs=0, retry=retry, journal=journal)
+    points = _draw_points(rng, region, golden_run.end_cycle, n_injections)
     tasks = [
-        Task(
-            id=f"{benchmark}/val/{i:05d}",
-            payload=p,
-            meta={"addr": p[0], "bit": p[1], "cycle": p[2]},
-        )
+        Task(id=f"{benchmark}/val/{i:05d}", payload=p, meta=p._asdict())
         for i, p in enumerate(points)
     ]
-    with executor:
+    with _make_executor(
+        runner, benchmark, seed, n_cus, max_cycles,
+        jobs, timeout, retry, journal,
+    ) as executor:
         results = executor.run(tasks)
     for task in tasks:
         verdict = _tally(result.failures, results[task.id])

@@ -623,11 +623,7 @@ class Executor:
 
     # -- public API ---------------------------------------------------------
 
-    def run(
-        self,
-        tasks: Iterable[Task],
-        fn: Optional[Callable[[Any], Any]] = None,
-    ) -> Dict[str, TaskResult]:
+    def run(self, tasks: Iterable[Task]) -> Dict[str, TaskResult]:
         """Execute ``tasks``, returning final results keyed by task id.
 
         Tasks already present in the journal are *not* re-executed; their
@@ -637,16 +633,15 @@ class Executor:
         its task re-run.  A SIGINT/SIGTERM during the run drains in-flight
         work, seals the journal and raises :class:`CampaignInterrupted`.
         """
-        fn = fn or self.fn
-        if fn is None and self.fabric is None:
-            raise ValueError("no task function: pass fn to Executor or run()")
+        if self.fn is None and self.fabric is None:
+            raise ValueError("no task function: pass fn to Executor")
         tasks = list(tasks)
         if len({t.id for t in tasks}) != len(tasks):
             raise ValueError("duplicate task ids")
         results, pending = load_journaled_results(self.journal, tasks)
         if not pending:
             return results
-        table = self._start(pending, fn, results)
+        table = self._start(pending, results)
         saved_handlers = self._install_signal_handlers()
         try:
             tracer = NULL_TRACER if self.fabric is None else get_tracer()
@@ -684,14 +679,13 @@ class Executor:
     def _start(
         self,
         pending: List[Task],
-        fn: Optional[Callable[[Any], Any]],
         results: Optional[Dict[str, TaskResult]] = None,
     ) -> TaskTable:
         """Open a run: the task table (published to the fabric, if any)
         and the per-run state every slot settles into."""
-        self._fn = fn
+        self._fn = self.fn
         #: the job's own entrypoint takes the JSON (wire) payload
-        self._wire = fn is None
+        self._wire = self.fn is None
         self._results = {} if results is None else results
         self._draining = False
         self._finalized = 0

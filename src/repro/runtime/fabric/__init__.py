@@ -27,7 +27,6 @@ from .tasks import (
     resolve,
     stub_job,
     sweep_grid_job,
-    sweep_job,
 )
 from .worker import FabricWorker, run_worker
 
@@ -50,5 +49,4 @@ __all__ = [
     "run_worker",
     "stub_job",
     "sweep_grid_job",
-    "sweep_job",
 ]

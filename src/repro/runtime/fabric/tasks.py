@@ -22,8 +22,6 @@ Registered kinds:
   smoke checks; no simulator involved).
 * ``injection`` — one fault injection of a
   :class:`~repro.faultinject.campaign.BenchmarkCampaign`.
-* ``sweep`` — one (layout, scheme, mode) cell of an AVF sweep grid
-  (:mod:`repro.core.sweep`).
 * ``sweep_grid`` — one (workload, layout, scheme, mode) cell of a
   cross-benchmark sweep (:func:`repro.experiments.sweep_benchmarks`):
   the payload names its workload, so cells of *different* benchmarks
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict
 
 from .protocol import JobSpec
 
@@ -46,7 +44,6 @@ __all__ = [
     "resolve",
     "stub_job",
     "injection_job",
-    "sweep_job",
     "sweep_grid_job",
 ]
 
@@ -116,21 +113,17 @@ register_entrypoint("stub", _build_stub)
 def _build_injection(ctx: Dict[str, Any]) -> Callable[[Any], Any]:
     # Lazy import: tasks must stay importable from worker nodes without
     # dragging the whole campaign stack in until a job actually needs it.
-    from ...faultinject.campaign import (
-        DEFAULT_MAX_CYCLES,
-        InjectionSpec,
-        _Runner,
-    )
+    from ...faultinject.campaign import InjectionSpec, _Injector
     from ...workloads.suite import REGISTRY
 
     benchmark = ctx["benchmark"]
     if benchmark not in REGISTRY:
         raise KeyError(f"unknown benchmark {benchmark!r}")
-    runner = _Runner(
+    runner = _Injector(
         REGISTRY[benchmark],
         int(ctx.get("seed", 0)),
         int(ctx.get("n_cus", 2)),
-        max_cycles=int(ctx.get("max_cycles", DEFAULT_MAX_CYCLES)),
+        max_cycles=int(ctx["max_cycles"]),
     )
 
     def fn(payload: Any) -> str:
@@ -146,8 +139,7 @@ def _encode_injection(payload: Any) -> Any:
 
 
 def injection_job(
-    benchmark: str, *, seed: int = 0, n_cus: int = 2,
-    max_cycles: int = 2_000_000,
+    benchmark: str, *, seed: int = 0, n_cus: int = 2, max_cycles: int,
 ) -> JobSpec:
     """One benchmark's injection context (golden run rebuilt per node)."""
     return JobSpec(
@@ -164,7 +156,7 @@ def injection_job(
 register_entrypoint("injection", _build_injection, _encode_injection)
 
 
-# -- sweep: one cell of an AVF sweep grid ------------------------------------
+# -- sweep_grid: one cell of a cross-benchmark sweep --------------------------
 
 
 def _encode_mode(mode: Any) -> Dict[str, Any]:
@@ -184,8 +176,6 @@ def _decode_mode(data: Dict[str, Any]):
 
 
 def _encode_sweep_cell(payload: Any) -> Any:
-    if isinstance(payload, dict):
-        return payload
     from ...core.protection import SCHEMES
     from ...core.sweep import _scheme_label
 
@@ -203,76 +193,6 @@ def _encode_sweep_cell(payload: Any) -> Any:
         "scheme": label,
         "mode": _encode_mode(mode),
     }
-
-
-def _build_sweep(ctx: Dict[str, Any]) -> Callable[[Any], Any]:
-    from dataclasses import asdict
-
-    from ...core.analysis import AvfStudy
-    from ...core.layout import Interleaving
-    from ...core.protection import SCHEMES
-    from ...core.sweep import SweepPoint
-    from ...workloads import run
-
-    structure = ctx["structure"]
-    apu_kwargs = None
-    if ctx.get("scaled", True):
-        from ...experiments import scaled_apu_kwargs
-
-        apu_kwargs = scaled_apu_kwargs()
-    result = run(
-        ctx["workload"], seed=int(ctx.get("seed", 0)),
-        n_cus=int(ctx.get("n_cus", 4)), apu_kwargs=apu_kwargs,
-    )
-    study = AvfStudy(result.apu, result.output_ranges)
-    domain_bytes = int(ctx.get("domain_bytes", 4))
-    styles = {s.value: s for s in Interleaving}
-
-    def fn(payload: Any) -> Dict[str, Any]:
-        style = styles[payload["style"]]
-        factor = int(payload["factor"])
-        scheme = SCHEMES[payload["scheme"]]
-        mode = _decode_mode(payload["mode"])
-        if structure == "vgpr":
-            res = study.vgpr_avf(mode, scheme, style=style, factor=factor)
-        else:
-            res = study.cache_avf(
-                structure, mode, scheme,
-                style=style, factor=factor, domain_bytes=domain_bytes,
-            )
-        return asdict(SweepPoint.from_result(structure, style, factor, res))
-
-    return fn
-
-
-def sweep_job(
-    workload: str,
-    structure: str,
-    *,
-    seed: int = 0,
-    n_cus: int = 4,
-    scaled: bool = True,
-    domain_bytes: int = 4,
-) -> JobSpec:
-    """One workload's sweep context: any node can rebuild the study and
-    measure arbitrary (layout, scheme, mode) cells of its grid."""
-    return JobSpec(
-        "sweep",
-        {
-            "workload": workload,
-            "structure": structure,
-            "seed": seed,
-            "n_cus": n_cus,
-            "scaled": scaled,
-            "domain_bytes": domain_bytes,
-        },
-    )
-
-
-register_entrypoint("sweep", _build_sweep, _encode_sweep_cell)
-
-
-# -- sweep_grid: one cell of a cross-benchmark sweep --------------------------
 
 
 def _encode_grid_cell(payload: Any) -> Any:
@@ -357,7 +277,3 @@ def sweep_grid_job(
 
 
 register_entrypoint("sweep_grid", _build_sweep_grid, _encode_grid_cell)
-
-
-#: sweep-cell payload tuple shape (documented for wiring code)
-SweepCell = Tuple[Any, int, Any, Any]

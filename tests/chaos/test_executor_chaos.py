@@ -136,7 +136,7 @@ class TestHeartbeatSweep:
         stays open elsewhere delivers neither a message nor an EOF — only
         the periodic liveness sweep can notice and respawn it."""
         ex = Executor(dispatch, jobs=1, heartbeat=0.2)
-        table = ex._start([Task("stuck", ("ok", 1))], dispatch)
+        table = ex._start([Task("stuck", ("ok", 1))])
         ctx = mp.get_context("spawn")
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(target=_noop, daemon=True)

@@ -65,43 +65,6 @@ class TestSweep:
         with pytest.warns(UserWarning, match=r"\(1x1, parity\)"):
             tabulate(points)
 
-    def test_sweep_through_runtime_matches_direct(self, study, tmp_path):
-        from repro.runtime import Executor
-
-        kwargs = dict(
-            modes=[FaultMode.linear(1), FaultMode.linear(2)],
-            schemes=[Parity(), SecDed()],
-        )
-        direct = sweep_cache_avf(study, "l1", **kwargs)
-        journal = tmp_path / "sweep.jsonl"
-        with Executor(jobs=0, journal=journal) as ex:
-            via_runtime = sweep_cache_avf(study, "l1", executor=ex, **kwargs)
-        assert via_runtime == direct
-        # Resuming from the journal reproduces the points without
-        # re-measuring (the journal already holds every cell).
-        with Executor(jobs=0, journal=journal) as ex:
-            resumed = sweep_cache_avf(study, "l1", executor=ex, **kwargs)
-        assert resumed == direct
-
-    def test_sweep_degrades_on_failing_cell(self, study):
-        from repro.runtime import Executor
-
-        class BrokenScheme(Parity):
-            @property
-            def name(self):
-                return "broken"
-
-            def react(self, n_faulty_bits):
-                raise ValueError("broken configuration")
-
-        with pytest.warns(UserWarning, match="point dropped"):
-            points = sweep_cache_avf(
-                study, "l1", modes=[FaultMode.linear(1)],
-                schemes=[Parity(), BrokenScheme()],
-                executor=Executor(jobs=0),
-            )
-        assert len(points) == 1
-
 
 class TestApuStats:
     def test_stats_fields(self, study):

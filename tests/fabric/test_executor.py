@@ -209,7 +209,7 @@ class TestSpanMerging:
         ex = Executor(fabric=coordinator, job=stub_job(), drain_signals=False)
         registry, tracer = obs.enable()
         try:
-            rnd = ex._start(tasks, None)
+            rnd = ex._start(tasks)
             coordinator.handle({
                 "v": 1, "method": "lease", "node": "n0", "seq": 0,
                 "deadline_ms": 1000, "params": {"max_tasks": 1},
@@ -270,7 +270,7 @@ class TestLateReportAfterDemotion:
             drain_signals=False,
         )
         with obs.observe() as (registry, _tracer):
-            table = ex._start([task], local_fn)
+            table = ex._start([task])
             try:
                 # 1. lease the task to n0
                 lease = coordinator.handle(env("lease", {"max_tasks": 1}))

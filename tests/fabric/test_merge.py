@@ -6,8 +6,6 @@ prefers successes over failures, never overwrites the coordinator's
 commit, and quarantines corrupt shard lines instead of believing them.
 """
 
-import json
-
 import pytest
 
 from repro.runtime import Task, TaskOutcome

@@ -2,7 +2,8 @@
 
 One coordinator plus thread workers serve real (tiny) sweep cells; the
 assertions cover cell-granular distribution, local-vs-fabric result
-equality, journal resume, and the executor's commit-time store sink.
+equality, demotion of a fleetless sweep to the driver, journal resume,
+and the executor's commit-time store sink.
 """
 
 import pytest
@@ -29,6 +30,17 @@ class TestSweepGridFabric:
         local, _ = sweep_benchmarks(["vectoradd"], "l2", **KWARGS)
         points, failed = sweep_benchmarks(
             ["vectoradd"], "l2", fabric=fleet, **KWARGS
+        )
+        assert failed == {}
+        assert sorted(map(str, points["vectoradd"])) == \
+            sorted(map(str, local["vectoradd"]))
+
+    def test_fleetless_sweep_runs_on_the_driver(self, coordinator):
+        """No node ever registers: every cell demotes to the driver, which
+        builds the same sweep_grid entrypoint the nodes would."""
+        local, _ = sweep_benchmarks(["vectoradd"], "l2", **KWARGS)
+        points, failed = sweep_benchmarks(
+            ["vectoradd"], "l2", fabric=coordinator, **KWARGS
         )
         assert failed == {}
         assert sorted(map(str, points["vectoradd"])) == \

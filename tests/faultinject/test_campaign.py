@@ -10,7 +10,7 @@ from repro.faultinject import (
     InjectionSpec,
     run_campaign,
 )
-from repro.faultinject.campaign import _Runner
+from repro.faultinject.campaign import _Injector
 from repro.runtime import TaskOutcome
 from repro.workloads import REGISTRY
 
@@ -72,7 +72,7 @@ class TestInjectionSpec:
 class TestRunner:
     @pytest.fixture(scope="class")
     def runner(self):
-        return _Runner(REGISTRY["transpose"], seed=0, n_cus=1)
+        return _Injector(REGISTRY["transpose"], seed=0, n_cus=1)
 
     def test_golden_snapshot_nonempty(self, runner):
         assert len(runner.golden) == 32 * 32 * 4
@@ -111,7 +111,7 @@ class TestRunner:
 
     def test_cycle_budget_overrun_classified_as_hang(self):
         """An injection that would exceed max_cycles is a HANG, not CRASH."""
-        r = _Runner(REGISTRY["transpose"], seed=0, n_cus=1, max_cycles=5)
+        r = _Injector(REGISTRY["transpose"], seed=0, n_cus=1, max_cycles=5)
         spec = InjectionSpec(0, 200, 0, (0,), 0)
         assert r.inject(spec) == InjectionOutcome.HANG
 

@@ -31,7 +31,6 @@ class TestMemoryInjectionHook:
             apu.inject_memory_fault(*inject)
         apu.launch(self._copy_program(), 16, [a, b])
         apu.finish()
-        apu._apply_mem_injections()
         return mem.view_u32("b").copy(), a, b
 
     def test_flip_input_before_read_corrupts(self):
@@ -141,6 +140,17 @@ class TestValidationCampaign:
             "vectoradd", n_injections=12, n_cus=1, journal=journal
         )
         assert resumed == plain
+
+    def test_negative_jobs_rejected(self):
+        with pytest.raises(ValueError, match="jobs"):
+            validate_memory_avf("vectoradd", n_injections=2, n_cus=1, jobs=-1)
+
+    def test_worker_pool_matches_inline(self):
+        inline = validate_memory_avf("vectoradd", n_injections=12, n_cus=1)
+        pooled = validate_memory_avf(
+            "vectoradd", n_injections=12, n_cus=1, jobs=2
+        )
+        assert pooled == inline
 
     def test_clean_run_has_no_failures(self):
         r = validate_memory_avf("vectoradd", n_injections=5, n_cus=1)
