@@ -104,6 +104,10 @@ def test_disabled_obs_overhead_below_2pct(prepared, report):
     layout, lifetimes = prepared
 
     def workload():
+        # Drop the engine caches so that every call, counted or timed, does
+        # the same cold work; a cached result would time a dict lookup.
+        lifetimes._canon_cache = None
+        layout._sig_memo = None
         return compute_mb_avf(
             layout, lifetimes, FaultMode.linear(2), Parity()
         )

@@ -4,7 +4,8 @@ The production kernels in :mod:`repro.core.intervals` and
 :mod:`repro.core.avf` are numpy-vectorized; this module preserves the
 original (pre-vectorization) per-event / per-placement implementations as
 an executable specification, plus the whole-array windowed enumerator that
-band deduplication replaced.  The equivalence suites
+band deduplication replaced and the per-signature classify and integrate
+body that the grouped event sweep replaced.  The equivalence suites
 (``tests/core/test_vectorized_equivalence.py``,
 ``tests/core/test_band_enumeration.py``) test that the vectorized kernels,
 the band-deduplicated enumerator and the batch API produce byte-identical
@@ -34,6 +35,8 @@ __all__ = [
     "intersection_duration_ref",
     "enumerate_signatures_ref",
     "enumerate_signatures_windowed_ref",
+    "sigs_from_keys",
+    "compute_mb_avf_batch_ref",
     "ace_locality_ref",
     "compute_outcome_cycles_ref",
 ]
@@ -244,6 +247,33 @@ def enumerate_signatures_ref(
     return sigs
 
 
+def sigs_from_keys(
+    uniq: np.ndarray, counts: np.ndarray, k: int
+) -> Dict[GroupSignature, int]:
+    """Region signatures from deduplicated (relative domain, iid) keys.
+
+    A signature is the multiset of a group's overlapped regions, each
+    ``(n_faulty_bits, frozenset of member lifetime ids)``; keys with equal
+    signatures merge and their counts add.  Decodes the keys of
+    :func:`repro.core.avf._enumerate_signatures`.
+    """
+    sigs: Dict[GroupSignature, int] = {}
+    for key, cnt in zip(uniq.tolist(), counts.tolist()):
+        regions: Dict[int, List] = {}
+        for pos in range(k):
+            d = key[pos]
+            iid = key[k + pos]
+            ent = regions.get(d)
+            if ent is None:
+                regions[d] = ent = [0, set()]
+            ent[0] += 1
+            if iid:
+                ent[1].add(iid)
+        sig = tuple(sorted((n, frozenset(ids)) for n, ids in regions.values()))
+        sigs[sig] = sigs.get(sig, 0) + cnt
+    return sigs
+
+
 def enumerate_signatures_windowed_ref(
     array: SramArray, byte2iid: np.ndarray, mode
 ) -> Dict[GroupSignature, int]:
@@ -258,7 +288,7 @@ def enumerate_signatures_windowed_ref(
     """
     from numpy.lib.stride_tricks import sliding_window_view
 
-    from .avf import _sigs_from_keys, _unique_rows
+    from .avf import _unique_rows
 
     h, w = mode.height, mode.width
     if h > array.rows or w > array.cols:
@@ -280,7 +310,7 @@ def enumerate_signatures_windowed_ref(
     keys[:, :k] = dom_flat - dom_flat[:, :1]
     keys[:, k:] = iid_flat[active]
     uniq, counts = _unique_rows(keys)
-    return _sigs_from_keys(uniq, counts, k)
+    return sigs_from_keys(uniq, counts, k)
 
 
 def ace_locality_ref(array: SramArray, lifetimes) -> float:
@@ -372,3 +402,76 @@ def compute_outcome_cycles_ref(
             bucket_accumulate_ref(combined, edges, tmp)
             series += weight * tmp
     return outcome_cycles, series
+
+
+def compute_mb_avf_batch_ref(array: SramArray, lifetimes, configs) -> list:
+    """Reference batch body: classify and integrate one signature at a time.
+
+    The production enumerator's keys are decoded into signatures; then, per
+    config and signature, every region's ACE union is swept (eq. 5),
+    classified through the scheme's reaction (eq. 6), the regions are
+    combined under the precedence rules and the combined outcome is
+    integrated into outcome cycles and series buckets.  The grouped sweep of
+    :func:`repro.core.avf.compute_mb_avf_batch` must return the same
+    results bit for bit.
+    """
+    from .avf import MbAvfResult, _canonical_iset_ids, _enumerate_signatures
+
+    canon = _canonical_iset_ids(lifetimes)
+    isets = canon.isets
+    region_ace: Dict[FrozenSet[int], IntervalSet] = {}
+    results = []
+    for cfg in configs:
+        mode, scheme = cfg.mode, cfg.scheme
+        keys, weights, _ = _enumerate_signatures(array, canon.byte2iid, mode)
+        sigs = sigs_from_keys(keys, weights, mode.n_bits)
+
+        def region_outcome(n_bits: int, ids: FrozenSet[int]) -> IntervalSet:
+            ace = region_ace.get(ids)
+            if ace is None:
+                ace = sweep_max_ref([isets[i] for i in ids]) if ids else IntervalSet()
+                region_ace[ids] = ace
+            return classify_region(
+                scheme.react(n_bits),
+                ace,
+                miscorrect_corrupts=cfg.miscorrect_corrupts,
+            )
+
+        outcome_cycles: Dict[Outcome, float] = {
+            Outcome.FALSE_DUE: 0.0,
+            Outcome.TRUE_DUE: 0.0,
+            Outcome.SDC: 0.0,
+        }
+        edges = None
+        series = None
+        tmp = None
+        if cfg.series_edges is not None:
+            edges = np.asarray(cfg.series_edges, dtype=np.int64)
+            series = np.zeros((len(edges) - 1, 4), dtype=np.float64)
+            tmp = np.zeros_like(series)
+        for sig, weight in sigs.items():
+            combined = combine_outcomes_ref(
+                [region_outcome(n, ids) for n, ids in sig],
+                due_preempts_sdc=cfg.due_preempts_sdc,
+            )
+            if not combined:
+                continue
+            for s, e, c in combined:
+                outcome_cycles[Outcome(c)] += weight * (e - s)
+            if series is not None:
+                tmp.fill(0.0)
+                bucket_accumulate_ref(combined, edges, tmp)
+                series += weight * tmp
+        results.append(
+            MbAvfResult(
+                structure=lifetimes.name,
+                mode=mode,
+                scheme=scheme.name,
+                n_groups=array.n_groups(mode.height, mode.width),
+                window_cycles=lifetimes.window_cycles,
+                outcome_cycles=outcome_cycles,
+                series_edges=edges,
+                series=series,
+            )
+        )
+    return results

@@ -21,11 +21,11 @@ the lifetime trackers land in a small Python staging list and are folded
 into the arrays on first read, so trace replay stays cheap while the
 analysis kernels get flat arrays.
 
-The hot operations (:func:`sweep_max`, :meth:`IntervalSet.bucket_accumulate`,
-:meth:`IntervalSet.clip`, the totals and :func:`intersection_duration`) each
-have a vectorized numpy kernel and a plain-Python small-input path; real
-lifetime sets are usually a handful of intervals, where numpy's per-call
-overhead loses to a tuple loop.  Both paths are property-tested to produce
+The hot operations (:func:`sweep_max`, :meth:`IntervalSet.clip`, the
+totals and :func:`intersection_duration`) each have a vectorized numpy
+kernel and a plain-Python small-input path; real lifetime sets are
+usually a handful of intervals, where numpy's per-call overhead loses to
+a tuple loop.  Both paths are property-tested to produce
 byte-identical results against the reference implementations preserved in
 :mod:`repro.core._reference`.
 """
@@ -43,7 +43,6 @@ __all__ = [
     "Outcome",
     "IntervalSet",
     "sweep_max",
-    "combine_outcomes",
     "intersection_duration",
 ]
 
@@ -374,8 +373,7 @@ class IntervalSet:
         ``mask`` optionally restricts to a subset of intervals (which stay
         sorted and disjoint).  The difference of two evaluations gives the
         overlap of this set with any window — the building block of the
-        vectorized :meth:`bucket_accumulate` and
-        :func:`intersection_duration`.
+        vectorized :func:`intersection_duration`.
         """
         s, e, _ = self._arrays()
         if mask is not None:
@@ -387,33 +385,6 @@ class IntervalSet:
         idxc = np.maximum(idx, 0)
         inside = np.clip(t - s[idxc], 0, e[idxc] - s[idxc])
         return np.where(idx >= 0, cum[idxc] + inside, 0)
-
-    def bucket_accumulate(self, edges: Sequence[int], out) -> None:
-        """Accumulate per-class durations into time buckets.
-
-        ``edges`` are ``B+1`` increasing bucket boundaries; ``out`` is an
-        indexable of shape ``(B, nclasses)`` (e.g. a numpy array) that is
-        incremented in place with the overlap of every interval with every
-        bucket.
-        """
-        s, e, c = self._arrays()
-        if len(s) < SMALL_KERNEL_CUTOFF or not isinstance(out, np.ndarray):
-            nb = len(edges) - 1
-            for is_, ie, ic in self._tuple_view():
-                lo = bisect.bisect_right(edges, is_) - 1
-                lo = max(lo, 0)
-                for b in range(lo, nb):
-                    bs, be = edges[b], edges[b + 1]
-                    if bs >= ie:
-                        break
-                    ov = min(ie, be) - max(is_, bs)
-                    if ov > 0:
-                        out[b][ic] += ov
-            return
-        edges_arr = np.asarray(edges, dtype=np.int64)
-        for k in np.unique(c):
-            cov = self._coverage_at(edges_arr, mask=(c == k))
-            out[:, int(k)] += np.diff(cov)
 
 
 def _sweep_max_vector(sets: Sequence[IntervalSet]) -> IntervalSet:
@@ -542,62 +513,3 @@ def intersection_duration(a: IntervalSet, b: IntervalSet, klass: int) -> int:
     lo = b._coverage_at(sa[ma], mask=mb)
     hi = b._coverage_at(ea[ma], mask=mb)
     return int((hi - lo).sum())
-
-
-def combine_outcomes(
-    sets: Sequence[IntervalSet], *, due_preempts_sdc: bool = False
-) -> IntervalSet:
-    """Combine per-region :class:`Outcome` interval sets into a group outcome.
-
-    Default precedence is SDC > true DUE > false DUE > unACE (Sec. VII-B):
-    when a cache line with an SDC-bound region coexists with a detected
-    region, detection cannot be guaranteed to precede SDC propagation.
-
-    With ``due_preempts_sdc=True`` the Sec. VIII rule applies instead: the
-    structure is read as one unit (e.g. 16 GPU threads reading the VGPR row
-    simultaneously), so a detected region fires *before* the undetected
-    region's data can propagate — simultaneous SDC + DUE becomes a true DUE.
-    """
-    if not due_preempts_sdc:
-        return sweep_max(sets)
-    merged = sweep_max(sets)
-    if not merged:
-        return merged
-    # Recompute instants where SDC coexists with a DUE region.
-    due_times = sweep_max(
-        [
-            s.map_class(lambda c: 1 if c in (Outcome.TRUE_DUE, Outcome.FALSE_DUE) else 0)
-            for s in sets
-        ]
-    )
-    if not due_times:
-        return merged
-    out: List[Interval] = []
-
-    def emit(s: int, e: int, c: int) -> None:
-        if out and out[-1][1] == s and out[-1][2] == c:
-            ps, _, pc = out[-1]
-            out[-1] = (ps, e, pc)
-        else:
-            out.append((s, e, c))
-
-    due_ivals = due_times.intervals()
-    for s, e, c in merged:
-        if c != Outcome.SDC:
-            emit(s, e, c)
-            continue
-        # Split the SDC interval against the DUE coverage.
-        cur = s
-        for ds, de, _ in due_ivals:
-            if de <= cur or ds >= e:
-                continue
-            if ds > cur:
-                emit(cur, ds, int(Outcome.SDC))
-            ov_end = min(de, e)
-            emit(max(ds, cur), ov_end, int(Outcome.TRUE_DUE))
-            cur = ov_end
-            if cur >= e:
-                break
-        if cur < e:
-            emit(cur, e, int(Outcome.SDC))
-    return IntervalSet._from_sorted(out)

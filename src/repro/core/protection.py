@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict
+from typing import Dict, Tuple
 
-from .intervals import AceClass, IntervalSet, Outcome
+from .intervals import IntervalSet, Outcome
 
 __all__ = [
     "Reaction",
@@ -41,6 +41,8 @@ __all__ = [
     "DecTed",
     "Crc",
     "classify_region",
+    "reaction_kind",
+    "OUTCOME_TABLE",
     "SCHEMES",
 ]
 
@@ -218,6 +220,34 @@ SCHEMES: Dict[str, ProtectionScheme] = {
 }
 
 
+#: Reaction kinds, the rows of :data:`OUTCOME_TABLE`.  Every reaction a
+#: scheme can produce classifies a region like exactly one of these.
+KIND_NONE, KIND_DETECTED, KIND_UNDETECTED, KIND_CORRUPTS = range(4)
+
+#: ``OUTCOME_TABLE[kind][ace_class]`` is the :class:`Outcome` of a region
+#: whose reaction has kind ``kind`` at an instant its ACE union has class
+#: ``ace_class`` (the table in this module's docstring).  Each row is
+#: non-decreasing in the ACE class.
+OUTCOME_TABLE: Tuple[Tuple[int, int, int], ...] = (
+    (0, 0, 0),
+    (0, int(Outcome.FALSE_DUE), int(Outcome.TRUE_DUE)),
+    (0, 0, int(Outcome.SDC)),
+    (0, int(Outcome.SDC), int(Outcome.SDC)),
+)
+
+
+def reaction_kind(reaction: Reaction, *, miscorrect_corrupts: bool = False) -> int:
+    """The :data:`OUTCOME_TABLE` row that classifies ``reaction``."""
+    if reaction in (Reaction.NO_FAULT, Reaction.CORRECTED):
+        return KIND_NONE
+    if reaction is Reaction.DETECTED:
+        return KIND_DETECTED
+    if reaction is Reaction.MISCORRECTED and miscorrect_corrupts:
+        return KIND_CORRUPTS
+    # UNDETECTED, or MISCORRECTED treated as silent corruption of live data
+    return KIND_UNDETECTED
+
+
 def classify_region(
     reaction: Reaction,
     ace: IntervalSet,
@@ -231,21 +261,8 @@ def classify_region(
     regions raise true DUEs on ACE time and false DUEs on read-dead time;
     undetected regions turn ACE time into SDC and mask everything else.
     """
-    if reaction in (Reaction.NO_FAULT, Reaction.CORRECTED):
+    kind = reaction_kind(reaction, miscorrect_corrupts=miscorrect_corrupts)
+    if kind == KIND_NONE:
         return IntervalSet()
-    if reaction is Reaction.DETECTED:
-        table = {
-            int(AceClass.ACE): int(Outcome.TRUE_DUE),
-            int(AceClass.READ_DEAD): int(Outcome.FALSE_DUE),
-        }
-    elif reaction is Reaction.MISCORRECTED and miscorrect_corrupts:
-        table = {
-            int(AceClass.ACE): int(Outcome.SDC),
-            int(AceClass.READ_DEAD): int(Outcome.SDC),
-        }
-    else:  # UNDETECTED, or MISCORRECTED treated as silent corruption of live data
-        table = {
-            int(AceClass.ACE): int(Outcome.SDC),
-            int(AceClass.READ_DEAD): 0,
-        }
-    return ace.map_class(lambda c: table.get(c, 0))
+    row = OUTCOME_TABLE[kind]
+    return ace.map_class(lambda c: row[c] if c < len(row) else 0)

@@ -101,3 +101,29 @@ class TestLds:
     def test_zero_initialised(self):
         lds = Lds(64)
         assert (lds.load32(np.array([0, 4], dtype=np.uint32)) == 0).all()
+
+
+class TestDuplicateStores:
+    """Two active lanes storing to one word: the highest lane's value wins.
+
+    Lanes are stored in lane order, so the last write to a word is the one
+    memory keeps.  A gather/scatter rewrite of ``store32`` must keep this.
+    """
+
+    ADDRS = [0, 8, 0, 4, 8]  # byte offsets per lane: words 0 and 8 repeat
+    VALUES = [0x11111111, 0x22222222, 0x33333333, 0x44444444, 0xDEADBEEF]
+
+    def _check(self, store32, load32, base):
+        addrs = np.array(self.ADDRS, dtype=np.uint32) + np.uint32(base)
+        store32(addrs, np.array(self.VALUES, dtype=np.uint32))
+        words = np.array([base, base + 4, base + 8], dtype=np.uint32)
+        assert load32(words).tolist() == [0x33333333, 0x44444444, 0xDEADBEEF]
+
+    def test_global_memory_last_lane_wins(self):
+        mem = GlobalMemory()
+        base = mem.alloc("x", 16)
+        self._check(mem.store32, mem.load32, base)
+
+    def test_lds_last_lane_wins(self):
+        lds = Lds(64)
+        self._check(lds.store32, lds.load32, 0)

@@ -1,10 +1,10 @@
 """Band-deduplicated enumeration vs both enumeration references.
 
 The production enumerator windows one representative per distinct row band
-and weights its windows by how often the band occurs.  It must return the
-same signature dict, in the same insertion order, as the whole-array
-windowed enumerator it replaced, and the same multiset as the per-placement
-reference.  Random lifetimes rarely repeat a row, so the arrays here are
+and weights its windows by how often the band occurs.  Its keys, decoded
+with the reference decoder, must give the same signature dict, in the same
+insertion order, as the whole-array windowed enumerator it replaced, and the
+same multiset as the per-placement reference.  Random lifetimes rarely repeat a row, so the arrays here are
 stacked the way :meth:`AvfStudy._stacked_vgpr` stacks wavefronts: one
 block's layout and lifetimes tiled several times, byte and domain ids
 offset per block.
@@ -101,6 +101,12 @@ def _stacked(base, rng, n_blocks=5):
     return array, StructureLifetimes("t", isets, 0, 120)
 
 
+def _signatures(array, byte2iid, mode):
+    """The production enumeration, decoded into reference signatures."""
+    keys, weights, n_bands = _enumerate_signatures(array, byte2iid, mode)
+    return ref.sigs_from_keys(keys, weights, mode.n_bits), n_bands
+
+
 def _nonempty(sigs):
     """The per-placement reference also counts all-empty placements."""
     return {sig: n for sig, n in sigs.items() if any(ids for _, ids in sig)}
@@ -113,7 +119,7 @@ def test_stacked_arrays_match_both_references(layout, seed):
     array, lts = _stacked(LAYOUTS[layout], rng)
     byte2iid = _canonical_iset_ids(lts).byte2iid
     for mode in MODES:
-        got, n_bands = _enumerate_signatures(array, byte2iid, mode)
+        got, n_bands = _signatures(array, byte2iid, mode)
         windowed = ref.enumerate_signatures_windowed_ref(array, byte2iid, mode)
         assert got == windowed, mode.name
         assert list(got) == list(windowed), mode.name
@@ -148,7 +154,7 @@ def test_band_key_keeps_cross_row_domain_stride():
     array = SramArray("t", byte_of, domain_of, 4, 1, Interleaving.NONE)
     byte2iid = _canonical_iset_ids(lts).byte2iid
     for mode in (FaultMode.rect(2, 1), FaultMode.rect(2, 2), MODES[-1]):
-        got, n_bands = _enumerate_signatures(array, byte2iid, mode)
+        got, n_bands = _signatures(array, byte2iid, mode)
         assert got == ref.enumerate_signatures_windowed_ref(
             array, byte2iid, mode
         ), mode.name
@@ -173,12 +179,15 @@ def test_enumerate_span_records_rows_and_bands():
     finally:
         obs.disable()
     (span,) = [e for e in tracer.events if e.name == "enumerate"]
-    sigs, n_bands = _enumerate_signatures(
+    sigs, n_bands = _signatures(
         array, _canonical_iset_ids(lts).byte2iid, mode
     )
+    multisets = {
+        tuple(sorted((n, tuple(sorted(ids))) for n, ids in sig)) for sig in sigs
+    }
     assert span.args == {
         "structure": "t", "mode": mode.name, "rows": array.rows,
-        "bands": n_bands, "signatures": len(sigs),
+        "bands": n_bands, "signatures": len(multisets),
     }
 
 
@@ -214,7 +223,7 @@ def test_real_workload_grid_matches_windowed_reference():
         for array, lt in cases:
             byte2iid = _canonical_iset_ids(lt).byte2iid
             for mode in list(MX1_MODES) + [FaultMode.rect(2, 2)]:
-                got, _ = _enumerate_signatures(array, byte2iid, mode)
+                got, _ = _signatures(array, byte2iid, mode)
                 want = ref.enumerate_signatures_windowed_ref(
                     array, byte2iid, mode
                 )

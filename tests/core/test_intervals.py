@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.core._reference import bucket_accumulate_ref, combine_outcomes_ref
 from repro.core.intervals import (
     AceClass,
     IntervalSet,
     Outcome,
-    combine_outcomes,
     sweep_max,
 )
 
@@ -138,7 +138,7 @@ class TestTransforms:
     def test_bucket_accumulate(self):
         s = IntervalSet([(0, 10, 2), (15, 25, 1)])
         out = [[0] * 3 for _ in range(3)]
-        s.bucket_accumulate([0, 10, 20, 30], out)
+        bucket_accumulate_ref(s, [0, 10, 20, 30], out)
         assert out[0][2] == 10
         assert out[1][1] == 5
         assert out[2][1] == 5
@@ -191,6 +191,8 @@ class TestSweepMax:
 
 
 class TestCombineOutcomes:
+    """The combination rules, on the reference the grouped sweep matches."""
+
     def _due(self, *ivals):
         return IntervalSet([(s, e, int(Outcome.TRUE_DUE)) for s, e in ivals])
 
@@ -199,20 +201,20 @@ class TestCombineOutcomes:
 
     def test_default_precedence_sdc_wins(self):
         # Sec. VII-B: SDC ACE + DUE ACE overlapping => SDC for caches.
-        out = combine_outcomes([self._sdc((0, 10)), self._due((0, 10))])
+        out = combine_outcomes_ref([self._sdc((0, 10)), self._due((0, 10))])
         assert out.total(int(Outcome.SDC)) == 10
         assert out.total_at_least(int(Outcome.TRUE_DUE)) == 10
 
     def test_due_preempts_sdc(self):
         # Sec. VIII: simultaneous read converts overlapping SDC+DUE to DUE.
-        out = combine_outcomes(
+        out = combine_outcomes_ref(
             [self._sdc((0, 10)), self._due((0, 10))], due_preempts_sdc=True
         )
         assert out.total(int(Outcome.SDC)) == 0
         assert out.total(int(Outcome.TRUE_DUE)) == 10
 
     def test_due_preempts_sdc_partial_overlap(self):
-        out = combine_outcomes(
+        out = combine_outcomes_ref(
             [self._sdc((0, 20)), self._due((5, 10))], due_preempts_sdc=True
         )
         assert out.intervals() == [
@@ -223,14 +225,14 @@ class TestCombineOutcomes:
 
     def test_preempt_with_false_due(self):
         fd = IntervalSet([(0, 10, int(Outcome.FALSE_DUE))])
-        out = combine_outcomes([self._sdc((0, 10)), fd], due_preempts_sdc=True)
+        out = combine_outcomes_ref([self._sdc((0, 10)), fd], due_preempts_sdc=True)
         # Detection still fires; the error it stops was real, so true DUE.
         assert out.total(int(Outcome.TRUE_DUE)) == 10
 
     def test_sdc_alone_not_preempted(self):
-        out = combine_outcomes([self._sdc((0, 10))], due_preempts_sdc=True)
+        out = combine_outcomes_ref([self._sdc((0, 10))], due_preempts_sdc=True)
         assert out.total(int(Outcome.SDC)) == 10
 
     def test_empty(self):
-        assert not combine_outcomes([], due_preempts_sdc=True)
-        assert not combine_outcomes([IntervalSet()])
+        assert not combine_outcomes_ref([], due_preempts_sdc=True)
+        assert not combine_outcomes_ref([IntervalSet()])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core._reference import bucket_accumulate_ref
 from repro.core.avf import StructureLifetimes, compute_mb_avf, compute_sb_avf
 from repro.core.faultmodes import FaultMode
 from repro.core.intervals import AceClass, IntervalSet, sweep_max
@@ -79,7 +80,7 @@ class TestIntervalProperties:
         span_lo, span_hi = iset.span()
         edges = list(range(0, 260, 20))
         out = [[0] * 4 for _ in range(len(edges) - 1)]
-        iset.bucket_accumulate(edges, out)
+        bucket_accumulate_ref(iset, edges, out)
         for cls in (1, 2, 3):
             clipped = iset.clip(edges[0], edges[-1])
             assert sum(row[cls] for row in out) == clipped.total(cls)
@@ -233,6 +234,55 @@ class TestAvfEngineProperties:
         pre = compute_mb_avf(arr, lt, mode, Parity(), due_preempts_sdc=True)
         assert pre.sdc_avf <= plain.sdc_avf + 1e-12
         assert pre.total_avf == pytest.approx(plain.total_avf, abs=1e-12)
+
+
+@pytest.fixture(scope="module", params=["vectoradd", "transpose"])
+def real_structures(request):
+    """A simulated workload's L1 and stacked VGPR as (array, lifetimes)."""
+    from repro.experiments import build_study
+
+    study = build_study(request.param, n_cus=1)
+    return [
+        (study._cache_layout("l1", Interleaving.WAY_PHYSICAL, 2, 4), lt)
+        for lt in study.l1_lifetimes()
+    ] + [
+        study._stacked_vgpr(Interleaving.INTRA_THREAD, 2),
+        study._stacked_vgpr(Interleaving.INTER_THREAD, 4),
+    ]
+
+
+REAL_MODES = [FaultMode.linear(1), FaultMode.linear(3), FaultMode.rect(2, 2)]
+
+
+class TestRealWorkloadProperties:
+    """Engine invariants on simulated lifetimes, not toy ones."""
+
+    def test_window_series_sums_to_outcome_cycles(self, real_structures):
+        for array, lts in real_structures:
+            lo, hi = lts.start_cycle, lts.end_cycle
+            edges = [lo, lo + (hi - lo) // 3, lo + (hi - lo) // 2, hi]
+            for mode in REAL_MODES:
+                for scheme in ("parity", "secded"):
+                    res = compute_mb_avf(
+                        array, lts, mode, SCHEMES[scheme],
+                        due_preempts_sdc=True, series_edges=edges,
+                    )
+                    for outcome, cycles in res.outcome_cycles.items():
+                        assert res.series[:, int(outcome)].sum() == cycles
+
+    def test_unprotected_1x1_sdc_is_sb_ace_fraction(self, real_structures):
+        for array, lts in real_structures:
+            sdc = compute_sb_avf(array, lts, NoProtection()).sdc_avf
+            assert sdc == pytest.approx(lts.sb_ace_fraction(), rel=1e-12)
+
+    def test_outcome_avfs_partition_at_most_one(self, real_structures):
+        for array, lts in real_structures:
+            for mode in REAL_MODES:
+                for scheme in SCHEMES.values():
+                    res = compute_mb_avf(array, lts, mode, scheme)
+                    avfs = [res.sdc_avf, res.true_due_avf, res.false_due_avf]
+                    assert min(avfs) >= 0.0
+                    assert sum(avfs) <= 1.0
 
 
 class TestLayoutProperties:

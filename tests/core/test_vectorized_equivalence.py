@@ -1,9 +1,10 @@
 """Equivalence suite: vectorized engine vs the pure-Python reference.
 
-The numpy interval kernels, the band-deduplicated enumerator and the batch API
-must be *bit-for-bit* interchangeable with the reference implementations
-preserved in :mod:`repro.core._reference` — same intervals, same signature
-multisets, same outcome cycles, same series arrays.  Randomized inputs are
+The numpy interval kernels, the band-deduplicated enumerator and the batch
+API's grouped classify-and-integrate sweep must be *bit-for-bit*
+interchangeable with the reference implementations preserved in
+:mod:`repro.core._reference` — same intervals, same signature multisets,
+same outcome cycles, same series arrays.  Randomized inputs are
 seeded (hypothesis + a fixed-seed numpy generator) so failures replay.
 
 Every kernel is exercised on both dispatch paths: the tiny-input Python
@@ -12,6 +13,7 @@ numpy) and to a huge value (always Python) and comparing against the
 reference either way.
 """
 
+import itertools
 from collections import Counter
 from contextlib import contextmanager
 
@@ -95,16 +97,6 @@ def test_sweep_max_matches_reference(sets, cutoff):
 
 
 @settings(max_examples=60, deadline=None)
-@given(sets=set_lists, due=st.booleans())
-@pytest.mark.parametrize("cutoff", CUTOFFS)
-def test_combine_outcomes_matches_reference(sets, due, cutoff):
-    with kernel_cutoff(cutoff):
-        got = iv.combine_outcomes(sets, due_preempts_sdc=due)
-    want = ref.combine_outcomes_ref(sets, due_preempts_sdc=due)
-    assert as_tuples(got) == as_tuples(want)
-
-
-@settings(max_examples=60, deadline=None)
 @given(iset=interval_sets(), lo=st.integers(0, 200), span=st.integers(0, 200))
 # an empty window inside an interval: the numpy path once returned [(1, 1, 1)]
 @example(iset=IntervalSet([(0, 2, 1)]), lo=1, span=0)
@@ -144,22 +136,6 @@ def test_intersection_duration_matches_reference(a, b, klass, cutoff):
     with kernel_cutoff(cutoff):
         got = intersection_duration(a, b, klass)
     assert got == ref.intersection_duration_ref(a, b, klass)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    iset=interval_sets(),
-    edges=st.lists(st.integers(0, 220), min_size=2, max_size=8, unique=True),
-)
-@pytest.mark.parametrize("cutoff", CUTOFFS)
-def test_bucket_accumulate_matches_reference(iset, edges, cutoff):
-    edges = np.asarray(sorted(edges), dtype=np.int64)
-    got = np.zeros((len(edges) - 1, 4), dtype=np.float64)
-    want = np.zeros_like(got)
-    with kernel_cutoff(cutoff):
-        iset.bucket_accumulate(edges, got)
-    ref.bucket_accumulate_ref(iset, edges, want)
-    np.testing.assert_array_equal(got, want)
 
 
 # -- _unique_rows --------------------------------------------------------------
@@ -245,7 +221,8 @@ def test_enumerator_matches_reference(seed, mode):
     )
     lts = _random_lifetimes(rng, array.n_bytes)
     canon = _canonical_iset_ids(lts)
-    got, _ = _enumerate_signatures(array, canon.byte2iid, mode)
+    keys, weights, _ = _enumerate_signatures(array, canon.byte2iid, mode)
+    got = ref.sigs_from_keys(keys, weights, mode.n_bits)
     want = ref.enumerate_signatures_ref(array, canon.byte2iid, mode)
     # The production enumerator drops all-lifetime-empty placements (they
     # classify to nothing); the reference emits their signature.  Outcomes
@@ -332,8 +309,8 @@ def test_batch_reuses_caches(monkeypatch):
         obs.get_metrics().reset()
         compute_mb_avf_batch(array, lts, configs)
         snap = obs.get_metrics().snapshot()
-        # config 2 re-enumerates nothing and re-classifies nothing: the
-        # memoized enumeration and the combined-outcome cache both hit.
+        # config 3 re-enumerates nothing and re-classifies nothing: the
+        # memoized enumeration and the config-result cache both hit.
         assert snap["counters"]["avf.batch_cache_hits"] > 0
         assert snap["counters"]["avf.computations"] == 3
     finally:
@@ -353,3 +330,164 @@ def test_ace_locality_matches_reference(seed):
     lts2 = _random_lifetimes(rng, array.n_bytes)
     want = ref.ace_locality_ref(array, lts2)
     assert got == want
+
+
+# -- grouped classify + integrate vs the per-signature reference --------------
+
+GROUPED_MODES = [
+    FaultMode.linear(1),
+    FaultMode.linear(2),
+    FaultMode.linear(3),
+    FaultMode.linear(8),
+    FaultMode.rect(2, 2),
+    FaultMode.rect(4, 4),
+]
+
+#: no series; edges that start before and end after the [0, 120) window;
+#: one bucket over exactly the window; uneven buckets inside it; one
+#: bucket wholly before it
+SERIES_EDGES = [
+    None, (-20, 30, 60, 150), (0, 120), (10, 11, 50, 119), (-100, -50),
+]
+
+
+def _assert_same_results(got, want, configs):
+    assert len(got) == len(want) == len(configs)
+    for cfg, g, w in zip(configs, got, want):
+        assert g.outcome_cycles == w.outcome_cycles, cfg
+        assert g.n_groups == w.n_groups, cfg
+        if w.series is None:
+            assert g.series is None, cfg
+        else:
+            np.testing.assert_array_equal(g.series, w.series, err_msg=str(cfg))
+            np.testing.assert_array_equal(g.series_edges, w.series_edges)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "style", [Interleaving.NONE, Interleaving.WAY_PHYSICAL], ids=["none", "way"]
+)
+def test_grouped_batch_matches_reference(seed, style):
+    rng = np.random.default_rng(seed)
+    array = build_cache_array(
+        4, 2, 16, domain_bytes=4, style=style,
+        factor=1 if style is Interleaving.NONE else 2, name="t",
+    )
+    lts = _random_lifetimes(rng, array.n_bytes)
+    grid = itertools.product(
+        GROUPED_MODES, SCHEMES.values(), (False, True), (False, True)
+    )
+    # the edge variants take turns; five of them against the four
+    # (due, corrupts) pairs, so every pair meets every variant
+    configs = [
+        AvfConfig(
+            mode=mode, scheme=scheme, due_preempts_sdc=due,
+            miscorrect_corrupts=corrupts,
+            series_edges=SERIES_EDGES[i % len(SERIES_EDGES)],
+        )
+        for i, (mode, scheme, due, corrupts) in enumerate(grid)
+    ]
+    got = compute_mb_avf_batch(array, lts, configs)
+    want = ref.compute_mb_avf_batch_ref(array, lts, configs)
+    _assert_same_results(got, want, configs)
+    # a second pass answers every config from the result cache, unchanged
+    _assert_same_results(compute_mb_avf_batch(array, lts, configs), want, configs)
+
+
+@pytest.mark.parametrize("window", [(0, 120), (50, 50)], ids=["window", "none"])
+def test_grouped_batch_all_empty_lifetimes(window):
+    array = build_cache_array(4, 2, 16, domain_bytes=4, name="t")
+    lts = StructureLifetimes(
+        "t", [IntervalSet() for _ in range(array.n_bytes)], *window
+    )
+    configs = [
+        AvfConfig(
+            mode=mode, scheme=SCHEMES["parity"], due_preempts_sdc=due,
+            series_edges=(0, 60, 120),
+        )
+        for mode in GROUPED_MODES
+        for due in (False, True)
+    ]
+    got = compute_mb_avf_batch(array, lts, configs)
+    _assert_same_results(
+        got, ref.compute_mb_avf_batch_ref(array, lts, configs), configs
+    )
+    for res in got:
+        assert set(res.outcome_cycles.values()) == {0.0}
+        assert not res.series.any()
+        assert res.total_avf == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("mode", GROUPED_MODES, ids=[m.name for m in GROUPED_MODES])
+def test_unique_signatures_count_region_multisets(seed, mode):
+    """``avf.unique_signatures`` counts distinct multisets of regions.
+
+    Each region is (faulty bits, member lifetime ids); the multisets are
+    keyed here by a total order on sorted id tuples.
+    """
+    from repro import obs
+
+    rng = np.random.default_rng(seed)
+    array = build_cache_array(
+        4, 2, 16, domain_bytes=4,
+        style=Interleaving.WAY_PHYSICAL, factor=2, name="t",
+    )
+    lts = _random_lifetimes(rng, array.n_bytes)
+    canon = _canonical_iset_ids(lts)
+    keys, weights, _ = _enumerate_signatures(array, canon.byte2iid, mode)
+    multisets = {
+        tuple(sorted((n, tuple(sorted(ids))) for n, ids in sig))
+        for sig in ref.sigs_from_keys(keys, weights, mode.n_bits)
+    }
+    registry, _ = obs.enable()
+    try:
+        compute_mb_avf(array, lts, mode, SCHEMES["parity"])
+        counters = registry.snapshot()["counters"]
+    finally:
+        obs.disable()
+    assert counters["avf.unique_signatures"] == len(multisets)
+
+
+#: every L1 interleaving and every register-file interleaving the studies use
+L1_LAYOUTS = [
+    (Interleaving.NONE, 1),
+    (Interleaving.LOGICAL, 2),
+    (Interleaving.WAY_PHYSICAL, 2),
+    (Interleaving.INDEX_PHYSICAL, 2),
+    (Interleaving.WAY_PHYSICAL, 4),
+]
+VGPR_LAYOUTS = [
+    (style, factor)
+    for style in (Interleaving.INTRA_THREAD, Interleaving.INTER_THREAD)
+    for factor in (1, 2, 4)
+]
+
+
+@pytest.mark.parametrize("workload", ["vectoradd", "transpose"])
+def test_real_workload_grid_matches_reference(workload):
+    from repro.experiments import build_study
+
+    study = build_study(workload, n_cus=1)
+    edges = tuple(np.linspace(0, study.end_cycle, 9).astype(int).tolist())
+    configs = [
+        AvfConfig(
+            mode=mode, scheme=SCHEMES[scheme], due_preempts_sdc=due,
+            series_edges=edges if mode.n_bits == 2 else None,
+        )
+        for mode in (
+            FaultMode.linear(1), FaultMode.linear(2), FaultMode.linear(3),
+            FaultMode.linear(8), FaultMode.rect(2, 2),
+        )
+        for scheme in ("parity", "secded", "dected")
+        for due in (False, True)
+    ]
+    cases = [
+        (study._cache_layout("l1", style, factor, 4), lt)
+        for style, factor in L1_LAYOUTS
+        for lt in study.l1_lifetimes()
+    ] + [study._stacked_vgpr(style, factor) for style, factor in VGPR_LAYOUTS]
+    for array, lts in cases:
+        got = compute_mb_avf_batch(array, lts, configs)
+        want = ref.compute_mb_avf_batch_ref(array, lts, configs)
+        _assert_same_results(got, want, configs)
