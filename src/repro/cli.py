@@ -540,52 +540,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_store(args) -> int:
-    """``repro store verify|rebuild``: self-healing maintenance for a
-    results store (runbook: docs/results-store.md)."""
-    from .store import rebuild_store, verify_store
-
-    if args.action == "verify":
-        report = verify_store(args.store, quick=args.quick)
-
-        def render() -> None:
-            print(f"store: {report['path']}")
-            for name, value in sorted(report["checks"].items()):
-                print(f"  {name}: {value}")
-            if report["ok"]:
-                print("verdict: ok")
-            else:
-                for problem in report["problems"]:
-                    print(f"  problem: {problem}")
-                print(
-                    "verdict: UNHEALTHY — rebuild from journals with "
-                    "'repro store rebuild --store ... --from-journal ...'"
-                )
-
-        _emit(args, report, render)
-        return 0 if report["ok"] else 1
-
-    result = rebuild_store(
-        args.store, args.journals or (), shard_dir=args.shard_dir
-    )
-
-    def render() -> None:
-        print(f"store: {result['path']}")
-        if result["quarantined"]:
-            print(f"  quarantined old file: {result['quarantined']}")
-        print(
-            f"  replayed {result['journals']} journal(s): "
-            f"{result['ingested']} ingested, {result['deduped']} deduped"
-        )
-        verdict = result["verify"]
-        print(f"verdict: {'ok' if verdict['ok'] else 'UNHEALTHY'}")
-        for problem in verdict["problems"]:
-            print(f"  problem: {problem}")
-
-    _emit(args, result, render)
-    return 0 if result["verify"]["ok"] else 1
-
-
 def _cmd_stats(args) -> int:
     """Run a workload plus one AVF measurement with full observability on,
     then print the per-stage timing and metrics report."""
@@ -869,40 +823,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="output directory for 'build' (default: report/)",
     )
 
-    p_store = subs.add_parser(
-        "store",
-        help="results-store maintenance: verify integrity, or quarantine "
-             "a damaged store and rebuild it from campaign journals",
-    )
-    p_store.add_argument(
-        "action", choices=("verify", "rebuild"),
-        help="'verify' runs sqlite integrity + schema/row-count checks "
-             "(exit 1 on problems); 'rebuild' quarantines the file and "
-             "replays journals through the idempotent ingest",
-    )
-    p_store.add_argument(
-        "--store", metavar="PATH", required=True,
-        help="the sqlite results store to check or rebuild",
-    )
-    p_store.add_argument(
-        "--quick", action="store_true",
-        help="verify with PRAGMA quick_check (faster, skips index "
-             "consistency) instead of the full integrity_check",
-    )
-    p_store.add_argument(
-        "--from-journal", dest="journals", action="append", default=None,
-        metavar="JOURNAL",
-        help="campaign journal to replay during 'rebuild' (repeatable; "
-             "at least one is required)",
-    )
-    p_store.add_argument(
-        "--shard-dir", metavar="DIR", default=None,
-        help="fabric node shard directory to merge into the first "
-             "--from-journal before replaying ('rebuild' only)",
-    )
-    _add_obs_args(p_store)
-    _add_json_arg(p_store)
-
     p_stats = subs.add_parser(
         "stats",
         help="profile a workload + AVF measurement and print stage "
@@ -993,20 +913,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"--store {store_path}: directory {parent} "
                     "does not exist"
                 )
-    if args.command == "store":
-        if args.action == "rebuild":
-            if not args.journals:
-                parser.error(
-                    "store rebuild requires at least one --from-journal "
-                    "(the journals are the durable record to replay)"
-                )
-            for journal in args.journals:
-                if not os.path.exists(journal):
-                    parser.error(f"--from-journal {journal}: does not exist")
-            if args.shard_dir and not os.path.isdir(args.shard_dir):
-                parser.error(f"--shard-dir {args.shard_dir}: not a directory")
-        elif args.journals or args.shard_dir:
-            parser.error("--from-journal/--shard-dir are 'rebuild' options")
     if args.command == "query" and args.group_by:
         from .store import FILTER_COLUMNS
 
@@ -1029,7 +935,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "mttf": _cmd_mttf,
         "query": _cmd_query,
         "report": _cmd_report,
-        "store": _cmd_store,
         "stats": _cmd_stats,
         "lint": _cmd_lint,
     }

@@ -22,13 +22,19 @@ import numpy as np
 
 from .intervals import AceClass, Interval, IntervalSet, Outcome
 from .layout import SramArray
-from .protection import ProtectionScheme, classify_region
+from .protection import (
+    KIND_NONE,
+    OUTCOME_TABLE,
+    ProtectionScheme,
+    Reaction,
+    reaction_kind,
+)
 
 __all__ = [
     "sweep_max_ref",
     "combine_outcomes_ref",
     "map_class_ref",
-    "clip_ref",
+    "classify_region",
     "bucket_accumulate_ref",
     "total_ref",
     "total_at_least_ref",
@@ -150,14 +156,26 @@ def map_class_ref(iset: IntervalSet, fn: Callable[[int], int]) -> IntervalSet:
     return IntervalSet._from_sorted(out)
 
 
-def clip_ref(iset: IntervalSet, start: int, end: int) -> IntervalSet:
-    """Per-interval window restriction."""
-    out: List[Interval] = []
-    for s, e, c in iset:
-        s2, e2 = max(s, start), min(e, end)
-        if s2 < e2:
-            out.append((s2, e2, c))
-    return IntervalSet._from_sorted(out)
+def classify_region(
+    reaction: Reaction,
+    ace: IntervalSet,
+    *,
+    miscorrect_corrupts: bool = False,
+) -> IntervalSet:
+    """Map an overlapped region's ACE intervals to fault outcomes (eq. 6).
+
+    ``ace`` carries :class:`AceClass` labels; the result carries
+    :class:`Outcome` labels.  Corrected regions contribute nothing; detected
+    regions raise true DUEs on ACE time and false DUEs on read-dead time;
+    undetected regions turn ACE time into SDC and mask everything else.
+    The engine's grouped classify reads the same
+    :data:`~repro.core.protection.OUTCOME_TABLE` row per region.
+    """
+    kind = reaction_kind(reaction, miscorrect_corrupts=miscorrect_corrupts)
+    if kind == KIND_NONE:
+        return IntervalSet()
+    row = OUTCOME_TABLE[kind]
+    return map_class_ref(ace, lambda c: row[c] if c < len(row) else 0)
 
 
 def bucket_accumulate_ref(iset: IntervalSet, edges: Sequence[int], out) -> None:

@@ -555,7 +555,7 @@ class _Signatures:
             - (np.cumsum(count) - count)[owner]
         )
         # classes outside the table classify to nothing, as in
-        # classify_region
+        # _reference.classify_region
         cls = canon.cls[idx]
         known = cls < _OUTCOMES.shape[1]
         outcome = np.where(

@@ -21,8 +21,8 @@ the lifetime trackers land in a small Python staging list and are folded
 into the arrays on first read, so trace replay stays cheap while the
 analysis kernels get flat arrays.
 
-The hot operations (:func:`sweep_max`, :meth:`IntervalSet.clip`, the
-totals and :func:`intersection_duration`) each have a vectorized numpy
+The hot operations (:func:`sweep_max`, the totals and
+:func:`intersection_duration`) each have a vectorized numpy
 kernel and a plain-Python small-input path; real lifetime sets are
 usually a handful of intervals, where numpy's per-call overhead loses to
 a tuple loop.  Both paths are property-tested to produce
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import bisect
 from enum import IntEnum
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -277,20 +277,6 @@ class IntervalSet:
             )
         return int(((e - s) * (c >= klass)).sum())
 
-    def durations(self, nclasses: int) -> List[int]:
-        """Per-class durations, index = class.  Index 0 is always 0."""
-        s, e, c = self._arrays()
-        if len(s) < SMALL_KERNEL_CUTOFF:
-            out = [0] * nclasses
-            for is_, ie, ic in self._tuple_view():
-                out[ic] += ie - is_
-            return out
-        return (
-            np.bincount(c, weights=(e - s), minlength=nclasses)
-            .astype(np.int64, copy=False)
-            .tolist()
-        )
-
     def class_at(self, cycle: int) -> int:
         """The class in effect at ``cycle`` (0 if no interval covers it)."""
         view = self._tuple_view()
@@ -301,69 +287,7 @@ class IntervalSet:
                 return c
         return 0
 
-    def span(self) -> Tuple[int, int]:
-        """``(min start, max end)`` over stored intervals; (0, 0) if empty."""
-        s, e, _ = self._arrays()
-        if not len(s):
-            return (0, 0)
-        return (int(s[0]), int(e[-1]))
-
-    # -- transforms --------------------------------------------------------
-
-    def clip(self, start: int, end: int) -> "IntervalSet":
-        """Restrict to the window ``[start, end)``; empty when ``start >= end``."""
-        if start >= end:
-            return IntervalSet._from_arrays(_EMPTY, _EMPTY, _EMPTY)
-        s, e, c = self._arrays()
-        n = len(s)
-        if n < SMALL_KERNEL_CUTOFF:
-            out: List[Interval] = []
-            for is_, ie, ic in self._tuple_view():
-                s2, e2 = max(is_, start), min(ie, end)
-                if s2 < e2:
-                    out.append((s2, e2, ic))
-            return IntervalSet._from_sorted(out)
-        # First interval ending after `start`, first interval starting at or
-        # after `end`: everything between overlaps the window.
-        i0 = int(np.searchsorted(e, start, side="right"))
-        i1 = int(np.searchsorted(s, end, side="left"))
-        if i0 >= i1:
-            return IntervalSet._from_arrays(_EMPTY, _EMPTY, _EMPTY)
-        s2 = np.clip(s[i0:i1], start, end)
-        e2 = np.clip(e[i0:i1], start, end)
-        return IntervalSet._from_arrays(s2, e2, c[i0:i1].copy())
-
-    def map_class(self, fn: Callable[[int], int]) -> "IntervalSet":
-        """Remap classes through ``fn``; class-0 results are dropped."""
-        s, e, c = self._arrays()
-        n = len(s)
-        if n < SMALL_KERNEL_CUTOFF:
-            out: List[Interval] = []
-            for is_, ie, ic in self._tuple_view():
-                c2 = fn(ic)
-                if c2 == 0:
-                    continue
-                if out and out[-1][1] == is_ and out[-1][2] == c2:
-                    ps, _, pc = out[-1]
-                    out[-1] = (ps, ie, pc)
-                else:
-                    out.append((is_, ie, c2))
-            return IntervalSet._from_sorted(out)
-        # Apply fn once per distinct class, remap, drop zeros, coalesce.
-        present = np.unique(c)
-        lut = {int(k): int(fn(int(k))) for k in present}
-        c2 = np.array([lut[int(k)] for k in c], dtype=np.int64)
-        keep = c2 != 0
-        if not keep.any():
-            return IntervalSet._from_arrays(_EMPTY, _EMPTY, _EMPTY)
-        ks, ke, kc = s[keep], e[keep], c2[keep]
-        join = (ks[1:] == ke[:-1]) & (kc[1:] == kc[:-1])
-        head = np.empty(len(ks), dtype=bool)
-        head[0] = True
-        np.logical_not(join, out=head[1:])
-        idx = np.flatnonzero(head)
-        ends = ke[np.append(idx[1:] - 1, len(ks) - 1)]
-        return IntervalSet._from_arrays(ks[idx].copy(), ends, kc[idx].copy())
+    # -- kernels -----------------------------------------------------------
 
     def _coverage_at(
         self, t: np.ndarray, mask: np.ndarray = None

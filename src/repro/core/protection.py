@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Tuple
 
-from .intervals import IntervalSet, Outcome
+from .intervals import Outcome
 
 __all__ = [
     "Reaction",
@@ -40,7 +40,6 @@ __all__ = [
     "SecDed",
     "DecTed",
     "Crc",
-    "classify_region",
     "reaction_kind",
     "OUTCOME_TABLE",
     "SCHEMES",
@@ -246,23 +245,3 @@ def reaction_kind(reaction: Reaction, *, miscorrect_corrupts: bool = False) -> i
         return KIND_CORRUPTS
     # UNDETECTED, or MISCORRECTED treated as silent corruption of live data
     return KIND_UNDETECTED
-
-
-def classify_region(
-    reaction: Reaction,
-    ace: IntervalSet,
-    *,
-    miscorrect_corrupts: bool = False,
-) -> IntervalSet:
-    """Map an overlapped region's ACE intervals to fault outcomes (eq. 6).
-
-    ``ace`` carries :class:`AceClass` labels; the result carries
-    :class:`Outcome` labels.  Corrected regions contribute nothing; detected
-    regions raise true DUEs on ACE time and false DUEs on read-dead time;
-    undetected regions turn ACE time into SDC and mask everything else.
-    """
-    kind = reaction_kind(reaction, miscorrect_corrupts=miscorrect_corrupts)
-    if kind == KIND_NONE:
-        return IntervalSet()
-    row = OUTCOME_TABLE[kind]
-    return ace.map_class(lambda c: row[c] if c < len(row) else 0)

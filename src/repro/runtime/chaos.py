@@ -46,7 +46,6 @@ fabric     ``rpc_partition`` coordinator<->worker link down for a window
 fabric     ``heartbeat_blackout`` a window of heartbeats silently skipped
 store      ``store_locked``  a write txn begins with "database is locked"
 store      ``store_enospc``  commit raises ``OSError(ENOSPC)`` mid-ingest
-store      ``store_corrupt`` store file bytes flipped (applied by tests)
 ========== ================= ============================================
 
 The fabric points (:mod:`repro.runtime.fabric`) model *node-level*
@@ -86,7 +85,7 @@ FABRIC_POINTS = (
     "heartbeat_blackout",
 )
 #: persistence fault points applied inside the results store
-STORE_POINTS = ("store_locked", "store_enospc", "store_corrupt")
+STORE_POINTS = ("store_locked", "store_enospc")
 #: spec fields that are magnitudes, not probabilities
 _MAGNITUDE_FIELDS = ("slow_seconds", "rpc_delay_seconds", "partition_span")
 
@@ -119,7 +118,6 @@ class ChaosSpec:
     heartbeat_blackout: float = 0.0
     store_locked: float = 0.0
     store_enospc: float = 0.0
-    store_corrupt: float = 0.0
     #: added latency when ``slow_task`` fires
     slow_seconds: float = 0.05
     #: added latency when ``rpc_delay`` fires

@@ -762,8 +762,9 @@ class Executor:
         The journal — not the store — is the durable record, so a store
         sink that fails here (full disk, corrupt file, held lock) must
         not fail the completed campaign: the error is reported and
-        counted, and ``repro store rebuild`` (or any later re-ingest)
-        folds the same journal in once the store recovers.
+        counted.  To recover, remove a damaged store file and re-run
+        the same command with ``--resume JOURNAL --store PATH``: every
+        task resumes from the journal and ingest fills the fresh file.
         """
         if self.journal is None:
             return
@@ -786,8 +787,9 @@ class Executor:
                 "warning: results-store ingest failed "
                 f"({type(exc).__name__}: {exc}); the journal at "
                 f"{self.journal.path} remains the durable record — "
-                "re-ingest it once the store is healthy "
-                "(repro store rebuild)",
+                "if the store file is damaged, remove it and re-run "
+                f"with --resume {self.journal.path} --store "
+                f"{getattr(self.store, 'path', self.store)}",
                 file=sys.stderr,
             )
 

@@ -30,7 +30,7 @@ def _is_tracer_receiver(func: ast.Attribute, module: Module) -> bool:
 
     Heuristic: the receiver is a ``get_tracer()`` call, or a name/attr
     whose final segment mentions ``tracer``.  This keeps the rule away
-    from unrelated ``span`` methods (e.g. ``IntervalSet.span()``), whose
+    from unrelated ``span`` methods (e.g. a range object's ``span()``), whose
     call sites take no arguments anyway.
     """
     recv = func.value

@@ -1,11 +1,14 @@
 """``repro.store`` — the persistent results store.
 
-Turns every "compute then print" entry point into "compute once, serve
-forever": campaigns, sweeps and engine batches land in one sqlite file
-(WAL mode, versioned schema, idempotent keyed writes) and are answered
-back out through :meth:`ResultStore.query` with zero simulation work.
-``repro query`` / ``repro report`` are the CLI faces of this package;
-see docs/results-store.md for the schema and the keying rules.
+Turns every "compute then print" entry point into "compute once, read
+many times": campaigns, sweeps and engine batches land in one sqlite
+file (WAL mode, versioned schema, idempotent keyed writes) and are
+answered back out through :meth:`ResultStore.query` with zero
+simulation work.  The file is an index derived from journals and
+seeds: a damaged one is removed and refilled by re-running its producer
+with ``--resume JOURNAL --store PATH``.  ``repro query`` / ``repro
+report`` are the CLI faces of this package; see docs/results-store.md
+for the schema and the keying rules.
 """
 
 from .db import ResultStore, engine_version, open_store
@@ -15,14 +18,12 @@ from .ingest import (
     ingest_results,
     ingest_sweep_points,
 )
-from .maintenance import quarantine_store, rebuild_store, verify_store
 from .query import AvfRow, FILTER_COLUMNS, QueryResult, VALUE_COLUMNS
-from .schema import MIGRATIONS, SCHEMA_VERSION, migrate
+from .schema import SCHEMA_VERSION
 
 __all__ = [
     "AvfRow",
     "FILTER_COLUMNS",
-    "MIGRATIONS",
     "QueryResult",
     "ResultStore",
     "SCHEMA_VERSION",
@@ -32,9 +33,5 @@ __all__ = [
     "ingest_journal",
     "ingest_results",
     "ingest_sweep_points",
-    "migrate",
     "open_store",
-    "quarantine_store",
-    "rebuild_store",
-    "verify_store",
 ]

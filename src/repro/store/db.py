@@ -42,7 +42,7 @@ from typing import (
 
 from ..obs import get_metrics, get_tracer
 from .query import AvfRow, FILTER_COLUMNS, QueryResult, build_where
-from .schema import SCHEMA_VERSION, migrate
+from .schema import SCHEMA_VERSION, ensure_schema
 
 __all__ = ["ResultStore", "engine_version", "open_store"]
 
@@ -120,7 +120,7 @@ def engine_version() -> str:
 
 
 class ResultStore:
-    """Open (creating/migrating as needed) a results database.
+    """Open (creating as needed) a results database.
 
     Context-manager friendly; safe to share a path — not an instance —
     across processes.  All write methods return ``(ingested, deduped)``
@@ -163,7 +163,7 @@ class ResultStore:
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute("PRAGMA foreign_keys=ON")
-        migrate(self._conn)
+        ensure_schema(self._conn)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -182,8 +182,8 @@ class ResultStore:
 
         ``BEGIN IMMEDIATE`` is where a concurrently-held write lock
         surfaces, so that is where the bounded deterministic-backoff
-        retry lives: concurrent dashboard reads plus campaign writes
-        must queue, never surface a raw ``database is locked``.
+        retry lives: concurrent ingesting processes must queue, never
+        surface a raw ``database is locked``.
         """
         seq = self._txn_seq = self._txn_seq + 1
         self._begin_immediate(seq)
@@ -236,26 +236,10 @@ class ResultStore:
             mx.counter("store.deduped").inc(deduped)
         return ingested, deduped
 
-    # -- maintenance ---------------------------------------------------------
-
-    @property
-    def schema_version(self) -> int:
-        return SCHEMA_VERSION
-
-    def integrity_check(self, *, quick: bool = False) -> str:
-        """sqlite's own structural check: 'ok' or a fault description.
-
-        ``quick=True`` runs ``PRAGMA quick_check`` (no cross-index
-        verification) — cheap enough for a readiness probe.
-        """
-        pragma = (
-            "PRAGMA quick_check" if quick else "PRAGMA integrity_check"
-        )
-        rows = self._conn.execute(pragma).fetchall()
-        return "; ".join(str(r[0]) for r in rows)
+    # -- summary -------------------------------------------------------------
 
     def summary(self) -> Dict[str, Any]:
-        """Row counts plus distinct key values, for dashboards and CLI."""
+        """Row counts plus distinct key values, for the report header."""
         out: Dict[str, Any] = {"path": str(self.path)}
         out["avf_results"] = self._scalar(
             "SELECT COUNT(*) FROM avf_results"

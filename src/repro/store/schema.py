@@ -1,4 +1,4 @@
-"""Results-store schema: versioned migrations over stdlib sqlite3.
+"""Results-store schema: one versioned DDL over stdlib sqlite3.
 
 The store is keyed by the canonical configuration tuple the whole
 reproduction revolves around::
@@ -13,21 +13,22 @@ journal record identity ``(source, task)``, and all writers go through
 artifact (a journal, a merged fabric shard set, a batch of
 :class:`~repro.core.avf.MbAvfResult`) changes no rows.
 
-Migrations are append-only: ``MIGRATIONS[i]`` upgrades a version-``i``
-database to version ``i + 1``, and the current version lives in the
-``meta`` table so two processes racing to open the same file apply the
-upgrade exactly once (the loser's ``BEGIN IMMEDIATE`` re-reads the
+The store is an index derived from journals and seeds, so there are no
+migrations: a fresh file is created at :data:`SCHEMA_VERSION`, a current
+one is used as is, and any other version is refused.  The fix for a
+schema change is to remove the file and re-ingest.  The version lives in
+the ``meta`` table so two processes racing to create the same file
+create it exactly once (the loser's ``BEGIN IMMEDIATE`` re-reads the
 version and finds nothing left to do).
 """
 
 from __future__ import annotations
 
 import sqlite3
-from typing import Tuple
 
-__all__ = ["SCHEMA_VERSION", "MIGRATIONS", "migrate", "schema_version"]
+__all__ = ["SCHEMA_VERSION", "ensure_schema", "schema_version"]
 
-_V1 = """
+_DDL = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
@@ -99,17 +100,11 @@ CREATE INDEX IF NOT EXISTS idx_injections_benchmark
     ON injections (benchmark);
 """
 
-#: ``MIGRATIONS[i]`` is the SQL script lifting schema version i to i + 1.
-MIGRATIONS: Tuple[str, ...] = (_V1,)
-
 #: the schema version this build of the code reads and writes
-SCHEMA_VERSION = len(MIGRATIONS)
+SCHEMA_VERSION = 1
 
 _GET_VERSION = "SELECT value FROM meta WHERE key = 'schema_version'"
-_SET_VERSION = (
-    "INSERT INTO meta (key, value) VALUES ('schema_version', ?) "
-    "ON CONFLICT (key) DO UPDATE SET value = excluded.value"
-)
+_SET_VERSION = "INSERT INTO meta (key, value) VALUES ('schema_version', ?)"
 
 
 def schema_version(conn: sqlite3.Connection) -> int:
@@ -124,34 +119,36 @@ def schema_version(conn: sqlite3.Connection) -> int:
     return int(got[0]) if got is not None else 0
 
 
-def migrate(conn: sqlite3.Connection) -> int:
-    """Apply every pending migration; returns the resulting version.
+def ensure_schema(conn: sqlite3.Connection) -> None:
+    """Create the schema in a fresh file; refuse any other version.
 
-    Safe under concurrency: the version check re-runs inside one
-    ``BEGIN IMMEDIATE`` transaction per step, so a process that lost the
-    race sees the bumped version and skips the step.  A database written
-    by a *newer* build is refused rather than misread.
+    Safe under concurrency: on a fresh file the version is re-checked
+    inside one ``BEGIN IMMEDIATE`` transaction, so a process that lost
+    the race to create the tables sees the stamped version and does
+    nothing.  A file stamped with another version (a newer build wrote
+    it) is refused rather than misread.
     """
     version = schema_version(conn)
-    if version > SCHEMA_VERSION:
-        raise RuntimeError(
-            f"results store is schema version {version}, but this build "
-            f"only understands <= {SCHEMA_VERSION}; upgrade the code"
-        )
-    while version < SCHEMA_VERSION:
+    if version == 0:
         conn.execute("BEGIN IMMEDIATE")
         try:
-            current = schema_version(conn)
-            if current == version:
-                for statement in _statements(MIGRATIONS[version]):
+            version = schema_version(conn)
+            if version == 0:
+                for statement in _statements(_DDL):
                     conn.execute(statement)
-                conn.execute(_SET_VERSION, (str(version + 1),))
+                conn.execute(_SET_VERSION, (str(SCHEMA_VERSION),))
+                version = SCHEMA_VERSION
         except BaseException:
             conn.execute("ROLLBACK")
             raise
         conn.execute("COMMIT")
-        version = schema_version(conn)
-    return version
+    if version != SCHEMA_VERSION:
+        raise RuntimeError(
+            f"results store is schema version {version}, but this build "
+            f"reads only version {SCHEMA_VERSION}; upgrade the code, or "
+            "remove the file and re-run the command that produced it "
+            "with --resume JOURNAL --store PATH"
+        )
 
 
 def _statements(script: str):

@@ -16,7 +16,6 @@ class TestIntervalSetConstruction:
         s = IntervalSet()
         assert not s
         assert len(s) == 0
-        assert s.span() == (0, 0)
 
     def test_basic(self):
         s = IntervalSet([(0, 10, 2), (20, 30, 1)])
@@ -102,39 +101,12 @@ class TestQueries:
         assert s.total_at_least(1) == 20
         assert s.total_at_least(2) == 10
 
-    def test_durations(self):
-        s = IntervalSet([(0, 10, 2), (20, 30, 1), (40, 45, 2)])
-        assert s.durations(3) == [0, 10, 15]
-
     def test_total_of_class_zero_is_error(self):
         with pytest.raises(ValueError):
             IntervalSet().total(0)
 
-    def test_span(self):
-        s = IntervalSet([(5, 10, 1), (20, 30, 2)])
-        assert s.span() == (5, 30)
-
 
 class TestTransforms:
-    def test_clip(self):
-        s = IntervalSet([(0, 10, 2), (20, 30, 1)])
-        c = s.clip(5, 25)
-        assert c.intervals() == [(5, 10, 2), (20, 25, 1)]
-
-    def test_clip_to_nothing(self):
-        s = IntervalSet([(0, 10, 2)])
-        assert not s.clip(100, 200)
-
-    def test_map_class(self):
-        s = IntervalSet([(0, 10, 2), (20, 30, 1)])
-        m = s.map_class(lambda c: 3 if c == 2 else 0)
-        assert m.intervals() == [(0, 10, 3)]
-
-    def test_map_class_coalesces(self):
-        s = IntervalSet([(0, 10, 2), (10, 20, 1)])
-        m = s.map_class(lambda c: 1)
-        assert m.intervals() == [(0, 20, 1)]
-
     def test_bucket_accumulate(self):
         s = IntervalSet([(0, 10, 2), (15, 25, 1)])
         out = [[0] * 3 for _ in range(3)]

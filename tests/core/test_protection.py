@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core._reference import classify_region
 from repro.core.intervals import AceClass, IntervalSet, Outcome
 from repro.core.protection import (
     SCHEMES,
@@ -11,7 +12,6 @@ from repro.core.protection import (
     Parity,
     Reaction,
     SecDed,
-    classify_region,
 )
 
 

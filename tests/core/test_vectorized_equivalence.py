@@ -19,7 +19,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import _reference as ref
@@ -94,28 +94,6 @@ def test_sweep_max_matches_reference(sets, cutoff):
     with kernel_cutoff(cutoff):
         got = as_tuples(sweep_max(sets))
     assert got == as_tuples(ref.sweep_max_ref(sets))
-
-
-@settings(max_examples=60, deadline=None)
-@given(iset=interval_sets(), lo=st.integers(0, 200), span=st.integers(0, 200))
-# an empty window inside an interval: the numpy path once returned [(1, 1, 1)]
-@example(iset=IntervalSet([(0, 2, 1)]), lo=1, span=0)
-@example(iset=IntervalSet([(5 * i, 5 * i + 4, 1) for i in range(60)]), lo=12, span=0)
-@pytest.mark.parametrize("cutoff", CUTOFFS)
-def test_clip_matches_reference(iset, lo, span, cutoff):
-    with kernel_cutoff(cutoff):
-        got = iset.clip(lo, lo + span)
-    assert as_tuples(got) == as_tuples(ref.clip_ref(iset, lo, lo + span))
-
-
-@settings(max_examples=60, deadline=None)
-@given(iset=interval_sets(), mapping=st.lists(st.integers(0, 3), min_size=4, max_size=4))
-@pytest.mark.parametrize("cutoff", CUTOFFS)
-def test_map_class_matches_reference(iset, mapping, cutoff):
-    with kernel_cutoff(cutoff):
-        got = iset.map_class(lambda c: mapping[c])
-    want = ref.map_class_ref(iset, lambda c: mapping[c])
-    assert as_tuples(got) == as_tuples(want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -172,7 +172,7 @@ class TestObsDisciplineRules:
     ):
         flagged = findings_for(fixture_findings, "O401")
         assert ("bad_span.py", 13) not in flagged  # with-statement
-        assert ("bad_span.py", 18) not in flagged  # IntervalSet-style .span()
+        assert ("bad_span.py", 18) not in flagged  # non-tracer .span()
 
     def test_o402_cross_file_collision(self, fixture_findings):
         # counter twice in collide_a, gauge once in collide_b: the gauge

@@ -144,90 +144,3 @@ class TestCampaignMergeStore:
         assert "stored: 0 new, 2 already present" in out
         with ResultStore(store_path) as store:
             assert len(store.query()) == 2
-
-
-class TestStoreMaintenanceCommand:
-    """``repro store verify`` / ``repro store rebuild``."""
-
-    def _corrupt(self, path):
-        # mid-file so the header still reads as a sqlite database
-        offset = min(4096, path.stat().st_size // 2)
-        with open(path, "r+b") as fh:
-            fh.seek(offset)
-            fh.write(b"\xde\xad\xbe\xef" * 256)
-
-    def _populated(self, tmp_path):
-        path = tmp_path / "big.sqlite"
-        with ResultStore(path) as store:
-            store.put_avf_rows([avf_row(seed=s) for s in range(50)])
-        return path
-
-    def test_verify_healthy_is_exit_0(self, seeded_path, capsys):
-        assert main(
-            ["store", "verify", "--store", str(seeded_path), "--json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is True
-        assert payload["checks"]["integrity"] == "ok"
-        assert payload["checks"]["rows"]["avf_results"] == 3
-
-    def test_verify_corrupt_is_exit_1_with_runbook_hint(
-        self, tmp_path, capsys
-    ):
-        path = self._populated(tmp_path)
-        self._corrupt(path)
-        assert main(["store", "verify", "--store", str(path)]) == 1
-        out = capsys.readouterr().out
-        assert "UNHEALTHY" in out
-        assert "repro store rebuild" in out
-
-    def test_verify_missing_file_is_exit_1(self, tmp_path, capsys):
-        missing = tmp_path / "absent.sqlite"
-        assert main(["store", "verify", "--store", str(missing)]) == 1
-        assert "does not exist" in capsys.readouterr().out
-
-    def test_rebuild_from_journal(self, tmp_path, capsys):
-        journal = write_journal(
-            tmp_path / "j.jsonl",
-            [point_record("t0"),
-             point_record("t1", point=sweep_point(mode="4x1"))],
-        )
-        path = tmp_path / "r.sqlite"
-        assert main(
-            ["store", "rebuild", "--store", str(path),
-             "--from-journal", str(journal)]
-        ) == 0
-        assert "verdict: ok" in capsys.readouterr().out
-        with ResultStore(path) as store:
-            assert len(store.query()) == 2
-
-    def test_rebuild_quarantines_and_reports_it(self, tmp_path, capsys):
-        journal = write_journal(tmp_path / "j.jsonl",
-                                [point_record("t0")])
-        path = self._populated(tmp_path)
-        self._corrupt(path)
-        assert main(
-            ["store", "rebuild", "--store", str(path),
-             "--from-journal", str(journal)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "quarantined old file" in out
-        assert (tmp_path / "big.sqlite.corrupt-1").exists()
-
-    def test_rebuild_without_journal_is_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["store", "rebuild",
-                  "--store", str(tmp_path / "r.sqlite")])
-
-    def test_rebuild_missing_journal_is_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["store", "rebuild", "--store", str(tmp_path / "r.sqlite"),
-                  "--from-journal", str(tmp_path / "absent.jsonl")])
-
-    def test_verify_rejects_rebuild_only_flags(self, seeded_path,
-                                               tmp_path):
-        journal = write_journal(tmp_path / "j.jsonl",
-                                [point_record("t0")])
-        with pytest.raises(SystemExit):
-            main(["store", "verify", "--store", str(seeded_path),
-                  "--from-journal", str(journal)])

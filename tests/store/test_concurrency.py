@@ -54,7 +54,7 @@ def test_two_processes_converge_without_duplicates(tmp_path):
     """Two workers ingest overlapping journals concurrently: the store
     must converge to exactly the union, however the writes interleave."""
     store_path = tmp_path / "results.sqlite"
-    ResultStore(store_path).close()  # pre-migrate: the race under test
+    ResultStore(store_path).close()  # pre-create: the race under test
     # is row ingest, not schema creation
     a = write_journal(tmp_path / "a.jsonl", _cells(0, 40))
     b = write_journal(tmp_path / "b.jsonl", _cells(20, 60))
@@ -71,7 +71,8 @@ def test_two_processes_converge_without_duplicates(tmp_path):
         assert p.returncode == 0, err.decode()
 
     with ResultStore(store_path) as store:
-        assert store.integrity_check() == "ok"
+        check = store._conn.execute("PRAGMA integrity_check").fetchone()
+        assert check[0] == "ok"
         assert len(store.query()) == 60
         key_list = ", ".join(KEY_COLUMNS)
         total = store._conn.execute(
@@ -131,7 +132,8 @@ def test_sigkill_mid_ingest_leaves_consistent_reingestable_store(tmp_path):
     proc.wait(timeout=30)
 
     with ResultStore(store_path) as store:
-        assert store.integrity_check() == "ok"
+        check = store._conn.execute("PRAGMA integrity_check").fetchone()
+        assert check[0] == "ok"
         survived = len(store.query())
         assert 0 < survived < 120  # torn run: partial but sound
         counts = ingest_journal(store, journal, source="victim")
@@ -141,7 +143,7 @@ def test_sigkill_mid_ingest_leaves_consistent_reingestable_store(tmp_path):
 
 
 def test_reader_sees_writer_commits_across_connections(tmp_path):
-    """WAL's reason to exist here: a dashboard handle opened before a
+    """WAL's reason to exist here: a reader handle opened before a
     write still observes it afterwards (no stale snapshot pinning)."""
     store_path = tmp_path / "results.sqlite"
     writer = ResultStore(store_path)
