@@ -48,13 +48,19 @@ __all__ = [
 ]
 
 
+def _sorted_set(ivals: List[Interval]) -> IntervalSet:
+    """IntervalSet of already sorted, coalesced, nonzero intervals."""
+    a = np.array(ivals, dtype=np.int64).reshape(-1, 3).T.copy()
+    return IntervalSet._from_arrays(a[0], a[1], a[2])
+
+
 def sweep_max_ref(sets: Sequence[IntervalSet]) -> IntervalSet:
     """Event-at-a-time pointwise maximum-class union (eq. 5)."""
     live = [s for s in sets if s]
     if not live:
         return IntervalSet()
     if len(live) == 1:
-        return IntervalSet._from_sorted(live[0].intervals())
+        return _sorted_set(live[0].intervals())
     events: List[Tuple[int, int, int]] = []  # (cycle, delta, cls)
     maxcls = 0
     for iset in live:
@@ -89,7 +95,7 @@ def sweep_max_ref(sets: Sequence[IntervalSet]) -> IntervalSet:
                     out.append((cur_start, cyc, cur_cls))
             cur_start = cyc
             cur_cls = new_cls
-    return IntervalSet._from_sorted(out)
+    return _sorted_set(out)
 
 
 def combine_outcomes_ref(
@@ -138,7 +144,7 @@ def combine_outcomes_ref(
                 break
         if cur < e:
             emit(cur, e, int(Outcome.SDC))
-    return IntervalSet._from_sorted(out)
+    return _sorted_set(out)
 
 
 def map_class_ref(iset: IntervalSet, fn: Callable[[int], int]) -> IntervalSet:
@@ -153,7 +159,7 @@ def map_class_ref(iset: IntervalSet, fn: Callable[[int], int]) -> IntervalSet:
             out[-1] = (ps, e, pc)
         else:
             out.append((s, e, c2))
-    return IntervalSet._from_sorted(out)
+    return _sorted_set(out)
 
 
 def classify_region(

@@ -51,6 +51,37 @@ from .protection import ProtectionScheme
 __all__ = ["AvfStudy"]
 
 
+def _stack(
+    name: str, parts: Sequence[StructureLifetimes], end_cycle: int
+) -> StructureLifetimes:
+    """The tables of ``parts`` stacked into one, byte ids offset per part."""
+    none = [np.zeros(0, dtype=np.int64)]
+    shift = np.cumsum([0] + [len(p.starts) for p in parts])
+    return StructureLifetimes(
+        name,
+        np.concatenate(
+            [p.offsets[:-1] + s for p, s in zip(parts, shift)] + [shift[-1:]]
+        ),
+        np.concatenate(none + [p.starts for p in parts]),
+        np.concatenate(none + [p.ends for p in parts]),
+        np.concatenate(none + [p.cls for p in parts]),
+        0,
+        end_cycle,
+    )
+
+
+def _merged_batch(
+    layout: SramArray,
+    lts: Sequence[StructureLifetimes],
+    configs: Sequence[AvfConfig],
+) -> List[MbAvfResult]:
+    """Each config's results over the replicated ``lts``, merged."""
+    per_lt = [compute_mb_avf_batch(layout, lt, configs) for lt in lts]
+    return [
+        merge_results([res[i] for res in per_lt]) for i in range(len(configs))
+    ]
+
+
 class AvfStudy:
     """AVF measurement session over one finished workload run.
 
@@ -100,6 +131,7 @@ class AvfStudy:
         self._l1_lifetimes: Optional[List[StructureLifetimes]] = None
         self._l2_lifetime: Optional[StructureLifetimes] = None
         self._vgpr_lifetimes: Optional[List[StructureLifetimes]] = None
+        self._vgpr_stack: Optional[StructureLifetimes] = None
         self._memory_lifetimes: Dict[Tuple[int, int], StructureLifetimes] = {}
         self._layout_cache: Dict[Tuple, SramArray] = {}
 
@@ -145,25 +177,40 @@ class AvfStudy:
         """One register-file lifetime per launched wavefront."""
         if self._vgpr_lifetimes is None:
             with get_tracer().span("lifetime", structure="vgpr"):
-                self._vgpr_lifetimes = [
+                by_wf: Dict[int, List] = {}
+                for rec in self.apu.records:
+                    by_wf.setdefault(rec.wf, []).append(rec)
+                lts = [
                     analyze_vgpr(
-                        self.apu.records, wf, self.vgpr_regs, self.end_cycle
+                        by_wf.get(wf, []), wf, self.vgpr_regs, self.end_cycle
                     )
                     for wf in sorted(self.apu.wf_programs)
                 ]
+                self._vgpr_stack = _stack("vgpr", lts, self.end_cycle)
+                self._vgpr_lifetimes = lts
         return self._vgpr_lifetimes
 
     # -- layouts --------------------------------------------------------------
+
+    def _cache_config(self, level: str):
+        """The cache configuration of ``level`` (``'l1'`` or ``'l2'``)."""
+        if level == "l1":
+            return self.apu.memsys.l1s[0].config
+        if level == "l2":
+            return self.apu.memsys.l2.config
+        raise ValueError(f"level must be 'l1' or 'l2', not {level!r}")
+
+    def _cache_lifetimes(self, level: str) -> List[StructureLifetimes]:
+        """The data-array lifetimes of ``level``: one per L1, or the L2."""
+        self._cache_config(level)  # rejects any other level
+        return self.l1_lifetimes() if level == "l1" else [self.l2_lifetime()]
 
     def _cache_layout(
         self, level: str, style: Interleaving, factor: int, domain_bytes: int
     ) -> SramArray:
         key = (level, style, factor, domain_bytes)
         if key not in self._layout_cache:
-            cfg = (
-                self.apu.memsys.l1s[0].config
-                if level == "l1" else self.apu.memsys.l2.config
-            )
+            cfg = self._cache_config(level)
             self._layout_cache[key] = build_cache_array(
                 cfg.n_sets, cfg.n_ways, cfg.line_bytes,
                 domain_bytes=domain_bytes, style=style, factor=factor,
@@ -196,17 +243,7 @@ class AvfStudy:
         per-CU results of each config are merged as in :meth:`cache_avf`.
         """
         layout = self._cache_layout(level, style, factor, domain_bytes)
-        if level == "l1":
-            lts = self.l1_lifetimes()
-        elif level == "l2":
-            lts = [self.l2_lifetime()]
-        else:
-            raise ValueError("level must be 'l1' or 'l2'")
-        per_lt = [compute_mb_avf_batch(layout, lt, configs) for lt in lts]
-        return [
-            merge_results([res[i] for res in per_lt])
-            for i in range(len(configs))
-        ]
+        return _merged_batch(layout, self._cache_lifetimes(level), configs)
 
     def cache_avf(
         self,
@@ -277,29 +314,25 @@ class AvfStudy:
 
         Interleaving stays wavefront-internal (rows never mix wavefronts);
         stacking just lets one engine invocation cover the whole register
-        file, with byte/domain ids offset per wavefront.
+        file, with byte/domain ids offset per wavefront.  Every layout
+        shares the study's one stacked lifetime table.
         """
+        n = len(self.vgpr_lifetimes())
+        assert self._vgpr_stack is not None
         key = ("vgpr-stack", style, factor)
         if key not in self._layout_cache:
             base = self._vgpr_layout(style, factor)
-            lts = self.vgpr_lifetimes()
-            n = len(lts)
             byte_of = np.vstack(
                 [base.byte_of + np.int32(k * base.n_bytes) for k in range(n)]
             )
             domain_of = np.vstack(
                 [base.domain_of + np.int32(k * base.n_domains) for k in range(n)]
             )
-            stacked = SramArray(
+            self._layout_cache[key] = SramArray(
                 "vgpr", byte_of, domain_of, base.domain_bytes,
                 base.interleave_factor, base.style,
             )
-            isets: List = []
-            for lt in lts:
-                isets.extend(lt.byte_isets)
-            lifetimes = StructureLifetimes("vgpr", isets, 0, self.end_cycle)
-            self._layout_cache[key] = (stacked, lifetimes)
-        return self._layout_cache[key]
+        return self._layout_cache[key], self._vgpr_stack
 
     def memory_lifetimes(self, region: Tuple[int, int]) -> StructureLifetimes:
         """Architectural lifetimes of a flat memory region (see
@@ -316,19 +349,10 @@ class AvfStudy:
         the engine's per-lifetimes canonical-id and region caches."""
         key = ("tag-lts", level, tag_bytes)
         if key not in self._layout_cache:
-            cfg = (
-                self.apu.memsys.l1s[0].config
-                if level == "l1" else self.apu.memsys.l2.config
-            )
-            if level == "l1":
-                data_lts = self.l1_lifetimes()
-            elif level == "l2":
-                data_lts = [self.l2_lifetime()]
-            else:
-                raise ValueError("level must be 'l1' or 'l2'")
+            line_bytes = self._cache_config(level).line_bytes
             self._layout_cache[key] = [
-                derive_tag_lifetimes(lt, cfg.line_bytes, tag_bytes=tag_bytes)
-                for lt in data_lts
+                derive_tag_lifetimes(lt, line_bytes, tag_bytes=tag_bytes)
+                for lt in self._cache_lifetimes(level)
             ]
         return self._layout_cache[key]
 
@@ -341,23 +365,17 @@ class AvfStudy:
         tag_bytes: int = 3,
     ) -> List[MbAvfResult]:
         """MB-AVFs of a cache's tag array for many configs in one pass."""
-        cfg = (
-            self.apu.memsys.l1s[0].config
-            if level == "l1" else self.apu.memsys.l2.config
-        )
+        cfg = self._cache_config(level)
         key = ("tags", level, factor, tag_bytes)
         if key not in self._layout_cache:
             self._layout_cache[key] = build_tag_array(
                 cfg.n_sets, cfg.n_ways, tag_bytes=tag_bytes, factor=factor,
                 name=f"{level}.tags",
             )
-        layout = self._layout_cache[key]
-        tag_lts = self._tag_lifetimes(level, tag_bytes)
-        per_lt = [compute_mb_avf_batch(layout, lt, configs) for lt in tag_lts]
-        return [
-            merge_results([res[i] for res in per_lt])
-            for i in range(len(configs))
-        ]
+        return _merged_batch(
+            self._layout_cache[key], self._tag_lifetimes(level, tag_bytes),
+            configs,
+        )
 
     def tag_avf(
         self,
@@ -389,6 +407,5 @@ class AvfStudy:
     ) -> float:
         """ACE locality of a cache under a given physical layout."""
         layout = self._cache_layout(level, style, factor, domain_bytes)
-        lts = self.l1_lifetimes() if level == "l1" else [self.l2_lifetime()]
-        vals = [ace_locality(layout, lt) for lt in lts]
+        vals = [ace_locality(layout, lt) for lt in self._cache_lifetimes(level)]
         return float(np.mean(vals))

@@ -23,9 +23,11 @@ by how often the band occurs, bucketed with a single weighted lexsort.
 
 Grouped classify and integrate
 ------------------------------
+Lifetimes are one CSR table per structure (:class:`StructureLifetimes`).
 The distinct group keys stay arrays.  They are decoded once into a region
 table (each region's signature row, faulty-bit count and member id set),
-and every region ACE union (eq. 5) is swept once per distinct id set.
+and the region ACE unions (eq. 5) of every new distinct id set are swept
+in one grouped :func:`~repro.core.intervals.union_rows` call.
 Over the small class alphabets, eq. 6 and the combination rules are
 pointwise maxima, so a config needs no per-signature loop:
 
@@ -46,7 +48,8 @@ over the *same* lifetimes, so the expensive intermediates are cached where
 they can be shared:
 
 * canonical lifetime ids are computed once per :class:`StructureLifetimes`
-  and cached on it, together with the region ACE unions (one CSR table),
+  (one :func:`numpy.unique` per interval count) and cached on it, together
+  with the distinct lifetimes and the region ACE unions (two CSR tables),
 * the region table is memoized per ``(array, mode, lifetimes)``, and with
   it each config's outcome cycles and series, keyed by ``(scheme,
   miscorrect_corrupts, due_preempts_sdc, series_edges)``.
@@ -70,8 +73,9 @@ from .intervals import (
     AceClass,
     IntervalSet,
     Outcome,
-    intersection_duration,
-    sweep_max,
+    _coalesce_rows,
+    _csr_take,
+    union_rows,
 )
 from .layout import SramArray
 from .protection import OUTCOME_TABLE, ProtectionScheme, reaction_kind
@@ -85,32 +89,96 @@ __all__ = [
     "compute_sb_avf",
     "merge_results",
     "ace_locality",
-    "intersection_duration",
 ]
 
 
-@dataclass
+class _SetView(Sequence[IntervalSet]):
+    """Read-only sequence of a lifetime table's per-byte interval sets.
+
+    Each access builds one :class:`IntervalSet` over slices of the table's
+    arrays; nothing is stored per byte.
+    """
+
+    def __init__(self, lifetimes: "StructureLifetimes") -> None:
+        self._lt = lifetimes
+
+    def __len__(self) -> int:
+        return self._lt.n_bytes
+
+    def __getitem__(self, i: int) -> IntervalSet:  # type: ignore[override]
+        lt = self._lt
+        b = range(len(self))[i]  # bounds-checked, negative ids allowed
+        lo, hi = lt.offsets[b], lt.offsets[b + 1]
+        return IntervalSet._from_arrays(
+            lt.starts[lo:hi], lt.ends[lo:hi], lt.cls[lo:hi]
+        )
+
+
+@dataclass(eq=False)
 class StructureLifetimes:
     """Per-byte classed ACE intervals for one hardware structure.
 
-    ``byte_isets[i]`` holds the :class:`AceClass` intervals of tracked byte
-    ``i`` (all 8 bits of a byte share one classification; bit-level liveness
-    refinements are already folded in by the lifetime builder).  The analysis
-    window is ``[start_cycle, end_cycle)``; intervals must lie inside it.
+    One CSR table: the :class:`AceClass` intervals of tracked byte ``i``
+    (all 8 bits of a byte share one classification; bit-level liveness
+    refinements are already folded in by the lifetime builder) are rows
+    ``offsets[i]:offsets[i + 1]`` of ``starts``, ``ends`` and ``cls``,
+    sorted and coalesced.  The analysis window is ``[start_cycle,
+    end_cycle)``; intervals must lie inside it.  Build tables with
+    :meth:`from_rows`; the constructor trusts its arrays.
 
     The engine caches derived state (canonical lifetime ids, region
-    classifications) on the instance, so ``byte_isets`` must not be mutated
+    classifications) on the instance, so the arrays must not be mutated
     after the first AVF computation.
     """
 
     name: str
-    byte_isets: Sequence[IntervalSet]
+    offsets: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    cls: np.ndarray
     start_cycle: int
     end_cycle: int
     #: engine cache, filled by _canonical_iset_ids on first AVF computation
     _canon_cache: Optional["_CanonicalIds"] = field(
-        default=None, init=False, repr=False, compare=False
+        default=None, init=False, repr=False
     )
+
+    @classmethod
+    def from_rows(
+        cls,
+        name: str,
+        n_bytes: int,
+        byte: np.ndarray,
+        start: np.ndarray,
+        end: np.ndarray,
+        klass: np.ndarray,
+        start_cycle: int,
+        end_cycle: int,
+    ) -> "StructureLifetimes":
+        """Build the table from ``(byte, start, end, class)`` rows.
+
+        Rows may come in any order.  Class-0 rows are dropped and touching
+        rows of one byte and class coalesce; empty, inverted or overlapping
+        intervals, negative classes and bytes outside ``[0, n_bytes)`` are
+        rejected, as :class:`IntervalSet` does.
+        """
+        byte, starts, ends, classes = _coalesce_rows(byte, start, end, klass)
+        if len(byte) and not (0 <= byte[0] and byte[-1] < n_bytes):
+            raise ValueError(f"byte ids must lie in [0, {n_bytes})")
+        offsets = np.zeros(n_bytes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(byte, minlength=n_bytes), out=offsets[1:])
+        return cls(
+            name, offsets, starts, ends, classes, start_cycle, end_cycle
+        )
+
+    @property
+    def n_bytes(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def byte_isets(self) -> Sequence[IntervalSet]:
+        """The bytes' interval sets, one :class:`IntervalSet` per access."""
+        return _SetView(self)
 
     @property
     def window_cycles(self) -> int:
@@ -118,8 +186,9 @@ class StructureLifetimes:
 
     def sb_ace_fraction(self) -> float:
         """Plain single-bit AVF with no protection (fraction of ACE bit-cycles)."""
-        total = sum(s.total(int(AceClass.ACE)) for s in self.byte_isets)
-        return total / (len(self.byte_isets) * self.window_cycles)
+        ace = self.cls == int(AceClass.ACE)
+        total = int((self.ends - self.starts)[ace].sum())
+        return total / (self.n_bytes * self.window_cycles)
 
 
 @dataclass(frozen=True)
@@ -215,60 +284,69 @@ class MbAvfResult:
 class _CanonicalIds:
     """Canonical lifetime-id table plus the region ACE unions built on it.
 
-    ``byte2iid`` maps byte ids to canonical interval-set ids (0 = the empty
-    set); ``isets[iid]`` is the representative set.  The ACE union (eq. 5)
-    of every region id set met so far is cached here as one CSR table,
-    because its keys only make sense relative to this id table: the union
-    of set ``g`` is ``starts/ends/cls[offsets[g]:offsets[g + 1]]``, and bit
-    ``c`` of ``cls_mask[g]`` is set when class ``c`` occurs in it.  Set 0
-    is the empty set.  Batches and repeated single computations share it.
+    ``byte2iid`` maps byte ids to canonical lifetime ids (0 = the empty
+    set); ``unique`` holds the distinct lifetimes as one CSR table with
+    row ``iid`` for id ``iid``.  The ACE union (eq. 5) of every region id
+    set met so far is cached here as a second CSR table, because its keys
+    only make sense relative to this id table: the union of set ``g`` is
+    ``starts/ends/cls[offsets[g]:offsets[g + 1]]``, and bit ``c`` of
+    ``cls_mask[g]`` is set when class ``c`` occurs in it.  Set 0 is the
+    empty set.  Batches and repeated single computations share it.
     """
 
     __slots__ = (
-        "byte2iid", "isets", "set_ids", "offsets", "starts", "ends", "cls",
+        "byte2iid", "unique", "set_ids", "offsets", "starts", "ends", "cls",
         "cls_mask",
     )
 
-    def __init__(self, byte2iid: np.ndarray, isets: List[IntervalSet]) -> None:
+    def __init__(self, byte2iid: np.ndarray, unique: StructureLifetimes) -> None:
         self.byte2iid = byte2iid
-        self.isets = isets
+        self.unique = unique
         #: sorted member iids -> row of the CSR union table
         self.set_ids: Dict[Tuple[int, ...], int] = {(): 0}
         self.offsets = np.zeros(2, dtype=np.int64)
         self.starts = self.ends = self.cls = np.zeros(0, dtype=np.int64)
         self.cls_mask = np.zeros(1, dtype=np.int64)
 
+    @property
+    def isets(self) -> Sequence[IntervalSet]:
+        """The distinct lifetimes by id, one :class:`IntervalSet` per access."""
+        return self.unique.byte_isets
+
     def region_ace(self, id_rows: np.ndarray) -> np.ndarray:
         """CSR rows of the ACE unions of ``id_rows``, sweeping new ones once.
 
         Each row of ``id_rows`` is one region's sorted nonzero member iids,
-        zero-padded on the right.
+        zero-padded on the right.  Every id set not met before is swept in
+        one grouped :func:`union_rows` call.
         """
         set_ids = self.set_ids
         rows = np.empty(len(id_rows), dtype=np.int64)
-        new: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        new: List[int] = []
         for j, row in enumerate(id_rows.tolist()):
             ids = tuple(i for i in row if i)
             g = set_ids.get(ids)
             if g is None:
                 g = set_ids[ids] = len(set_ids)
-                new.append(sweep_max([self.isets[i] for i in ids])._arrays())
+                new.append(j)
             rows[j] = g
         if new:
-            lens = np.array([len(s) for s, _, _ in new], dtype=np.int64)
+            u = self.unique
+            members = id_rows[new]
+            owner, col = np.nonzero(members)
+            member_off, idx = _csr_take(u.offsets, members[owner, col])
+            offsets, starts, ends, cls = union_rows(
+                np.repeat(owner, np.diff(member_off)),
+                u.starts[idx], u.ends[idx], u.cls[idx], len(new),
+            )
             self.offsets = np.concatenate(
-                [self.offsets, self.offsets[-1] + np.cumsum(lens)]
+                [self.offsets, self.offsets[-1] + offsets[1:]]
             )
-            cls = np.concatenate([c for _, _, c in new])
-            self.starts = np.concatenate([self.starts] + [s for s, _, _ in new])
-            self.ends = np.concatenate([self.ends] + [e for _, e, _ in new])
+            self.starts = np.concatenate([self.starts, starts])
+            self.ends = np.concatenate([self.ends, ends])
             self.cls = np.concatenate([self.cls, cls])
-            mask = np.zeros(len(new), dtype=np.int64)
-            np.bitwise_or.at(
-                mask,
-                np.repeat(np.arange(len(new), dtype=np.intp), lens),
-                np.left_shift(1, cls),
-            )
+            # every new set has a member, so no union is empty
+            mask = np.bitwise_or.reduceat(np.left_shift(1, cls), offsets[:-1])
             self.cls_mask = np.concatenate([self.cls_mask, mask])
         return rows
 
@@ -276,10 +354,11 @@ class _CanonicalIds:
 def _canonical_iset_ids(lifetimes: StructureLifetimes) -> _CanonicalIds:
     """Canonical lifetime ids for ``lifetimes``, computed once and cached.
 
-    Bytes whose interval sets are byte-for-byte equal share one id, so all
-    downstream caches collapse identical lifetimes.  Deduplication is by
-    object identity first (stacked structures reuse set objects), then by
-    the sets' canonical array encoding.
+    Bytes whose interval sets are equal share one id, so all downstream
+    caches collapse identical lifetimes.  Ids are numbered by first
+    occurrence in byte order.  Bytes are grouped by interval count, and
+    each group's ``[starts | ends | classes]`` rows are deduplicated with
+    one :func:`numpy.unique`.
     """
     canon = lifetimes._canon_cache
     if canon is not None:
@@ -287,24 +366,34 @@ def _canonical_iset_ids(lifetimes: StructureLifetimes) -> _CanonicalIds:
         if metrics:
             metrics.counter("avf.batch_cache_hits").inc()
         return canon
-    table: Dict[bytes, int] = {b"": 0}
-    by_obj: Dict[int, int] = {}
-    unique: List[IntervalSet] = [IntervalSet()]
-    byte2iid = np.zeros(len(lifetimes.byte_isets), dtype=np.int32)
-    for b, iset in enumerate(lifetimes.byte_isets):
-        # id()-keyed interning is safe here: by_obj never outlives this
-        # pass and every keyed object stays alive in lifetimes.byte_isets,
-        # so ids cannot be recycled; ordering never depends on the ids.
-        iid = by_obj.get(id(iset))  # staticcheck: ignore[D104]
-        if iid is None:
-            key = iset._key()
-            iid = table.get(key)
-            if iid is None:
-                iid = len(unique)
-                table[key] = iid
-                unique.append(iset)
-            by_obj[id(iset)] = iid  # staticcheck: ignore[D104]
-        byte2iid[b] = iid
+    lt = lifetimes
+    count = np.diff(lt.offsets)
+    # 1 + each byte's distinct lifetime (0: empty), and each one's first byte
+    distinct = np.zeros(lt.n_bytes, dtype=np.int64)
+    firsts = [np.zeros(0, dtype=np.int64)]
+    n_distinct = 0
+    for k in np.unique(count[count > 0]).tolist():
+        nbytes = np.flatnonzero(count == k)
+        idx = lt.offsets[nbytes][:, None] + np.arange(k, dtype=np.int64)
+        _, first, inverse = np.unique(
+            _as_scalars(np.hstack([lt.starts[idx], lt.ends[idx], lt.cls[idx]])),
+            return_index=True,
+            return_inverse=True,
+        )
+        distinct[nbytes] = n_distinct + 1 + inverse.reshape(-1)
+        firsts.append(nbytes[first])
+        n_distinct += len(first)
+    first_byte = np.concatenate(firsts)
+    by_first = np.argsort(first_byte)
+    iid = np.zeros(n_distinct + 1, dtype=np.int32)
+    iid[1 + by_first] = np.arange(1, n_distinct + 1, dtype=np.int32)
+    byte2iid = iid[distinct]
+    # id 0 is the empty set; ids 1.. take their first byte's intervals
+    offsets, idx = _csr_take(lt.offsets, first_byte[by_first])
+    unique = StructureLifetimes(
+        lt.name, np.concatenate([[0], offsets]), lt.starts[idx],
+        lt.ends[idx], lt.cls[idx], lt.start_cycle, lt.end_cycle,
+    )
     canon = _CanonicalIds(byte2iid, unique)
     lifetimes._canon_cache = canon
     return canon
@@ -546,14 +635,10 @@ class _Signatures:
         code = combos[member]
         combo = np.nonzero(member)[0]
         kind = code // n_sets
-        union = self.set_union[code - kind * n_sets]
-        lo = canon.offsets[union]
-        count = canon.offsets[union + 1] - lo
-        owner = np.repeat(np.arange(len(code), dtype=np.intp), count)
-        idx = (
-            lo[owner] + np.arange(len(owner), dtype=np.int64)
-            - (np.cumsum(count) - count)[owner]
+        offsets, idx = _csr_take(
+            canon.offsets, self.set_union[code - kind * n_sets]
         )
+        owner = np.repeat(np.arange(len(code), dtype=np.intp), np.diff(offsets))
         # classes outside the table classify to nothing, as in
         # _reference.classify_region
         cls = canon.cls[idx]
@@ -841,34 +926,34 @@ def ace_locality(array: SramArray, lifetimes: StructureLifetimes) -> float:
     never overlaps (MB-AVF approaches M times SB-AVF).  Structures with high
     ACE locality have lower MB-AVF (Sec. VI-B).
 
-    All adjacent pairs of the whole array are bucketed with one lexsort
-    (instead of one ``np.unique`` per row); the Jaccard terms are then
-    evaluated once per distinct (lifetime id, lifetime id) pair.
+    All adjacent pairs of the whole array are bucketed with one lexsort, and
+    the unions of every distinct (lifetime id, lifetime id) pair are swept
+    in one grouped :func:`union_rows` call; each overlap is then
+    ``|ACE_i| + |ACE_j| - |ACE_i ∪ ACE_j|``, in exact int64.
     """
     canon = _canonical_iset_ids(lifetimes)
-    isets = canon.isets
+    u = canon.unique
     iid_of = canon.byte2iid[array.byte_of]
     pairs = np.stack(
         [iid_of[:, :-1].ravel(), iid_of[:, 1:].ravel()], axis=1
     )
     uniq, counts = _unique_rows(pairs)
-    inter = 0.0
-    union = 0.0
-    ace = int(AceClass.ACE)
-    dur_cache: Dict[int, int] = {}
-
-    def dur(i: int) -> int:
-        d = dur_cache.get(i)
-        if d is None:
-            d = dur_cache[i] = isets[i].total_at_least(ace) if i else 0
-        return d
-
-    for (ia, ib), n in zip(uniq.tolist(), counts.tolist()):
-        da = dur(ia)
-        db = dur(ib)
-        if da == 0 and db == 0:
-            continue
-        ov = intersection_duration(isets[ia], isets[ib], ace) if ia and ib else 0
-        inter += n * ov
-        union += n * (da + db - ov)
-    return inter / union if union else 1.0
+    ace = u.cls >= int(AceClass.ACE)
+    dur = np.zeros(len(u.ends) + 1, dtype=np.int64)
+    np.cumsum((u.ends - u.starts) * ace, out=dur[1:])
+    dur = dur[u.offsets[1:]] - dur[u.offsets[:-1]]  # ACE cycles per id
+    member_off, idx = _csr_take(u.offsets, uniq.ravel())
+    owner = np.repeat(
+        np.arange(len(uniq), dtype=np.int64).repeat(2), np.diff(member_off)
+    )
+    keep = ace[idx]
+    offsets, starts, ends, _ = union_rows(
+        owner[keep], u.starts[idx[keep]], u.ends[idx[keep]],
+        u.cls[idx[keep]], len(uniq),
+    )
+    covered = np.zeros(len(ends) + 1, dtype=np.int64)
+    np.cumsum(ends - starts, out=covered[1:])
+    union = covered[offsets[1:]] - covered[offsets[:-1]]
+    inter = dur[uniq[:, 0]] + dur[uniq[:, 1]] - union
+    total = int((counts * union).sum())
+    return int((counts * inter).sum()) / total if total else 1.0

@@ -4,6 +4,9 @@ This is the "analysis phase" of the paper's two-phase AVF measurement
 (Sec. VI-A).  It consumes the event streams produced by the simulator and
 the annotations produced by the liveness pass, and emits
 :class:`~repro.core.avf.StructureLifetimes` for each tracked structure.
+Every extractor tracks per-byte state in arrays, collects its intervals as
+``(byte, start, end, class)`` rows, and builds the structure's one CSR
+table with :meth:`~repro.core.avf.StructureLifetimes.from_rows`.
 
 Classification rules (per byte, per value segment):
 
@@ -32,7 +35,7 @@ from ..arch.cache import Cache
 from ..arch.isa import WAVEFRONT_LANES
 from ..arch.trace import EvictEvent, FillEvent, InstrRecord, ReadEvent, WriteEvent
 from .avf import StructureLifetimes
-from .intervals import AceClass, IntervalSet
+from .intervals import AceClass, _csr_take, union_rows
 
 __all__ = [
     "MemoryConsumption",
@@ -70,26 +73,19 @@ class MemoryConsumption:
         for rec in records:
             if rec.space != "global" or rec.op not in ("v_store", "v_store_u8"):
                 continue
-            for lane in np.where(rec.acc_mask)[0]:
-                a = int(rec.addrs[lane])
-                for b in range(rec.nbytes):
-                    stored[a + b] = True
-                    self._stores.setdefault(a + b, []).append(rec.t)
+            addr, _ = _lane_bytes(rec)
+            stored[addr] = True
+            for a in addr.tolist():
+                self._stores.setdefault(a, []).append(rec.t)
         for rec in records:
             if rec.space != "global" or rec.op not in ("v_load", "v_load_u8"):
                 continue
-            needed = rec.load_needed
-            for lane in np.where(rec.acc_mask)[0]:
-                a = int(rec.addrs[lane])
-                m = int(needed[lane]) if needed is not None else 0xFFFFFFFF
-                for b in range(rec.nbytes):
-                    addr = a + b
-                    if not stored[addr]:
-                        continue
-                    live = bool(m & (0xFF << (8 * b)))
-                    ts, ls = self._loads.setdefault(addr, ([], []))
-                    ts.append(rec.t)
-                    ls.append(live)
+            addr, live = _lane_bytes(rec)
+            kept = stored[addr]
+            for a, is_live in zip(addr[kept].tolist(), live[kept].tolist()):
+                ts, ls = self._loads.setdefault(a, ([], []))
+                ts.append(rec.t)
+                ls.append(is_live)
 
     def _next_store_after(self, addr: int, t: int) -> float:
         ts = self._stores.get(addr)
@@ -124,43 +120,71 @@ class MemoryConsumption:
 
 
 class _ByteTracker:
-    """Per-byte segment state machine shared by cache and VGPR analyses."""
+    """Per-byte value-segment state machine shared by every extractor.
 
-    def __init__(self, n_bytes: int) -> None:
+    A byte's segment opens at a fill or write (``seg_start >= 0``) and
+    closes at the next one or at an eviction.  Operations take arrays of
+    byte ids; reads keep the latest (live) read time, so repeated ids are
+    harmless.  Closed segments are kept as ``(bytes, start, last live read,
+    last read)`` chunks and become rows in :meth:`lifetimes`: ACE up to the
+    last live read, READ_DEAD from there to the last read of any kind.
+    """
+
+    def __init__(self, n_bytes: int, open_at: int = -1) -> None:
         self.n_bytes = n_bytes
-        self.seg_start = np.full(n_bytes, -1, dtype=np.int64)
-        self.last_live = np.zeros(n_bytes, dtype=np.int64)
-        self.last_any = np.zeros(n_bytes, dtype=np.int64)
-        self.isets: List[IntervalSet] = [IntervalSet() for _ in range(n_bytes)]
+        self.seg_start = np.full(n_bytes, open_at, dtype=np.int64)
+        self.last_live = np.full(n_bytes, open_at, dtype=np.int64)
+        self.last_any = np.full(n_bytes, open_at, dtype=np.int64)
+        self.closed: List[Tuple[np.ndarray, ...]] = []
 
-    def open(self, b: int, t: int) -> None:
-        self.seg_start[b] = t
-        self.last_live[b] = t
-        self.last_any[b] = t
+    def open(self, b: np.ndarray, t: int) -> None:
+        self.seg_start[b] = self.last_live[b] = self.last_any[b] = t
 
-    def close(self, b: int) -> None:
-        s = self.seg_start[b]
-        if s < 0:
-            return
-        tl = int(self.last_live[b])
-        ta = int(self.last_any[b])
-        iset = self.isets[b]
-        if tl > s:
-            iset.append(int(s), tl, _ACE)
-        if ta > max(tl, s):
-            iset.append(max(tl, int(s)), ta, _DEAD)
+    def close(self, b: np.ndarray) -> None:
+        """Close the open segments of the distinct bytes ``b``."""
+        b = b[self.seg_start[b] >= 0]
+        self.closed.append(
+            (b, self.seg_start[b], self.last_live[b], self.last_any[b])
+        )
         self.seg_start[b] = -1
 
-    def read(self, b: int, t: int, live: bool) -> None:
-        if self.seg_start[b] < 0:
-            return
-        self.last_any[b] = max(self.last_any[b], t)
-        if live:
-            self.last_live[b] = max(self.last_live[b], t)
+    def read(self, b: np.ndarray, t: int, live: np.ndarray) -> None:
+        self.last_any[b] = np.maximum(self.last_any[b], t)
+        b = b[live]
+        self.last_live[b] = np.maximum(self.last_live[b], t)
 
-    def close_all(self) -> None:
-        for b in np.where(self.seg_start >= 0)[0]:
-            self.close(int(b))
+    def lifetimes(self, name: str, end_cycle: int) -> StructureLifetimes:
+        """Close every open segment and build the lifetime table."""
+        self.close(np.arange(self.n_bytes))
+        byte, start, last_live, last_any = (
+            np.concatenate(c) for c in zip(*self.closed)
+        )
+        dead_start = np.maximum(last_live, start)
+        ace = last_live > start
+        dead = last_any > dead_start
+        return StructureLifetimes.from_rows(
+            name,
+            self.n_bytes,
+            np.concatenate([byte[ace], byte[dead]]),
+            np.concatenate([start[ace], dead_start[dead]]),
+            np.concatenate([last_live[ace], last_any[dead]]),
+            np.repeat(np.array([_ACE, _DEAD]), [ace.sum(), dead.sum()]),
+            0,
+            end_cycle,
+        )
+
+
+def _lane_bytes(rec: InstrRecord) -> Tuple[np.ndarray, np.ndarray]:
+    """Addresses of every byte ``rec``'s active lanes access, and whether
+    a load's needed-bit masks make each one live (all live without)."""
+    lanes = np.flatnonzero(rec.acc_mask)
+    k = np.arange(rec.nbytes, dtype=np.int64)
+    addr = rec.addrs[lanes].astype(np.int64)[:, None] + k
+    needed = rec.load_needed
+    if needed is None:
+        return addr.ravel(), np.ones(addr.size, dtype=bool)
+    mask = needed[lanes].astype(np.int64)[:, None]
+    return addr.ravel(), ((mask >> (8 * k)) & 0xFF != 0).ravel()
 
 
 def analyze_cache(
@@ -187,82 +211,55 @@ def analyze_cache(
     trk = _ByteTracker(n_bytes)
     origin_fill = np.full(n_bytes, -1, dtype=np.int64)
     fills: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    whole = np.arange(lb, dtype=np.int64)
+    no_upstream = np.ones(lb, dtype=bool)  # conservatively fully live
 
-    def slot_base(s: int, w: int) -> int:
-        return (s * cfg.n_ways + w) * lb
-
-    def note_fill_usage(b: int, off: int, live: bool) -> None:
-        fid = origin_fill[b]
-        if fid >= 0:
-            read_mask, live_mask = fills[int(fid)]
-            read_mask[off] = True
-            if live:
-                live_mask[off] = True
+    def in_line(rec: InstrRecord, line_addr: int) -> Tuple[np.ndarray, ...]:
+        addr, live = _lane_bytes(rec)
+        hit = addr - addr % lb == line_addr
+        return addr[hit] % lb, live[hit]
 
     for ev in cache.events:
+        line = (ev.set * cfg.n_ways + ev.way) * lb + whole
         if isinstance(ev, FillEvent):
-            base = slot_base(ev.set, ev.way)
             fills[ev.fill_id] = (np.zeros(lb, dtype=bool), np.zeros(lb, dtype=bool))
-            for o in range(lb):
-                trk.open(base + o, ev.t)
-                origin_fill[base + o] = ev.fill_id
+            trk.open(line, ev.t)
+            origin_fill[line] = ev.fill_id
         elif isinstance(ev, WriteEvent):
-            rec = records_by_uid[ev.uid]
-            base = slot_base(ev.set, ev.way)
-            for lane in np.where(rec.acc_mask)[0]:
-                a = int(rec.addrs[lane])
-                if a - a % lb != ev.line_addr:
-                    continue
-                for bofs in range(rec.nbytes):
-                    b = base + (a % lb) + bofs
-                    trk.close(b)
-                    trk.open(b, ev.t)
-                    origin_fill[b] = -1
+            b = line[np.unique(in_line(records_by_uid[ev.uid], ev.line_addr)[0])]
+            trk.close(b)
+            trk.open(b, ev.t)
+            origin_fill[b] = -1
         elif isinstance(ev, ReadEvent):
-            base = slot_base(ev.set, ev.way)
             if ev.kind == "demand":
-                rec = records_by_uid[ev.uid]
-                needed = rec.load_needed
-                for lane in np.where(rec.acc_mask)[0]:
-                    a = int(rec.addrs[lane])
-                    if a - a % lb != ev.line_addr:
-                        continue
-                    m = int(needed[lane]) if needed is not None else 0xFFFFFFFF
-                    for bofs in range(rec.nbytes):
-                        off = (a % lb) + bofs
-                        live = bool(m & (0xFF << (8 * bofs)))
-                        trk.read(base + off, ev.t, live)
-                        note_fill_usage(base + off, off, live)
+                off, live = in_line(records_by_uid[ev.uid], ev.line_addr)
             elif ev.kind == "fill":
-                if upstream_fills is None or ev.link not in upstream_fills:
-                    # No upstream analysis: conservatively fully live.
-                    up_read = up_live = np.ones(lb, dtype=bool)
-                else:
-                    up_read, up_live = upstream_fills[ev.link]
-                for o in range(lb):
-                    live = bool(up_live[o])
-                    trk.read(base + o, ev.t, live)
-                    note_fill_usage(base + o, o, live)
-            else:  # writeback
-                dirty = ev.byte_mask
-                for o in range(lb):
-                    if dirty is not None and dirty[o]:
-                        live = (
-                            memcons.live_after(ev.line_addr + o, ev.t)
-                            if memcons is not None else True
+                off = whole
+                live = (
+                    upstream_fills[ev.link][1]
+                    if upstream_fills is not None and ev.link in upstream_fills
+                    else no_upstream
+                )
+            else:  # writeback: clean bytes are checked, not written
+                off = whole
+                live = np.zeros(lb, dtype=bool)
+                if ev.byte_mask is not None:
+                    for o in np.flatnonzero(ev.byte_mask).tolist():
+                        live[o] = memcons is None or memcons.live_after(
+                            ev.line_addr + o, ev.t
                         )
-                    else:
-                        live = False  # clean bytes are checked, not written
-                    trk.read(base + o, ev.t, live)
-                    note_fill_usage(base + o, o, live)
+            trk.read(line[off], ev.t, live)
+            # the line's bytes not yet overwritten carry its fill's verdicts
+            fid = origin_fill[line[off]]
+            used = fid >= 0
+            if used.any():
+                read_mask, live_mask = fills[int(fid[used][0])]
+                read_mask[off[used]] = True
+                live_mask[off[used & live]] = True
         elif isinstance(ev, EvictEvent):
-            base = slot_base(ev.set, ev.way)
-            for o in range(lb):
-                trk.close(base + o)
-                origin_fill[base + o] = -1
-    trk.close_all()
-    lifetimes = StructureLifetimes(name or cache.name, trk.isets, 0, end_cycle)
-    return lifetimes, fills
+            trk.close(line)
+            origin_fill[line] = -1
+    return trk.lifetimes(name or cache.name, end_cycle), fills
 
 
 def merge_fill_maps(
@@ -304,58 +301,22 @@ def analyze_memory(
         hi = min(obase + osize, base + size)
         if lo < hi:
             is_output[lo - base : hi - base] = True
-    # Per-byte event lists: (t, kind) with kind 0=store, 1=dead load,
-    # 2=live load, gathered in time order.
-    events: List[List[Tuple[int, int]]] = [[] for _ in range(size)]
+    trk = _ByteTracker(size, open_at=0)
     for rec in records:
         if rec.space != "global" or rec.addrs is None:
             continue
-        is_store = rec.op in ("v_store", "v_store_u8")
-        is_load = rec.op in ("v_load", "v_load_u8")
-        if not (is_store or is_load):
-            continue
-        needed = rec.mem_needed if is_store else rec.load_needed
-        for lane in np.where(rec.acc_mask)[0]:
-            a = int(rec.addrs[lane])
-            m = int(needed[lane]) if needed is not None else 0xFFFFFFFF
-            for b in range(rec.nbytes):
-                addr = a + b
-                if not base <= addr < base + size:
-                    continue
-                if is_store:
-                    events[addr - base].append((rec.t, 0))
-                else:
-                    live = bool(m & (0xFF << (8 * b)))
-                    events[addr - base].append((rec.t, 2 if live else 1))
-    isets: List[IntervalSet] = []
-    for off in range(size):
-        iset = IntervalSet()
-        seg_start = 0
-        last_live = 0
-        last_any = 0
-
-        def close(upto_live: int, upto_any: int, start: int) -> None:
-            if upto_live > start:
-                iset.append(start, upto_live, _ACE)
-            if upto_any > max(upto_live, start):
-                iset.append(max(upto_live, start), upto_any, _DEAD)
-
-        for t, kind in events[off]:
-            if kind == 0:
-                close(last_live, last_any, seg_start)
-                seg_start = t
-                last_live = t
-                last_any = t
-            else:
-                last_any = max(last_any, t)
-                if kind == 2:
-                    last_live = max(last_live, t)
-        if is_output[off]:
-            close(end_cycle, end_cycle, seg_start)
-        else:
-            close(last_live, last_any, seg_start)
-        isets.append(iset)
-    return StructureLifetimes(name, isets, 0, end_cycle)
+        if rec.op in ("v_store", "v_store_u8"):
+            addr, _ = _lane_bytes(rec)
+            off = np.unique(addr[(addr >= base) & (addr < base + size)]) - base
+            trk.close(off)
+            trk.open(off, rec.t)
+        elif rec.op in ("v_load", "v_load_u8"):
+            addr, live = _lane_bytes(rec)
+            inside = (addr >= base) & (addr < base + size)
+            trk.read(addr[inside] - base, rec.t, live[inside])
+    trk.last_live[is_output] = end_cycle
+    trk.last_any[is_output] = end_cycle
+    return trk.lifetimes(name, end_cycle)
 
 
 def derive_tag_lifetimes(
@@ -380,27 +341,30 @@ def derive_tag_lifetimes(
     ``tag_bytes`` bytes each, matching
     :func:`repro.core.layout.build_tag_array`.
     """
-    n_bytes = len(data_lifetimes.byte_isets)
-    if n_bytes % line_bytes:
+    data = data_lifetimes
+    if data.n_bytes % line_bytes:
         raise ValueError("data lifetimes are not a whole number of lines")
-    n_lines = n_bytes // line_bytes
-    isets: List[IntervalSet] = []
-    from .intervals import sweep_max
-
-    for line in range(n_lines):
-        merged = sweep_max(
-            data_lifetimes.byte_isets[line * line_bytes : (line + 1) * line_bytes]
-        )
-        isets.extend([merged] * tag_bytes)
+    n_lines = data.n_bytes // line_bytes
+    byte = np.repeat(np.arange(data.n_bytes), np.diff(data.offsets))
+    line_off, starts, ends, cls = union_rows(
+        byte // line_bytes, data.starts, data.ends, data.cls, n_lines
+    )
+    offsets, idx = _csr_take(
+        line_off, np.repeat(np.arange(n_lines), tag_bytes)
+    )
     return StructureLifetimes(
-        name or f"{data_lifetimes.name}.tags",
-        isets,
-        data_lifetimes.start_cycle,
-        data_lifetimes.end_cycle,
+        name or f"{data.name}.tags",
+        offsets,
+        starts[idx],
+        ends[idx],
+        cls[idx],
+        data.start_cycle,
+        data.end_cycle,
     )
 
 
 _BYTE_SHIFTS = np.uint32(8) * np.arange(4, dtype=np.uint32)
+_NOT_LIVE = np.zeros(WAVEFRONT_LANES * 4, dtype=bool)
 
 
 def analyze_vgpr(
@@ -418,60 +382,34 @@ def analyze_vgpr(
     touches every lane's copy; liveness applies only to the lanes/bytes whose
     needed-bit masks are non-zero.
 
+    ``records`` are the wavefront's own trace records, in trace order.
     Byte ids follow :func:`repro.core.layout.regfile_byte_index` with
     ``thread = lane``: ``(lane * n_vregs + reg) * 4 + byte``.
     """
     n_bytes = WAVEFRONT_LANES * n_vregs * 4
-    parts: List[List] = [[] for _ in range(n_bytes)]
-    mine = [r for r in records if r.wf == wf_id]
-    if not mine:
-        return StructureLifetimes(
-            name or f"vgpr.wf{wf_id}",
-            [IntervalSet() for _ in range(n_bytes)],
-            0, end_cycle,
-        )
-    start = mine[0].t
+    name = name or f"vgpr.wf{wf_id}"
+    start = records[0].t if records else 0
     # Byte ids of register r across lanes: shape (16, 4).
     lane_base = (np.arange(WAVEFRONT_LANES) * n_vregs)[:, None] * 4
     reg_idx = [
         (lane_base + r * 4 + np.arange(4)[None, :]).ravel()
         for r in range(n_vregs)
     ]
-    seg_start = np.full(n_bytes, start, dtype=np.int64)
-    last_live = np.full(n_bytes, start, dtype=np.int64)
-    last_any = np.full(n_bytes, start, dtype=np.int64)
-
-    def close_bytes(idx: np.ndarray, t: int) -> None:
-        s = seg_start[idx]
-        tl = last_live[idx]
-        ta = last_any[idx]
-        emit = np.where((tl > s) | (ta > np.maximum(tl, s)))[0]
-        for k in emit.tolist():
-            b = int(idx[k])
-            bs, btl, bta = int(s[k]), int(tl[k]), int(ta[k])
-            if btl > bs:
-                parts[b].append((bs, btl, _ACE))
-            if bta > max(btl, bs):
-                parts[b].append((max(btl, bs), bta, _DEAD))
-        seg_start[idx] = t
-        last_live[idx] = t
-        last_any[idx] = t
-
-    for rec in mine:
+    trk = _ByteTracker(n_bytes, open_at=start)
+    for rec in records:
         t = rec.t
         if rec.src_needed is not None:
             for src, mask in zip(rec.srcs, rec.src_needed):
                 if src[0] != "v" or src[1] >= n_vregs:
                     continue
-                idx = reg_idx[src[1]]
-                last_any[idx] = t
-                if mask is not None:
-                    live = ((mask[:, None] >> _BYTE_SHIFTS) & np.uint32(0xFF)) != 0
-                    last_live[idx[live.ravel()]] = t
+                live = (
+                    ((mask[:, None] >> _BYTE_SHIFTS) & np.uint32(0xFF)) != 0
+                    if mask is not None else _NOT_LIVE
+                )
+                trk.read(reg_idx[src[1]], t, live.ravel())
         if rec.dst is not None and rec.dst[0] == "v" and rec.dst[1] < n_vregs:
             lanes = rec.acc_mask if rec.acc_mask is not None else rec.exec_mask
             idx = reg_idx[rec.dst[1]].reshape(WAVEFRONT_LANES, 4)[lanes].ravel()
-            close_bytes(idx, t)
-    close_bytes(np.arange(n_bytes), mine[-1].t)
-    isets = [IntervalSet(p) if p else IntervalSet() for p in parts]
-    return StructureLifetimes(name or f"vgpr.wf{wf_id}", isets, 0, end_cycle)
+            trk.close(idx)
+            trk.open(idx, t)
+    return trk.lifetimes(name, end_cycle)

@@ -102,8 +102,9 @@ class ObjectDtype(Rule):
     rationale = (
         "Object arrays are boxed-pointer arrays: every kernel falls "
         "back to Python-speed element loops, comparisons become "
-        "identity-dependent, and tobytes()-style canonical encodings "
-        "(IntervalSet._key) stop being value-deterministic."
+        "identity-dependent, and byte-view canonical encodings (the "
+        "void-row keys of the canonical lifetime ids) stop being "
+        "value-deterministic."
     )
     scope = None
 

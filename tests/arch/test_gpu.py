@@ -228,6 +228,28 @@ class TestLds:
         assert (mem.view_u32("out") == (15 - np.arange(16)) * 7).all()
 
 
+class TestDuplicateAddressStores:
+    """Every active lane stores to one address: the highest lane wins."""
+
+    @pytest.mark.parametrize("byte", [False, True], ids=["word", "byte"])
+    def test_last_active_lane_wins(self, byte):
+        mem = GlobalMemory()
+        out = mem.alloc("out", 8)
+        p = ProgramBuilder()
+        p.cmp("lt", v(0), imm(11))
+        p.imul(v(5), v(0), imm(7))
+        p.iadd(v(5), v(5), imm(0x101))     # lane value: 0x101 + 7 * lane
+        p.mov(v(9), s(2))                  # one address for every lane
+        (p.store_u8 if byte else p.store)(v(5), v(9), pred=True)
+        apu, _ = _run(p.build(), 16, [out], mem)
+        apu.finish()
+        last = 0x101 + 7 * 10  # lane 10 is the last lane with lane < 11
+        if byte:
+            assert mem.view_u8("out").tolist() == [last & 0xFF] + [0] * 7
+        else:
+            assert mem.view_u32("out").tolist() == [last, 0]
+
+
 class TestPredicatedMemory:
     def test_predicated_store(self):
         mem = GlobalMemory()

@@ -127,3 +127,11 @@ class TestDuplicateStores:
     def test_lds_last_lane_wins(self):
         lds = Lds(64)
         self._check(lds.store32, lds.load32, 0)
+
+    def test_global_memory_byte_store_last_lane_wins(self):
+        mem = GlobalMemory()
+        base = mem.alloc("x", 16)
+        addrs = np.array([3, 5, 3, 3, 5], dtype=np.uint32) + np.uint32(base)
+        mem.store8(addrs, np.array([0x11, 0x22, 0x33, 0x144, 0x55],
+                                   dtype=np.uint32))
+        assert mem.view_u8("x")[[3, 5]].tolist() == [0x44, 0x55]

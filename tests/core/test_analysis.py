@@ -146,3 +146,24 @@ class TestAceLocality:
             "l1", style=Interleaving.WAY_PHYSICAL, factor=2
         )
         assert logical >= way - 1e-9
+
+
+#: every AvfStudy method that takes a cache level, called with ``level``
+LEVEL_METHODS = {
+    "cache_avf": lambda st, level: st.cache_avf(
+        level, FaultMode.linear(1), Parity()
+    ),
+    "cache_avf_batch": lambda st, level: st.cache_avf_batch(level, []),
+    "tag_avf": lambda st, level: st.tag_avf(
+        level, FaultMode.linear(1), Parity()
+    ),
+    "tag_avf_batch": lambda st, level: st.tag_avf_batch(level, []),
+    "cache_ace_locality": lambda st, level: st.cache_ace_locality(level),
+}
+
+
+@pytest.mark.parametrize("method", sorted(LEVEL_METHODS))
+def test_unknown_cache_level_raises(matmul_study, method):
+    """Only "l1" and "l2" name a cache; nothing falls back to the L2."""
+    with pytest.raises(ValueError, match="l3"):
+        LEVEL_METHODS[method](matmul_study, "l3")

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core.avf import (
-    StructureLifetimes,
     ace_locality,
     compute_mb_avf,
     compute_sb_avf,
-    intersection_duration,
 )
 from repro.core.faultmodes import FaultMode
 from repro.core.intervals import AceClass, IntervalSet, Outcome
 from repro.core.layout import Interleaving, SramArray
 from repro.core.protection import NoProtection, Parity, SecDed
+
+from .tables import lifetimes_of
 
 ACE = int(AceClass.ACE)
 DEAD = int(AceClass.READ_DEAD)
@@ -38,7 +38,7 @@ def _array_two_domains(interleaved: bool) -> SramArray:
 
 
 def _lifetimes(iset0, iset1, window=100):
-    return StructureLifetimes("toy", [iset0, iset1], 0, window)
+    return lifetimes_of("toy", [iset0, iset1], 0, window)
 
 
 class TestSbAvf:
@@ -239,9 +239,13 @@ class TestAceLocality:
         assert ace_locality(arr, lt) == 1.0
 
     def test_intersection_duration(self):
-        a = IntervalSet([(0, 10, ACE), (20, 30, ACE)])
-        b = IntervalSet([(5, 25, ACE)])
-        assert intersection_duration(a, b, ACE) == 10
+        """Partial overlap: 10 shared ACE cycles of the union's 30."""
+        arr = _array_two_domains(True)
+        lt = _lifetimes(
+            IntervalSet([(0, 10, ACE), (20, 30, ACE)]),
+            IntervalSet([(5, 25, ACE)]),
+        )
+        assert ace_locality(arr, lt) == 10 / 30
 
 
 class TestLargeModesAndMiscorrection:

@@ -14,11 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import _reference as ref
-from repro.core.avf import (
-    StructureLifetimes,
-    _canonical_iset_ids,
-    _enumerate_signatures,
-)
+from repro.core.avf import _canonical_iset_ids, _enumerate_signatures
 from repro.core.faultmodes import MX1_MODES, FaultMode
 from repro.core.intervals import IntervalSet
 from repro.core.layout import (
@@ -28,6 +24,8 @@ from repro.core.layout import (
     build_regfile_array,
     build_tag_array,
 )
+
+from .tables import lifetimes_of
 
 MODES = [
     FaultMode.linear(1),
@@ -69,13 +67,13 @@ def _block_lifetimes(rng, n_bytes, end_cycle=120):
     """One block's per-byte lifetimes, drawn from a small pool."""
     pool = [IntervalSet()]
     for _ in range(3):
-        s = IntervalSet()
+        ivals = []
         t = int(rng.integers(0, 20))
         while t < end_cycle - 30:
             d = int(rng.integers(1, 20))
-            s.append(t, t + d, int(rng.integers(1, 4)))
+            ivals.append((t, t + d, int(rng.integers(1, 4))))
             t += d + int(rng.integers(1, 15))
-        pool.append(s)
+        pool.append(IntervalSet(ivals))
     return [pool[int(rng.integers(0, len(pool)))] for _ in range(n_bytes)]
 
 
@@ -98,7 +96,7 @@ def _stacked(base, rng, n_blocks=5):
                    for k in range(n_blocks)]),
         base.domain_bytes, base.interleave_factor, base.style,
     )
-    return array, StructureLifetimes("t", isets, 0, 120)
+    return array, lifetimes_of("t", isets, 0, 120)
 
 
 def _signatures(array, byte2iid, mode):
@@ -148,7 +146,7 @@ def test_band_key_keeps_cross_row_domain_stride():
     for b in np.unique(byte_of).tolist():
         isets[b] = IntervalSet([(b % 4 * 10, b % 4 * 10 + 5, 2)])
     n_bytes = int(byte_of.max()) + 1
-    lts = StructureLifetimes(
+    lts = lifetimes_of(
         "t", [isets.get(b, IntervalSet()) for b in range(n_bytes)], 0, 120
     )
     array = SramArray("t", byte_of, domain_of, 4, 1, Interleaving.NONE)

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.avf import StructureLifetimes, compute_mb_avf
+from repro.core.avf import compute_mb_avf
 from repro.core.faultmodes import FaultMode
 from repro.core.intervals import AceClass, IntervalSet, Outcome
 from repro.core.layout import Interleaving, SramArray
 from repro.core.protection import SCHEMES, Reaction
+
+from .tables import lifetimes_of
 
 
 def brute_force_mb_avf(array, lifetimes, mode, scheme, due_preempts_sdc=False):
@@ -102,7 +104,7 @@ def random_setup(draw):
                 ivals.append((t, min(t + length, window), cls))
             t += length
         isets.append(IntervalSet(ivals))
-    lifetimes = StructureLifetimes("rand", isets, 0, window)
+    lifetimes = lifetimes_of("rand", isets, 0, window)
     mode = FaultMode.linear(draw(st.integers(1, 5)))
     scheme = SCHEMES[draw(st.sampled_from(sorted(SCHEMES)))]
     preempt = draw(st.booleans())

@@ -1,8 +1,10 @@
 """Unit tests for the classed interval algebra."""
 
+import numpy as np
 import pytest
 
 from repro.core._reference import bucket_accumulate_ref, combine_outcomes_ref
+from repro.core.avf import StructureLifetimes
 from repro.core.intervals import (
     AceClass,
     IntervalSet,
@@ -56,34 +58,56 @@ class TestIntervalSetConstruction:
             IntervalSet([(0, 10, -1)])
 
 
-class TestAppend:
+def _rows(name, n_bytes, rows):
+    """A lifetime table from ``(byte, start, end, cls)`` rows."""
+    cols = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return StructureLifetimes.from_rows(name, n_bytes, *cols, 0, 100)
+
+
+class TestFromRows:
     def test_in_order(self):
-        s = IntervalSet()
-        s.append(0, 5, 2)
-        s.append(10, 15, 1)
-        assert s.intervals() == [(0, 5, 2), (10, 15, 1)]
+        lt = _rows("t", 3, [(0, 0, 5, 2), (0, 10, 15, 1), (2, 3, 4, 2)])
+        assert lt.offsets.tolist() == [0, 2, 2, 3]
+        assert [s.intervals() for s in lt.byte_isets] == [
+            [(0, 5, 2), (10, 15, 1)], [], [(3, 4, 2)],
+        ]
+
+    def test_out_of_order_rows_sorted(self):
+        lt = _rows("t", 2, [(1, 20, 30, 2), (0, 10, 20, 1), (1, 0, 5, 1)])
+        assert [s.intervals() for s in lt.byte_isets] == [
+            [(10, 20, 1)], [(0, 5, 1), (20, 30, 2)],
+        ]
 
     def test_coalesce(self):
-        s = IntervalSet()
-        s.append(0, 5, 2)
-        s.append(5, 9, 2)
-        assert s.intervals() == [(0, 9, 2)]
+        lt = _rows("t", 2, [(0, 5, 9, 2), (0, 0, 5, 2), (1, 5, 9, 2)])
+        assert lt.byte_isets[0].intervals() == [(0, 9, 2)]
+        assert lt.byte_isets[1].intervals() == [(5, 9, 2)]
 
-    def test_zero_class_ignored(self):
-        s = IntervalSet()
-        s.append(0, 5, 0)
-        assert not s
+    def test_zero_class_dropped(self):
+        lt = _rows("t", 1, [(0, 0, 5, 0), (0, 5, 9, 2)])
+        assert lt.byte_isets[0].intervals() == [(5, 9, 2)]
 
-    def test_empty_ignored(self):
-        s = IntervalSet()
-        s.append(5, 5, 2)
-        assert not s
-
-    def test_out_of_order_rejected(self):
-        s = IntervalSet()
-        s.append(10, 20, 1)
+    def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            s.append(5, 8, 1)
+            _rows("t", 1, [(0, 5, 5, 2)])
+
+    def test_inverted_rejected(self):
+        with pytest.raises(ValueError):
+            _rows("t", 1, [(0, 9, 5, 2)])
+
+    def test_out_of_order_overlap_rejected(self):
+        with pytest.raises(ValueError):
+            _rows("t", 1, [(0, 10, 20, 1), (0, 5, 12, 1)])
+
+    def test_negative_class_rejected(self):
+        with pytest.raises(ValueError):
+            _rows("t", 1, [(0, 0, 5, -1)])
+
+    def test_byte_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            _rows("t", 2, [(2, 0, 5, 1)])
+        with pytest.raises(ValueError):
+            _rows("t", 2, [(-1, 0, 5, 1)])
 
 
 class TestQueries:

@@ -19,6 +19,8 @@ from repro.core.protection import (
     SecDed,
 )
 
+from .tables import lifetimes_of
+
 # -- strategies ---------------------------------------------------------------
 
 
@@ -127,7 +129,7 @@ def _toy_lifetimes(spans, window=100):
             isets.append(IntervalSet([(lo, hi, int(AceClass.ACE))]))
         else:
             isets.append(IntervalSet())
-    return StructureLifetimes("toy", isets, 0, window)
+    return lifetimes_of("toy", isets, 0, window)
 
 
 def _toy_array(interleaved: bool) -> SramArray:
@@ -276,13 +278,8 @@ class TestRealWorkloadProperties:
         delta = 1000
         for array, lts in real_structures:
             shifted = StructureLifetimes(
-                lts.name,
-                [
-                    IntervalSet([(s + delta, e + delta, c) for s, e, c in iset])
-                    for iset in lts.byte_isets
-                ],
-                lts.start_cycle + delta,
-                lts.end_cycle + delta,
+                lts.name, lts.offsets, lts.starts + delta, lts.ends + delta,
+                lts.cls, lts.start_cycle + delta, lts.end_cycle + delta,
             )
             for mode in REAL_MODES:
                 for scheme in SCHEMES.values():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import AvfStudy, FaultMode, NoProtection, Parity, SecDed
-from repro.core.avf import StructureLifetimes
 from repro.core.intervals import AceClass, IntervalSet
 from repro.core.layout import build_tag_array
 from repro.core.lifetime import derive_tag_lifetimes
 from repro.workloads import run
+
+from .tables import lifetimes_of
 
 ACE = int(AceClass.ACE)
 DEAD = int(AceClass.READ_DEAD)
@@ -38,7 +39,7 @@ class TestTagLayout:
 
 class TestDeriveTagLifetimes:
     def _data(self, isets, line_bytes=4):
-        return StructureLifetimes("d", isets, 0, 100)
+        return lifetimes_of("d", isets, 0, 100)
 
     def test_tag_inherits_union_of_line(self):
         line0 = [

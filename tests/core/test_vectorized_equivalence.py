@@ -7,15 +7,13 @@ interchangeable with the reference implementations preserved in
 same outcome cycles, same series arrays.  Randomized inputs are
 seeded (hypothesis + a fixed-seed numpy generator) so failures replay.
 
-Every kernel is exercised on both dispatch paths: the tiny-input Python
-path and the numpy path, by pinning ``SMALL_KERNEL_CUTOFF`` to 0 (always
-numpy) and to a huge value (always Python) and comparing against the
-reference either way.
+The kernels and the engine are also run with every cycle shifted to a
+time origin of ``10**9``: all arithmetic is exact int64, so moving the
+origin must change nothing.
 """
 
 import itertools
 from collections import Counter
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -23,10 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import _reference as ref
-from repro.core import intervals as iv
 from repro.core.avf import (
     AvfConfig,
-    StructureLifetimes,
     _canonical_iset_ids,
     _enumerate_signatures,
     _unique_rows,
@@ -35,27 +31,18 @@ from repro.core.avf import (
     compute_mb_avf_batch,
 )
 from repro.core.faultmodes import FaultMode
-from repro.core.intervals import (
-    IntervalSet,
-    intersection_duration,
-    sweep_max,
-)
+from repro.core.intervals import IntervalSet, sweep_max, union_rows
 from repro.core.layout import Interleaving, build_cache_array
 from repro.core.protection import SCHEMES
 
+from .tables import lifetimes_of
 
-CUTOFFS = [0, 10**9]  # always-numpy / always-python dispatch
+ORIGINS = [0, 10**9]  # time origin every cycle is shifted to
 
 
-@contextmanager
-def kernel_cutoff(value):
-    """Force every kernel through one dispatch path within the block."""
-    saved = iv.SMALL_KERNEL_CUTOFF
-    iv.SMALL_KERNEL_CUTOFF = value
-    try:
-        yield
-    finally:
-        iv.SMALL_KERNEL_CUTOFF = saved
+def shifted(iset, origin):
+    """``iset`` with every interval moved ``origin`` cycles later."""
+    return IntervalSet([(s + origin, e + origin, c) for s, e, c in iset])
 
 
 # -- strategies ---------------------------------------------------------------
@@ -71,10 +58,10 @@ def interval_sets(draw, max_cls=3, max_ivals=12, horizon=200):
         )
     )
     cuts.sort()
-    out = IntervalSet()
-    for i in range(n):
-        out.append(cuts[2 * i], cuts[2 * i + 1], draw(st.integers(1, max_cls)))
-    return out
+    return IntervalSet(
+        (cuts[2 * i], cuts[2 * i + 1], draw(st.integers(1, max_cls)))
+        for i in range(n)
+    )
 
 
 set_lists = st.lists(interval_sets(), min_size=0, max_size=6)
@@ -89,31 +76,75 @@ def as_tuples(iset):
 
 @settings(max_examples=60, deadline=None)
 @given(sets=set_lists)
-@pytest.mark.parametrize("cutoff", CUTOFFS)
-def test_sweep_max_matches_reference(sets, cutoff):
-    with kernel_cutoff(cutoff):
-        got = as_tuples(sweep_max(sets))
-    assert got == as_tuples(ref.sweep_max_ref(sets))
+@pytest.mark.parametrize("origin", ORIGINS)
+def test_sweep_max_matches_reference(sets, origin):
+    sets = [shifted(s, origin) for s in sets]
+    assert as_tuples(sweep_max(sets)) == as_tuples(ref.sweep_max_ref(sets))
 
 
 @settings(max_examples=60, deadline=None)
 @given(iset=interval_sets(), klass=st.integers(1, 4))
-@pytest.mark.parametrize("cutoff", CUTOFFS)
-def test_totals_match_reference(iset, klass, cutoff):
-    with kernel_cutoff(cutoff):
-        total = iset.total(klass)
-        at_least = iset.total_at_least(klass)
-    assert total == ref.total_ref(iset, klass)
-    assert at_least == ref.total_at_least_ref(iset, klass)
+@pytest.mark.parametrize("origin", ORIGINS)
+def test_totals_match_reference(iset, klass, origin):
+    iset = shifted(iset, origin)
+    assert iset.total(klass) == ref.total_ref(iset, klass)
+    assert iset.total_at_least(klass) == ref.total_at_least_ref(iset, klass)
 
 
 @settings(max_examples=60, deadline=None)
 @given(a=interval_sets(), b=interval_sets(), klass=st.integers(1, 3))
-@pytest.mark.parametrize("cutoff", CUTOFFS)
-def test_intersection_duration_matches_reference(a, b, klass, cutoff):
-    with kernel_cutoff(cutoff):
-        got = intersection_duration(a, b, klass)
+@pytest.mark.parametrize("origin", ORIGINS)
+def test_intersection_duration_matches_reference(a, b, klass, origin):
+    """The overlap ``ace_locality`` uses: ``|a| + |b| - |a ∪ b|`` at
+    class >= ``klass`` equals the reference two-pointer intersection."""
+    a, b = shifted(a, origin), shifted(b, origin)
+    got = (
+        a.total_at_least(klass) + b.total_at_least(klass)
+        - sweep_max([a, b]).total_at_least(klass)
+    )
     assert got == ref.intersection_duration_ref(a, b, klass)
+
+
+def _random_iset(rng, end_cycle=120, max_ivals=5):
+    """A random valid interval set inside ``[0, end_cycle)``."""
+    ivals = []
+    t = 0
+    while t < end_cycle - 2 and len(ivals) < max_ivals:
+        t += int(rng.integers(1, 25))
+        d = int(rng.integers(1, 20))
+        if t + d >= end_cycle:
+            break
+        ivals.append((t, t + d, int(rng.integers(1, 4))))
+        t += d
+    return IntervalSet(ivals)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_union_rows_matches_reference_per_group(seed):
+    """Every group's union equals the reference sweep of its members,
+    including groups with no members and groups of one member."""
+    rng = np.random.default_rng(seed)
+    groups = [
+        [_random_iset(rng) for _ in range(int(rng.integers(0, 5)))]
+        for _ in range(int(rng.integers(1, 40)))
+    ]
+    rows = np.array(
+        [
+            (g, s, e, c)
+            for g, members in enumerate(groups)
+            for iset in members
+            for s, e, c in iset
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 4)
+    rows = rows[rng.permutation(len(rows))]  # the kernel sorts its input
+    offsets, starts, ends, cls = union_rows(*rows.T, len(groups))
+    assert len(offsets) == len(groups) + 1
+    for g, members in enumerate(groups):
+        lo, hi = offsets[g], offsets[g + 1]
+        got = list(zip(starts[lo:hi].tolist(), ends[lo:hi].tolist(),
+                       cls[lo:hi].tolist()))
+        assert got == as_tuples(ref.sweep_max_ref(members)), g
 
 
 # -- _unique_rows --------------------------------------------------------------
@@ -157,26 +188,15 @@ def test_unique_rows_weighted_empty_input():
 # -- enumeration + full engine -----------------------------------------------
 
 
-def _random_lifetimes(rng, n_bytes, end_cycle=120, share=0.3):
+def _random_lifetimes(rng, n_bytes, end_cycle=120, share=0.3, origin=0):
     """Random classed lifetimes with deliberate duplicate interval sets."""
-    pool = []
-    for _ in range(max(2, n_bytes // 3)):
-        s = IntervalSet()
-        t = 0
-        while t < end_cycle - 2 and len(s) < 5:
-            t += int(rng.integers(1, 25))
-            d = int(rng.integers(1, 20))
-            if t + d >= end_cycle:
-                break
-            s.append(t, t + d, int(rng.integers(1, 4)))
-            t += d
-        pool.append(s)
+    pool = [_random_iset(rng, end_cycle) for _ in range(max(2, n_bytes // 3))]
     isets = [
         IntervalSet() if rng.random() < share
-        else pool[int(rng.integers(0, len(pool)))]
+        else shifted(pool[int(rng.integers(0, len(pool)))], origin)
         for _ in range(n_bytes)
     ]
-    return StructureLifetimes("t", isets, 0, end_cycle)
+    return lifetimes_of("t", isets, origin, origin + end_cycle)
 
 
 MODES = [
@@ -214,21 +234,20 @@ def test_enumerator_matches_reference(seed, mode):
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("scheme", ["none", "parity", "secded"])
 @pytest.mark.parametrize("due", [False, True])
-@pytest.mark.parametrize("cutoff", CUTOFFS)
-def test_engine_outcomes_match_reference(seed, scheme, due, cutoff):
+@pytest.mark.parametrize("origin", ORIGINS)
+def test_engine_outcomes_match_reference(seed, scheme, due, origin):
     rng = np.random.default_rng(seed)
     array = build_cache_array(
         4, 2, 16, domain_bytes=4,
         style=Interleaving.NONE, factor=1, name="t",
     )
     mode = FaultMode.rect(2, 2) if seed else FaultMode.linear(3)
-    edges = (0, 30, 60, 90, 120)
-    lts = _random_lifetimes(rng, array.n_bytes)
-    with kernel_cutoff(cutoff):
-        res = compute_mb_avf(
-            array, lts, mode, SCHEMES[scheme],
-            due_preempts_sdc=due, series_edges=edges,
-        )
+    edges = tuple(origin + e for e in (0, 30, 60, 90, 120))
+    lts = _random_lifetimes(rng, array.n_bytes, origin=origin)
+    res = compute_mb_avf(
+        array, lts, mode, SCHEMES[scheme],
+        due_preempts_sdc=due, series_edges=edges,
+    )
     want_cycles, want_series = ref.compute_outcome_cycles_ref(
         array, lts, mode, SCHEMES[scheme],
         due_preempts_sdc=due, series_edges=edges,
@@ -375,9 +394,7 @@ def test_grouped_batch_matches_reference(seed, style):
 @pytest.mark.parametrize("window", [(0, 120), (50, 50)], ids=["window", "none"])
 def test_grouped_batch_all_empty_lifetimes(window):
     array = build_cache_array(4, 2, 16, domain_bytes=4, name="t")
-    lts = StructureLifetimes(
-        "t", [IntervalSet() for _ in range(array.n_bytes)], *window
-    )
+    lts = lifetimes_of("t", [IntervalSet()] * array.n_bytes, *window)
     configs = [
         AvfConfig(
             mode=mode, scheme=SCHEMES["parity"], due_preempts_sdc=due,
