@@ -132,10 +132,17 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _store_notice(counts: dict) -> None:
+def _store_notice(args, counts: Optional[dict]) -> None:
+    """Report what a ``--store`` write added (nothing after a failed one).
+
+    With ``--json`` the notice goes to stderr so stdout stays one JSON
+    document."""
+    if counts is None:
+        return
     print(
         f"stored: {counts['ingested']} new, "
-        f"{counts['deduped']} already present"
+        f"{counts['deduped']} already present",
+        file=sys.stderr if getattr(args, "json", False) else sys.stdout,
     )
 
 
@@ -171,14 +178,15 @@ def _cmd_avf(args) -> int:
 
     _emit(args, payload, render)
     if args.store:
-        from .store import ingest_results, open_store
+        from .store import ingest_results, persist
 
-        with open_store(args.store) as store:
-            counts = ingest_results(
+        def write(store) -> dict:
+            return ingest_results(
                 store, [res], workload=args.workload, style=args.style,
                 factor=args.factor, seed=args.seed, source="cli/avf",
             )
-        _store_notice(counts)
+
+        _store_notice(args, persist(args.store, write))
     return 0
 
 
@@ -392,11 +400,12 @@ def _cmd_merge(args) -> int:
         f"cross-shard duplicates: {stats['duplicates']})"
     )
     if args.store:
-        from .store import ingest_journal, open_store
+        from .store import ingest_journal, persist
 
-        with open_store(args.store) as store:
-            counts = ingest_journal(store, args.journal)
-        _store_notice(counts)
+        _store_notice(args, persist(
+            args.store, lambda store: ingest_journal(store, args.journal),
+            journal=args.journal,
+        ))
     return 0
 
 
@@ -463,11 +472,13 @@ def _cmd_mttf(args) -> int:
 
     _emit(args, payload, render)
     if args.store:
-        from .store import open_store
+        from .store import persist
 
-        with open_store(args.store) as store:
+        def write(store) -> dict:
             ingested, deduped = store.put_mttf_rows(rows)
-        _store_notice({"ingested": ingested, "deduped": deduped})
+            return {"ingested": ingested, "deduped": deduped}
+
+        _store_notice(args, persist(args.store, write))
     return 0
 
 

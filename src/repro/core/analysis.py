@@ -48,7 +48,14 @@ from .lifetime import (
 )
 from .protection import ProtectionScheme
 
-__all__ = ["AvfStudy"]
+__all__ = ["AvfStudy", "due_preempts_sdc_for"]
+
+
+def due_preempts_sdc_for(style: Interleaving) -> bool:
+    """The Sec. VIII rule: with inter-thread interleaving the threads of
+    a wavefront read a register row simultaneously, so a detected region
+    fires before an undetected one propagates (DUE preempts SDC)."""
+    return style is Interleaving.INTER_THREAD
 
 
 def _stack(
@@ -275,9 +282,9 @@ class AvfStudy:
     ) -> List[MbAvfResult]:
         """MB-AVFs of the stacked register file for many configs in one pass.
 
-        Configs are taken verbatim — apply the inter-thread
-        ``due_preempts_sdc`` default yourself if you build them by hand
-        (:meth:`vgpr_avf` does it for you).
+        Configs are taken verbatim — apply :func:`due_preempts_sdc_for`
+        yourself if you build them by hand (:meth:`vgpr_avf` does it for
+        you).
         """
         layout, lifetimes = self._stacked_vgpr(style, factor)
         return compute_mb_avf_batch(layout, lifetimes, configs)
@@ -294,13 +301,11 @@ class AvfStudy:
     ) -> MbAvfResult:
         """MB-AVF of the vector register file, merged over wavefronts.
 
-        With inter-thread interleaving the 16 threads of a wavefront read a
-        register row simultaneously, so a detected region fires before an
-        undetected one propagates — the Sec. VIII rule.  That behaviour is
-        applied automatically unless ``due_preempts_sdc`` is forced.
+        The Sec. VIII rule (:func:`due_preempts_sdc_for`) is applied
+        automatically unless ``due_preempts_sdc`` is forced.
         """
         if due_preempts_sdc is None:
-            due_preempts_sdc = style is Interleaving.INTER_THREAD
+            due_preempts_sdc = due_preempts_sdc_for(style)
         cfg = AvfConfig(
             mode=mode, scheme=scheme, due_preempts_sdc=due_preempts_sdc,
             series_edges=tuple(series_edges) if series_edges is not None else None,

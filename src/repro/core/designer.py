@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .analysis import AvfStudy
+from .analysis import AvfStudy, due_preempts_sdc_for
 from .avf import AvfConfig
 from .faultmodes import FaultMode
 from .layout import Interleaving
@@ -88,8 +88,7 @@ def evaluate_designs(
     Rates are the per-mode raw fault rates weighted by the per-mode MB-AVFs
     (eq. 3), averaged across the given studies.  Design points sharing a
     layout are measured in one engine batch per study, with the Sec. VIII
-    DUE-preempts-SDC rule on for inter-thread interleaving (as
-    :meth:`AvfStudy.vgpr_avf` applies it).
+    rule of :func:`~repro.core.analysis.due_preempts_sdc_for`.
     """
     modes = _modes_of(fit_by_mode)
     by_layout: Dict[Tuple[Interleaving, int], List[int]] = {}
@@ -102,7 +101,7 @@ def evaluate_designs(
             configs = [
                 AvfConfig(
                     mode=FaultMode.linear(m), scheme=designs[i].scheme,
-                    due_preempts_sdc=style is Interleaving.INTER_THREAD,
+                    due_preempts_sdc=due_preempts_sdc_for(style),
                 )
                 for i in members
                 for m in modes

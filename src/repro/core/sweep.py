@@ -7,8 +7,8 @@ iteration order and a flat, easily-tabulated result form.
 Every sweep runs the engine's batch path: the cells that share a physical
 layout form one batch, so enumeration and region caches are shared
 across that layout's schemes and modes.  Journaled, resumable and
-distributed sweeps go through :func:`repro.experiments.sweep_benchmarks`
-(``journal=``, ``jobs=``, ``fabric=``).
+parallel sweeps over many benchmarks go through
+:func:`repro.experiments.sweep_benchmarks` (``journal=``, ``jobs=``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .analysis import AvfStudy
+from .analysis import AvfStudy, due_preempts_sdc_for
 from .avf import AvfConfig, MbAvfResult
 from .faultmodes import FaultMode
 from .layout import Interleaving
@@ -57,23 +57,26 @@ class SweepPoint:
         )
 
 
-def _scheme_label(scheme: ProtectionScheme) -> str:
-    return getattr(scheme, "name", type(scheme).__name__.lower())
+def _run_grid(
+    structure: str,
+    modes: Iterable[FaultMode],
+    schemes: Iterable[ProtectionScheme],
+    layouts: Iterable[Tuple[Interleaving, int]],
+    measure_batch,
+) -> List[SweepPoint]:
+    """Evaluate the grid, one engine batch per physical layout.
 
-
-def _run_grid(structure, cells, measure_batch) -> List[SweepPoint]:
-    """Evaluate grid cells, one engine batch per physical layout.
-
-    ``cells`` is a list of ``(cell_id, (style, factor, scheme, mode))``;
-    cells sharing a layout go to ``measure_batch(style, factor, pairs)``
-    together.
+    Every (scheme, mode) cell of a layout goes to
+    ``measure_batch(style, factor, pairs)`` together.
     """
-    groups: Dict[Tuple, List[Tuple]] = {}
-    for _, (style, factor, scheme, mode) in cells:
-        groups.setdefault((style, factor), []).append((scheme, mode))
+    modes = list(modes)
+    pairs = [(scheme, mode) for scheme in schemes for mode in modes]
+    groups: Dict[Tuple[Interleaving, int], List[Tuple]] = {}
+    for style, factor in layouts:
+        groups.setdefault((style, factor), []).extend(pairs)
     points: List[SweepPoint] = []
-    for (style, factor), pairs in groups.items():
-        for res in measure_batch(style, factor, pairs):
+    for (style, factor), cells in groups.items():
+        for res in measure_batch(style, factor, cells):
             points.append(SweepPoint.from_result(structure, style, factor, res))
     return points
 
@@ -81,33 +84,19 @@ def _run_grid(structure, cells, measure_batch) -> List[SweepPoint]:
 def _sink(
     points: Sequence[SweepPoint], store, workload: str, seed: int
 ) -> None:
-    """Persist sweep points when a store sink was requested."""
+    """Persist sweep points through the results sink, if one was given."""
     if store is None:
         return
     # Lazy import: sweeps must not pull sqlite machinery in unless a
     # sink was actually requested.
-    from ..store import ingest_sweep_points, open_store
+    from ..store import ingest_sweep_points, persist
 
-    with open_store(store) as sink:
-        ingest_sweep_points(sink, points, workload=workload, seed=seed)
-
-
-def _grid(
-    structure: str,
-    modes: Iterable[FaultMode],
-    schemes: Iterable[ProtectionScheme],
-    layouts: Iterable[Tuple[Interleaving, int]],
-) -> List[Tuple[str, Tuple]]:
-    cells = []
-    for style, factor in layouts:
-        for scheme in schemes:
-            for mode in modes:
-                cell_id = (
-                    f"sweep/{structure}/{style.value}x{factor}/"
-                    f"{_scheme_label(scheme)}/{mode.name}"
-                )
-                cells.append((cell_id, (style, factor, scheme, mode)))
-    return cells
+    persist(
+        store,
+        lambda sink: ingest_sweep_points(
+            sink, points, workload=workload, seed=seed
+        ),
+    )
 
 
 def sweep_cache_avf(
@@ -125,9 +114,11 @@ def sweep_cache_avf(
     """Measure every (mode, scheme, layout) combination on a cache level.
 
     ``store`` (a :class:`~repro.store.ResultStore` or path) persists the
-    measured points under ``workload``/``seed``; the write is keyed by
-    the canonical configuration tuple, so re-running the same sweep into
-    the same store is a no-op.
+    measured points under ``workload``/``seed`` through
+    :func:`repro.store.persist`; the write is keyed by the canonical
+    configuration tuple, so re-running the same sweep into the same
+    store is a no-op, and a store that fails to take it does not fail
+    the sweep.
     """
 
     def measure_batch(style, factor, pairs):
@@ -137,10 +128,7 @@ def sweep_cache_avf(
             style=style, factor=factor, domain_bytes=domain_bytes,
         )
 
-    points = _run_grid(
-        level, _grid(level, list(modes), list(schemes), list(layouts)),
-        measure_batch,
-    )
+    points = _run_grid(level, modes, schemes, layouts, measure_batch)
     _sink(points, store, workload, seed)
     return points
 
@@ -164,17 +152,14 @@ def sweep_vgpr_avf(
     """
 
     def measure_batch(style, factor, pairs):
-        due = style is Interleaving.INTER_THREAD
+        due = due_preempts_sdc_for(style)
         configs = [
             AvfConfig(mode=m, scheme=s, due_preempts_sdc=due)
             for s, m in pairs
         ]
         return study.vgpr_avf_batch(configs, style=style, factor=factor)
 
-    points = _run_grid(
-        "vgpr", _grid("vgpr", list(modes), list(schemes), list(layouts)),
-        measure_batch,
-    )
+    points = _run_grid("vgpr", modes, schemes, layouts, measure_batch)
     _sink(points, store, workload, seed)
     return points
 

@@ -107,31 +107,22 @@ def sweep_benchmarks(
     retry: Optional[RetryPolicy] = None,
     journal: Optional[Union[Journal, str]] = None,
     progress: Union[bool, str] = False,
-    fabric=None,
     store=None,
 ) -> Tuple[Dict[str, List[SweepPoint]], Dict[str, str]]:
     """Measure one sweep grid across many benchmarks through the runtime.
 
     Each benchmark is one task: with ``jobs >= 1`` benchmarks are simulated
-    in parallel isolated workers (the first parallel sweep execution), a
-    ``timeout`` bounds each benchmark's wall clock, and a ``journal`` makes
-    the whole grid resumable.  Returns ``(points by benchmark, failures by
-    benchmark)`` — a benchmark whose simulation fails is reported in the
-    second mapping instead of aborting the sweep.
-
-    ``fabric`` (a :class:`~repro.runtime.fabric.FabricCoordinator`)
-    distributes the grid at *cell* granularity instead: every
-    (benchmark, layout, scheme, mode) cell is one fabric task under the
-    ``sweep_grid`` entrypoint, so cells of different benchmarks land on
-    whichever node is free and each node simulates a workload at most
-    once.  ``jobs`` is ignored in fabric mode; failure keys are then
-    cell task ids rather than bare benchmark names.
+    in parallel isolated workers, a ``timeout`` bounds each benchmark's
+    wall clock, and a ``journal`` makes the whole grid resumable.  Returns
+    ``(points by benchmark, failures by benchmark)`` — a benchmark whose
+    simulation fails is reported in the second mapping instead of
+    aborting the sweep.
 
     ``store`` (a :class:`~repro.store.ResultStore` or path) persists
-    every measured point under its benchmark name.  In fabric mode it is
-    also handed to the executor as its commit-time sink, so a journaled
-    distributed sweep lands in the store the moment the coordinator
-    finalizes — the direct ingest afterwards is then a keyed no-op.
+    every measured point under its benchmark name through
+    :func:`repro.store.persist`: a store that fails to take the write
+    does not fail the sweep, and the warning names the ``journal`` to
+    resume from.
     """
     if layouts is None:
         layouts = (
@@ -141,14 +132,6 @@ def sweep_benchmarks(
     modes = tuple(modes)
     schemes = tuple(schemes)
     layouts = tuple(layouts)
-    if fabric is not None:
-        points, failed = _sweep_benchmarks_fabric(
-            benchmarks, structure, modes, schemes, layouts,
-            fabric=fabric, timeout=timeout, retry=retry,
-            journal=journal, progress=progress, store=store,
-        )
-        _sink_points(points, store)
-        return points, failed
     tasks = [
         Task(
             id=f"grid/{structure}/{name}",
@@ -179,78 +162,14 @@ def sweep_benchmarks(
             points[name] = [SweepPoint(**d) for d in r.value]
         else:
             failed[name] = f"{r.outcome}: {r.error}"
-    _sink_points(points, store)
-    return points, failed
+    if store is not None:
+        from .store import ingest_sweep_points, persist
 
+        def write(sink) -> None:
+            for name in sorted(points):
+                ingest_sweep_points(sink, points[name], workload=name)
 
-def _sink_points(
-    points: Dict[str, List[SweepPoint]], store
-) -> None:
-    """Persist per-benchmark sweep points when a sink was requested."""
-    if store is None:
-        return
-    from .store import ingest_sweep_points, open_store
-
-    with open_store(store) as sink:
-        for name in sorted(points):
-            ingest_sweep_points(sink, points[name], workload=name)
-
-
-def _sweep_benchmarks_fabric(
-    benchmarks: Sequence[str],
-    structure: str,
-    modes: Tuple[FaultMode, ...],
-    schemes: Tuple[ProtectionScheme, ...],
-    layouts: Tuple[Tuple[Interleaving, int], ...],
-    *,
-    fabric,
-    timeout: Optional[float],
-    retry: Optional[RetryPolicy],
-    journal: Optional[Union[Journal, str]],
-    progress: Union[bool, str],
-    store,
-) -> Tuple[Dict[str, List[SweepPoint]], Dict[str, str]]:
-    """Cell-granular distributed sweep through the ``sweep_grid`` job."""
-    from .core.sweep import _grid
-    from .runtime.fabric import sweep_grid_job
-
-    cells = _grid(structure, list(modes), list(schemes), list(layouts))
-    tasks = []
-    owners: Dict[str, str] = {}
-    for name in benchmarks:
-        for cell_id, cell in cells:
-            # sweep/<structure>/<layout>/<scheme>/<mode> ->
-            # grid/<structure>/<name>/<layout>/<scheme>/<mode>
-            suffix = cell_id.split("/", 2)[2]
-            task_id = f"grid/{structure}/{name}/{suffix}"
-            owners[task_id] = name
-            tasks.append(Task(
-                id=task_id,
-                payload=(name, cell),
-                meta={"benchmark": name, "structure": structure},
-            ))
-
-    points: Dict[str, List[SweepPoint]] = {}
-    failed: Dict[str, str] = {}
-    # No task function: cells the fleet cannot finish run on the driver
-    # through the same sweep_grid entrypoint the nodes build.
-    with Executor(
-        fabric=fabric, job=sweep_grid_job(structure),
-        journal=journal, retry=retry,
-        timeout=timeout, progress=progress, store=store,
-    ) as executor:
-        with get_tracer().span(
-            "sweep", structure=structure, benchmarks=len(benchmarks),
-            cells=len(cells), fabric=True,
-        ):
-            results = executor.run(tasks)
-    for task in tasks:
-        r = results[task.id]
-        name = owners[task.id]
-        if r.ok:
-            points.setdefault(name, []).append(SweepPoint(**r.value))
-        else:
-            failed[task.id] = f"{r.outcome}: {r.error}"
+        persist(store, write, journal=journal)
     return points, failed
 
 

@@ -477,7 +477,9 @@ def run_campaign(
     ``campaigns`` table and, when a ``journal`` was used, every journaled
     injection verdict lands in ``injections`` keyed by record identity —
     so re-running a resumed campaign (or re-ingesting the same journal
-    through ``repro campaign merge --store``) adds nothing twice.
+    through ``repro campaign merge --store``) adds nothing twice.  A
+    store that fails to take the write does not fail the campaign: see
+    :func:`repro.store.persist`.
     """
     if benchmark not in REGISTRY:
         raise KeyError(f"unknown benchmark {benchmark!r}")
@@ -551,14 +553,14 @@ def run_campaign(
     if store is not None:
         # Lazy import: campaigns must not drag sqlite machinery in
         # unless a sink was actually requested.
-        from ..store import ingest_campaign, ingest_journal, open_store
+        from ..store import ingest_campaign, ingest_journal, persist
 
-        with open_store(store) as sink:
+        def write(sink) -> None:
             ingest_campaign(sink, out, seed=seed, n_cus=n_cus)
             if journal is not None:
-                path = journal.path if isinstance(journal, Journal) \
-                    else journal
-                ingest_journal(sink, path, seed=seed)
+                ingest_journal(sink, journal, seed=seed)
+
+        persist(store, write, journal=journal)
     return out
 
 

@@ -550,7 +550,6 @@ class Executor:
         job: Any = None,
         worker_grace: float = 1.5,
         stop_after: Optional[int] = None,
-        store: Optional[Any] = None,
     ) -> None:
         if jobs < 0:
             raise ValueError("jobs must be >= 0 (0 = inline)")
@@ -595,9 +594,6 @@ class Executor:
         self.worker_grace = worker_grace
         #: test hook: drain after this many newly finalized results
         self.stop_after = stop_after
-        #: optional results-store sink (a ``repro.store.ResultStore`` or a
-        #: path to one): the journal is ingested after every run or drain
-        self.store = store
         # per-run state, set by _start
         self._table = TaskTable(())
         self._results: Dict[str, TaskResult] = {}
@@ -653,7 +649,11 @@ class Executor:
         finally:
             self._stop()
             self._restore_signal_handlers(saved_handlers)
-        self._commit()
+        if self.journal is not None and getattr(self.fabric, "shard_dir", None):
+            # Fold the nodes' shard journals into the canonical one.
+            from .fabric.merge import merge_shards
+
+            merge_shards(self.journal, self.fabric.shard_dir)
         if self._draining and len(results) < len(tasks):
             if self.journal is not None:
                 self.journal.close()  # seal: every record is durable
@@ -754,44 +754,6 @@ class Executor:
                     time.sleep(max(0.0, min(table.wake(now) - now, 0.05)))
         finally:
             self._shutdown(workers)
-
-    def _commit(self) -> None:
-        """Merge visible fabric shards into the journal, then fold the
-        journal into the results store.
-
-        The journal — not the store — is the durable record, so a store
-        sink that fails here (full disk, corrupt file, held lock) must
-        not fail the completed campaign: the error is reported and
-        counted.  To recover, remove a damaged store file and re-run
-        the same command with ``--resume JOURNAL --store PATH``: every
-        task resumes from the journal and ingest fills the fresh file.
-        """
-        if self.journal is None:
-            return
-        if self.fabric is not None and self.fabric.shard_dir:
-            from .fabric.merge import merge_shards
-
-            merge_shards(self.journal, self.fabric.shard_dir)
-        if self.store is None:
-            return
-        # Lazy import: the runtime must stay importable on worker nodes
-        # that never touch the results store.
-        from ..store import ingest_journal, open_store
-
-        try:
-            with open_store(self.store) as store:
-                ingest_journal(store, self.journal.path)
-        except Exception as exc:
-            get_metrics().counter("store.ingest_failures").inc()
-            print(
-                "warning: results-store ingest failed "
-                f"({type(exc).__name__}: {exc}); the journal at "
-                f"{self.journal.path} remains the durable record — "
-                "if the store file is damaged, remove it and re-run "
-                f"with --resume {self.journal.path} --store "
-                f"{getattr(self.store, 'path', self.store)}",
-                file=sys.stderr,
-            )
 
     # -- signal drain -------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Distributed campaign fabric: coordinator/worker over HTTP/JSON.
 
 Shards :class:`~repro.faultinject.campaign.BenchmarkCampaign` injections
-and :mod:`repro.core.sweep` cells across worker nodes with lease-based
+across worker nodes with lease-based
 assignment, at-least-once idempotent execution, a replicated journal
 (node shards merged into the canonical log on commit), deadlined RPCs
 with deterministic retry, and graceful degradation to local execution
@@ -26,7 +26,6 @@ from .tasks import (
     register_entrypoint,
     resolve,
     stub_job,
-    sweep_grid_job,
 )
 from .worker import FabricWorker, run_worker
 
@@ -48,5 +47,4 @@ __all__ = [
     "resolve",
     "run_worker",
     "stub_job",
-    "sweep_grid_job",
 ]

@@ -24,11 +24,13 @@ from __future__ import annotations
 import errno
 import json
 import sqlite3
+import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -42,9 +44,9 @@ from typing import (
 
 from ..obs import get_metrics, get_tracer
 from .query import AvfRow, FILTER_COLUMNS, QueryResult, build_where
-from .schema import SCHEMA_VERSION, ensure_schema
+from .schema import SCHEMA_VERSION, SchemaVersionError, ensure_schema
 
-__all__ = ["ResultStore", "engine_version", "open_store"]
+__all__ = ["ResultStore", "engine_version", "open_store", "persist"]
 
 PathLike = Union[str, Path]
 
@@ -474,3 +476,53 @@ def open_store(
         yield owned
     finally:
         owned.close()
+
+
+#: what a damaged, full, locked or newer-schema store file raises; any
+#: other exception out of a write is a bug and propagates
+_STORE_ERRORS = (sqlite3.Error, OSError, SchemaVersionError)
+
+
+def persist(
+    store: Union[ResultStore, PathLike],
+    write: Callable[[ResultStore], Any],
+    *,
+    journal: Optional[Any] = None,
+) -> Any:
+    """The one results sink: open ``store`` and return ``write(store)``.
+
+    ``store`` is a :class:`ResultStore` or a path (see
+    :func:`open_store`).  The store is an index derived from journals
+    and seeds, so a write that fails with one of the store's own failure
+    types never fails the producer that computed the results: the
+    failure is counted in ``store.ingest_failures``, one warning on
+    stderr names the recovery recipe, and None is returned.  With a
+    ``journal`` (a :class:`~repro.runtime.Journal` or path) the recipe
+    is ``--resume J --store S``; without one it is re-running the
+    command.
+    """
+    try:
+        with open_store(store) as sink:
+            return write(sink)
+    except _STORE_ERRORS as exc:
+        get_metrics().counter("store.ingest_failures").inc()
+        path = getattr(store, "path", store)
+        if journal is not None:
+            journal = getattr(journal, "path", journal)
+            recovery = (
+                f"the journal at {journal} remains the durable record — "
+                "if the store file is damaged, remove it and re-run with "
+                f"--resume {journal} --store {path}"
+            )
+        else:
+            recovery = (
+                "the computed results are unaffected — if the store file "
+                "is damaged, remove it and re-run the command with "
+                f"--store {path}"
+            )
+        print(
+            "warning: results-store ingest failed "
+            f"({type(exc).__name__}: {exc}); {recovery}",
+            file=sys.stderr,
+        )
+        return None

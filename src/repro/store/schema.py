@@ -26,7 +26,16 @@ from __future__ import annotations
 
 import sqlite3
 
-__all__ = ["SCHEMA_VERSION", "ensure_schema", "schema_version"]
+__all__ = [
+    "SCHEMA_VERSION",
+    "SchemaVersionError",
+    "ensure_schema",
+    "schema_version",
+]
+
+
+class SchemaVersionError(RuntimeError):
+    """The file carries a schema version this build does not read."""
 
 _DDL = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -143,7 +152,7 @@ def ensure_schema(conn: sqlite3.Connection) -> None:
             raise
         conn.execute("COMMIT")
     if version != SCHEMA_VERSION:
-        raise RuntimeError(
+        raise SchemaVersionError(
             f"results store is schema version {version}, but this build "
             f"reads only version {SCHEMA_VERSION}; upgrade the code, or "
             "remove the file and re-run the command that produced it "

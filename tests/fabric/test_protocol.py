@@ -83,7 +83,7 @@ class TestJobSpec:
 
 class TestEntrypoints:
     def test_registered_kinds(self):
-        assert {"stub", "injection", "sweep_grid"} == set(ENTRYPOINTS)
+        assert {"stub", "injection"} == set(ENTRYPOINTS)
 
     def test_stub_build_and_encode(self):
         job = stub_job(mul=4)

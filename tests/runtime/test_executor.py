@@ -202,41 +202,6 @@ class TestJournalResume:
         assert loaded["x"]["outcome"] == TaskOutcome.INFRA_ERROR
 
 
-class TestStoreSink:
-    def test_failed_commit_ingest_keeps_the_results(self, tmp_path, capsys):
-        """A damaged store at commit time never fails a finished run:
-        the results come back, the failure is counted, and the warning
-        names the journal and the re-run recipe."""
-        from repro.store import ResultStore
-
-        store = tmp_path / "r.sqlite"
-        with ResultStore(store) as s:
-            s.put_avf_rows(
-                [
-                    {"workload": "w", "structure": "l1", "scheme": "parity",
-                     "style": "none", "factor": 1, "mode": "2x1",
-                     "seed": seed, "due_avf": 0.25, "sdc_avf": 0.125,
-                     "true_due_avf": 0.2, "false_due_avf": 0.05}
-                    for seed in range(50)
-                ]
-            )
-        with open(store, "r+b") as fh:
-            fh.seek(min(4096, store.stat().st_size // 2))
-            fh.write(b"\xde\xad\xbe\xef" * 256)
-        journal = tmp_path / "j.jsonl"
-        with obs.observe() as (registry, _tracer):
-            results = Executor(
-                dispatch, jobs=0, journal=journal, store=store
-            ).run([Task("a", ("ok", 1)), Task("b", ("ok", 2))])
-            counters = registry.snapshot()["counters"]
-        assert {k: r.value for k, r in results.items()} == {"a": 2, "b": 4}
-        assert counters["store.ingest_failures"] == 1
-        err = capsys.readouterr().err
-        assert "results-store ingest failed" in err
-        assert f"--resume {journal} --store {store}" in err
-        assert "repro store" not in err
-
-
 class TestRetryPolicy:
     def test_backoff_grows_and_caps(self):
         p = RetryPolicy(max_attempts=5, backoff=1.0, backoff_factor=2.0,

@@ -142,6 +142,14 @@ def injection_record(task, verdict="masked", **over):
     return rec
 
 
+def remove_store(path):
+    """Delete a store file and its WAL/SHM sidecars."""
+    for suffix in ("", "-wal", "-shm"):
+        sidecar = path.with_name(path.name + suffix)
+        if sidecar.exists():
+            sidecar.unlink()
+
+
 def write_journal(path, records):
     """Append ``records`` to a fresh journal at ``path``."""
     journal = Journal(path)

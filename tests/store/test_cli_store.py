@@ -44,6 +44,19 @@ class TestProducerFlags:
         with ResultStore(path) as store:
             assert len(store.mttf_rows()) >= 4
 
+    @pytest.mark.parametrize("argv", [
+        ["avf", "vectoradd", "--structure", "l1", "--mode", "2x1",
+         "--scheme", "parity"],
+        ["mttf"],
+    ], ids=["avf", "mttf"])
+    def test_json_stdout_stays_one_document(self, tmp_path, capsys, argv):
+        """With --json the store notice goes to stderr, so stdout parses."""
+        path = tmp_path / "r.sqlite"
+        assert main([*argv, "--json", "--store", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert isinstance(json.loads(out), dict)
+        assert "already present" in err
+
     def test_store_in_missing_directory_is_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["mttf", "--store", str(tmp_path / "absent" / "r.sqlite")])

@@ -25,7 +25,13 @@ from repro.store import ResultStore
 from repro.store.ingest import ingest_journal
 from repro.store.schema import SCHEMA_VERSION, schema_version
 
-from .conftest import avf_row, point_record, sweep_point, write_journal
+from .conftest import (
+    avf_row,
+    point_record,
+    remove_store,
+    sweep_point,
+    write_journal,
+)
 
 #: the store CI job runs two fixed seeds; assertions hold for any
 STORE_SEED = int(os.environ.get("REPRO_STORE_SEED", "1"))
@@ -37,14 +43,6 @@ def corrupt(path):
     with open(path, "r+b") as fh:
         fh.seek(min(4096, size // 2))
         fh.write(b"\xde\xad\xbe\xef" * 256)
-
-
-def remove_store(path):
-    """Delete a store file and its WAL/SHM sidecars."""
-    for suffix in ("", "-wal", "-shm"):
-        sidecar = path.with_name(path.name + suffix)
-        if sidecar.exists():
-            sidecar.unlink()
 
 
 def sample_journal(tmp_path, n=3):
