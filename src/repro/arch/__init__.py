@@ -13,7 +13,7 @@ from .isa import (
     v,
 )
 from .liveness import analyze_liveness
-from .memory import GlobalMemory, Lds
+from .memory import GlobalMemory
 
 __all__ = [
     "L1_CONFIG",
@@ -35,5 +35,4 @@ __all__ = [
     "v",
     "analyze_liveness",
     "GlobalMemory",
-    "Lds",
 ]

@@ -18,6 +18,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .memory import lane_bytes
 from .trace import EvictEvent, FillEvent, ReadEvent, WriteEvent
 
 __all__ = ["CacheConfig", "Cache", "MemSystem"]
@@ -222,14 +223,11 @@ class MemSystem:
 
     def store(self, cu: int, addrs: np.ndarray, nbytes: int, t: int, uid: int) -> int:
         """Vector store; buffered, so latency is small and fixed."""
-        lines = addrs // self.line_bytes * self.line_bytes
+        addr, _ = lane_bytes(addrs, nbytes)
+        lines = addr // self.line_bytes * self.line_bytes
         for line in np.unique(lines).tolist():
-            sel = lines == line
-            offs = []
-            for a in addrs[sel].tolist():
-                base = int(a) - int(line)
-                offs.extend(range(base, base + nbytes))
-            self._store_line(cu, int(line), np.unique(offs), t, uid)
+            offs = np.unique(addr[lines == line] - line)
+            self._store_line(cu, line, offs, t, uid)
         return self.store_latency
 
     def flush(self, t: int) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 from ..obs import get_metrics, get_tracer
 from .cache import L1_CONFIG, L2_CONFIG, CacheConfig, MemSystem
 from .isa import WAVEFRONT_LANES, Instr, Program
-from .memory import GlobalMemory, Lds
+from .memory import GlobalMemory
 from .trace import InstrRecord
 
 __all__ = ["Wavefront", "ComputeUnit", "Apu", "LaunchStats"]
@@ -63,7 +63,7 @@ class Wavefront:
         program: Program,
         exec_mask: np.ndarray,
         sregs: List[int],
-        lds: Lds,
+        lds: GlobalMemory,
     ) -> None:
         self.id = wf_id
         self.pc = 0
@@ -227,7 +227,9 @@ class Apu:
             base = i * WAVEFRONT_LANES
             exec_mask = (base + _LANES) < n_threads
             sregs = [i, wf_id] + [int(a) & M32 for a in args]
-            wf = Wavefront(wf_id, program, exec_mask, sregs, Lds(self.lds_bytes))
+            wf = Wavefront(
+                wf_id, program, exec_mask, sregs, GlobalMemory(self.lds_bytes)
+            )
             self.wf_programs[wf_id] = program
             wf.vregs[0] = (base + _LANES).astype(np.uint32)  # v0 = global tid
             wf.vregs[1] = _LANES.astype(np.uint32)           # v1 = lane id
@@ -505,7 +507,7 @@ class Apu:
 
     def _exec_memory(self, cu: ComputeUnit, wf: Wavefront, ins: Instr, t: int) -> None:
         op = ins.op
-        is_store = op.endswith("store") or "store" in op
+        is_store = "store" in op
         is_lds = op.startswith("lds")
         nbytes = 1 if op.endswith("_u8") else 4
         addr_src = ins.srcs[1] if is_store else ins.srcs[0]
@@ -520,39 +522,16 @@ class Apu:
         lat = 2 if is_lds else 1
         if active.any():
             aa = addrs[active]
-            if is_lds:
-                store_fn = wf.lds.store32
-                if is_store:
-                    vals = self._fetch_v(wf, ins.srcs[0])[active]
-                    if nbytes == 1:
-                        wf.lds.data[aa] = (vals & 0xFF).astype(np.uint8)
-                    else:
-                        store_fn(aa, vals)
-                else:
-                    vals = (
-                        wf.lds.data[aa].astype(np.uint32)
-                        if nbytes == 1 else wf.lds.load32(aa)
-                    )
-                    out = self._fetch_v(wf, ins.dst).copy()
-                    out[active] = vals
-                    self._write_v(wf, ins.dst, out, active)
+            space = wf.lds if is_lds else self.memory
+            if is_store:
+                space.store(aa, nbytes, self._fetch_v(wf, ins.srcs[0])[active])
             else:
-                if is_store:
-                    vals = self._fetch_v(wf, ins.srcs[0])[active]
-                    if nbytes == 1:
-                        self.memory.store8(aa, vals)
-                    else:
-                        self.memory.store32(aa, vals)
-                    lat = self.memsys.store(cu.id, aa, nbytes, t, rec.uid)
-                else:
-                    vals = (
-                        self.memory.load8(aa) if nbytes == 1
-                        else self.memory.load32(aa)
-                    )
-                    out = self._fetch_v(wf, ins.dst).copy()
-                    out[active] = vals
-                    self._write_v(wf, ins.dst, out, active)
-                    lat = self.memsys.load(cu.id, aa, nbytes, t, rec.uid)
+                out = self._fetch_v(wf, ins.dst).copy()
+                out[active] = space.load(aa, nbytes)
+                self._write_v(wf, ins.dst, out, active)
+            if not is_lds:
+                access = self.memsys.store if is_store else self.memsys.load
+                lat = access(cu.id, aa, nbytes, t, rec.uid)
         wf.ready = t + lat
 
 

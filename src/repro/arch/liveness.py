@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .isa import WAVEFRONT_LANES
+from .memory import last_lane_wins
 from .trace import InstrRecord
 
 __all__ = ["analyze_liveness"]
@@ -33,6 +34,8 @@ __all__ = ["analyze_liveness"]
 M32 = np.uint32(0xFFFFFFFF)
 _LANES = np.arange(WAVEFRONT_LANES)
 _ZERO = np.zeros(WAVEFRONT_LANES, dtype=np.uint32)
+#: The bits of each byte of a little-endian 32-bit word.
+_BYTE_BITS = np.array([0xFF << (8 * k) for k in range(4)], dtype=np.uint32)
 
 
 def _fill_below_msb(x: np.ndarray) -> np.ndarray:
@@ -224,12 +227,8 @@ def _process_load(rec: InstrRecord, st: _WfState, needed_mem: np.ndarray) -> Non
     rec.load_needed = out
     rec.live = bool(out.any())
     mem = st.needed_lds if rec.space == "lds" else needed_mem
-    for lane in np.where(lanes & (out != 0))[0]:
-        a = int(rec.addrs[lane])
-        m = int(out[lane])
-        for b in range(rec.nbytes):
-            if m & (0xFF << (8 * b)):
-                mem[a + b] = True
+    addr, live = rec.access_bytes()
+    mem[addr[live]] = True
     addr_mask = _full_if(out)
     rec.src_needed = []
     for src in rec.srcs:
@@ -245,15 +244,14 @@ def _process_load(rec: InstrRecord, st: _WfState, needed_mem: np.ndarray) -> Non
 def _process_store(rec: InstrRecord, st: _WfState, needed_mem: np.ndarray) -> None:
     lanes = rec.acc_mask
     mem = st.needed_lds if rec.space == "lds" else needed_mem
+    addr, _ = rec.access_bytes()
+    # Only the lane whose byte memory keeps can have it read later.
+    needed = mem[addr] & last_lane_wins(addr)
+    mem[addr] = False  # overwritten: earlier values are dead
     mem_needed = np.zeros(WAVEFRONT_LANES, dtype=np.uint32)
-    for lane in np.where(lanes)[0]:
-        a = int(rec.addrs[lane])
-        m = 0
-        for b in range(rec.nbytes):
-            if mem[a + b]:
-                m |= 0xFF << (8 * b)
-            mem[a + b] = False  # overwritten: earlier values are dead
-        mem_needed[lane] = m
+    mem_needed[lanes] = (needed * _BYTE_BITS[: rec.nbytes]).sum(
+        axis=1, dtype=np.uint32
+    )
     rec.mem_needed = mem_needed
     rec.live = bool(mem_needed.any())
     addr_mask = _full_if(mem_needed)

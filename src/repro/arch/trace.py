@@ -17,9 +17,11 @@ The liveness pass (:mod:`repro.arch.liveness`) later annotates
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
+
+from .memory import lane_bytes
 
 __all__ = [
     "InstrRecord",
@@ -94,6 +96,19 @@ class InstrRecord:
         self.src_needed = None
         self.load_needed = None
         self.mem_needed = None
+
+    def access_bytes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`~repro.arch.memory.lane_bytes` of a memory op's active
+        lanes: every byte they touch, and whether a load's
+        ``load_needed`` masks make it live (all live before the liveness
+        pass, and for stores)."""
+        lanes = self.acc_mask
+        needed = self.load_needed
+        return lane_bytes(
+            self.addrs[lanes],
+            self.nbytes,
+            None if needed is None else needed[lanes],
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<InstrRecord #{self.uid} t={self.t} wf={self.wf} {self.op}>"

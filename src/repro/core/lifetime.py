@@ -73,14 +73,14 @@ class MemoryConsumption:
         for rec in records:
             if rec.space != "global" or rec.op not in ("v_store", "v_store_u8"):
                 continue
-            addr, _ = _lane_bytes(rec)
+            addr, _ = rec.access_bytes()
             stored[addr] = True
-            for a in addr.tolist():
+            for a in addr.ravel().tolist():
                 self._stores.setdefault(a, []).append(rec.t)
         for rec in records:
             if rec.space != "global" or rec.op not in ("v_load", "v_load_u8"):
                 continue
-            addr, live = _lane_bytes(rec)
+            addr, live = rec.access_bytes()
             kept = stored[addr]
             for a, is_live in zip(addr[kept].tolist(), live[kept].tolist()):
                 ts, ls = self._loads.setdefault(a, ([], []))
@@ -105,17 +105,6 @@ class MemoryConsumption:
                 if ls[i]:
                     return True
                 i += 1
-        return bool(self._is_output[addr]) and horizon == float("inf")
-
-    def read_after(self, addr: int, t: int) -> bool:
-        """True if the value at ``addr`` as of ``t`` is ever read (even dead)."""
-        horizon = self._next_store_after(addr, t)
-        loads = self._loads.get(addr)
-        if loads is not None:
-            ts, _ = loads
-            i = bisect.bisect_left(ts, t)
-            if i < len(ts) and ts[i] <= horizon:
-                return True
         return bool(self._is_output[addr]) and horizon == float("inf")
 
 
@@ -174,19 +163,6 @@ class _ByteTracker:
         )
 
 
-def _lane_bytes(rec: InstrRecord) -> Tuple[np.ndarray, np.ndarray]:
-    """Addresses of every byte ``rec``'s active lanes access, and whether
-    a load's needed-bit masks make each one live (all live without)."""
-    lanes = np.flatnonzero(rec.acc_mask)
-    k = np.arange(rec.nbytes, dtype=np.int64)
-    addr = rec.addrs[lanes].astype(np.int64)[:, None] + k
-    needed = rec.load_needed
-    if needed is None:
-        return addr.ravel(), np.ones(addr.size, dtype=bool)
-    mask = needed[lanes].astype(np.int64)[:, None]
-    return addr.ravel(), ((mask >> (8 * k)) & 0xFF != 0).ravel()
-
-
 def analyze_cache(
     cache: Cache,
     records_by_uid: Dict[int, InstrRecord],
@@ -215,7 +191,7 @@ def analyze_cache(
     no_upstream = np.ones(lb, dtype=bool)  # conservatively fully live
 
     def in_line(rec: InstrRecord, line_addr: int) -> Tuple[np.ndarray, ...]:
-        addr, live = _lane_bytes(rec)
+        addr, live = rec.access_bytes()
         hit = addr - addr % lb == line_addr
         return addr[hit] % lb, live[hit]
 
@@ -306,12 +282,12 @@ def analyze_memory(
         if rec.space != "global" or rec.addrs is None:
             continue
         if rec.op in ("v_store", "v_store_u8"):
-            addr, _ = _lane_bytes(rec)
+            addr, _ = rec.access_bytes()
             off = np.unique(addr[(addr >= base) & (addr < base + size)]) - base
             trk.close(off)
             trk.open(off, rec.t)
         elif rec.op in ("v_load", "v_load_u8"):
-            addr, live = _lane_bytes(rec)
+            addr, live = rec.access_bytes()
             inside = (addr >= base) & (addr < base + size)
             trk.read(addr[inside] - base, rec.t, live[inside])
     trk.last_live[is_output] = end_cycle

@@ -227,6 +227,19 @@ class TestLds:
         apu.finish()
         assert (mem.view_u32("out") == (15 - np.arange(16)) * 7).all()
 
+    @pytest.mark.parametrize("store", [False, True], ids=["load", "store"])
+    def test_access_past_lds_bytes_raises_memory_error(self, store):
+        """The LDS is bounds-checked like global memory."""
+        p = ProgramBuilder()
+        p.shl(v(2), v(1), imm(2))
+        p.iadd(v(2), v(2), imm(4))           # lane 15 reaches byte 64
+        if store:
+            p.lds_store(v(1), v(2))
+        else:
+            p.lds_load(v(3), v(2))
+        with pytest.raises(MemoryError):
+            _run(p.build(), 16, [], apu_kwargs={"lds_bytes": 64})
+
 
 class TestDuplicateAddressStores:
     """Every active lane stores to one address: the highest lane wins."""

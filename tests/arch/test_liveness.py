@@ -1,5 +1,7 @@
 """Tests for dynamic-dead-instruction and logic-masking analysis."""
 
+import numpy as np
+import pytest
 
 from repro.arch import Apu, GlobalMemory, ProgramBuilder, imm, s, v
 from repro.arch.liveness import analyze_liveness
@@ -204,3 +206,24 @@ class TestLdsLiveness:
         recs = _analyze(p.build(), 16, [inp, out], mem, ["out"])
         assert not _recs_of(recs, "lds_store")[0].live
         assert not _recs_of(recs, "v_load")[0].live
+
+
+class TestDuplicateAddressStores:
+    """Lanes 0-10 store to one address; memory keeps lane 10's value, so
+    only lane 10's stored bits are needed (the rule the store applies)."""
+
+    @pytest.mark.parametrize("byte", [False, True], ids=["word", "byte"])
+    def test_only_the_last_active_lane_is_needed(self, byte):
+        mem = GlobalMemory()
+        out = mem.alloc("out", 8)
+        p = ProgramBuilder()
+        p.cmp("lt", v(0), imm(11))
+        p.imul(v(5), v(0), imm(7))
+        p.iadd(v(5), v(5), imm(0x101))
+        p.mov(v(9), s(2))                  # one address for every lane
+        (p.store_u8 if byte else p.store)(v(5), v(9), pred=True)
+        recs = _analyze(p.build(), 16, [out], mem, ["out"])
+        (store,) = _recs_of(recs, "v_store_u8" if byte else "v_store")
+        assert np.flatnonzero(store.mem_needed).tolist() == [10]
+        assert store.mem_needed[10] == (0xFF if byte else 0xFFFFFFFF)
+        assert store.src_needed[0].tolist() == store.mem_needed.tolist()

@@ -41,14 +41,12 @@ class TestMemoryConsumption:
         mc = MemoryConsumption(apu.records, mem.size, ranges)
         store_t = max(r.t for r in apu.records if r.op == "v_store")
         assert mc.live_after(bufs["b"], store_t)
-        assert mc.read_after(bufs["b"], store_t)
 
     def test_scratch_byte_dead_after_store(self):
         apu, mem, ranges, bufs = _trace(_copy_a_to_b, outputs=())
         mc = MemoryConsumption(apu.records, mem.size, [])
         store_t = max(r.t for r in apu.records if r.op == "v_store")
         assert not mc.live_after(bufs["b"], store_t)
-        assert not mc.read_after(bufs["b"], store_t)
 
     def test_overwrite_kills_earlier_value(self):
         def body(p):
