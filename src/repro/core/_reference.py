@@ -4,8 +4,9 @@ The production kernels in :mod:`repro.core.intervals` and
 :mod:`repro.core.avf` are numpy-vectorized; this module preserves the
 original (pre-vectorization) per-event / per-placement implementations as
 an executable specification, plus the whole-array windowed enumerator that
-band deduplication replaced and the per-signature classify and integrate
-body that the grouped event sweep replaced.  The equivalence suites
+band deduplication replaced, the per-mode band enumerator that the shared
+row table and prefix ranks replaced, and the per-signature classify and
+integrate body that the grouped event sweep replaced.  The equivalence suites
 (``tests/core/test_vectorized_equivalence.py``,
 ``tests/core/test_band_enumeration.py``) test that the vectorized kernels,
 the band-deduplicated enumerator and the batch API produce byte-identical
@@ -41,6 +42,7 @@ __all__ = [
     "intersection_duration_ref",
     "enumerate_signatures_ref",
     "enumerate_signatures_windowed_ref",
+    "enumerate_signatures_banded_ref",
     "sigs_from_keys",
     "compute_mb_avf_batch_ref",
     "ace_locality_ref",
@@ -335,6 +337,72 @@ def enumerate_signatures_windowed_ref(
     keys[:, k:] = iid_flat[active]
     uniq, counts = _unique_rows(keys)
     return sigs_from_keys(uniq, counts, k)
+
+
+def enumerate_signatures_banded_ref(
+    array: SramArray, byte2iid: np.ndarray, mode
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Per-mode band-deduplicated enumeration: keys, weights and band count.
+
+    This is the enumerator that the shared row table and prefix ranks
+    replaced, with the same outputs as
+    :func:`repro.core.avf._enumerate_signatures`.  Every call gives the
+    rows dense ids over ``[lifetime ids | domain ids − the row's first
+    domain id]`` and keys each H-row band by its H row ids plus the H−1
+    first-domain deltas to its first row.  One representative per distinct
+    band is windowed with one 2-axis :func:`sliding_window_view`,
+    restricted to the mode's offsets; each window weighs as many groups as
+    its band occurs, all-lifetime-empty windows are dropped, and equal
+    ``(relative domain, lifetime id)`` keys are bucketed with one weighted
+    lexsort.
+    """
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from .avf import _as_scalars, _unique_rows
+
+    h, w = mode.height, mode.width
+    k = mode.n_bits
+    no_keys = np.zeros((0, 2 * k), dtype=np.int32)
+    no_weights = np.zeros(0, dtype=np.int64)
+    if h > array.rows or w > array.cols:
+        return no_keys, no_weights, 0
+    iid_of = byte2iid[array.byte_of]
+    dom_of = array.domain_of
+    first_dom = dom_of[:, 0]
+    _, row_id = np.unique(
+        _as_scalars(np.hstack([iid_of, dom_of - first_dom[:, None]])),
+        return_inverse=True,
+    )
+    first_win = sliding_window_view(first_dom, h)
+    band_keys = np.hstack([
+        sliding_window_view(row_id, h),
+        first_win[:, 1:] - first_win[:, :1],
+    ])
+    _, band_start, band_count = np.unique(
+        _as_scalars(band_keys), return_index=True, return_counts=True
+    )
+    n_bands = len(band_start)
+    band_rows = band_start[:, None] + np.arange(h, dtype=np.intp)
+    dom_win = sliding_window_view(dom_of[band_rows], (h, w), axis=(1, 2))
+    iid_win = sliding_window_view(iid_of[band_rows], (h, w), axis=(1, 2))
+    per_band = dom_win.shape[2]
+    n_win = n_bands * per_band
+    sel = np.fromiter(
+        (r * w + c for r, c in mode.offsets), dtype=np.intp, count=k
+    )
+    iid_flat = iid_win.reshape(n_win, h * w)[:, sel]
+    active = iid_flat.any(axis=1)
+    if not active.any():
+        return no_keys, no_weights, n_bands
+    dom_flat = dom_win.reshape(n_win, h * w)[:, sel][active]
+    keys = np.empty((len(dom_flat), 2 * k), dtype=np.int32)
+    keys[:, :k] = dom_flat - dom_flat[:, :1]
+    keys[:, k:] = iid_flat[active]
+    weights = np.repeat(
+        band_count.astype(np.int64, copy=False), per_band
+    )[active]
+    uniq, counts = _unique_rows(keys, weights)
+    return uniq, counts, n_bands
 
 
 def ace_locality_ref(array: SramArray, lifetimes) -> float:

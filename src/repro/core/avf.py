@@ -16,10 +16,14 @@ outcome intervals into DUE and SDC MB-AVF values (eq. 2, 4-7).
 Groups whose classification is identical — same per-region faulty-bit counts
 and same member lifetime content — are deduplicated, which makes the
 enumeration of the ~1e5 groups of a real cache array cheap.  Enumeration is
-fully vectorized: every mode geometry (contiguous Mx1 wordline faults and
-2-D ``HxW`` rectangles alike) runs one 2-axis ``sliding_window_view`` pass
-keyed by domain-relative ids over each *distinct* band of H rows, weighted
-by how often the band occurs, bucketed with a single weighted lexsort.
+fully vectorized and shared across modes: one row table per (array,
+canonical ids) gives every row a dense id and every band of H rows its
+distinct representatives, for all mode geometries (contiguous Mx1 wordline
+faults and 2-D ``HxW`` rectangles alike).  A mode's groups on those
+representatives are ranked one offset at a time — the rank under offsets
+``o_0..o_j`` is the dense rank of (the rank under ``o_0..o_{j-1}``, the
+domain-relative token at ``o_j``), one 1-D ``np.unique``-style sort per
+offset — so an ``Mx1`` mode extends the ``(M-1)x1`` ranks by one step.
 
 Grouped classify and integrate
 ------------------------------
@@ -50,6 +54,9 @@ they can be shared:
 * canonical lifetime ids are computed once per :class:`StructureLifetimes`
   (one :func:`numpy.unique` per interval count) and cached on it, together
   with the distinct lifetimes and the region ACE unions (two CSR tables),
+* the row table (row ids, band tables and the last prefix-rank grid per
+  band height) is built once per ``(array, canonical ids)`` and shared by
+  every mode,
 * the region table is memoized per ``(array, mode, lifetimes)``, and with
   it each config's outcome cycles and series, keyed by ``(scheme,
   miscorrect_corrupts, due_preempts_sdc, series_edges)``.
@@ -63,7 +70,7 @@ observable via the ``avf.batch_cache_hits`` counter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union, overload
 
 import numpy as np
 
@@ -105,7 +112,19 @@ class _SetView(Sequence[IntervalSet]):
     def __len__(self) -> int:
         return self._lt.n_bytes
 
-    def __getitem__(self, i: int) -> IntervalSet:  # type: ignore[override]
+    @overload
+    def __getitem__(self, i: int) -> IntervalSet:
+        ...
+
+    @overload
+    def __getitem__(self, i: slice) -> List[IntervalSet]:
+        ...
+
+    def __getitem__(
+        self, i: Union[int, slice]
+    ) -> Union[IntervalSet, List[IntervalSet]]:
+        if isinstance(i, slice):
+            return [self[b] for b in range(len(self))[i]]
         lt = self._lt
         b = range(len(self))[i]  # bounds-checked, negative ids allowed
         lo, hi = lt.offsets[b], lt.offsets[b + 1]
@@ -188,7 +207,8 @@ class StructureLifetimes:
         """Plain single-bit AVF with no protection (fraction of ACE bit-cycles)."""
         ace = self.cls == int(AceClass.ACE)
         total = int((self.ends - self.starts)[ace].sum())
-        return total / (self.n_bytes * self.window_cycles)
+        denom = self.n_bytes * self.window_cycles
+        return total / denom if denom else 0.0
 
 
 @dataclass(frozen=True)
@@ -428,8 +448,82 @@ def _as_scalars(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
 
 
+#: largest (rank, token) product packed into one int64 as is; past it the
+#: tokens are densely ranked first
+_PACK_LIMIT = 1 << 62
+#: a fault mode's ``(row, col)`` offsets
+_Offsets = Tuple[Tuple[int, int], ...]
+
+
+def _dense_rank(code: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Dense rank of each value of 1-D ``code``, and the number of ranks."""
+    values, rank = np.unique(code, return_inverse=True)
+    return rank, len(values)
+
+
+class _RowTable:
+    """One layout's rows under one canonical id table, shared by every mode.
+
+    Rows get dense ids over ``[lifetime ids | domain ids − the row's first
+    domain id]``.  An ``HxW`` group lies within a band of H consecutive
+    rows, and its key does not change when every domain id of the band
+    shifts by one amount, so a band is keyed by its H row ids plus the H−1
+    first-domain deltas to its first row.  :meth:`band` holds, per band
+    height, one representative per distinct band and how often each
+    occurs; every ``Mx1`` mode shares the height-1 table.
+
+    ``ranks`` keeps one prefix-rank grid per band height: the offsets it
+    ranks, and the rank of each (band, column origin) under them (see
+    :func:`_enumerate_signatures`).
+    """
+
+    __slots__ = (
+        "byte_of", "domain_of", "byte2iid", "row_id", "bands", "ranks",
+    )
+
+    def __init__(self, array: SramArray, byte2iid: np.ndarray) -> None:
+        self.byte_of = array.byte_of
+        self.domain_of = array.domain_of
+        self.byte2iid = byte2iid
+        rows = np.hstack([
+            byte2iid[self.byte_of], self.domain_of - self.domain_of[:, :1],
+        ])
+        _, row_id = np.unique(_as_scalars(rows), return_inverse=True)
+        self.row_id = row_id.reshape(-1)
+        #: height -> (band counts, representative domains, representative ids)
+        self.bands: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        #: height -> (ranked offsets, rank grid)
+        self.ranks: Dict[int, Tuple[_Offsets, np.ndarray]] = {}
+
+    def band(self, h: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Height-``h`` bands: ``int64`` counts and ``(band, h, cols)`` maps."""
+        from numpy.lib.stride_tricks import sliding_window_view
+
+        cached = self.bands.get(h)
+        if cached is not None:
+            return cached
+        first_win = sliding_window_view(self.domain_of[:, 0], h)
+        band_keys = np.hstack([
+            sliding_window_view(self.row_id, h),
+            first_win[:, 1:] - first_win[:, :1],
+        ])
+        _, band_start, band_count = np.unique(
+            _as_scalars(band_keys), return_index=True, return_counts=True
+        )
+        band_rows = band_start[:, None] + np.arange(h, dtype=np.intp)
+        cached = self.bands[h] = (
+            band_count.astype(np.int64, copy=False),
+            self.domain_of[band_rows],
+            self.byte2iid[self.byte_of[band_rows]],
+        )
+        return cached
+
+
 def _enumerate_signatures(
-    array: SramArray, byte2iid: np.ndarray, mode: FaultMode
+    array: SramArray,
+    byte2iid: np.ndarray,
+    mode: FaultMode,
+    table: Optional[_RowTable] = None,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Count fault groups per distinct group key.
 
@@ -441,65 +535,72 @@ def _enumerate_signatures(
     order, the ``int64`` number of groups per key, and the number of
     distinct row bands enumerated.
 
-    An ``HxW`` group lies within a band of H consecutive rows, and its key
-    does not change when every domain id of the band shifts by one amount.
-    Rows therefore get dense ids over ``[lifetime ids | domain ids − the
-    row's first domain id]``; a band is keyed by its H row ids plus the H−1
-    first-domain deltas to its first row, and only one representative per
-    distinct band is windowed.
-
-    The window pass is one 2-axis :func:`sliding_window_view` over the
-    representatives, restricted to the mode's offsets; each window weighs
-    as many groups as its band occurs, and equal keys are bucketed with one
-    weighted lexsort.  Windows whose members are all lifetime-empty
-    classify to nothing and are dropped up front (they still count in the
-    denominator via ``n_groups``).
+    Only one representative per distinct band of ``table`` (a fresh
+    :class:`_RowTable` when none is passed) is enumerated, each of its
+    groups weighing as many groups as the band occurs.  Keys are ranked
+    one offset at a time: the rank of a group under offsets ``o_0..o_j``
+    is the dense rank of (its rank under ``o_0..o_{j−1}``, its token at
+    ``o_j``), the token being ``(dom[o_j] − dom[o_0], iid[o_j])``, packed
+    into one ``int64`` per group.  The table keeps the last rank grid per
+    band height, and a mode whose offsets extend the grid's (``linear(M)``
+    extends ``linear(M − 1)``) starts from it.  Weights are summed per
+    final rank, one representative group per rank rebuilds its key, keys
+    whose members are all lifetime-empty are dropped (they classify to
+    nothing but still count in the denominator via ``n_groups``), and the
+    rest are sorted into lexsort order.
     """
-    from numpy.lib.stride_tricks import sliding_window_view
-
     h, w = mode.height, mode.width
     k = mode.n_bits
-    no_keys = np.zeros((0, 2 * k), dtype=np.int32)
-    no_weights = np.zeros(0, dtype=np.int64)
     if h > array.rows or w > array.cols:
-        return no_keys, no_weights, 0
-    iid_of = byte2iid[array.byte_of]
-    dom_of = array.domain_of
-    first_dom = dom_of[:, 0]
-    _, row_id = np.unique(
-        _as_scalars(np.hstack([iid_of, dom_of - first_dom[:, None]])),
-        return_inverse=True,
+        return (
+            np.zeros((0, 2 * k), dtype=np.int32), np.zeros(0, dtype=np.int64), 0
+        )
+    if table is None:
+        table = _RowTable(array, byte2iid)
+    count, dom, iid = table.band(h)
+    n_orig = array.cols - w + 1
+    offsets = mode.offsets
+    r0, c0 = offsets[0]
+    base = dom[:, r0, c0:c0 + n_orig]
+    done, rank = 1, iid[:, r0, c0:c0 + n_orig].astype(np.int64, copy=False)
+    cached = table.ranks.get(h)
+    if cached is not None and offsets[:len(cached[0])] == cached[0]:
+        done, rank = len(cached[0]), cached[1][:, :n_orig]
+    n_ids = int(iid.max()) + 1
+    n_rank = int(rank.max()) + 1
+    for r, c in offsets[done:]:
+        delta = np.subtract(dom[:, r, c:c + n_orig], base, dtype=np.int64)
+        lo = int(delta.min())
+        token = ((delta - lo) * n_ids + iid[:, r, c:c + n_orig]).reshape(-1)
+        n_token = (int(delta.max()) - lo + 1) * n_ids
+        if n_rank * n_token > _PACK_LIMIT:
+            token, n_token = _dense_rank(token)
+        rank, n_rank = _dense_rank(rank.reshape(-1) * n_token + token)
+        rank = rank.reshape(len(count), n_orig)
+    table.ranks[h] = (offsets, rank)
+    if done == k:
+        flat, n_rank = _dense_rank(rank.reshape(-1))
+    else:
+        flat = rank.reshape(-1)
+    weights = np.bincount(
+        flat, weights=np.repeat(count, n_orig), minlength=n_rank
+    ).astype(np.int64, copy=False)
+    # any origin of a rank will do as its representative: all share its key
+    rep = np.empty(n_rank, dtype=np.intp)
+    rep[flat] = np.arange(len(flat), dtype=np.intp)
+    band, origin = np.divmod(rep, n_orig)
+    at = (
+        band[:, None],
+        np.array([r for r, _ in offsets], dtype=np.intp),
+        origin[:, None] + np.array([c for _, c in offsets], dtype=np.intp),
     )
-    first_win = sliding_window_view(first_dom, h)
-    band_keys = np.hstack([
-        sliding_window_view(row_id, h),
-        first_win[:, 1:] - first_win[:, :1],
-    ])
-    _, band_start, band_count = np.unique(
-        _as_scalars(band_keys), return_index=True, return_counts=True
-    )
-    n_bands = len(band_start)
-    band_rows = band_start[:, None] + np.arange(h, dtype=np.intp)
-    dom_win = sliding_window_view(dom_of[band_rows], (h, w), axis=(1, 2))
-    iid_win = sliding_window_view(iid_of[band_rows], (h, w), axis=(1, 2))
-    per_band = dom_win.shape[2]
-    n_win = n_bands * per_band
-    sel = np.fromiter(
-        (r * w + c for r, c in mode.offsets), dtype=np.intp, count=k
-    )
-    iid_flat = iid_win.reshape(n_win, h * w)[:, sel]
-    active = iid_flat.any(axis=1)
-    if not active.any():
-        return no_keys, no_weights, n_bands
-    dom_flat = dom_win.reshape(n_win, h * w)[:, sel][active]
-    keys = np.empty((len(dom_flat), 2 * k), dtype=np.int32)
-    keys[:, :k] = dom_flat - dom_flat[:, :1]
-    keys[:, k:] = iid_flat[active]
-    weights = np.repeat(
-        band_count.astype(np.int64, copy=False), per_band
-    )[active]
-    uniq, counts = _unique_rows(keys, weights)
-    return uniq, counts, n_bands
+    keys = np.empty((n_rank, 2 * k), dtype=np.int32)
+    keys[:, :k] = dom[at] - dom[band, r0, origin + c0][:, None]
+    keys[:, k:] = iid[at]
+    active = keys[:, k:].any(axis=1)
+    keys, weights = keys[active], weights[active]
+    order = np.lexsort(keys.T[::-1])
+    return keys[order], weights[order], len(count)
 
 
 #: bit ``c`` of ``_LIVE_BITS[kind]`` is set when a region of reaction kind
@@ -723,7 +824,11 @@ def _signatures_for(
     mode: FaultMode,
     lifetimes: StructureLifetimes,
 ) -> _Signatures:
-    """Enumeration memo: region table per (array, mode, canonical lifetimes)."""
+    """Enumeration memo: region table per (array, mode, canonical lifetimes).
+
+    The memo also holds one :class:`_RowTable` per canonical id table,
+    which every mode's enumeration on this array shares.
+    """
     memo = array._sig_memo
     if memo is None:
         memo = array._sig_memo = {}
@@ -737,8 +842,11 @@ def _signatures_for(
     with get_tracer().span(
         "enumerate", structure=lifetimes.name, mode=mode.name
     ) as span:
+        table = memo.get(canon)
+        if table is None:
+            table = memo[canon] = _RowTable(array, canon.byte2iid)
         keys, weights, n_bands = _enumerate_signatures(
-            array, canon.byte2iid, mode
+            array, canon.byte2iid, mode, table
         )
         sigs = _Signatures(keys, weights, mode.n_bits)
         span.set(rows=array.rows, bands=n_bands, signatures=sigs.n_signatures)
@@ -753,7 +861,8 @@ def compute_mb_avf_batch(
 ) -> List[MbAvfResult]:
     """Compute MB-AVFs for many engine configurations in one pass.
 
-    Canonical lifetime ids are resolved once; fault-group enumeration is
+    Canonical lifetime ids are resolved once; every mode's fault-group
+    enumeration reads one row table per layout, and its region table is
     memoized per mode; region ACE unions are shared across every config,
     and each config's outcome cycles and series are cached with its
     enumeration.  Use this instead of looping over :func:`compute_mb_avf`

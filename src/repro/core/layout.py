@@ -65,8 +65,9 @@ class SramArray:
     domain_bytes: int
     interleave_factor: int
     style: Interleaving
-    #: AVF-engine enumeration memo, keyed (mode, canonical lifetime ids);
-    #: populated lazily by core.avf._signatures_for
+    #: AVF-engine enumeration memo, populated lazily by
+    #: core.avf._signatures_for: one row table per canonical lifetime ids
+    #: (shared by every mode) and one region table per (mode, canonical ids)
     _sig_memo: Optional[Dict[Any, Any]] = field(
         default=None, init=False, repr=False, compare=False
     )

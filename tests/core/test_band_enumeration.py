@@ -1,10 +1,12 @@
-"""Band-deduplicated enumeration vs both enumeration references.
+"""Band-deduplicated enumeration vs the enumeration references.
 
-The production enumerator windows one representative per distinct row band
-and weights its windows by how often the band occurs.  Its keys, decoded
+The production enumerator ranks one representative per distinct row band
+and weights its groups by how often the band occurs.  Its keys, decoded
 with the reference decoder, must give the same signature dict, in the same
-insertion order, as the whole-array windowed enumerator it replaced, and the
-same multiset as the per-placement reference.  Random lifetimes rarely repeat a row, so the arrays here are
+insertion order, as the whole-array windowed enumerator, and the same
+multiset as the per-placement reference; its raw keys, weights and band
+count must equal the per-mode band enumerator's whatever order modes come
+in.  Random lifetimes rarely repeat a row, so the arrays here are
 stacked the way :meth:`AvfStudy._stacked_vgpr` stacks wavefronts: one
 block's layout and lifetimes tiled several times, byte and domain ids
 offset per block.
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import _reference as ref
+from repro.core import avf
 from repro.core.avf import _canonical_iset_ids, _enumerate_signatures
 from repro.core.faultmodes import MX1_MODES, FaultMode
 from repro.core.intervals import IntervalSet
@@ -126,6 +129,75 @@ def test_stacked_arrays_match_both_references(layout, seed):
         if mode.height <= array.rows:
             # stacking repeats bands, so fewer are windowed than exist
             assert 0 < n_bands < array.rows - mode.height + 1, mode.name
+
+
+#: the orders in which the prefix-rank test feeds modes through one memo:
+#: each Mx1 mode extends the one before; none does; and rect modes in
+#: between (a 2-row column before the 2x2 block it is no prefix of, and a
+#: repeated mode, which the memo answers)
+ORDERS = {
+    "ascending": list(MX1_MODES),
+    "descending": list(MX1_MODES[::-1]),
+    "interleaved": [
+        FaultMode.linear(2), FaultMode.rect(2, 1), FaultMode.rect(2, 2),
+        FaultMode.linear(3), FaultMode.rect(3, 2), FaultMode.linear(8),
+        FaultMode.linear(1), FaultMode.rect(2, 1), FaultMode.linear(5),
+        FaultMode.linear(4), FaultMode.linear(7), FaultMode.linear(6),
+    ],
+}
+
+
+@pytest.mark.parametrize("order", list(ORDERS))
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_shared_row_table_matches_banded_reference(layout, seed, order,
+                                                   monkeypatch):
+    """Prefix ranks over one shared row table vs the per-mode band pass.
+
+    Modes go through one ``_signatures_for`` memo in the given order, so
+    each enumeration starts from whatever rank grid and band tables the
+    modes before it left; every one must equal the reference exactly.
+    """
+    rng = np.random.default_rng(seed)
+    array, lts = _stacked(LAYOUTS[layout], rng)
+    canon = _canonical_iset_ids(lts)
+    seen = []
+
+    def record(array, byte2iid, mode, table=None):
+        assert table is not None
+        out = _enumerate_signatures(array, byte2iid, mode, table)
+        seen.append((mode, table, out))
+        return out
+
+    monkeypatch.setattr(avf, "_enumerate_signatures", record)
+    for mode in ORDERS[order]:
+        avf._signatures_for(array, canon, mode, lts)
+    assert all(table is seen[0][1] for _, table, _ in seen)
+    distinct = list(dict.fromkeys(ORDERS[order]))
+    assert [mode for mode, _, _ in seen] == distinct
+    for mode, _, (keys, weights, n_bands) in seen:
+        want_keys, want_weights, want_bands = (
+            ref.enumerate_signatures_banded_ref(array, canon.byte2iid, mode)
+        )
+        assert keys.dtype == want_keys.dtype and weights.dtype == np.int64
+        assert np.array_equal(keys, want_keys), mode.name
+        assert np.array_equal(weights, want_weights), mode.name
+        assert n_bands == want_bands, mode.name
+
+
+@pytest.mark.parametrize("layout", ["regfile-inter_threadx2", "tags-x2"])
+def test_dense_token_path_matches_banded_reference(layout, monkeypatch):
+    """Past the packing limit, tokens are densely ranked before packing."""
+    monkeypatch.setattr(avf, "_PACK_LIMIT", 0)
+    array, lts = _stacked(LAYOUTS[layout], np.random.default_rng(2))
+    byte2iid = _canonical_iset_ids(lts).byte2iid
+    table = avf._RowTable(array, byte2iid)
+    for mode in ORDERS["interleaved"]:
+        got = _enumerate_signatures(array, byte2iid, mode, table)
+        want = ref.enumerate_signatures_banded_ref(array, byte2iid, mode)
+        assert np.array_equal(got[0], want[0]), mode.name
+        assert np.array_equal(got[1], want[1]), mode.name
+        assert got[2] == want[2], mode.name
 
 
 def test_band_key_keeps_cross_row_domain_stride():

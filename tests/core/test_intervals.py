@@ -109,6 +109,24 @@ class TestFromRows:
         with pytest.raises(ValueError):
             _rows("t", 2, [(-1, 0, 5, 1)])
 
+    def test_byte_isets_slices(self):
+        lt = _rows("t", 3, [(0, 0, 5, 2), (2, 3, 4, 1)])
+        view = lt.byte_isets
+        assert [s.intervals() for s in view[0:2]] == [[(0, 5, 2)], []]
+        assert [s.intervals() for s in view[::-2]] == [[(3, 4, 1)], [(0, 5, 2)]]
+        assert view[5:] == []
+        assert all(isinstance(s, IntervalSet) for s in view[:])
+
+    def test_sb_ace_fraction_of_empty_structure_is_zero(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert StructureLifetimes.from_rows(
+            "x", 0, empty, empty, empty, empty, 0, 100
+        ).sb_ace_fraction() == 0.0
+        no_window = StructureLifetimes.from_rows(
+            "x", 2, empty, empty, empty, empty, 7, 7
+        )
+        assert no_window.sb_ace_fraction() == 0.0
+
 
 class TestQueries:
     def test_class_at(self):

@@ -314,6 +314,30 @@ def test_batch_reuses_caches(monkeypatch):
         obs.disable()
 
 
+def test_row_table_reuse_is_not_a_cache_hit():
+    from repro import obs
+    from repro.core.avf import _RowTable
+
+    rng = np.random.default_rng(7)
+    array = build_cache_array(4, 2, 16, domain_bytes=4, name="t")
+    lts = _random_lifetimes(rng, array.n_bytes)
+    configs = [
+        AvfConfig(mode=FaultMode.linear(m), scheme=SCHEMES["parity"])
+        for m in (1, 2, 3)
+    ]
+    obs.enable()
+    try:
+        obs.get_metrics().reset()
+        compute_mb_avf_batch(array, lts, configs)
+        counters = obs.get_metrics().snapshot()["counters"]
+        # three fresh modes share one row table, which counts as no hit
+        assert counters.get("avf.batch_cache_hits", 0) == 0
+    finally:
+        obs.disable()
+    tables = [t for t in array._sig_memo.values() if isinstance(t, _RowTable)]
+    assert len(tables) == 1
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_ace_locality_matches_reference(seed):
     rng = np.random.default_rng(seed)
