@@ -134,6 +134,8 @@ class Apu:
         lds_bytes: int = 4096,
         max_cycles: int = 50_000_000,
     ) -> None:
+        if n_cus < 1:
+            raise ValueError(f"n_cus must be >= 1, not {n_cus}")
         self.memory = memory if memory is not None else GlobalMemory()
         self.memsys = MemSystem(n_cus, l1_config, l2_config)
         self.cus = [ComputeUnit(i, self, max_resident_wavefronts) for i in range(n_cus)]

@@ -64,6 +64,14 @@ def _parse_mode(text: str) -> FaultMode:
     return FaultMode.linear(w) if h == 1 else FaultMode.rect(h, w)
 
 
+def _positive_int(text: str) -> int:
+    """An integer >= 1 (compute units, interleaving factors)."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {n}")
+    return n
+
+
 def _build_study(args) -> AvfStudy:
     kwargs = scaled_apu_kwargs() if args.scaled else None
     result = run(args.workload, seed=args.seed, n_cus=args.cus,
@@ -570,7 +578,7 @@ def _cmd_lint(args) -> int:
 def _add_common(sub) -> None:
     sub.add_argument("workload", choices=names())
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--cus", type=int, default=4, help="compute units")
+    sub.add_argument("--cus", type=_positive_int, default=4, help="compute units")
     sub.add_argument(
         "--scaled", action="store_true", default=True,
         help="use the scaled experiment cache configuration (default)",
@@ -585,7 +593,7 @@ def _add_measure_args(sub) -> None:
     sub.add_argument("--structure", choices=("l1", "l2", "vgpr"), default="l1")
     sub.add_argument("--scheme", choices=sorted(SCHEMES), default="parity")
     sub.add_argument("--style", choices=sorted(_STYLES), default="none")
-    sub.add_argument("--factor", type=int, default=1)
+    sub.add_argument("--factor", type=_positive_int, default=1)
 
 
 def _add_obs_args(sub) -> None:
@@ -754,7 +762,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="benchmarks to inject (default: the AMD OpenCL sample suite)",
     )
     p_camp.add_argument("--seed", type=int, default=0)
-    p_camp.add_argument("--cus", type=int, default=2, help="compute units")
+    p_camp.add_argument("--cus", type=_positive_int, default=2, help="compute units")
     p_camp.add_argument("--singles", type=int, default=40)
     p_camp.add_argument("--groups", type=int, default=10)
     _add_runtime_args(p_camp)

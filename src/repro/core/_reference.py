@@ -5,8 +5,10 @@ The production kernels in :mod:`repro.core.intervals` and
 original (pre-vectorization) per-event / per-placement implementations as
 an executable specification, plus the whole-array windowed enumerator that
 band deduplication replaced, the per-mode band enumerator that the shared
-row table and prefix ranks replaced, and the per-signature classify and
-integrate body that the grouped event sweep replaced.  The equivalence suites
+row table and prefix ranks replaced, the per-signature classify and
+integrate body that the grouped event sweep replaced, and the per-byte
+memory consumption index that the study's one memory lifetime table
+replaced for the L2 write-back verdict.  The equivalence suites
 (``tests/core/test_vectorized_equivalence.py``,
 ``tests/core/test_band_enumeration.py``) test that the vectorized kernels,
 the band-deduplicated enumerator and the batch API produce byte-identical
@@ -17,10 +19,12 @@ Nothing here is used on the production path — do not optimise it.
 
 from __future__ import annotations
 
+import bisect
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..arch.trace import InstrRecord
 from .intervals import AceClass, Interval, IntervalSet, Outcome
 from .layout import SramArray
 from .protection import (
@@ -47,6 +51,7 @@ __all__ = [
     "compute_mb_avf_batch_ref",
     "ace_locality_ref",
     "compute_outcome_cycles_ref",
+    "MemoryConsumptionRef",
 ]
 
 
@@ -567,3 +572,62 @@ def compute_mb_avf_batch_ref(array: SramArray, lifetimes, configs) -> list:
             )
         )
     return results
+
+
+class MemoryConsumptionRef:
+    """Per-byte consumption index over global memory.
+
+    Answers, for a byte written back to memory at cycle ``t``: will that
+    value ever be consumed?  Consumption is a later live load before the
+    next store, or membership in a program output buffer with no later
+    store (the host reads outputs after the workload).
+    """
+
+    def __init__(
+        self,
+        records: Sequence[InstrRecord],
+        mem_size: int,
+        output_ranges: Sequence[Tuple[int, int]],
+    ) -> None:
+        self._stores: Dict[int, List[int]] = {}
+        self._loads: Dict[int, Tuple[List[int], List[bool]]] = {}
+        self._is_output = np.zeros(mem_size, dtype=bool)
+        for base, size in output_ranges:
+            self._is_output[base : base + size] = True
+        stored = np.zeros(mem_size, dtype=bool)
+        for rec in records:
+            if rec.space != "global" or rec.op not in ("v_store", "v_store_u8"):
+                continue
+            addr, _ = rec.access_bytes()
+            stored[addr] = True
+            for a in addr.ravel().tolist():
+                self._stores.setdefault(a, []).append(rec.t)
+        for rec in records:
+            if rec.space != "global" or rec.op not in ("v_load", "v_load_u8"):
+                continue
+            addr, live = rec.access_bytes()
+            kept = stored[addr]
+            for a, is_live in zip(addr[kept].tolist(), live[kept].tolist()):
+                ts, ls = self._loads.setdefault(a, ([], []))
+                ts.append(rec.t)
+                ls.append(is_live)
+
+    def _next_store_after(self, addr: int, t: int) -> float:
+        ts = self._stores.get(addr)
+        if not ts:
+            return float("inf")
+        i = bisect.bisect_right(ts, t)
+        return ts[i] if i < len(ts) else float("inf")
+
+    def live_after(self, addr: int, t: int) -> bool:
+        """True if the value at ``addr`` as of cycle ``t`` is ever consumed."""
+        horizon = self._next_store_after(addr, t)
+        loads = self._loads.get(addr)
+        if loads is not None:
+            ts, ls = loads
+            i = bisect.bisect_left(ts, t)
+            while i < len(ts) and ts[i] <= horizon:
+                if ls[i]:
+                    return True
+                i += 1
+        return bool(self._is_output[addr]) and horizon == float("inf")

@@ -4,7 +4,8 @@
 
 1. the simulator's event traces (:class:`~repro.arch.gpu.Apu`),
 2. the backward liveness pass (dynamic-dead + logic masking),
-3. per-structure lifetime analysis (L1s, L2, per-wavefront VGPRs),
+3. per-structure lifetime analysis (L1s, L2, per-wavefront VGPRs, and
+   one memory table over the allocated footprint),
 4. the MB-AVF engine for any (fault mode, protection scheme, interleaving)
    combination.
 
@@ -39,12 +40,10 @@ from .layout import (
 )
 from .layout import build_tag_array
 from .lifetime import (
-    MemoryConsumption,
     analyze_cache,
     analyze_memory,
     analyze_vgpr,
     derive_tag_lifetimes,
-    merge_fill_maps,
 )
 from .protection import ProtectionScheme
 
@@ -134,49 +133,58 @@ class AvfStudy:
                 lds_size=apu.lds_bytes,
             )
         self._records_by_uid = {r.uid: r for r in apu.records}
-        self._memcons: Optional[MemoryConsumption] = None
+        buffers = apu.memory.buffers().values()
+        lo = min((b for b, _ in buffers), default=0)
+        hi = max((b + s for b, s in buffers), default=lo)
+        #: ``(base, size)`` spanning every allocated buffer
+        self.footprint = (lo, hi - lo)
+        self._memcons: Optional[StructureLifetimes] = None
         self._l1_lifetimes: Optional[List[StructureLifetimes]] = None
+        self._fills: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._l2_lifetime: Optional[StructureLifetimes] = None
         self._vgpr_lifetimes: Optional[List[StructureLifetimes]] = None
         self._vgpr_stack: Optional[StructureLifetimes] = None
-        self._memory_lifetimes: Dict[Tuple[int, int], StructureLifetimes] = {}
         self._layout_cache: Dict[Tuple, SramArray] = {}
 
     # -- lifetimes (lazy, cached) -------------------------------------------
 
     @property
-    def memcons(self) -> MemoryConsumption:
+    def memcons(self) -> StructureLifetimes:
+        """The study's one memory lifetime table, over :attr:`footprint`
+        (byte ``i`` is address ``footprint[0] + i``).  Every memory
+        liveness question reads it."""
         if self._memcons is None:
-            self._memcons = MemoryConsumption(
-                self.apu.records, self.apu.memory.size, self.output_ranges
-            )
+            with get_tracer().span("lifetime", structure="memory"):
+                self._memcons = analyze_memory(
+                    self.apu.records, self.footprint, self.output_ranges,
+                    self.end_cycle,
+                )
         return self._memcons
 
     def l1_lifetimes(self) -> List[StructureLifetimes]:
         """Per-CU L1 lifetimes (also resolves fill verdicts for the L2)."""
         if self._l1_lifetimes is None:
             self._l1_lifetimes = []
-            self._l1_fills = []
             with get_tracer().span("lifetime", structure="l1"):
                 for l1 in self.apu.memsys.l1s:
                     lt, fills = analyze_cache(
                         l1, self._records_by_uid, self.end_cycle
                     )
                     self._l1_lifetimes.append(lt)
-                    self._l1_fills.append(fills)
+                    self._fills.update(fills)  # fill ids are device-wide
         return self._l1_lifetimes
 
     def l2_lifetime(self) -> StructureLifetimes:
         if self._l2_lifetime is None:
             self.l1_lifetimes()  # ensure fill verdicts exist
-            upstream = merge_fill_maps(self._l1_fills)
+            memory = self.memory_lifetimes((0, sum(self.footprint)))
             with get_tracer().span("lifetime", structure="l2"):
                 self._l2_lifetime, _ = analyze_cache(
                     self.apu.memsys.l2,
                     self._records_by_uid,
                     self.end_cycle,
-                    memcons=self.memcons,
-                    upstream_fills=upstream,
+                    memcons=memory,
+                    upstream_fills=self._fills,
                 )
         return self._l2_lifetime
 
@@ -340,14 +348,20 @@ class AvfStudy:
         return self._layout_cache[key], self._vgpr_stack
 
     def memory_lifetimes(self, region: Tuple[int, int]) -> StructureLifetimes:
-        """Architectural lifetimes of a flat memory region (see
-        :func:`repro.core.lifetime.analyze_memory`)."""
-        key = (region[0], region[1])
-        if key not in self._memory_lifetimes:
-            self._memory_lifetimes[key] = analyze_memory(
-                self.apu.records, key, self.output_ranges, self.end_cycle
-            )
-        return self._memory_lifetimes[key]
+        """Architectural lifetimes of the flat memory region ``(base,
+        size)`` (see :func:`repro.core.lifetime.analyze_memory`): the
+        region's CSR slice of :attr:`memcons`.  Bytes outside the
+        footprint have no rows."""
+        table = self.memcons
+        base, size = region
+        pos = np.arange(base, base + size + 1) - self.footprint[0]
+        offsets = table.offsets[np.clip(pos, 0, table.n_bytes)]
+        rows = slice(offsets[0], offsets[-1])
+        return StructureLifetimes(
+            table.name, offsets - offsets[0], table.starts[rows],
+            table.ends[rows], table.cls[rows], table.start_cycle,
+            table.end_cycle,
+        )
 
     def _tag_lifetimes(self, level: str, tag_bytes: int) -> List[StructureLifetimes]:
         """Derived tag-array lifetimes, cached so repeated tag AVFs share

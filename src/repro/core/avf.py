@@ -73,6 +73,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union, overload
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from ..obs import get_metrics, get_tracer
 from .faultmodes import FaultMode
@@ -202,6 +203,25 @@ class StructureLifetimes:
     @property
     def window_cycles(self) -> int:
         return self.end_cycle - self.start_cycle
+
+    def class_at(self, byte_ids: ArrayLike, cycle: ArrayLike) -> np.ndarray:
+        """:meth:`IntervalSet.class_at` of each of ``byte_ids`` at ``cycle``
+        (broadcast against them): one bisection of every byte's rows."""
+        b, c = np.broadcast_arrays(
+            *(np.asarray(a, dtype=np.int64) for a in (byte_ids, cycle))
+        )
+        shape, b, c = b.shape, b.ravel(), c.ravel()
+        first, lo, hi = self.offsets[b], self.offsets[b], self.offsets[b + 1]
+        top = max(len(self.starts) - 1, 0)
+        while (lo < hi).any():  # lo -> each byte's first row after c
+            mid = (lo + hi) // 2
+            go = (lo < hi) & (self.starts[np.minimum(mid, top)] <= c)
+            lo, hi = np.where(go, mid + 1, lo), np.where(go, hi, mid)
+        hit = lo > first
+        hit[hit] &= c[hit] < self.ends[lo[hit] - 1]
+        out = np.zeros(len(b), dtype=np.int64)
+        out[hit] = self.cls[lo[hit] - 1]
+        return out.reshape(shape)
 
     def sb_ace_fraction(self) -> float:
         """Plain single-bit AVF with no protection (fraction of ACE bit-cycles)."""

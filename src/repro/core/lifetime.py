@@ -20,13 +20,13 @@ Classification rules (per byte, per value segment):
 Reads come in three flavours: architectural loads (liveness from the
 backward dataflow pass), line read-outs that fill the next cache level up
 (liveness resolved *transitively* from how the filled copy was used), and
-dirty write-backs (liveness from whether the written-back memory bytes are
-later consumed or belong to a program output buffer).
+dirty write-backs (liveness read from the memory lifetimes of
+:func:`analyze_memory`: a written-back value is live while memory holds it
+ACE, i.e. until its last live load, or to the end for output buffers).
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +38,6 @@ from .avf import StructureLifetimes
 from .intervals import AceClass, _csr_take, union_rows
 
 __all__ = [
-    "MemoryConsumption",
     "analyze_cache",
     "analyze_vgpr",
     "analyze_memory",
@@ -47,65 +46,6 @@ __all__ = [
 
 _ACE = int(AceClass.ACE)
 _DEAD = int(AceClass.READ_DEAD)
-
-
-class MemoryConsumption:
-    """Per-byte consumption index over global memory.
-
-    Answers, for a byte written back to memory at cycle ``t``: will that
-    value ever be consumed?  Consumption is a later live load before the
-    next store, or membership in a program output buffer with no later
-    store (the host reads outputs after the workload).
-    """
-
-    def __init__(
-        self,
-        records: Sequence[InstrRecord],
-        mem_size: int,
-        output_ranges: Sequence[Tuple[int, int]],
-    ) -> None:
-        self._stores: Dict[int, List[int]] = {}
-        self._loads: Dict[int, Tuple[List[int], List[bool]]] = {}
-        self._is_output = np.zeros(mem_size, dtype=bool)
-        for base, size in output_ranges:
-            self._is_output[base : base + size] = True
-        stored = np.zeros(mem_size, dtype=bool)
-        for rec in records:
-            if rec.space != "global" or rec.op not in ("v_store", "v_store_u8"):
-                continue
-            addr, _ = rec.access_bytes()
-            stored[addr] = True
-            for a in addr.ravel().tolist():
-                self._stores.setdefault(a, []).append(rec.t)
-        for rec in records:
-            if rec.space != "global" or rec.op not in ("v_load", "v_load_u8"):
-                continue
-            addr, live = rec.access_bytes()
-            kept = stored[addr]
-            for a, is_live in zip(addr[kept].tolist(), live[kept].tolist()):
-                ts, ls = self._loads.setdefault(a, ([], []))
-                ts.append(rec.t)
-                ls.append(is_live)
-
-    def _next_store_after(self, addr: int, t: int) -> float:
-        ts = self._stores.get(addr)
-        if not ts:
-            return float("inf")
-        i = bisect.bisect_right(ts, t)
-        return ts[i] if i < len(ts) else float("inf")
-
-    def live_after(self, addr: int, t: int) -> bool:
-        """True if the value at ``addr`` as of cycle ``t`` is ever consumed."""
-        horizon = self._next_store_after(addr, t)
-        loads = self._loads.get(addr)
-        if loads is not None:
-            ts, ls = loads
-            i = bisect.bisect_left(ts, t)
-            while i < len(ts) and ts[i] <= horizon:
-                if ls[i]:
-                    return True
-                i += 1
-        return bool(self._is_output[addr]) and horizon == float("inf")
 
 
 class _ByteTracker:
@@ -163,14 +103,26 @@ class _ByteTracker:
         )
 
 
+def _consumed(
+    memory: StructureLifetimes, addrs: np.ndarray, t: int
+) -> np.ndarray:
+    """Whether the values at ``addrs`` as of cycle ``t`` are ever consumed:
+    an ACE row ``[s, e)`` with ``s <= t <= e`` in the address-indexed
+    ``memory`` (class ACE at ``t`` or ``t - 1``).  Addresses past it are
+    not."""
+    addrs = np.asarray(addrs, dtype=np.int64)
+    inside = addrs < memory.n_bytes
+    cls = memory.class_at(np.where(inside, addrs, 0), [[t], [t - 1]])
+    return inside & (cls == _ACE).any(axis=0)
+
+
 def analyze_cache(
     cache: Cache,
     records_by_uid: Dict[int, InstrRecord],
     end_cycle: int,
     *,
-    memcons: Optional[MemoryConsumption] = None,
+    memcons: Optional[StructureLifetimes] = None,
     upstream_fills: Optional[Dict[int, Tuple[np.ndarray, np.ndarray]]] = None,
-    name: Optional[str] = None,
 ) -> Tuple[StructureLifetimes, Dict[int, Tuple[np.ndarray, np.ndarray]]]:
     """Resolve one cache's event stream into per-byte ACE lifetimes.
 
@@ -178,8 +130,13 @@ def analyze_cache(
     fill ids to ``(read_mask, live_mask)`` over the line's bytes — the
     transitive read/liveness verdicts that the *lower* level's analysis
     consumes for its ``'fill'``-kind read events.  Analyze the hierarchy top
-    down: L1s first, then the L2 with ``upstream_fills`` set to the merged
-    L1 verdicts and ``memcons`` set for write-back liveness.
+    down: L1s first, then the L2 with ``upstream_fills`` set to the L1s'
+    verdicts (their fill ids never collide) and ``memcons`` set for
+    write-back liveness.
+
+    ``memcons`` holds memory lifetimes indexed by address; a dirty byte
+    written back is live iff memory consumes it (:func:`_consumed`), or
+    always without them.
     """
     cfg = cache.config
     lb = cfg.line_bytes
@@ -220,10 +177,11 @@ def analyze_cache(
                 off = whole
                 live = np.zeros(lb, dtype=bool)
                 if ev.byte_mask is not None:
-                    for o in np.flatnonzero(ev.byte_mask).tolist():
-                        live[o] = memcons is None or memcons.live_after(
-                            ev.line_addr + o, ev.t
-                        )
+                    dirty = np.flatnonzero(ev.byte_mask)
+                    if memcons is not None:
+                        addr = ev.line_addr + dirty
+                        dirty = dirty[_consumed(memcons, addr, ev.t)]
+                    live[dirty] = True
             trk.read(line[off], ev.t, live)
             # the line's bytes not yet overwritten carry its fill's verdicts
             fid = origin_fill[line[off]]
@@ -235,22 +193,7 @@ def analyze_cache(
         elif isinstance(ev, EvictEvent):
             trk.close(line)
             origin_fill[line] = -1
-    return trk.lifetimes(name or cache.name, end_cycle), fills
-
-
-def merge_fill_maps(
-    maps: Sequence[Dict[int, Tuple[np.ndarray, np.ndarray]]],
-) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-    """Union per-fill verdicts from several upper-level caches (the L1s)."""
-    out: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    for m in maps:
-        for fid, (r, l) in m.items():
-            if fid in out:
-                out[fid][0][:] |= r
-                out[fid][1][:] |= l
-            else:
-                out[fid] = (r.copy(), l.copy())
-    return out
+    return trk.lifetimes(cache.name, end_cycle), fills
 
 
 def analyze_memory(
@@ -258,8 +201,6 @@ def analyze_memory(
     region: Tuple[int, int],
     output_ranges: Sequence[Tuple[int, int]],
     end_cycle: int,
-    *,
-    name: str = "memory",
 ) -> StructureLifetimes:
     """Architectural lifetimes of a flat memory region.
 
@@ -292,7 +233,7 @@ def analyze_memory(
             trk.read(addr[inside] - base, rec.t, live[inside])
     trk.last_live[is_output] = end_cycle
     trk.last_any[is_output] = end_cycle
-    return trk.lifetimes(name, end_cycle)
+    return trk.lifetimes("memory", end_cycle)
 
 
 def derive_tag_lifetimes(

@@ -32,12 +32,15 @@ one in a register, and everything else is shared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.analysis import AvfStudy
+from ..core.faultmodes import FaultMode
 from ..core.intervals import AceClass
+from ..core.protection import SCHEMES
 from ..obs import get_metrics, get_tracer
 from ..runtime import (
     ChaosPolicy,
@@ -140,9 +143,7 @@ class MemorySpec(NamedTuple):
 
 
 def injection_class(
-    study: AvfStudy,
-    spec: Union[InjectionSpec, MemorySpec],
-    region: Optional[Tuple[int, int]] = None,
+    study: AvfStudy, spec: Union[InjectionSpec, MemorySpec]
 ) -> int:
     """The lifetime class that decides the flip ``spec`` schedules.
 
@@ -155,24 +156,20 @@ def injection_class(
     A VGPR spec reads byte ``(lane * study.vgpr_regs + reg) * 4 + bit // 8``
     of its wavefront's lifetimes (``vgpr_regs`` is the padded register
     count, not the wavefront's own) and takes the highest class over its
-    bits.  A memory spec reads ``study.memory_lifetimes(region)``.
+    bits.  A memory spec reads the study's memory table; a byte outside
+    the allocated footprint is UNACE.
     """
     if isinstance(spec, MemorySpec):
-        if region is None:
-            raise ValueError("a memory spec needs the region it was drawn in")
-        base, size = region
-        if not 0 <= spec.addr - base < size:
-            raise ValueError(f"address {spec.addr} outside region {region}")
-        lifetimes = study.memory_lifetimes(region)
-        isets = [lifetimes.byte_isets[spec.addr - base]]
+        lifetimes = study.memory_lifetimes((spec.addr, 1))
+        ids = [0]
     else:
         if spec.reg >= study.apu.wf_programs[spec.wf].n_vregs:
             return AceClass.UNACE  # the simulator drops the flip
         wfs = sorted(study.apu.wf_programs)
         lifetimes = study.vgpr_lifetimes()[wfs.index(spec.wf)]
         row = (spec.lane * study.vgpr_regs + spec.reg) * 4
-        isets = [lifetimes.byte_isets[row + b // 8] for b in spec.bits]
-    return max(iset.class_at(spec.cycle - 1) for iset in isets)
+        ids = [row + b // 8 for b in spec.bits]
+    return int(lifetimes.class_at(ids, spec.cycle - 1).max())
 
 
 @dataclass
@@ -270,6 +267,11 @@ class _Injector:
         self.n_vregs = {
             w: p.n_vregs for w, p in golden_run.apu.wf_programs.items()
         }
+
+    @cached_property
+    def study(self) -> AvfStudy:
+        """The ACE model of the golden run, built on first use."""
+        return AvfStudy(self.golden_run.apu, self.golden_run.output_ranges)
 
     def random_spec(self, rng: np.random.Generator, n_bits: int = 1) -> InjectionSpec:
         wf = int(rng.choice(sorted(self.windows)))
@@ -412,22 +414,6 @@ def _tally(
     return None
 
 
-def _model_sdc_avf(runner: _Injector) -> float:
-    """ACE-model context for one benchmark: the unprotected single-bit
-    VGPR SDC AVF that the campaign's injection verdicts validate.
-
-    Runs the model side of the paper's comparison (liveness, VGPR
-    lifetimes, group enumeration, outcome integration) on the golden
-    run, so a traced campaign records the full methodology — simulate,
-    lifetime, enumerate, integrate, inject — in one timeline.
-    """
-    from ..core.faultmodes import FaultMode
-    from ..core.protection import SCHEMES
-
-    study = AvfStudy(runner.golden_run.apu, runner.golden_run.output_ranges)
-    return study.vgpr_avf(FaultMode.linear(1), SCHEMES["none"]).sdc_avf
-
-
 def run_campaign(
     benchmark: str,
     *,
@@ -490,8 +476,14 @@ def run_campaign(
         )
     rng = np.random.default_rng(seed + 0xFA117)
     out = BenchmarkCampaign(benchmark, n_single_injections=n_single)
+    # The ACE-model context the verdicts validate: the unprotected
+    # single-bit VGPR SDC AVF of the golden run, so a traced campaign
+    # records the full methodology (simulate, lifetime, enumerate,
+    # integrate, inject) in one timeline.
     with tracer.span("model", benchmark=benchmark):
-        out.model_sdc_avf = _model_sdc_avf(runner)
+        out.model_sdc_avf = runner.study.vgpr_avf(
+            FaultMode.linear(1), SCHEMES["none"]
+        ).sdc_avf
     singles = [runner.random_spec(rng) for _ in range(n_single)]
     with _make_executor(
         runner, benchmark, seed, n_cus, max_cycles,

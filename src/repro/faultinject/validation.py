@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.analysis import AvfStudy
 from ..runtime import Journal, RetryPolicy, Task
 from ..workloads.suite import REGISTRY
 from .campaign import (
@@ -73,14 +72,6 @@ class ValidationResult:
         return float(np.sqrt(p * (1 - p) / n)) if n else 0.0
 
 
-def _footprint(memory) -> Tuple[int, int]:
-    """``(base, size)`` spanning every allocated buffer."""
-    bases = list(memory.buffers().values())
-    lo = min(b for b, _ in bases)
-    hi = max(b + s for b, s in bases)
-    return lo, hi - lo
-
-
 def _draw_points(
     rng: np.random.Generator, region: Tuple[int, int], end_cycle: int, n: int
 ) -> List[MemorySpec]:
@@ -101,7 +92,6 @@ def validate_memory_avf(
     n_injections: int = 150,
     seed: int = 0,
     n_cus: int = 2,
-    region: Optional[Tuple[int, int]] = None,
     jobs: int = 0,
     timeout: Optional[float] = None,
     retry: Optional[RetryPolicy] = None,
@@ -110,10 +100,10 @@ def validate_memory_avf(
 ) -> ValidationResult:
     """Run the injection-vs-ACE validation for one benchmark.
 
-    ``region`` defaults to the benchmark's full allocated footprint.  The
-    model prediction comes from :meth:`AvfStudy.memory_lifetimes`; each
-    injection flips one random bit of one random byte at one random cycle
-    and compares the program output with the golden run.  The injection
+    The region is the golden run's allocated footprint, and the model
+    prediction is its :meth:`AvfStudy.memory_lifetimes`; each injection
+    flips one random bit of one random byte at one random cycle and
+    compares the program output with the golden run.  The injection
     points are drawn up-front from the seeded generator, so a journaled
     run resumes deterministically.
     """
@@ -122,16 +112,14 @@ def validate_memory_avf(
     runner = _Injector(
         REGISTRY[benchmark], seed, n_cus, max_cycles=max_cycles
     )
-    golden_run = runner.golden_run
-    if region is None:
-        region = _footprint(golden_run.memory)
-    study = AvfStudy(golden_run.apu, golden_run.output_ranges)
-    lifetimes = study.memory_lifetimes(region)
+    study = runner.study
+    region = study.footprint
     result = ValidationResult(
-        benchmark, region, lifetimes.sb_ace_fraction(), n_injections
+        benchmark, region, study.memory_lifetimes(region).sb_ace_fraction(),
+        n_injections,
     )
     rng = np.random.default_rng(seed + 0x5EED)
-    points = _draw_points(rng, region, golden_run.end_cycle, n_injections)
+    points = _draw_points(rng, region, study.end_cycle, n_injections)
     tasks = [
         Task(id=f"{benchmark}/val/{i:05d}", payload=p, meta=p._asdict())
         for i, p in enumerate(points)

@@ -341,3 +341,9 @@ class TestTiming:
             apu.finish()
         with pytest.raises(RuntimeError):
             apu.launch(p.build(), 16, [buf])
+
+
+@pytest.mark.parametrize("n_cus", [0, -1])
+def test_apu_needs_a_compute_unit(n_cus):
+    with pytest.raises(ValueError, match="n_cus"):
+        Apu(n_cus=n_cus)

@@ -1,10 +1,16 @@
 """Integration tests: simulator events -> per-byte ACE lifetimes."""
 
 import numpy as np
+import pytest
 
 from repro.arch import Apu, GlobalMemory, ProgramBuilder, imm, s, v
+from repro.core import analysis
 from repro.core.analysis import AvfStudy
 from repro.core.intervals import AceClass
+from repro.core.lifetime import analyze_memory
+from repro.experiments import build_study
+
+from .tables import lifetimes_of
 
 ACE = int(AceClass.ACE)
 DEAD = int(AceClass.READ_DEAD)
@@ -197,3 +203,77 @@ class TestVgprLifetimes:
         apu.launch(p.build(), 64, [out])
         study = AvfStudy(apu, [mem.buffer("out")])
         assert len(study.vgpr_lifetimes()) == 4
+
+
+def _random_table(rng, n_bytes, end_cycle):
+    """Random sorted, disjoint, classed intervals for each byte."""
+    isets = []
+    for _ in range(n_bytes):
+        cuts = np.unique(rng.integers(0, end_cycle, rng.integers(0, 12)))
+        classes = rng.integers(0, 3, max(len(cuts) - 1, 0))
+        isets.append([
+            (int(a), int(b), int(c))
+            for a, b, c in zip(cuts[:-1], cuts[1:], classes) if c
+        ])
+    return lifetimes_of("random", isets, 0, end_cycle)
+
+
+class TestClassAt:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_interval_set(self, seed):
+        rng = np.random.default_rng(seed)
+        lt = _random_table(rng, 40, 100)
+        ids = rng.integers(0, lt.n_bytes, 500)
+        cycles = rng.integers(-2, 103, 500)
+        expected = [
+            lt.byte_isets[b].class_at(c)
+            for b, c in zip(ids.tolist(), cycles.tolist())
+        ]
+        assert lt.class_at(ids, cycles).tolist() == expected
+
+    def test_broadcasts_cycles_against_bytes(self):
+        lt = lifetimes_of("t", [[(2, 5, ACE)], [(0, 3, DEAD)]], 0, 10)
+        got = lt.class_at([0, 1], [[2], [4], [9]])
+        assert got.tolist() == [[ACE, DEAD], [ACE, 0], [0, 0]]
+        assert int(lt.class_at(0, 4)) == ACE
+
+    def test_empty_table(self):
+        lt = lifetimes_of("t", [[], []], 0, 10)
+        assert lt.class_at([0, 1], 3).tolist() == [0, 0]
+
+
+class TestMemoryRegions:
+    @pytest.mark.parametrize("name", ["vectoradd", "matmul", "histogram"])
+    def test_region_slice_matches_analyze_memory(self, name):
+        study = build_study(name, seed=0)
+        base, size = study.footprint
+        regions = list(study.apu.memory.buffers().values()) + [
+            study.footprint, (base - 64, 128), (base + size - 64, 128),
+        ]
+        for region in regions:
+            got = study.memory_lifetimes(region)
+            want = analyze_memory(
+                study.apu.records, region, study.output_ranges,
+                study.end_cycle,
+            )
+            for field in ("offsets", "starts", "ends", "cls"):
+                assert np.array_equal(
+                    getattr(got, field), getattr(want, field)
+                ), (region, field)
+            assert (got.name, got.start_cycle, got.end_cycle) == (
+                want.name, want.start_cycle, want.end_cycle
+            )
+
+    def test_one_memory_analysis_per_study(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return analyze_memory(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "analyze_memory", counted)
+        study = build_study("matmul", seed=0)
+        study.l2_lifetime()
+        for region in study.output_ranges:
+            study.memory_lifetimes(region)
+        assert calls == [study.footprint]

@@ -1,10 +1,24 @@
-"""Direct tests for MemoryConsumption and fill-map merging."""
+"""Direct tests for the L2 write-back verdict and the L1 fill ids.
+
+A dirty byte written back to memory is live iff the study's memory
+lifetime table says memory consumes it (``repro.core.lifetime._consumed``).
+"""
 
 import numpy as np
+import pytest
 
 from repro.arch import Apu, GlobalMemory, ProgramBuilder, imm, s, v
-from repro.arch.liveness import analyze_liveness
-from repro.core.lifetime import MemoryConsumption, merge_fill_maps
+from repro.arch.trace import FillEvent, ReadEvent
+from repro.core import AvfStudy
+from repro.core._reference import MemoryConsumptionRef
+from repro.core.intervals import AceClass
+from repro.core.lifetime import _consumed
+from repro.experiments import build_study
+
+from .tables import lifetimes_of
+
+ACE = int(AceClass.ACE)
+DEAD = int(AceClass.READ_DEAD)
 
 
 def _trace(build_fn, outputs, n_threads=16):
@@ -18,13 +32,17 @@ def _trace(build_fn, outputs, n_threads=16):
     apu = Apu(memory=mem, n_cus=1)
     apu.launch(p.build(), n_threads, [bufs["a"], bufs["b"], bufs["c"]])
     apu.finish()
-    ranges = [mem.buffer(n) for n in outputs]
-    analyze_liveness(
-        apu.records,
-        {w: prog.n_vregs for w, prog in apu.wf_programs.items()},
-        mem.size, ranges, lds_size=apu.lds_bytes,
-    )
-    return apu, mem, ranges, bufs
+    study = AvfStudy(apu, [mem.buffer(n) for n in outputs])
+    return study, bufs
+
+
+def _address_table(study):
+    """The study's memory lifetimes indexed by address."""
+    return study.memory_lifetimes((0, sum(study.footprint)))
+
+
+def _live_after(study, addr, t):
+    return bool(_consumed(_address_table(study), [addr], t)[0])
 
 
 def _copy_a_to_b(p):
@@ -35,33 +53,32 @@ def _copy_a_to_b(p):
     p.store(v(4), v(5))
 
 
-class TestMemoryConsumption:
+def _store_times(study):
+    return sorted(r.t for r in study.apu.records if r.op == "v_store")
+
+
+class TestWritebackVerdict:
     def test_output_byte_live_after_store(self):
-        apu, mem, ranges, bufs = _trace(_copy_a_to_b, outputs=("b",))
-        mc = MemoryConsumption(apu.records, mem.size, ranges)
-        store_t = max(r.t for r in apu.records if r.op == "v_store")
-        assert mc.live_after(bufs["b"], store_t)
+        study, bufs = _trace(_copy_a_to_b, outputs=("b",))
+        assert _live_after(study, bufs["b"], _store_times(study)[-1])
 
     def test_scratch_byte_dead_after_store(self):
-        apu, mem, ranges, bufs = _trace(_copy_a_to_b, outputs=())
-        mc = MemoryConsumption(apu.records, mem.size, [])
-        store_t = max(r.t for r in apu.records if r.op == "v_store")
-        assert not mc.live_after(bufs["b"], store_t)
+        study, bufs = _trace(_copy_a_to_b, outputs=())
+        assert not _live_after(study, bufs["b"], _store_times(study)[-1])
 
     def test_overwrite_kills_earlier_value(self):
         def body(p):
             _copy_a_to_b(p)
             p.store(imm(0), v(5))  # second store to b
 
-        apu, mem, ranges, bufs = _trace(body, outputs=("b",))
-        mc = MemoryConsumption(apu.records, mem.size, ranges)
-        stores = sorted(r.t for r in apu.records if r.op == "v_store")
+        study, bufs = _trace(body, outputs=("b",))
+        stores = _store_times(study)
         first, second = stores[0], stores[-1]
         assert first < second
         # The value as of just after the first store is overwritten before
         # the host reads; as of the second store it is live.
-        assert not mc.live_after(bufs["b"], first)
-        assert mc.live_after(bufs["b"], second)
+        assert not _live_after(study, bufs["b"], first)
+        assert _live_after(study, bufs["b"], second)
 
     def test_live_load_consumes(self):
         def body(p):
@@ -71,37 +88,68 @@ class TestMemoryConsumption:
             p.iadd(v(7), v(2), s(4))
             p.store(v(6), v(7))
 
-        apu, mem, ranges, bufs = _trace(body, outputs=("c",))
-        mc = MemoryConsumption(apu.records, mem.size, ranges)
-        first_store = min(r.t for r in apu.records if r.op == "v_store")
+        study, bufs = _trace(body, outputs=("c",))
         # b is not an output, but its value is consumed by the load that
         # feeds c.
-        assert mc.live_after(bufs["b"], first_store)
+        assert _live_after(study, bufs["b"], _store_times(study)[0])
 
-    def test_untracked_address(self):
-        apu, mem, ranges, bufs = _trace(_copy_a_to_b, outputs=("b",))
-        mc = MemoryConsumption(apu.records, mem.size, ranges)
-        # 'a' is never stored by the kernel: no instance tracking needed.
-        assert not mc.live_after(bufs["a"], 0)
+    def test_untouched_address(self):
+        study, bufs = _trace(_copy_a_to_b, outputs=("b",))
+        # 'c' is never loaded, stored or read by the host: never consumed.
+        assert not _live_after(study, bufs["c"], 0)
+        # 'a' is never stored, but its host value feeds the copy into the
+        # output.  (It can never be dirty, so no write-back asks.)
+        assert _live_after(study, bufs["a"], 0)
+
+    def test_past_the_table_is_dead(self):
+        study, bufs = _trace(_copy_a_to_b, outputs=("b",))
+        end = sum(study.footprint)
+        assert not _consumed(_address_table(study), [end, end + 64], 0).any()
+
+    def test_ace_row_is_closed_at_both_ends(self):
+        # A live load at the write-back cycle itself ends the ACE row
+        # there, and still consumes the value.
+        table = lifetimes_of(
+            "memory", [[(2, 5, ACE)], [(2, 5, DEAD), (5, 7, ACE)]], 0, 10
+        )
+        got = {
+            t: _consumed(table, [0, 1], t).tolist() for t in (1, 2, 5, 6, 7, 8)
+        }
+        assert got == {
+            1: [False, False], 2: [True, False], 5: [True, True],
+            6: [False, True], 7: [False, True], 8: [False, False],
+        }
 
 
-class TestMergeFillMaps:
-    def test_union_semantics(self):
-        r1 = np.array([True, False, False])
-        l1 = np.array([True, False, False])
-        r2 = np.array([False, True, False])
-        l2 = np.array([False, False, False])
-        merged = merge_fill_maps([{1: (r1, l1)}, {1: (r2, l2), 2: (r2, l2)}])
-        assert merged[1][0].tolist() == [True, True, False]
-        assert merged[1][1].tolist() == [True, False, False]
-        assert 2 in merged
+@pytest.mark.parametrize("name", ["matmul", "histogram", "srad", "minife"])
+def test_writeback_verdict_matches_reference(name):
+    """Every dirty byte of every L2 write-back: the table's verdict equals
+    the per-byte consumption index it replaced."""
+    study = build_study(name, seed=0)
+    ref = MemoryConsumptionRef(
+        study.apu.records, study.apu.memory.size, study.output_ranges
+    )
+    table = _address_table(study)
+    n = 0
+    for ev in study.apu.memsys.l2.events:
+        if not (isinstance(ev, ReadEvent) and ev.kind == "writeback"):
+            continue
+        addrs = ev.line_addr + np.flatnonzero(ev.byte_mask)
+        expected = [ref.live_after(a, ev.t) for a in addrs.tolist()]
+        assert _consumed(table, addrs, ev.t).tolist() == expected
+        n += len(addrs)
+    assert n, "no write-backs: nothing was compared"
 
-    def test_copies_do_not_alias(self):
-        r = np.array([True])
-        l = np.array([False])
-        merged = merge_fill_maps([{7: (r, l)}])
-        merged[7][0][0] = False
-        assert r[0]  # original unchanged
 
-    def test_empty(self):
-        assert merge_fill_maps([]) == {}
+def test_l1_fill_ids_are_disjoint():
+    """Fill ids come from one device-wide counter, so the L1s' fill
+    verdicts share one map with no key written twice."""
+    study = build_study("matmul", seed=0)
+    per_l1 = [
+        {ev.fill_id for ev in l1.events if isinstance(ev, FillEvent)}
+        for l1 in study.apu.memsys.l1s
+    ]
+    assert len(per_l1) > 1 and all(per_l1)
+    assert sum(map(len, per_l1)) == len(set().union(*per_l1))
+    study.l1_lifetimes()
+    assert set(study._fills) == set().union(*per_l1)

@@ -11,11 +11,10 @@ theirs, and every non-ACE one is simulated.
 import numpy as np
 import pytest
 
-from repro.core import AvfStudy
 from repro.core.intervals import AceClass
 from repro.faultinject import InjectionOutcome, injection_class
 from repro.faultinject.campaign import _Injector
-from repro.faultinject.validation import _draw_points, _footprint
+from repro.faultinject.validation import _draw_points
 from repro.workloads import REGISTRY
 
 BENCHMARKS = ("vectoradd", "transpose")
@@ -25,17 +24,14 @@ MEMORY_DRAWS = 30
 
 @pytest.fixture(scope="module", params=BENCHMARKS)
 def golden(request):
-    runner = _Injector(REGISTRY[request.param], seed=0, n_cus=1)
-    run = runner.golden_run
-    study = AvfStudy(run.apu, run.output_ranges)
-    return runner, study, _footprint(run.memory)
+    return _Injector(REGISTRY[request.param], seed=0, n_cus=1)
 
 
-def _unmasked_non_ace(runner, study, specs, region=None):
+def _unmasked_non_ace(runner, specs):
     """(non-ACE points simulated, those whose verdict was not masked)."""
     non_ace = [
         s for s in specs
-        if injection_class(study, s, region) < AceClass.ACE
+        if injection_class(runner.study, s) < AceClass.ACE
     ]
     bad = [
         (s, v) for s in non_ace
@@ -45,21 +41,20 @@ def _unmasked_non_ace(runner, study, specs, region=None):
 
 
 def test_non_ace_vgpr_flips_are_masked(golden):
-    runner, study, _ = golden
     rng = np.random.default_rng(0)
-    specs = [runner.random_spec(rng) for _ in range(VGPR_DRAWS)]
-    non_ace, bad = _unmasked_non_ace(runner, study, specs)
+    specs = [golden.random_spec(rng) for _ in range(VGPR_DRAWS)]
+    non_ace, bad = _unmasked_non_ace(golden, specs)
     assert non_ace, "no non-ACE draws: the oracle checked nothing"
     assert bad == []
 
 
 def test_non_ace_memory_flips_are_masked(golden):
-    runner, study, region = golden
+    study = golden.study
     rng = np.random.default_rng(0)
     points = _draw_points(
-        rng, region, runner.golden_run.end_cycle, MEMORY_DRAWS
+        rng, study.footprint, study.end_cycle, MEMORY_DRAWS
     )
-    non_ace, bad = _unmasked_non_ace(runner, study, points, region)
+    non_ace, bad = _unmasked_non_ace(golden, points)
     assert non_ace, "no non-ACE draws: the oracle checked nothing"
     assert bad == []
 

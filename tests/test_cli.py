@@ -134,6 +134,20 @@ class TestCampaignRuntimeFlags:
         with pytest.raises(SystemExit):
             main(["inject", "transpose", "--resume", str(tmp_path)])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "matmul", "--cus", "0"], "must be >= 1"),
+        (["campaign", "vectoradd", "--cus", "0"], "must be >= 1"),
+        (["inject", "vectoradd", "--cus", "-1"], "must be >= 1"),
+        (["avf", "matmul", "--factor", "0"], "must be >= 1"),
+        (["ser", "matmul", "--factor", "-2"], "must be >= 1"),
+        (["run", "matmul", "--cus", "two"], "invalid _positive_int value"),
+    ])
+    def test_non_positive_count_rejected(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_campaign_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
             main(["campaign", "transpose", "not-a-benchmark"])
