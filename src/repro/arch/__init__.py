@@ -1,7 +1,7 @@
 """GPU/APU simulation substrate: ISA, caches, memory, execution, liveness."""
 
 from .cache import L1_CONFIG, L2_CONFIG, Cache, CacheConfig, MemSystem
-from .gpu import Apu, ComputeUnit, LaunchStats, Wavefront
+from .gpu import Apu, ComputeUnit, Launch, LaunchStats, Wavefront
 from .isa import (
     WAVEFRONT_LANES,
     Instr,
@@ -23,6 +23,7 @@ __all__ = [
     "MemSystem",
     "Apu",
     "ComputeUnit",
+    "Launch",
     "LaunchStats",
     "Wavefront",
     "WAVEFRONT_LANES",

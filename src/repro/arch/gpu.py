@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,10 +27,20 @@ from .isa import WAVEFRONT_LANES, Instr, Program
 from .memory import GlobalMemory
 from .trace import InstrRecord
 
-__all__ = ["Wavefront", "ComputeUnit", "Apu", "LaunchStats"]
+__all__ = ["Wavefront", "ComputeUnit", "Apu", "Launch", "LaunchStats"]
 
 M32 = 0xFFFFFFFF
 _LANES = np.arange(WAVEFRONT_LANES)
+
+
+class Launch(NamedTuple):
+    """One kernel launch of a workload's schedule: ``program`` over
+    ``n_threads`` work-items, with ``args`` preloaded into ``s2, s3, ...``."""
+
+    program: Program
+    n_threads: int
+    args: Sequence[int] = ()
+    name: str = "kernel"
 
 
 @dataclass
@@ -147,7 +157,7 @@ class Apu:
         self.wf_programs: Dict[int, Program] = {}
         self._uid = 0
         self._wf_seq = 0
-        self._finished = False
+        self._ran = False
         self._injections: Dict[int, List[Tuple[int, int, int, int]]] = {}
         self._mem_injections: List[Tuple[int, int, int]] = []
 
@@ -198,27 +208,42 @@ class Apu:
         else:
             del self._injections[wf.id]
 
-    @property
-    def finished(self) -> bool:
-        return self._finished
-
     # -- kernel launch -----------------------------------------------------
 
-    def launch(
-        self,
-        program: Program,
-        n_threads: int,
-        args: Sequence[int] = (),
-        name: str = "kernel",
-    ) -> LaunchStats:
-        """Run a kernel to completion over ``n_threads`` work-items.
+    def run(self, launches: Iterable[Launch]) -> int:
+        """Run a launch schedule, then flush the caches; returns the end cycle.
 
-        Wavefronts are distributed round-robin over the compute units; the
-        global clock keeps advancing across launches so multi-pass workloads
-        share one AVF analysis window.
+        Kernels run in order, each to completion; the global clock keeps
+        advancing across launches so multi-pass workloads share one AVF
+        analysis window.  The final flush is the host readback the AVF
+        analyses end at.  A device runs one schedule: create a new
+        :class:`Apu` for the next.
         """
-        if self._finished:
-            raise RuntimeError("device already finished; create a new Apu")
+        if self._ran:
+            raise RuntimeError("device already ran; create a new Apu")
+        self._ran = True
+        for launch in launches:
+            self._launch(*launch)
+        self.memsys.flush(self.cycle)
+        self.cycle += 1
+        # Memory flips due by the end of the run still corrupt the image
+        # the host reads back.
+        self._apply_mem_injections()
+        mx = get_metrics()
+        if mx:
+            mx.counter("sim.l1_hits").inc(sum(c.hits for c in self.memsys.l1s))
+            mx.counter("sim.l1_misses").inc(
+                sum(c.misses for c in self.memsys.l1s)
+            )
+            mx.counter("sim.l2_hits").inc(self.memsys.l2.hits)
+            mx.counter("sim.l2_misses").inc(self.memsys.l2.misses)
+        return self.cycle
+
+    def _launch(
+        self, program: Program, n_threads: int, args: Sequence[int], name: str,
+    ) -> None:
+        """Run one kernel to completion over ``n_threads`` work-items,
+        its wavefronts distributed round-robin over the compute units."""
         if n_threads <= 0:
             raise ValueError("kernel needs at least one thread")
         n_wfs = (n_threads + WAVEFRONT_LANES - 1) // WAVEFRONT_LANES
@@ -250,7 +275,6 @@ class Apu:
             mx.counter("sim.instructions").inc(stats.instructions)
             mx.counter("sim.cycles").inc(stats.cycles)
         self.launches.append(stats)
-        return stats
 
     def stats(self) -> Dict[str, object]:
         """Summary statistics of everything executed so far.
@@ -276,30 +300,6 @@ class Apu:
             "l2_hit_rate": _rate(l2.hits, l2.misses),
             "l2_accesses": l2.hits + l2.misses,
         }
-
-    def finish(self) -> int:
-        """Flush the cache hierarchy (host readback); returns the end cycle.
-
-        Must be called exactly once, after the last kernel launch, before
-        running the AVF analyses.
-        """
-        if self._finished:
-            raise RuntimeError("finish() already called")
-        self.memsys.flush(self.cycle)
-        self.cycle += 1
-        # Memory flips due by the end of the run still corrupt the image
-        # the host reads back.
-        self._apply_mem_injections()
-        self._finished = True
-        mx = get_metrics()
-        if mx:
-            mx.counter("sim.l1_hits").inc(sum(c.hits for c in self.memsys.l1s))
-            mx.counter("sim.l1_misses").inc(
-                sum(c.misses for c in self.memsys.l1s)
-            )
-            mx.counter("sim.l2_hits").inc(self.memsys.l2.hits)
-            mx.counter("sim.l2_misses").inc(self.memsys.l2.misses)
-        return self.cycle
 
     def _run(self) -> None:
         while any(cu.busy() for cu in self.cus):

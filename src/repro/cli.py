@@ -72,6 +72,14 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _nonnegative_int(text: str) -> int:
+    """An integer >= 0 (injection counts)."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {n}")
+    return n
+
+
 def _build_study(args) -> AvfStudy:
     kwargs = scaled_apu_kwargs() if args.scaled else None
     result = run(args.workload, seed=args.seed, n_cus=args.cus,
@@ -579,6 +587,9 @@ def _add_common(sub) -> None:
     sub.add_argument("workload", choices=names())
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--cus", type=_positive_int, default=4, help="compute units")
+
+
+def _add_cache_args(sub) -> None:
     sub.add_argument(
         "--scaled", action="store_true", default=True,
         help="use the scaled experiment cache configuration (default)",
@@ -725,11 +736,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_run = subs.add_parser("run", help="run and verify a workload")
     _add_common(p_run)
+    _add_cache_args(p_run)
     _add_obs_args(p_run)
     _add_json_arg(p_run)
 
     p_avf = subs.add_parser("avf", help="measure an MB-AVF")
     _add_common(p_avf)
+    _add_cache_args(p_avf)
     _add_measure_args(p_avf)
     p_avf.add_argument("--mode", type=_parse_mode, default=FaultMode.linear(2),
                        help="fault mode, e.g. 1x1, 4x1, 2x2")
@@ -741,14 +754,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         "ser", help="soft error rate over all Table III fault modes"
     )
     _add_common(p_ser)
+    _add_cache_args(p_ser)
     _add_measure_args(p_ser)
     _add_obs_args(p_ser)
     _add_json_arg(p_ser)
 
     p_inj = subs.add_parser("inject", help="fault-injection campaign")
     _add_common(p_inj)
-    p_inj.add_argument("--singles", type=int, default=40)
-    p_inj.add_argument("--groups", type=int, default=10)
+    p_inj.add_argument("--singles", type=_nonnegative_int, default=40)
+    p_inj.add_argument("--groups", type=_nonnegative_int, default=10)
     _add_runtime_args(p_inj)
     _add_obs_args(p_inj)
     _add_store_arg(p_inj)
@@ -763,8 +777,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_camp.add_argument("--seed", type=int, default=0)
     p_camp.add_argument("--cus", type=_positive_int, default=2, help="compute units")
-    p_camp.add_argument("--singles", type=int, default=40)
-    p_camp.add_argument("--groups", type=int, default=10)
+    p_camp.add_argument("--singles", type=_nonnegative_int, default=40)
+    p_camp.add_argument("--groups", type=_nonnegative_int, default=10)
     _add_runtime_args(p_camp)
     _add_obs_args(p_camp)
     _add_store_arg(
@@ -848,6 +862,7 @@ def main(argv: Optional[List[str]] = None) -> int:
              "timings and metrics",
     )
     _add_common(p_stats)
+    _add_cache_args(p_stats)
     _add_obs_args(p_stats)
 
     p_lint = subs.add_parser(

@@ -94,8 +94,7 @@ class AvfStudy:
     Parameters
     ----------
     apu:
-        The device the workload ran on.  ``finish()`` is called if the
-        caller has not done so.
+        The device the workload ran on (after :meth:`Apu.run`).
     output_ranges:
         (base, size) pairs of the buffers the host consumes — the roots of
         the liveness analysis.
@@ -113,8 +112,6 @@ class AvfStudy:
     ) -> None:
         self.apu = apu
         self.output_ranges = list(output_ranges)
-        if not apu.finished:
-            apu.finish()
         self.end_cycle = apu.cycle
         if vgpr_regs is None:
             most = max(

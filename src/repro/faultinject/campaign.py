@@ -45,6 +45,7 @@ from ..obs import get_metrics, get_tracer
 from ..runtime import (
     ChaosPolicy,
     Executor,
+    InfraError,
     Journal,
     RetryPolicy,
     Task,
@@ -52,7 +53,7 @@ from ..runtime import (
     TaskResult,
     classify_exception,
 )
-from ..workloads.base import run_workload
+from ..workloads.base import new_device, run_workload
 from ..workloads.suite import OPENCL_SAMPLES, REGISTRY
 
 __all__ = [
@@ -242,18 +243,25 @@ def _output_bytes(mem, names: Sequence[str]) -> bytes:
 
 
 class _Injector:
-    """Runs one workload repeatedly with identical inputs: one golden run,
-    then one simulation per injected fault, VGPR or memory alike."""
+    """Runs one benchmark repeatedly with identical inputs: one golden run,
+    then one simulation per injected fault, VGPR or memory alike.
+
+    ``max_cycles`` is the hang budget of each injected run; only tests
+    lower it.
+    """
 
     def __init__(
-        self, workload_cls, seed: int, n_cus: int,
+        self, benchmark: str, seed: int, n_cus: int,
         max_cycles: int = DEFAULT_MAX_CYCLES,
     ) -> None:
-        self.workload_cls = workload_cls
+        if benchmark not in REGISTRY:
+            raise KeyError(f"unknown benchmark {benchmark!r}")
+        self.benchmark = benchmark
+        self.workload_cls = REGISTRY[benchmark]
         self.seed = seed
         self.n_cus = n_cus
         self.max_cycles = max_cycles
-        wl = workload_cls(seed=seed)
+        wl = self.workload_cls(seed=seed)
         golden_run = run_workload(wl, n_cus=n_cus)
         #: kept for the ACE-model side of the campaign and the validation
         self.golden_run = golden_run
@@ -290,21 +298,24 @@ class _Injector:
         return spec
 
     def inject(self, spec: Union[InjectionSpec, MemorySpec]) -> str:
-        from ..arch.gpu import Apu
-        from ..arch.memory import GlobalMemory
-
         get_metrics().counter("campaign.injections").inc()
         with get_tracer().span("inject", **spec.trace_args) as span:
-            # Setup failures happen before any fault lands: they are harness
-            # bugs and propagate (the runtime reports them as INFRA_ERROR).
             wl = self.workload_cls(seed=self.seed)
-            mem = GlobalMemory()
-            wl.setup(mem)
-            apu = Apu(n_cus=self.n_cus, memory=mem, max_cycles=self.max_cycles)
+            try:
+                apu = new_device(
+                    wl, n_cus=self.n_cus,
+                    apu_kwargs={"max_cycles": self.max_cycles},
+                )
+                launches = list(wl.kernels())
+            except Exception as exc:
+                # No fault has landed yet: a setup or schedule failure is a
+                # harness bug wherever it was raised.
+                raise InfraError(
+                    f"{self.benchmark}: device setup failed: {exc!r}"
+                ) from exc
             spec.schedule(apu)
             try:
-                wl.launch(apu)
-                apu.finish()
+                apu.run(launches)
             except Exception as exc:
                 # Post-injection exceptions are fault consequences: a cycle
                 # budget overrun is a hang, a simulator trap is a crash.
@@ -315,7 +326,7 @@ class _Injector:
             else:
                 verdict = (
                     InjectionOutcome.MASKED
-                    if _output_bytes(mem, wl.outputs) == self.golden
+                    if _output_bytes(apu.memory, wl.outputs) == self.golden
                     else InjectionOutcome.SDC
                 )
             span.set(verdict=verdict)
@@ -327,14 +338,10 @@ class _Injector:
 _WORKER_RUNNER: Optional[_Injector] = None
 
 
-def _init_injection_worker(
-    benchmark: str, seed: int, n_cus: int, max_cycles: int
-) -> None:
+def _init_injection_worker(benchmark: str, seed: int, n_cus: int) -> None:
     """Build this worker's runner (one golden run) once."""
     global _WORKER_RUNNER
-    _WORKER_RUNNER = _Injector(
-        REGISTRY[benchmark], seed, n_cus, max_cycles=max_cycles
-    )
+    _WORKER_RUNNER = _Injector(benchmark, seed, n_cus)
 
 
 def _injection_task(spec: Union[InjectionSpec, MemorySpec]) -> str:
@@ -343,10 +350,6 @@ def _injection_task(spec: Union[InjectionSpec, MemorySpec]) -> str:
 
 def _make_executor(
     runner: _Injector,
-    benchmark: str,
-    seed: int,
-    n_cus: int,
-    max_cycles: int,
     jobs: int,
     timeout: Optional[float],
     retry: Optional[RetryPolicy],
@@ -369,7 +372,7 @@ def _make_executor(
             runner.inject,
             fabric=fabric,
             job=injection_job(
-                benchmark, seed=seed, n_cus=n_cus, max_cycles=max_cycles
+                runner.benchmark, seed=runner.seed, n_cus=runner.n_cus
             ),
             journal=journal,
             retry=retry,
@@ -386,7 +389,7 @@ def _make_executor(
             retry=retry,
             journal=journal,
             initializer=_init_injection_worker,
-            initargs=(benchmark, seed, n_cus, max_cycles),
+            initargs=(runner.benchmark, runner.seed, runner.n_cus),
             progress=progress,
             chaos=chaos,
         )
@@ -426,7 +429,6 @@ def run_campaign(
     timeout: Optional[float] = None,
     retry: Optional[RetryPolicy] = None,
     journal: Optional[Union[Journal, str]] = None,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
     progress: Union[bool, str] = False,
     chaos: Optional[ChaosPolicy] = None,
     fabric=None,
@@ -467,13 +469,14 @@ def run_campaign(
     store that fails to take the write does not fail the campaign: see
     :func:`repro.store.persist`.
     """
-    if benchmark not in REGISTRY:
-        raise KeyError(f"unknown benchmark {benchmark!r}")
+    if n_single < 0 or max_groups_per_mode < 0:
+        raise ValueError(
+            "n_single and max_groups_per_mode must be >= 0, not "
+            f"{n_single} and {max_groups_per_mode}"
+        )
     tracer = get_tracer()
     with tracer.span("golden", benchmark=benchmark):
-        runner = _Injector(
-            REGISTRY[benchmark], seed, n_cus, max_cycles=max_cycles
-        )
+        runner = _Injector(benchmark, seed, n_cus)
     rng = np.random.default_rng(seed + 0xFA117)
     out = BenchmarkCampaign(benchmark, n_single_injections=n_single)
     # The ACE-model context the verdicts validate: the unprotected
@@ -486,8 +489,7 @@ def run_campaign(
         ).sdc_avf
     singles = [runner.random_spec(rng) for _ in range(n_single)]
     with _make_executor(
-        runner, benchmark, seed, n_cus, max_cycles,
-        jobs, timeout, retry, journal, progress, chaos, fabric,
+        runner, jobs, timeout, retry, journal, progress, chaos, fabric,
     ) as executor:
         single_tasks = [
             Task(

@@ -27,9 +27,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..runtime import Journal, RetryPolicy, Task
-from ..workloads.suite import REGISTRY
 from .campaign import (
-    DEFAULT_MAX_CYCLES,
     InjectionOutcome,
     MemorySpec,
     _Injector,
@@ -96,7 +94,6 @@ def validate_memory_avf(
     timeout: Optional[float] = None,
     retry: Optional[RetryPolicy] = None,
     journal: Optional[Union[Journal, str]] = None,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> ValidationResult:
     """Run the injection-vs-ACE validation for one benchmark.
 
@@ -107,11 +104,9 @@ def validate_memory_avf(
     points are drawn up-front from the seeded generator, so a journaled
     run resumes deterministically.
     """
-    if benchmark not in REGISTRY:
-        raise KeyError(f"unknown benchmark {benchmark!r}")
-    runner = _Injector(
-        REGISTRY[benchmark], seed, n_cus, max_cycles=max_cycles
-    )
+    if n_injections < 0:
+        raise ValueError(f"n_injections must be >= 0, not {n_injections}")
+    runner = _Injector(benchmark, seed, n_cus)
     study = runner.study
     region = study.footprint
     result = ValidationResult(
@@ -124,10 +119,7 @@ def validate_memory_avf(
         Task(id=f"{benchmark}/val/{i:05d}", payload=p, meta=p._asdict())
         for i, p in enumerate(points)
     ]
-    with _make_executor(
-        runner, benchmark, seed, n_cus, max_cycles,
-        jobs, timeout, retry, journal,
-    ) as executor:
+    with _make_executor(runner, jobs, timeout, retry, journal) as executor:
         results = executor.run(tasks)
     for task in tasks:
         verdict = _tally(result.failures, results[task.id])

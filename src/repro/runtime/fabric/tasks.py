@@ -108,16 +108,9 @@ def _build_injection(ctx: Dict[str, Any]) -> Callable[[Any], Any]:
     # Lazy import: tasks must stay importable from worker nodes without
     # dragging the whole campaign stack in until a job actually needs it.
     from ...faultinject.campaign import InjectionSpec, _Injector
-    from ...workloads.suite import REGISTRY
 
-    benchmark = ctx["benchmark"]
-    if benchmark not in REGISTRY:
-        raise KeyError(f"unknown benchmark {benchmark!r}")
     runner = _Injector(
-        REGISTRY[benchmark],
-        int(ctx.get("seed", 0)),
-        int(ctx.get("n_cus", 2)),
-        max_cycles=int(ctx["max_cycles"]),
+        ctx["benchmark"], int(ctx.get("seed", 0)), int(ctx.get("n_cus", 2))
     )
 
     def fn(payload: Any) -> str:
@@ -132,18 +125,10 @@ def _encode_injection(payload: Any) -> Any:
     return payload
 
 
-def injection_job(
-    benchmark: str, *, seed: int = 0, n_cus: int = 2, max_cycles: int,
-) -> JobSpec:
+def injection_job(benchmark: str, *, seed: int = 0, n_cus: int = 2) -> JobSpec:
     """One benchmark's injection context (golden run rebuilt per node)."""
     return JobSpec(
-        "injection",
-        {
-            "benchmark": benchmark,
-            "seed": seed,
-            "n_cus": n_cus,
-            "max_cycles": max_cycles,
-        },
+        "injection", {"benchmark": benchmark, "seed": seed, "n_cus": n_cus}
     )
 
 

@@ -8,11 +8,11 @@ RecursiveGaussian for the :mod:`repro.arch` ISA.  Each carries an exact
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterator
 
 import numpy as np
 
-from ..arch.gpu import Apu
+from ..arch.gpu import Launch
 from ..arch.isa import ProgramBuilder, fimm, imm, s, v
 from ..arch.memory import GlobalMemory
 from .base import Workload
@@ -48,7 +48,7 @@ class MatrixMultiplication(Workload):
         mem.view_f32("a")[:] = self.a.ravel()
         mem.view_f32("b")[:] = self.b.ravel()
 
-    def launch(self, apu: Apu) -> None:
+    def kernels(self) -> Iterator[Launch]:
         p = ProgramBuilder()
         p.shr(v(2), v(0), imm(4))          # row
         p.iand(v(3), v(0), imm(15))        # col
@@ -69,7 +69,7 @@ class MatrixMultiplication(Workload):
         p.cbranch("k")
         addr_of_tid(p, s(4), v(7))
         p.store(v(5), v(7))
-        apu.launch(
+        yield Launch(
             p.build(), self.N * self.N,
             [self.base_a, self.base_b, self.base_c], name=self.name,
         )
@@ -95,7 +95,7 @@ class MatrixTranspose(Workload):
         self.base_out = mem.alloc("out", n * n * 4)
         mem.view_u32("in")[:] = self.x.ravel()
 
-    def launch(self, apu: Apu) -> None:
+    def kernels(self) -> Iterator[Launch]:
         p = ProgramBuilder()
         p.shr(v(2), v(0), imm(5))          # row
         p.iand(v(3), v(0), imm(31))        # col
@@ -105,7 +105,7 @@ class MatrixTranspose(Workload):
         p.iadd(v(6), v(6), v(2))           # col*32 + row
         addr_of(p, s(3), v(6), v(7))
         p.store(v(5), v(7))
-        apu.launch(
+        yield Launch(
             p.build(), self.N * self.N, [self.base_in, self.base_out],
             name=self.name,
         )
@@ -135,7 +135,7 @@ class PrefixSum(Workload):
         self.base_sums = mem.alloc("sums", (self.N // 16) * 4)
         mem.view_u32("in")[:] = self.x
 
-    def launch(self, apu: Apu) -> None:
+    def kernels(self) -> Iterator[Launch]:
         n_wf = self.N // 16
         # Pass 1: intra-wavefront inclusive scan + block totals.
         p = ProgramBuilder()
@@ -148,7 +148,7 @@ class PrefixSum(Workload):
         addr_of(p, s(4), v(6), v(7))
         p.cmp("eq", v(1), imm(15))
         p.store(v(3), v(7), pred=True)
-        apu.launch(
+        yield Launch(
             p.build(), self.N,
             [self.base_in, self.base_out, self.base_sums],
             name=f"{self.name}.scan",
@@ -161,7 +161,7 @@ class PrefixSum(Workload):
         p.shuffle_up(v(5), v(3), 1)        # exclusive
         addr_of_tid(p, s(2), v(2))
         p.store(v(5), v(2))
-        apu.launch(
+        yield Launch(
             p.build(), n_wf, [self.base_sums], name=f"{self.name}.blocks"
         )
         # Pass 3: add block offsets.
@@ -173,7 +173,7 @@ class PrefixSum(Workload):
         p.load(v(6), v(5))
         p.iadd(v(6), v(6), v(4))
         p.store(v(6), v(5))
-        apu.launch(
+        yield Launch(
             p.build(), self.N, [self.base_out, self.base_sums],
             name=f"{self.name}.apply",
         )
@@ -198,7 +198,7 @@ class ScanLargeArrays(Workload):
         self.base_sums = mem.alloc("sums", max(16, self.n_threads // 16) * 4)
         mem.view_u32("in")[:] = self.x
 
-    def launch(self, apu: Apu) -> None:
+    def kernels(self) -> Iterator[Launch]:
         n_wf = self.n_threads // 16
         # Pass 1: sequential chunk scan + lane/wavefront offsets.
         p = ProgramBuilder()
@@ -221,7 +221,7 @@ class ScanLargeArrays(Workload):
         addr_of(p, s(4), v(10), v(11))
         p.cmp("eq", v(1), imm(15))
         p.store(v(7), v(11), pred=True)    # wavefront total
-        apu.launch(
+        yield Launch(
             p.build(), self.n_threads,
             [self.base_in, self.base_out, self.base_sums],
             name=f"{self.name}.chunks",
@@ -235,7 +235,7 @@ class ScanLargeArrays(Workload):
         emit_wavefront_scan(p, v(3), v(4))
         p.shuffle_up(v(5), v(3), 1)
         p.store(v(5), v(2), pred=True)
-        apu.launch(p.build(), 16, [self.base_sums], name=f"{self.name}.blocks")
+        yield Launch(p.build(), 16, [self.base_sums], name=f"{self.name}.blocks")
         # Pass 3: apply wavefront offsets.
         p = ProgramBuilder()
         p.mov(v(2), s(0))
@@ -247,7 +247,7 @@ class ScanLargeArrays(Workload):
             p.load(v(7), v(6), offset=j * 4)
             p.iadd(v(7), v(7), v(4))
             p.store(v(7), v(6), offset=j * 4)
-        apu.launch(
+        yield Launch(
             p.build(), self.n_threads, [self.base_out, self.base_sums],
             name=f"{self.name}.apply",
         )
@@ -273,7 +273,7 @@ class Histogram(Workload):
         self.base_hist = mem.alloc("hist", self.BINS * 4)
         mem.view_u8("in")[:] = self.x
 
-    def launch(self, apu: Apu) -> None:
+    def kernels(self) -> Iterator[Launch]:
         n_wf = self.THREADS // 16
         per_thread = self.N // self.THREADS
         # Pass 1: per-lane private bins in LDS, reduced per wavefront.
@@ -300,7 +300,7 @@ class Histogram(Workload):
         p.iadd(v(11), v(1), s(10))
         addr_of(p, s(3), v(11), v(12))
         p.store(v(8), v(12))
-        apu.launch(
+        yield Launch(
             p.build(), self.THREADS, [self.base_in, self.base_partials],
             name=f"{self.name}.partial",
         )
@@ -313,7 +313,7 @@ class Histogram(Workload):
             p.iadd(v(2), v(2), v(4))
         addr_of_tid(p, s(3), v(5))
         p.store(v(2), v(5))
-        apu.launch(
+        yield Launch(
             p.build(), self.BINS, [self.base_partials, self.base_hist],
             name=f"{self.name}.merge",
         )
@@ -354,12 +354,12 @@ class FastWalshTransform(Workload):
         p.store(v(11), v(12))
         return p
 
-    def launch(self, apu: Apu) -> None:
+    def kernels(self) -> Iterator[Launch]:
         prog = self._stage().build()
         src, dst = self.base_x, self.base_y
         stride = 1
         while stride < self.N:
-            apu.launch(
+            yield Launch(
                 prog, self.N, [src, dst, stride],
                 name=f"{self.name}.s{stride}",
             )
@@ -416,7 +416,7 @@ class DwtHaar1D(Workload):
         p.store(v(7), v(9), pred=True)
         return p
 
-    def launch(self, apu: Apu) -> None:
+    def kernels(self) -> Iterator[Launch]:
         prog = self._level().build()
         src = self.base_x
         tmps = [self.base_ta, self.base_tb]
@@ -426,7 +426,7 @@ class DwtHaar1D(Workload):
             half = m // 2
             detail_dst = self.base_out + half * 4
             approx_dst = self.base_out if half == 1 else tmps[level % 2]
-            apu.launch(
+            yield Launch(
                 prog, max(16, half),
                 [src, approx_dst, detail_dst, half],
                 name=f"{self.name}.l{level}",
@@ -515,13 +515,13 @@ class Dct(Workload):
         p.store(v(11), v(14))
         return p
 
-    def launch(self, apu: Apu) -> None:
+    def kernels(self) -> Iterator[Launch]:
         n = self.BLOCKS * 64
-        apu.launch(
+        yield Launch(
             self._stage1().build(), n,
             [self.base_x, self.base_m, self.base_y], name=f"{self.name}.rows",
         )
-        apu.launch(
+        yield Launch(
             self._stage2().build(), n,
             [self.base_y, self.base_m, self.base_z], name=f"{self.name}.cols",
         )
@@ -577,13 +577,13 @@ class RecursiveGaussian(Workload):
         p.cbranch("col")
         return p
 
-    def launch(self, apu: Apu) -> None:
+    def kernels(self) -> Iterator[Launch]:
         # Rows: start = r*32, stride 4 bytes.  Columns: start = c, stride 128.
-        apu.launch(
+        yield Launch(
             self._pass(4, 5).build(), self.N, [self.base_x, self.base_t],
             name=f"{self.name}.rows",
         )
-        apu.launch(
+        yield Launch(
             self._pass(self.N * 4, 0).build(), self.N,
             [self.base_t, self.base_out], name=f"{self.name}.cols",
         )

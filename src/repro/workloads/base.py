@@ -9,21 +9,22 @@ kernel.
 
 A workload declares its *output buffers* — the data the host consumes — which
 seed the liveness analysis (everything else the kernel computes is live only
-if it transitively feeds those buffers).
+if it transitively feeds those buffers) — and its *launch schedule*: the
+kernels it runs, in order, as :class:`~repro.arch.gpu.Launch` records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..arch.gpu import Apu, LaunchStats
+from ..arch.gpu import Apu, Launch, LaunchStats
 from ..arch.memory import GlobalMemory
 from ..obs import get_tracer
 
-__all__ = ["Workload", "WorkloadRun", "run_workload"]
+__all__ = ["Workload", "WorkloadRun", "new_device", "run_workload"]
 
 
 @dataclass
@@ -50,8 +51,9 @@ class Workload:
 
     Subclasses set :attr:`name` and :attr:`outputs` and implement
     :meth:`setup` (allocate + initialise buffers, stash numpy copies of the
-    inputs), :meth:`launch` (run the kernels on the device) and
-    :meth:`expected` (numpy reference results keyed by output buffer name).
+    inputs), :meth:`kernels` (yield the launch schedule; it may read what
+    ``setup`` stored but not the device) and :meth:`expected` (numpy
+    reference results keyed by output buffer name).
     """
 
     name: str = "workload"
@@ -68,7 +70,7 @@ class Workload:
     def setup(self, mem: GlobalMemory) -> None:
         raise NotImplementedError
 
-    def launch(self, apu: Apu) -> None:
+    def kernels(self) -> Iterator[Launch]:
         raise NotImplementedError
 
     def expected(self) -> Dict[str, np.ndarray]:
@@ -97,25 +99,27 @@ class Workload:
                     )
 
 
+def new_device(
+    workload: Workload, *, n_cus: int, apu_kwargs: Optional[dict] = None
+) -> Apu:
+    """A fresh device holding ``workload``'s initialised buffers."""
+    mem = GlobalMemory()
+    workload.setup(mem)
+    return Apu(n_cus=n_cus, memory=mem, **(apu_kwargs or {}))
+
+
 def run_workload(
     workload: Workload,
     *,
     n_cus: int = 4,
-    check: bool = True,
     apu_kwargs: Optional[dict] = None,
 ) -> WorkloadRun:
-    """Execute a workload to completion on a fresh device.
-
-    The device is ``finish()``-ed (caches flushed) and, unless ``check`` is
-    disabled, outputs are verified against the workload's numpy reference.
-    """
+    """Run a workload's schedule on a fresh device and verify its outputs
+    against the workload's numpy reference."""
     with get_tracer().span("simulate", workload=workload.name, n_cus=n_cus):
-        mem = GlobalMemory()
-        workload.setup(mem)
-        apu = Apu(n_cus=n_cus, memory=mem, **(apu_kwargs or {}))
-        workload.launch(apu)
-        apu.finish()
-        if check:
-            workload.verify(mem)
+        apu = new_device(workload, n_cus=n_cus, apu_kwargs=apu_kwargs)
+        apu.run(workload.kernels())
+        workload.verify(apu.memory)
+    mem = apu.memory
     ranges = [mem.buffer(name) for name in workload.outputs]
     return WorkloadRun(workload.name, apu, mem, ranges, list(apu.launches))

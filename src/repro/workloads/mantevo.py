@@ -13,11 +13,11 @@ reference kernel shape), then integrates positions.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterator
 
 import numpy as np
 
-from ..arch.gpu import Apu
+from ..arch.gpu import Launch
 from ..arch.isa import ProgramBuilder, fimm, imm, s, v
 from ..arch.memory import GlobalMemory
 from .base import Workload
@@ -196,7 +196,7 @@ class MiniFe(Workload):
 
     # -- driver -------------------------------------------------------------
 
-    def launch(self, apu: Apu) -> None:
+    def kernels(self) -> Iterator[Launch]:
         n = self.n
         scal = self.base_scal
         rr_a, pap_a, alpha_a = scal, scal + 4, scal + 8
@@ -211,31 +211,31 @@ class MiniFe(Workload):
         ax_r = self._axpy_kernel("r-aq").build()
         ax_p = self._axpy_kernel("p=r+bp").build()
 
-        def dot(u: int, w: int, dst: int, tag: str) -> None:
-            apu.launch(dot_p, n, [u, w, self.base_partials],
-                       name=f"{self.name}.dotp.{tag}")
-            apu.launch(dot_f, 16, [self.base_partials, dst],
-                       name=f"{self.name}.dotf.{tag}")
+        def dot(u: int, w: int, dst: int, tag: str) -> Iterator[Launch]:
+            yield Launch(dot_p, n, [u, w, self.base_partials],
+                         name=f"{self.name}.dotp.{tag}")
+            yield Launch(dot_f, 16, [self.base_partials, dst],
+                         name=f"{self.name}.dotf.{tag}")
 
-        apu.launch(init, n, [self.base_b, self.base_x, self.base_r, self.base_p],
-                   name=f"{self.name}.init")
-        dot(self.base_r, self.base_r, rr_a, "rr0")
+        yield Launch(init, n, [self.base_b, self.base_x, self.base_r, self.base_p],
+                     name=f"{self.name}.init")
+        yield from dot(self.base_r, self.base_r, rr_a, "rr0")
         for it in range(self.ITERS):
-            apu.launch(spmv, n, [self.base_cols, self.base_vals, self.base_p,
-                                 self.base_ap], name=f"{self.name}.spmv{it}")
-            dot(self.base_p, self.base_ap, pap_a, f"pap{it}")
-            apu.launch(div, 16, [rr_a, pap_a, alpha_a],
-                       name=f"{self.name}.alpha{it}")
-            apu.launch(ax_x, n, [self.base_x, self.base_p, alpha_a],
-                       name=f"{self.name}.xupd{it}")
-            apu.launch(ax_r, n, [self.base_r, self.base_ap, alpha_a],
-                       name=f"{self.name}.rupd{it}")
-            dot(self.base_r, self.base_r, rrnew_a, f"rr{it}")
-            apu.launch(div, 16, [rrnew_a, rr_a, beta_a],
-                       name=f"{self.name}.beta{it}")
-            apu.launch(cpy, 16, [rrnew_a, rr_a], name=f"{self.name}.rrcp{it}")
-            apu.launch(ax_p, n, [self.base_p, self.base_r, beta_a],
-                       name=f"{self.name}.pupd{it}")
+            yield Launch(spmv, n, [self.base_cols, self.base_vals, self.base_p,
+                                   self.base_ap], name=f"{self.name}.spmv{it}")
+            yield from dot(self.base_p, self.base_ap, pap_a, f"pap{it}")
+            yield Launch(div, 16, [rr_a, pap_a, alpha_a],
+                         name=f"{self.name}.alpha{it}")
+            yield Launch(ax_x, n, [self.base_x, self.base_p, alpha_a],
+                         name=f"{self.name}.xupd{it}")
+            yield Launch(ax_r, n, [self.base_r, self.base_ap, alpha_a],
+                         name=f"{self.name}.rupd{it}")
+            yield from dot(self.base_r, self.base_r, rrnew_a, f"rr{it}")
+            yield Launch(div, 16, [rrnew_a, rr_a, beta_a],
+                         name=f"{self.name}.beta{it}")
+            yield Launch(cpy, 16, [rrnew_a, rr_a], name=f"{self.name}.rrcp{it}")
+            yield Launch(ax_p, n, [self.base_p, self.base_r, beta_a],
+                         name=f"{self.name}.pupd{it}")
 
     # -- reference -----------------------------------------------------------
 
@@ -334,13 +334,13 @@ class CoMD(Workload):
             p.store(v(2), v(14))
         return p
 
-    def launch(self, apu: Apu) -> None:
+    def kernels(self) -> Iterator[Launch]:
         force = self._force_kernel().build()
         update = self._update_kernel().build()
         args = [self.bases[nm] for nm in ("px", "py", "pz", "fx", "fy", "fz")]
         for step in range(2):
-            apu.launch(force, self.N, args, name=f"{self.name}.force{step}")
-            apu.launch(update, self.N, args, name=f"{self.name}.move{step}")
+            yield Launch(force, self.N, args, name=f"{self.name}.force{step}")
+            yield Launch(update, self.N, args, name=f"{self.name}.move{step}")
 
     def expected(self) -> Dict[str, np.ndarray]:
         pos = self.pos.copy()

@@ -9,11 +9,11 @@ cache results depend on.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterator
 
 import numpy as np
 
-from ..arch.gpu import Apu
+from ..arch.gpu import Launch
 from ..arch.isa import ProgramBuilder, fimm, imm, s, v
 from ..arch.memory import GlobalMemory
 from .base import Workload
@@ -122,17 +122,17 @@ class Srad(Workload):
         p.store(v(20), v(14))
         return p
 
-    def launch(self, apu: Apu) -> None:
+    def kernels(self) -> Iterator[Launch]:
         coeff = self._coeff_kernel().build()
         update = self._update_kernel().build()
         n_threads = self.N * self.N
         bufs = [self.base_j0, self.base_j1]
         for it in range(self.ITERS):
             src, dst = bufs[it % 2], bufs[(it + 1) % 2]
-            apu.launch(coeff, n_threads, [src, self.base_c],
-                       name=f"{self.name}.coeff{it}")
-            apu.launch(update, n_threads, [src, self.base_c, dst],
-                       name=f"{self.name}.update{it}")
+            yield Launch(coeff, n_threads, [src, self.base_c],
+                         name=f"{self.name}.coeff{it}")
+            yield Launch(update, n_threads, [src, self.base_c, dst],
+                         name=f"{self.name}.update{it}")
 
     def expected(self) -> Dict[str, np.ndarray]:
         n = self.N
@@ -202,14 +202,14 @@ class Hotspot(Workload):
         p.store(v(16), v(14))
         return p
 
-    def launch(self, apu: Apu) -> None:
+    def kernels(self) -> Iterator[Launch]:
         prog = self._kernel().build()
         n_threads = self.N * self.N
         bufs = [self.base_t0, self.base_t1]
         for it in range(self.ITERS):
             src, dst = bufs[it % 2], bufs[(it + 1) % 2]
-            apu.launch(prog, n_threads, [src, self.base_p, dst],
-                       name=f"{self.name}.step{it}")
+            yield Launch(prog, n_threads, [src, self.base_p, dst],
+                         name=f"{self.name}.step{it}")
 
     def expected(self) -> Dict[str, np.ndarray]:
         n = self.N

@@ -8,11 +8,11 @@ masked reductions (kmeans), row-sequential dynamic programming
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterator
 
 import numpy as np
 
-from ..arch.gpu import Apu
+from ..arch.gpu import Launch
 from ..arch.isa import ProgramBuilder, fimm, imm, s, v
 from ..arch.memory import GlobalMemory
 from .base import Workload
@@ -90,13 +90,13 @@ class Backprop(Workload):
         p.store(v(10), v(9))
         return p
 
-    def launch(self, apu: Apu) -> None:
-        apu.launch(
+    def kernels(self) -> Iterator[Launch]:
+        yield Launch(
             self._forward_kernel().build(), self.N_HID,
             [self.base_x, self.base_w, self.base_h],
             name=f"{self.name}.forward",
         )
-        apu.launch(
+        yield Launch(
             self._update_kernel().build(), self.N_IN * self.N_HID,
             [self.base_x, self.base_e, self.base_w],
             name=f"{self.name}.update",
@@ -203,20 +203,20 @@ class KMeans(Workload):
         p.store(v(3), v(12), pred=True)
         return p
 
-    def launch(self, apu: Apu) -> None:
+    def kernels(self) -> Iterator[Launch]:
         args = [
             self.base_px, self.base_py, self.base_cx, self.base_cy,
         ]
         assign = self._assign_kernel().build()
         update = self._update_kernel().build()
         for it in range(self.ITERS):
-            apu.launch(
+            yield Launch(
                 assign, self.N,
                 [self.base_px, self.base_py, self.base_cx, self.base_cy,
                  self.base_assign],
                 name=f"{self.name}.assign{it}",
             )
-            apu.launch(
+            yield Launch(
                 update, 16,
                 [self.base_px, self.base_py, self.base_cx, self.base_cy,
                  self.base_assign],
@@ -297,17 +297,16 @@ class Pathfinder(Workload):
         p.store(v(9), v(10))
         return p
 
-    def launch(self, apu: Apu) -> None:
+    def kernels(self) -> Iterator[Launch]:
         prog = self._step_kernel().build()
         src, dst = self.base_src, self.base_dst
         for row in range(1, self.ROWS):
-            apu.launch(
+            yield Launch(
                 prog, self.COLS,
                 [self.base_data + row * self.COLS * 4, src, dst],
                 name=f"{self.name}.row{row}",
             )
             src, dst = dst, src
-        self.final_in_src = src
 
     def expected(self) -> Dict[str, np.ndarray]:
         cur = self.grid[0].astype(np.int64)
@@ -390,12 +389,12 @@ class NeedlemanWunsch(Workload):
         p.store(v(12), v(16), pred=True)
         return p
 
-    def launch(self, apu: Apu) -> None:
+    def kernels(self) -> Iterator[Launch]:
         prog = self._diag_kernel().build()
         for d in range(1, 2 * self.N):
             # Threads t with i=t+1 in range; predication handles j bounds.
             n_threads = min(self.N, d)
-            apu.launch(
+            yield Launch(
                 prog, n_threads,
                 [self.base_a, self.base_b, d, self.base_s],
                 name=f"{self.name}.d{d}",

@@ -8,11 +8,11 @@ per-wavefront partials.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterator
 
 import numpy as np
 
-from ..arch.gpu import Apu
+from ..arch.gpu import Launch
 from ..arch.isa import ProgramBuilder, fimm, imm, s, v
 from ..arch.memory import GlobalMemory
 from .base import Workload
@@ -37,7 +37,7 @@ class VectorAdd(Workload):
         mem.view_u32("a")[:] = self.a
         mem.view_u32("b")[:] = self.b
 
-    def launch(self, apu: Apu) -> None:
+    def kernels(self) -> Iterator[Launch]:
         p = ProgramBuilder()
         addr_of_tid(p, s(2), v(2))
         p.load(v(3), v(2))
@@ -46,7 +46,7 @@ class VectorAdd(Workload):
         p.iadd(v(6), v(3), v(5))
         addr_of_tid(p, s(4), v(7))
         p.store(v(6), v(7))
-        apu.launch(
+        yield Launch(
             p.build(), self.N, [self.base_a, self.base_b, self.base_c],
             name=self.name,
         )
@@ -116,12 +116,12 @@ class Reduction(Workload):
         p.store(v(3), v(5), pred=True)
         return p
 
-    def launch(self, apu: Apu) -> None:
-        apu.launch(
+    def kernels(self) -> Iterator[Launch]:
+        yield Launch(
             self._phase1().build(), self.THREADS,
             [self.base_x, self.base_partials], name=f"{self.name}.partial",
         )
-        apu.launch(
+        yield Launch(
             self._phase2().build(), 16,
             [self.base_partials, self.base_total], name=f"{self.name}.final",
         )

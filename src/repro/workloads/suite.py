@@ -59,13 +59,11 @@ def run(
     *,
     seed: int = 0,
     n_cus: int = 4,
-    check: bool = True,
     apu_kwargs: Optional[dict] = None,
 ) -> WorkloadRun:
     """Instantiate, execute and verify a workload by name."""
     if name not in REGISTRY:
         raise KeyError(f"unknown workload {name!r}; have {names()}")
     return run_workload(
-        REGISTRY[name](seed=seed), n_cus=n_cus, check=check,
-        apu_kwargs=apu_kwargs,
+        REGISTRY[name](seed=seed), n_cus=n_cus, apu_kwargs=apu_kwargs
     )

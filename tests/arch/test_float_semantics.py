@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arch import Apu, GlobalMemory, ProgramBuilder, fimm, imm, s, v
+from repro.arch import Apu, GlobalMemory, Launch, ProgramBuilder, fimm, imm, s, v
 
 
 def _exec(body, inputs_f32):
@@ -19,8 +19,7 @@ def _exec(body, inputs_f32):
     p.iadd(v(9), v(9), s(3))
     p.store(v(3), v(9))
     apu = Apu(memory=mem, n_cus=1)
-    apu.launch(p.build(), 16, [inp, out])
-    apu.finish()
+    apu.run([Launch(p.build(), 16, [inp, out])])
     return mem.view_f32("out")
 
 

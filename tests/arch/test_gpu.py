@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.arch import Apu, GlobalMemory, ProgramBuilder, fimm, imm, s, v
+from repro.arch import Apu, GlobalMemory, Launch, ProgramBuilder, fimm, imm, s, v
 
 
 def _run(program, n_threads, args, mem=None, apu_kwargs=None):
     apu = Apu(memory=mem or GlobalMemory(), **(apu_kwargs or {}))
-    stats = apu.launch(program, n_threads, args)
-    return apu, stats
+    apu.run([Launch(program, n_threads, args)])
+    return apu, apu.launches[0]
 
 
 class TestVectorAdd:
@@ -35,7 +35,6 @@ class TestVectorAdd:
         mem.view_u32("a")[:] = np.arange(n, dtype=np.uint32)
         mem.view_u32("b")[:] = np.arange(n, dtype=np.uint32) * 10
         apu, stats = _run(self._build(), n, [a, b, c], mem)
-        apu.finish()
         assert (mem.view_u32("c") == np.arange(n) * 11).all()
         assert stats.n_wavefronts == 4
         assert stats.instructions == 4 * 8  # vector instructions are recorded
@@ -50,24 +49,26 @@ class TestVectorAdd:
         mem.view_u32("a")[:] = 5
         mem.view_u32("b")[:] = 7
         apu, _ = _run(self._build(), n, [a, b, c], mem)
-        apu.finish()
         out = mem.view_u32("c")
         assert (out[:n] == 12).all()
         assert (out[n:] == 0).all()  # inactive lanes wrote nothing
 
     def test_cache_hits_on_rerun(self):
-        mem = GlobalMemory()
-        n = 16
-        a = mem.alloc("a", n * 4)
-        b = mem.alloc("b", n * 4)
-        c = mem.alloc("c", n * 4)
-        apu = Apu(memory=mem, n_cus=1)
-        apu.launch(self._build(), n, [a, b, c])
-        miss_1 = apu.memsys.l1s[0].misses
-        apu.launch(self._build(), n, [a, b, c])
-        miss_2 = apu.memsys.l1s[0].misses - miss_1
+        def l1_after(n_passes):
+            mem = GlobalMemory()
+            n = 16
+            a = mem.alloc("a", n * 4)
+            b = mem.alloc("b", n * 4)
+            c = mem.alloc("c", n * 4)
+            apu = Apu(memory=mem, n_cus=1)
+            apu.run([Launch(self._build(), n, [a, b, c])] * n_passes)
+            return apu.memsys.l1s[0]
+
+        miss_1 = l1_after(1).misses
+        rerun = l1_after(2)
+        miss_2 = rerun.misses - miss_1
         assert miss_2 == 0  # everything resident after the first pass
-        assert apu.memsys.l1s[0].hits > 0
+        assert rerun.hits > 0
 
 
 class TestAluSemantics:
@@ -86,7 +87,6 @@ class TestAluSemantics:
         p.iadd(v(9), v(9), s(3))
         p.store(v(out_reg), v(9))
         apu, _ = _run(p.build(), 16, [buf, out], mem)
-        apu.finish()
         return mem.view_u32("out")
 
     def test_integer_wraparound(self):
@@ -181,7 +181,6 @@ class TestControlFlow:
         p.iadd(v(9), v(9), s(2))
         p.store(v(2), v(9))
         apu, _ = _run(p.build(), 16, [out], mem)
-        apu.finish()
         assert (mem.view_u32("out") == 55).all()
 
     def test_branch_unconditional(self):
@@ -196,7 +195,6 @@ class TestControlFlow:
         p.iadd(v(9), v(9), s(2))
         p.store(v(2), v(9))
         apu, _ = _run(p.build(), 16, [out], mem)
-        apu.finish()
         assert (mem.view_u32("out") == 1).all()
 
     def test_runaway_guard(self):
@@ -205,7 +203,7 @@ class TestControlFlow:
         p.branch("forever")
         apu = Apu(memory=GlobalMemory(), max_cycles=10_000)
         with pytest.raises(RuntimeError, match="max_cycles"):
-            apu.launch(p.build(), 16, [])
+            apu.run([Launch(p.build(), 16, [])])
 
 
 class TestLds:
@@ -224,7 +222,6 @@ class TestLds:
         p.iadd(v(9), v(9), s(2))
         p.store(v(5), v(9))
         apu, _ = _run(p.build(), 16, [out], mem)
-        apu.finish()
         assert (mem.view_u32("out") == (15 - np.arange(16)) * 7).all()
 
     @pytest.mark.parametrize("store", [False, True], ids=["load", "store"])
@@ -255,7 +252,6 @@ class TestDuplicateAddressStores:
         p.mov(v(9), s(2))                  # one address for every lane
         (p.store_u8 if byte else p.store)(v(5), v(9), pred=True)
         apu, _ = _run(p.build(), 16, [out], mem)
-        apu.finish()
         last = 0x101 + 7 * 10  # lane 10 is the last lane with lane < 11
         if byte:
             assert mem.view_u8("out").tolist() == [last & 0xFF] + [0] * 7
@@ -274,7 +270,6 @@ class TestPredicatedMemory:
         p.iadd(v(9), v(9), s(2))
         p.store(imm(7), v(9), pred=True)
         apu, _ = _run(p.build(), 16, [out], mem)
-        apu.finish()
         got = mem.view_u32("out")
         assert (got[:4] == 7).all()
         assert (got[4:] == 0xAAAAAAAA).all()
@@ -293,7 +288,6 @@ class TestPredicatedMemory:
         p.iadd(v(9), v(9), s(3))
         p.store(v(5), v(9))
         apu, _ = _run(p.build(), 16, [buf, out], mem)
-        apu.finish()
         got = mem.view_u32("out")
         assert (got[:8] == 1).all()
         assert (got[8:] == 42).all()
@@ -309,8 +303,8 @@ class TestTiming:
             for _ in range(n_loads_same_line):
                 p.load(v(3), v(2))
             apu = Apu(memory=mem, n_cus=1)
-            st = apu.launch(p.build(), 16, [buf])
-            return st.cycles
+            apu.run([Launch(p.build(), 16, [buf])])
+            return apu.launches[0].cycles
 
         one = time_of(1)
         ten = time_of(10)
@@ -324,23 +318,24 @@ class TestTiming:
         p.iadd(v(2), imm(0), s(2))
         p.load(v(3), v(2))
         apu = Apu(memory=mem)
-        s1 = apu.launch(p.build(), 16, [buf])
-        s2 = apu.launch(p.build(), 16, [buf])
+        apu.run([Launch(p.build(), 16, [buf]), Launch(p.build(), 16, [buf])])
+        s1, s2 = apu.launches
         assert s2.start_cycle >= s1.end_cycle
 
-    def test_finish_flushes_and_locks(self):
+    def test_run_flushes_and_locks(self):
         mem = GlobalMemory()
         buf = mem.alloc("in", 256)
         p = ProgramBuilder()
         p.iadd(v(2), imm(0), s(2))
         p.store(imm(3), v(2))
         apu = Apu(memory=mem)
-        apu.launch(p.build(), 16, [buf])
-        apu.finish()
-        with pytest.raises(RuntimeError):
-            apu.finish()
-        with pytest.raises(RuntimeError):
-            apu.launch(p.build(), 16, [buf])
+        end = apu.run([Launch(p.build(), 16, [buf])])
+        assert end == apu.cycle == apu.launches[0].end_cycle + 1
+        assert (apu.memsys.l2.tags == -1).all()  # flushed
+        with pytest.raises(RuntimeError, match="already ran"):
+            apu.run([])
+        with pytest.raises(RuntimeError, match="already ran"):
+            apu.run([Launch(p.build(), 16, [buf])])
 
 
 @pytest.mark.parametrize("n_cus", [0, -1])

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.arch import Apu, GlobalMemory, ProgramBuilder, imm, s, v
+from repro.arch import Apu, GlobalMemory, Launch, ProgramBuilder, imm, s, v
 from repro.arch.liveness import analyze_liveness
 
 
 def _analyze(program, n_threads, args, mem, outputs):
     apu = Apu(memory=mem, n_cus=1)
-    apu.launch(program, n_threads, args)
-    apu.finish()
+    apu.run([Launch(program, n_threads, args)])
     ranges = [mem.buffer(o) for o in outputs]
     analyze_liveness(
         apu.records,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch import Apu, GlobalMemory, ProgramBuilder, imm, s, v
+from repro.arch import Apu, GlobalMemory, Launch, ProgramBuilder, imm, s, v
 
 
 def _memory_bound_kernel():
@@ -25,7 +25,8 @@ class TestLatencyHiding:
             mem = GlobalMemory()
             buf = mem.alloc("buf", 1 << 14)
             apu = Apu(memory=mem, n_cus=1)
-            stats = apu.launch(_memory_bound_kernel(), n_threads, [buf])
+            apu.run([Launch(_memory_bound_kernel(), n_threads, [buf])])
+            stats = apu.launches[0]
             return stats.cycles
 
         one = cycles(16)
@@ -37,7 +38,8 @@ class TestLatencyHiding:
             mem = GlobalMemory()
             buf = mem.alloc("buf", 1 << 16)
             apu = Apu(memory=mem, n_cus=n_cus)
-            stats = apu.launch(_memory_bound_kernel(), 256, [buf])
+            apu.run([Launch(_memory_bound_kernel(), 256, [buf])])
+            stats = apu.launches[0]
             return stats.cycles
 
         assert cycles(4) < cycles(1)
@@ -51,7 +53,7 @@ class TestSchedulingFairness:
         for _ in range(8):
             p.iadd(v(2), v(2), imm(1))
         apu = Apu(memory=mem, n_cus=1)
-        apu.launch(p.build(), 32, [buf])
+        apu.run([Launch(p.build(), 32, [buf])])
         # Two wavefronts of pure ALU work: their records must interleave
         # rather than run one wavefront to completion first.
         wf_seq = [r.wf for r in apu.records]
@@ -62,7 +64,8 @@ class TestSchedulingFairness:
         mem = GlobalMemory()
         buf = mem.alloc("buf", 1 << 14)
         apu = Apu(memory=mem, n_cus=1, max_resident_wavefronts=2)
-        stats = apu.launch(_memory_bound_kernel(), 16 * 6, [buf])
+        apu.run([Launch(_memory_bound_kernel(), 16 * 6, [buf])])
+        stats = apu.launches[0]
         # All six wavefronts ran to completion despite only 2 being
         # resident at a time.
         assert stats.n_wavefronts == 6
@@ -78,7 +81,8 @@ class TestSchedulingFairness:
         p.load(v(3), v(2))
         p.load(v(4), v(2))
         apu = Apu(memory=mem, n_cus=1)
-        stats = apu.launch(p.build(), 16, [buf])
+        apu.run([Launch(p.build(), 16, [buf])])
+        stats = apu.launches[0]
         # miss latency (4+24+120) dominates; total well under 1000 proves
         # the run loop advanced, and well over the latency proves it waited.
         assert 140 <= stats.cycles <= 400
@@ -89,7 +93,7 @@ class TestLaunchEdgeCases:
         apu = Apu(memory=GlobalMemory())
         p = ProgramBuilder().build()
         with pytest.raises(ValueError):
-            apu.launch(p, 0)
+            apu.run([Launch(p, 0)])
 
     def test_single_thread_masks_other_lanes(self):
         mem = GlobalMemory()
@@ -99,8 +103,7 @@ class TestLaunchEdgeCases:
         p.iadd(v(2), v(2), s(2))
         p.store(imm(7), v(2))
         apu = Apu(memory=mem)
-        apu.launch(p.build(), 1, [buf])
-        apu.finish()
+        apu.run([Launch(p.build(), 1, [buf])])
         got = mem.view_u32("buf")
         assert got[0] == 7
         assert (got[1:16] == 0).all()
@@ -112,7 +115,9 @@ class TestLaunchEdgeCases:
         p.iadd(v(2), imm(0), s(2))
         p.store(imm(1), v(2))
         apu = Apu(memory=mem)
-        apu.launch(p.build(), 16, [buf], name="first")
-        apu.launch(p.build(), 16, [buf], name="second")
+        apu.run([
+            Launch(p.build(), 16, [buf], name="first"),
+            Launch(p.build(), 16, [buf], name="second"),
+        ])
         assert [l.name for l in apu.launches] == ["first", "second"]
         assert apu.launches[1].start_cycle >= apu.launches[0].end_cycle

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arch import Apu, GlobalMemory, ProgramBuilder, imm, s, v
+from repro.arch import Apu, GlobalMemory, Launch, ProgramBuilder, imm, s, v
 from repro.core import analysis
 from repro.core.analysis import AvfStudy
 from repro.core.intervals import AceClass
@@ -36,7 +36,7 @@ class TestL1Lifetimes:
         b = _addr_calc(p, 3, 9)
         p.store(v(2), b)
         apu = Apu(memory=mem, n_cus=1)
-        apu.launch(p.build(), 16, [inp, out])
+        apu.run([Launch(p.build(), 16, [inp, out])])
         return AvfStudy(apu, [mem.buffer("out")]), mem, inp
 
     def test_loaded_bytes_become_ace(self):
@@ -66,7 +66,7 @@ class TestL1Lifetimes:
         b = _addr_calc(p, 3, 9)
         p.store(imm(1), b)
         apu = Apu(memory=mem, n_cus=1)
-        apu.launch(p.build(), 16, [inp, out])
+        apu.run([Launch(p.build(), 16, [inp, out])])
         study = AvfStudy(apu, [mem.buffer("out")])
         lt = study.l1_lifetimes()[0]
         dead = sum(i.total(DEAD) for i in lt.byte_isets)
@@ -81,7 +81,7 @@ class TestL1Lifetimes:
         b = _addr_calc(p, 2, 9)
         p.store(imm(1), b)
         apu = Apu(memory=mem, n_cus=2)
-        apu.launch(p.build(), 16, [out])
+        apu.run([Launch(p.build(), 16, [out])])
         study = AvfStudy(apu, [mem.buffer("out")])
         # CU1 never ran anything: its L1 must be entirely unACE.
         lt = study.l1_lifetimes()[1]
@@ -99,7 +99,7 @@ class TestL2WritebackLiveness:
         b = _addr_calc(p, 3, 9)
         p.store(v(0), b)
         apu = Apu(memory=mem, n_cus=1)
-        apu.launch(p.build(), 16, [outa, outb])
+        apu.run([Launch(p.build(), 16, [outa, outb])])
         ranges = [mem.buffer(n) for n in output_names]
         return AvfStudy(apu, ranges)
 
@@ -137,7 +137,7 @@ class TestL2FillTransitivity:
         b = _addr_calc(p, 3, 9)
         p.store(v(2), b)
         apu = Apu(memory=mem, n_cus=1)
-        apu.launch(p.build(), 16, [inp, out])
+        apu.run([Launch(p.build(), 16, [inp, out])])
         study = AvfStudy(apu, [mem.buffer("out")])
         l2 = study.l2_lifetime()
         ace = sum(i.total(ACE) for i in l2.byte_isets)
@@ -166,7 +166,7 @@ class TestVgprLifetimes:
         b = _addr_calc(p, 2, 9)
         p.store(v(4), b)
         apu = Apu(memory=mem, n_cus=1)
-        apu.launch(p.build(), 16, [out])
+        apu.run([Launch(p.build(), 16, [out])])
         study = AvfStudy(apu, [mem.buffer("out")])
         lts = study.vgpr_lifetimes()
         assert len(lts) == 1
@@ -183,7 +183,7 @@ class TestVgprLifetimes:
         b = _addr_calc(p, 2, 9)
         p.store(imm(7), b)
         apu = Apu(memory=mem, n_cus=1)
-        apu.launch(p.build(), 16, [out])
+        apu.run([Launch(p.build(), 16, [out])])
         study = AvfStudy(apu, [mem.buffer("out")])
         lt = study.vgpr_lifetimes()[0]
         n_regs = study.vgpr_regs
@@ -200,7 +200,7 @@ class TestVgprLifetimes:
         b = _addr_calc(p, 2, 9)
         p.store(v(0), b)
         apu = Apu(memory=mem)
-        apu.launch(p.build(), 64, [out])
+        apu.run([Launch(p.build(), 64, [out])])
         study = AvfStudy(apu, [mem.buffer("out")])
         assert len(study.vgpr_lifetimes()) == 4
 

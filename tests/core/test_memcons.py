@@ -7,7 +7,7 @@ lifetime table says memory consumes it (``repro.core.lifetime._consumed``).
 import numpy as np
 import pytest
 
-from repro.arch import Apu, GlobalMemory, ProgramBuilder, imm, s, v
+from repro.arch import Apu, GlobalMemory, Launch, ProgramBuilder, imm, s, v
 from repro.arch.trace import FillEvent, ReadEvent
 from repro.core import AvfStudy
 from repro.core._reference import MemoryConsumptionRef
@@ -30,8 +30,7 @@ def _trace(build_fn, outputs, n_threads=16):
     p = ProgramBuilder()
     build_fn(p)
     apu = Apu(memory=mem, n_cus=1)
-    apu.launch(p.build(), n_threads, [bufs["a"], bufs["b"], bufs["c"]])
-    apu.finish()
+    apu.run([Launch(p.build(), n_threads, [bufs["a"], bufs["b"], bufs["c"]])])
     study = AvfStudy(apu, [mem.buffer(n) for n in outputs])
     return study, bufs
 

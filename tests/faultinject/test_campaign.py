@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arch import Apu, GlobalMemory, ProgramBuilder, imm, s, v
+from repro.arch import Apu, GlobalMemory, Launch, ProgramBuilder, imm, s, v
 from repro.faultinject import (
     BenchmarkCampaign,
     InjectionOutcome,
@@ -11,8 +11,8 @@ from repro.faultinject import (
     run_campaign,
 )
 from repro.faultinject.campaign import _Injector
-from repro.runtime import TaskOutcome
-from repro.workloads import REGISTRY
+from repro.runtime import Executor, Task, TaskOutcome
+from repro.workloads import Workload
 
 
 class TestInjectionHook:
@@ -33,8 +33,7 @@ class TestInjectionHook:
         apu = Apu(memory=mem, n_cus=1)
         if inject:
             apu.inject_fault(*inject)
-        apu.launch(self._copy_program(), 16, [a, b])
-        apu.finish()
+        apu.run([Launch(self._copy_program(), 16, [a, b])])
         return mem.view_u32("b").copy()
 
     def test_no_injection_is_clean(self):
@@ -72,7 +71,7 @@ class TestInjectionSpec:
 class TestRunner:
     @pytest.fixture(scope="class")
     def runner(self):
-        return _Injector(REGISTRY["transpose"], seed=0, n_cus=1)
+        return _Injector("transpose", seed=0, n_cus=1)
 
     def test_golden_snapshot_nonempty(self, runner):
         assert len(runner.golden) == 32 * 32 * 4
@@ -111,9 +110,19 @@ class TestRunner:
 
     def test_cycle_budget_overrun_classified_as_hang(self):
         """An injection that would exceed max_cycles is a HANG, not CRASH."""
-        r = _Injector(REGISTRY["transpose"], seed=0, n_cus=1, max_cycles=5)
+        r = _Injector("transpose", seed=0, n_cus=1, max_cycles=5)
         spec = InjectionSpec(0, 200, 0, (0,), 0)
         assert r.inject(spec) == InjectionOutcome.HANG
+
+
+    def test_failing_schedule_is_infra_error(self, monkeypatch):
+        """A schedule that raises before any fault lands is a harness
+        error, not a crash verdict, even when it raises in workload code."""
+        r = _Injector("vectoradd", seed=0, n_cus=1)
+        monkeypatch.setattr(r.workload_cls, "kernels", Workload.kernels)
+        spec = InjectionSpec(0, 200, 0, (0,), 0)
+        results = Executor(r.inject, jobs=0).run([Task("t", spec)])
+        assert results["t"].outcome == TaskOutcome.INFRA_ERROR
 
 
 class TestCampaign:
@@ -147,6 +156,13 @@ class TestCampaign:
     def test_unknown_benchmark(self):
         with pytest.raises(KeyError):
             run_campaign("nope")
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_single": -3}, {"max_groups_per_mode": -1},
+    ])
+    def test_negative_sizes_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            run_campaign("vectoradd", **kwargs)
 
     def test_no_failures_in_clean_run(self, campaign):
         assert campaign.n_failed == 0

@@ -15,7 +15,6 @@ from repro.core.intervals import AceClass
 from repro.faultinject import InjectionOutcome, injection_class
 from repro.faultinject.campaign import _Injector
 from repro.faultinject.validation import _draw_points
-from repro.workloads import REGISTRY
 
 BENCHMARKS = ("vectoradd", "transpose")
 VGPR_DRAWS = 80
@@ -24,7 +23,7 @@ MEMORY_DRAWS = 30
 
 @pytest.fixture(scope="module", params=BENCHMARKS)
 def golden(request):
-    return _Injector(REGISTRY[request.param], seed=0, n_cus=1)
+    return _Injector(request.param, seed=0, n_cus=1)
 
 
 def _unmasked_non_ace(runner, specs):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arch import Apu, GlobalMemory, ProgramBuilder, imm, s, v
+from repro.arch import Apu, GlobalMemory, Launch, ProgramBuilder, imm, s, v
 from repro.core import AvfStudy
 from repro.core.intervals import AceClass
 from repro.faultinject.validation import ValidationResult, validate_memory_avf
@@ -29,8 +29,7 @@ class TestMemoryInjectionHook:
         apu = Apu(memory=mem, n_cus=1)
         if inject:
             apu.inject_memory_fault(*inject)
-        apu.launch(self._copy_program(), 16, [a, b])
-        apu.finish()
+        apu.run([Launch(self._copy_program(), 16, [a, b])])
         return mem.view_u32("b").copy(), a, b
 
     def test_flip_input_before_read_corrupts(self):
@@ -74,7 +73,7 @@ class TestMemoryLifetimes:
         p.iadd(v(5), v(2), s(3))
         p.store(v(4), v(5))
         apu = Apu(memory=mem, n_cus=1)
-        apu.launch(p.build(), 16, [a, b])
+        apu.run([Launch(p.build(), 16, [a, b])])
         study = AvfStudy(apu, [mem.buffer("b")])
         lt = study.memory_lifetimes((a, 64))
         # Every input byte was consumed live exactly once: ACE from cycle 0
@@ -89,7 +88,7 @@ class TestMemoryLifetimes:
         p.iadd(v(5), v(2), s(2))
         p.store(v(0), v(5))
         apu = Apu(memory=mem, n_cus=1)
-        apu.launch(p.build(), 16, [b])
+        apu.run([Launch(p.build(), 16, [b])])
         study = AvfStudy(apu, [mem.buffer("b")])
         lt = study.memory_lifetimes((b, 64))
         end = study.end_cycle
@@ -109,7 +108,7 @@ class TestMemoryLifetimes:
         p.iadd(v(6), v(2), s(3))
         p.store(v(0), v(6))
         apu = Apu(memory=mem, n_cus=1)
-        apu.launch(p.build(), 16, [scratch, out])
+        apu.run([Launch(p.build(), 16, [scratch, out])])
         study = AvfStudy(apu, [mem.buffer("out")])
         lt = study.memory_lifetimes((scratch, 64))
         assert all(iset.total_at_least(1) == 0 for iset in lt.byte_isets)
@@ -144,6 +143,10 @@ class TestValidationCampaign:
     def test_negative_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             validate_memory_avf("vectoradd", n_injections=2, n_cus=1, jobs=-1)
+
+    def test_negative_injection_count_rejected(self):
+        with pytest.raises(ValueError, match="n_injections"):
+            validate_memory_avf("vectoradd", n_injections=-5)
 
     def test_worker_pool_matches_inline(self):
         inline = validate_memory_avf("vectoradd", n_injections=12, n_cus=1)

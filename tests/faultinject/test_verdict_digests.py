@@ -24,7 +24,6 @@ import pytest
 from repro.faultinject import injection_class
 from repro.faultinject.campaign import _Injector
 from repro.faultinject.validation import _draw_points
-from repro.workloads import REGISTRY
 from repro.workloads.suite import OPENCL_SAMPLES
 
 DIGESTS = Path(__file__).with_name("verdict_digests.json")
@@ -36,7 +35,7 @@ KEYS = [f"{b}/{seed}" for b in OPENCL_SAMPLES for seed in SEEDS]
 
 def verdict_digest(benchmark, seed):
     """Each drawn point with its verdict and deciding lifetime class."""
-    runner = _Injector(REGISTRY[benchmark], seed, N_CUS)
+    runner = _Injector(benchmark, seed, N_CUS)
     study = runner.study
     # The seeded streams of run_campaign and validate_memory_avf.
     rng = np.random.default_rng(seed + 0xFA117)

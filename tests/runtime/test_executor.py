@@ -53,11 +53,10 @@ class TestClassifyException:
             assert classify_exception(exc) == TaskOutcome.INFRA_ERROR
 
     def test_simulator_frame_is_crash(self):
-        from repro.arch import Apu, GlobalMemory
+        from repro.arch import Apu, GlobalMemory, Launch
 
         try:
-            Apu(memory=GlobalMemory()).finish()
-            Apu(memory=GlobalMemory()).launch(None, 0, [])
+            Apu(memory=GlobalMemory()).run([Launch(None, 0, [])])
         except Exception as exc:
             assert classify_exception(exc) == TaskOutcome.SIM_CRASH
 

@@ -148,6 +148,26 @@ class TestCampaignRuntimeFlags:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["inject", "vectoradd", "--singles", "-1"],
+        ["inject", "vectoradd", "--groups", "-1"],
+        ["campaign", "vectoradd", "--singles", "-3"],
+        ["campaign", "vectoradd", "--groups", "-1"],
+    ])
+    def test_negative_injection_count_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--scaled", "--paper-caches"])
+    def test_inject_takes_no_cache_flags(self, flag, capsys):
+        """Injection campaigns always run the default caches."""
+        with pytest.raises(SystemExit) as exc:
+            main(["inject", "vectoradd", flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_campaign_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
             main(["campaign", "transpose", "not-a-benchmark"])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.arch import GlobalMemory, Launch
 from repro.workloads import REGISTRY, names, run
 from repro.workloads.suite import EVALUATION_SET, OPENCL_SAMPLES
 
@@ -47,11 +48,23 @@ class TestEveryWorkload:
                 == b.memory.data[base : base + size]
             ).all()
 
+    def test_schedule_is_static(self, name):
+        """The launch schedule is data: two calls yield equal records."""
+        wl = REGISTRY[name](seed=0)
+        wl.setup(GlobalMemory())
+        first, second = list(wl.kernels()), list(wl.kernels())
+        assert first and all(isinstance(k, Launch) for k in first)
+        assert [
+            (a.program.instrs, a.n_threads, list(a.args), a.name)
+            for a in first
+        ] == [
+            (b.program.instrs, b.n_threads, list(b.args), b.name)
+            for b in second
+        ]
+
     def test_seed_changes_data(self, name):
         wl_a = REGISTRY[name](seed=0)
         wl_b = REGISTRY[name](seed=1)
-        from repro.arch import GlobalMemory
-
         ma, mb = GlobalMemory(), GlobalMemory()
         wl_a.setup(ma)
         wl_b.setup(mb)
