@@ -27,12 +27,12 @@ def _measure(study_of):
     points = []
     for wl in WORKLOADS:
         study = study_of(wl)
-        sb = study.cache_avf("l1", FaultMode.linear(1), Parity()).due_avf
+        sb = study.avf("l1", FaultMode.linear(1), Parity()).due_avf
         if sb < 1e-4:
             continue
         for style in STYLES:
             loc = study.cache_ace_locality("l1", style=style, factor=2)
-            mb = study.cache_avf(
+            mb = study.avf(
                 "l1", FaultMode.linear(2), Parity(), style=style, factor=2
             ).due_avf
             points.append((wl, style.value, loc, mb / sb))

@@ -26,8 +26,8 @@ def _measure():
     ):
         result = run("minife", apu_kwargs=kwargs or None)
         study = AvfStudy(result.apu, result.output_ranges)
-        sb = study.cache_avf("l1", FaultMode.linear(1), Parity()).due_avf
-        mb = study.cache_avf(
+        sb = study.avf("l1", FaultMode.linear(1), Parity()).due_avf
+        mb = study.avf(
             "l1", FaultMode.linear(2), Parity(),
             style=Interleaving.WAY_PHYSICAL, factor=2,
         ).due_avf

@@ -31,12 +31,12 @@ def _measure(study_of):
     study = study_of("minife")
     out = {}
     for label, mode in MODES.items():
-        res = study.cache_avf(
+        res = study.avf(
             "l1", mode, NoProtection(),
             style=Interleaving.LOGICAL, factor=2,
         )
         out[label] = res.sdc_avf
-    out["SB"] = study.cache_avf(
+    out["SB"] = study.avf(
         "l1", FaultMode.linear(1), NoProtection()
     ).sdc_avf
     return out

@@ -25,7 +25,7 @@ def _measure(study_of):
     for name in SCHEME_NAMES:
         per_mode = {}
         for m in MODES:
-            res = study.cache_avf(
+            res = study.avf(
                 "l1", FaultMode.linear(m), SCHEMES[name],
                 style=Interleaving.LOGICAL, factor=2,
             )

@@ -21,11 +21,11 @@ def _measure(study_of):
     rows = {}
     for wl in WORKLOADS:
         study = study_of(wl)
-        data_sb = study.cache_avf("l1", FaultMode.linear(1), NoProtection()).sdc_avf
-        tag_sb = study.tag_avf("l1", FaultMode.linear(1), NoProtection()).sdc_avf
-        tag_2x1 = study.tag_avf("l1", FaultMode.linear(2), Parity()).sdc_avf
-        tag_2x1_ilv = study.tag_avf(
-            "l1", FaultMode.linear(2), Parity(), factor=2
+        data_sb = study.avf("l1", FaultMode.linear(1), NoProtection()).sdc_avf
+        tag_sb = study.avf("l1.tags", FaultMode.linear(1), NoProtection()).sdc_avf
+        tag_2x1 = study.avf("l1.tags", FaultMode.linear(2), Parity()).sdc_avf
+        tag_2x1_ilv = study.avf(
+            "l1.tags", FaultMode.linear(2), Parity(), factor=2
         ).sdc_avf
         rows[wl] = (data_sb, tag_sb, tag_2x1, tag_2x1_ilv)
     return rows

@@ -22,13 +22,13 @@ def _measure(study_of):
         study = study_of(wl)
         per_mode = {}
         for m in MODES:
-            res = study.cache_avf(
+            res = study.avf(
                 "l1", FaultMode.linear(m), Parity(),
                 style=Interleaving.WAY_PHYSICAL, factor=4,
             )
             per_mode[m] = (res.true_due_avf, res.false_due_avf)
         # The L2 sees fill and writeback reads of dead data too.
-        l2 = study.cache_avf("l2", FaultMode.linear(1), Parity())
+        l2 = study.avf("l2", FaultMode.linear(1), Parity())
         rows[wl] = (per_mode, (l2.true_due_avf, l2.false_due_avf))
     return rows
 

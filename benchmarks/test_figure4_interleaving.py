@@ -23,10 +23,10 @@ def _measure(study_of):
     rows = {}
     for wl in EVALUATION_SET:
         study = study_of(wl)
-        sb = study.cache_avf("l1", FaultMode.linear(1), Parity()).due_avf
+        sb = study.avf("l1", FaultMode.linear(1), Parity()).due_avf
         ratios = {}
         for label, style in STYLES:
-            mb = study.cache_avf(
+            mb = study.avf(
                 "l1", FaultMode.linear(2), Parity(), style=style, factor=2
             ).due_avf
             ratios[label] = mb / sb if sb > 0 else float("nan")

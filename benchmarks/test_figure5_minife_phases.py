@@ -18,7 +18,7 @@ BUCKETS = 10
 def _measure(study_of):
     study = study_of("minife")
     edges = np.linspace(0, study.end_cycle, BUCKETS + 1).astype(int)
-    sb = study.cache_avf(
+    sb = study.avf(
         "l1", FaultMode.linear(1), Parity(), series_edges=edges
     )
     series = {"sb": _due_series(sb)}
@@ -27,7 +27,7 @@ def _measure(study_of):
         ("way", Interleaving.WAY_PHYSICAL),
         ("index", Interleaving.INDEX_PHYSICAL),
     ):
-        mb = study.cache_avf(
+        mb = study.avf(
             "l1", FaultMode.linear(2), Parity(),
             style=style, factor=2, series_edges=edges,
         )

@@ -21,16 +21,16 @@ def _measure(study_of):
     out = {}
     for wl in EVALUATION_SET:
         study = study_of(wl)
-        sb = study.cache_avf("l1", FaultMode.linear(1), Parity()).due_avf
+        sb = study.avf("l1", FaultMode.linear(1), Parity()).due_avf
         par = {
-            m: study.cache_avf(
+            m: study.avf(
                 "l1", FaultMode.linear(m), Parity(),
                 style=Interleaving.WAY_PHYSICAL, factor=4,
             ).due_avf
             for m in PARITY_MODES
         }
         sec = {
-            m: study.cache_avf(
+            m: study.avf(
                 "l1", FaultMode.linear(m), SecDed(),
                 style=Interleaving.WAY_PHYSICAL, factor=4,
             ).due_avf

@@ -24,13 +24,13 @@ def _measure(study_of):
         ("index", Interleaving.INDEX_PHYSICAL),
         ("way", Interleaving.WAY_PHYSICAL),
     ):
-        res = study.cache_avf(
+        res = study.avf(
             "l1", FaultMode.linear(3), Parity(),
             style=style, factor=2, series_edges=edges,
         )
         out[label] = res
     # "Conservative designer" estimate: any 3x1 fault on ACE data -> SDC.
-    unprot = study.cache_avf("l1", FaultMode.linear(3), Parity())
+    unprot = study.avf("l1", FaultMode.linear(3), Parity())
     out["conservative_sdc"] = unprot.total_avf
     return out
 

@@ -20,10 +20,10 @@ def _measure(study_of):
     rows = {}
     for wl in EVALUATION_SET:
         study = study_of(wl)
-        sb = study.cache_avf("l1", FaultMode.linear(1), NoProtection()).sdc_avf
+        sb = study.avf("l1", FaultMode.linear(1), NoProtection()).sdc_avf
         per_mode = {}
         for m in MODES:
-            res = study.cache_avf(
+            res = study.avf(
                 "l1", FaultMode.linear(m), SecDed(),
                 style=Interleaving.WAY_PHYSICAL, factor=2,
             )

@@ -29,10 +29,10 @@ def main() -> None:
     for wl in WORKLOADS:
         result = run(wl, apu_kwargs=scaled_apu_kwargs())
         study = AvfStudy(result.apu, result.output_ranges)
-        sb = study.cache_avf("l1", FaultMode.linear(1), Parity()).due_avf
+        sb = study.avf("l1", FaultMode.linear(1), Parity()).due_avf
         row = f"{wl:<12} {sb:8.4f}"
         for _, style in STYLES:
-            mb = study.cache_avf(
+            mb = study.avf(
                 "l1", FaultMode.linear(2), Parity(), style=style, factor=2
             ).due_avf
             ratio = mb / sb if sb else float("nan")

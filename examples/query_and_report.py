@@ -20,7 +20,7 @@ from repro.core import (
     Interleaving,
     figure2_sweep,
 )
-from repro.core.sweep import sweep_vgpr_avf
+from repro.core.sweep import sweep_avf
 from repro.report import build_report
 from repro.store import ResultStore
 from repro.workloads import run
@@ -34,8 +34,8 @@ def main() -> None:
         result = run(name)
         study = AvfStudy(result.apu, result.output_ranges)
         with ResultStore(store_path) as store:
-            points = sweep_vgpr_avf(
-                study,
+            points = sweep_avf(
+                study, "vgpr",
                 modes=[FaultMode.linear(2), FaultMode.linear(4)],
                 schemes=[SCHEMES["none"], SCHEMES["parity"]],
                 layouts=[

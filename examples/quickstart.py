@@ -27,11 +27,11 @@ def main() -> None:
     study = AvfStudy(result.apu, result.output_ranges)
 
     # 3. Single-bit AVF (the classic ACE-analysis measurement).
-    sb = study.cache_avf("l1", FaultMode.linear(1), Parity())
+    sb = study.avf("l1", FaultMode.linear(1), Parity())
     print(f"L1 single-bit DUE AVF (parity): {sb.due_avf:.4f}")
 
     # 4. 2x1 spatial multi-bit AVF with x2 logical interleaving.
-    mb = study.cache_avf(
+    mb = study.avf(
         "l1", FaultMode.linear(2), Parity(),
         style=Interleaving.LOGICAL, factor=2,
     )

@@ -32,11 +32,11 @@ from repro.workloads import run
 WORKLOADS = ("matmul", "dct", "srad")
 
 
-def _structure_ser(study, structure, scheme, measure):
+def _structure_ser(study, structure, name, scheme):
     avf_by_mode = {}
     for mode_name in TABLE_III:
         m = int(mode_name.split("x")[0])
-        res = measure(FaultMode.linear(m), scheme)
+        res = study.avf(name, FaultMode.linear(m), scheme)
         avf_by_mode[mode_name] = (res.due_avf, res.sdc_avf)
     return soft_error_rate(TABLE_III, avf_by_mode, structure)
 
@@ -51,18 +51,12 @@ def main() -> None:
     print("per-structure SER (parity, no interleaving), averaged over "
           f"{len(WORKLOADS)} workloads:")
     sers = []
-    for structure, measure_name in (
-        ("l1-data", "cache"), ("l1-tags", "tags"), ("vgpr", "vgpr"),
+    for structure, name in (
+        ("l1-data", "l1"), ("l1-tags", "l1.tags"), ("vgpr", "vgpr"),
     ):
         due = sdc = 0.0
         for study in studies:
-            if measure_name == "cache":
-                fn = lambda m, s: study.cache_avf("l1", m, s)
-            elif measure_name == "tags":
-                fn = lambda m, s: study.tag_avf("l1", m, s)
-            else:
-                fn = lambda m, s: study.vgpr_avf(m, s)
-            ser = _structure_ser(study, structure, Parity(), fn)
+            ser = _structure_ser(study, structure, name, Parity())
             due += ser.due_fit / len(studies)
             sdc += ser.sdc_fit / len(studies)
         from repro.core import StructureSer  # local import for the record

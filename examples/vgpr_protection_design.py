@@ -46,8 +46,9 @@ def main() -> None:
             avf_by_mode = {}
             for mode_name, _fit in TABLE_III.items():
                 m = int(mode_name.split("x")[0])
-                res = study.vgpr_avf(
-                    FaultMode.linear(m), scheme, style=style, factor=factor
+                res = study.avf(
+                    "vgpr", FaultMode.linear(m), scheme,
+                    style=style, factor=factor,
                 )
                 avf_by_mode[mode_name] = (res.due_avf, res.sdc_avf)
             ser = soft_error_rate(TABLE_III, avf_by_mode, "vgpr")

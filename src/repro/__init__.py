@@ -13,7 +13,7 @@ Quickstart::
 
     run = workloads.run("vectoradd")
     study = core.AvfStudy(run.apu, run.output_ranges)
-    res = study.cache_avf(
+    res = study.avf(
         "l1", core.FaultMode.linear(2), core.Parity(),
         style=core.Interleaving.LOGICAL, factor=2,
     )

@@ -30,6 +30,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import shlex
@@ -88,12 +89,9 @@ def _build_study(args) -> AvfStudy:
 
 
 def _measure(study: AvfStudy, args, mode: FaultMode):
-    scheme = SCHEMES[args.scheme]
-    style = _STYLES[args.style]
-    if args.structure == "vgpr":
-        return study.vgpr_avf(mode, scheme, style=style, factor=args.factor)
-    return study.cache_avf(
-        args.structure, mode, scheme, style=style, factor=args.factor
+    return study.avf(
+        args.structure, mode, SCHEMES[args.scheme],
+        style=_STYLES[args.style], factor=args.factor,
     )
 
 
@@ -197,8 +195,11 @@ def _cmd_avf(args) -> int:
         from .store import ingest_results, persist
 
         def write(store) -> dict:
+            # The merged L1 result is named after CU 0; file the row under
+            # the structure that was asked for.
+            row = dataclasses.replace(res, structure=args.structure)
             return ingest_results(
-                store, [res], workload=args.workload, style=args.style,
+                store, [row], workload=args.workload, style=args.style,
                 factor=args.factor, seed=args.seed, source="cli/avf",
             )
 
@@ -571,7 +572,7 @@ def _cmd_stats(args) -> int:
     """Run a workload plus one AVF measurement with full observability on,
     then print the per-stage timing and metrics report."""
     study = _build_study(args)
-    study.cache_avf("l1", FaultMode.linear(2), SCHEMES["parity"])
+    study.avf("l1", FaultMode.linear(2), SCHEMES["parity"])
     print(observability_report())
     return 0
 

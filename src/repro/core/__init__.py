@@ -10,7 +10,13 @@ from .designer import (
     sb_approx_ser,
 )
 from .markov import WordMarkovModel, cache_mttf_hours, word_mttf_hours
-from .sweep import SweepPoint, sweep_cache_avf, sweep_vgpr_avf, tabulate
+from .sweep import (
+    SweepPoint,
+    sweep_avf,
+    sweep_cache_avf,
+    sweep_vgpr_avf,
+    tabulate,
+)
 from .avf import (
     AvfConfig,
     MbAvfResult,
@@ -63,6 +69,7 @@ __all__ = [
     "cache_mttf_hours",
     "word_mttf_hours",
     "SweepPoint",
+    "sweep_avf",
     "sweep_cache_avf",
     "sweep_vgpr_avf",
     "tabulate",

@@ -16,6 +16,7 @@ paper's infrastructure.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,8 +38,8 @@ from .layout import (
     SramArray,
     build_cache_array,
     build_regfile_array,
+    build_tag_array,
 )
-from .layout import build_tag_array
 from .lifetime import (
     analyze_cache,
     analyze_memory,
@@ -76,16 +77,23 @@ def _stack(
     )
 
 
-def _merged_batch(
-    layout: SramArray,
-    lts: Sequence[StructureLifetimes],
-    configs: Sequence[AvfConfig],
-) -> List[MbAvfResult]:
-    """Each config's results over the replicated ``lts``, merged."""
-    per_lt = [compute_mb_avf_batch(layout, lt, configs) for lt in lts]
-    return [
-        merge_results([res[i] for res in per_lt]) for i in range(len(configs))
-    ]
+#: Each structure's interleaving style when none is asked for.  A tag
+#: array has none to ask for: its factor alone picks its style
+#: (:func:`~repro.core.layout.build_tag_array`).
+_DEFAULT_STYLE: Dict[str, Optional[Interleaving]] = {
+    "l1": Interleaving.NONE,
+    "l2": Interleaving.NONE,
+    "vgpr": Interleaving.INTRA_THREAD,
+    "l1.tags": None,
+    "l2.tags": None,
+}
+
+
+def _cache_level(level: str) -> str:
+    """``level`` if it names a cache's data array, else ``ValueError``."""
+    if level not in ("l1", "l2"):
+        raise ValueError(f"level must be 'l1' or 'l2', not {level!r}")
+    return level
 
 
 class AvfStudy:
@@ -98,27 +106,24 @@ class AvfStudy:
     output_ranges:
         (base, size) pairs of the buffers the host consumes — the roots of
         the liveness analysis.
-    vgpr_regs:
-        Number of architectural VGPRs modelled per thread in the register
-        file structure (defaults to the largest register count any launched
-        kernel used, rounded up to a power of two for interleaving).
+
+    Every AVF question goes through :meth:`avf_batch` (or its
+    single-config form :meth:`avf`) and names its structure: ``"l1"``
+    (merged over CUs), ``"l2"``, ``"vgpr"`` (merged over wavefronts),
+    ``"l1.tags"`` or ``"l2.tags"``.
     """
 
     def __init__(
-        self,
-        apu: Apu,
-        output_ranges: Sequence[Tuple[int, int]],
-        vgpr_regs: Optional[int] = None,
+        self, apu: Apu, output_ranges: Sequence[Tuple[int, int]]
     ) -> None:
         self.apu = apu
         self.output_ranges = list(output_ranges)
         self.end_cycle = apu.cycle
-        if vgpr_regs is None:
-            most = max(
-                (p.n_vregs for p in apu.wf_programs.values()), default=8
-            )
-            vgpr_regs = 1 << max(3, (most - 1).bit_length())
-        self.vgpr_regs = vgpr_regs
+        most = max((p.n_vregs for p in apu.wf_programs.values()), default=8)
+        #: architectural VGPRs modelled per thread in the register file: the
+        #: most any launched kernel used, rounded up to a power of two for
+        #: interleaving
+        self.vgpr_regs = 1 << max(3, (most - 1).bit_length())
         # Liveness annotation (in place on the records).
         n_vregs_by_wf = {w: p.n_vregs for w, p in apu.wf_programs.items()}
         with get_tracer().span("liveness", records=len(apu.records)):
@@ -141,7 +146,11 @@ class AvfStudy:
         self._l2_lifetime: Optional[StructureLifetimes] = None
         self._vgpr_lifetimes: Optional[List[StructureLifetimes]] = None
         self._vgpr_stack: Optional[StructureLifetimes] = None
-        self._layout_cache: Dict[Tuple, SramArray] = {}
+        self._tag_lifetimes: Dict[str, List[StructureLifetimes]] = {}
+        self._structures: Dict[
+            Tuple[str, Optional[Interleaving], int],
+            Tuple[SramArray, List[StructureLifetimes]],
+        ] = {}
 
     # -- lifetimes (lazy, cached) -------------------------------------------
 
@@ -202,148 +211,6 @@ class AvfStudy:
                 self._vgpr_lifetimes = lts
         return self._vgpr_lifetimes
 
-    # -- layouts --------------------------------------------------------------
-
-    def _cache_config(self, level: str):
-        """The cache configuration of ``level`` (``'l1'`` or ``'l2'``)."""
-        if level == "l1":
-            return self.apu.memsys.l1s[0].config
-        if level == "l2":
-            return self.apu.memsys.l2.config
-        raise ValueError(f"level must be 'l1' or 'l2', not {level!r}")
-
-    def _cache_lifetimes(self, level: str) -> List[StructureLifetimes]:
-        """The data-array lifetimes of ``level``: one per L1, or the L2."""
-        self._cache_config(level)  # rejects any other level
-        return self.l1_lifetimes() if level == "l1" else [self.l2_lifetime()]
-
-    def _cache_layout(
-        self, level: str, style: Interleaving, factor: int, domain_bytes: int
-    ) -> SramArray:
-        key = (level, style, factor, domain_bytes)
-        if key not in self._layout_cache:
-            cfg = self._cache_config(level)
-            self._layout_cache[key] = build_cache_array(
-                cfg.n_sets, cfg.n_ways, cfg.line_bytes,
-                domain_bytes=domain_bytes, style=style, factor=factor,
-                name=level,
-            )
-        return self._layout_cache[key]
-
-    def _vgpr_layout(self, style: Interleaving, factor: int) -> SramArray:
-        key = ("vgpr", style, factor)
-        if key not in self._layout_cache:
-            self._layout_cache[key] = build_regfile_array(
-                16, self.vgpr_regs, style=style, factor=factor, name="vgpr"
-            )
-        return self._layout_cache[key]
-
-    # -- AVF measurements -------------------------------------------------------
-
-    def cache_avf_batch(
-        self,
-        level: str,
-        configs: Sequence[AvfConfig],
-        *,
-        style: Interleaving = Interleaving.NONE,
-        factor: int = 1,
-        domain_bytes: int = 4,
-    ) -> List[MbAvfResult]:
-        """MB-AVFs of a cache level for many engine configs in one pass.
-
-        All configs share one enumeration/classification cache per CU; the
-        per-CU results of each config are merged as in :meth:`cache_avf`.
-        """
-        layout = self._cache_layout(level, style, factor, domain_bytes)
-        return _merged_batch(layout, self._cache_lifetimes(level), configs)
-
-    def cache_avf(
-        self,
-        level: str,
-        mode: FaultMode,
-        scheme: ProtectionScheme,
-        *,
-        style: Interleaving = Interleaving.NONE,
-        factor: int = 1,
-        domain_bytes: int = 4,
-        due_preempts_sdc: bool = False,
-        series_edges: Optional[Sequence[int]] = None,
-    ) -> MbAvfResult:
-        """MB-AVF of the L1 (merged over CUs) or L2 cache."""
-        cfg = AvfConfig(
-            mode=mode, scheme=scheme, due_preempts_sdc=due_preempts_sdc,
-            series_edges=tuple(series_edges) if series_edges is not None else None,
-        )
-        return self.cache_avf_batch(
-            level, [cfg], style=style, factor=factor, domain_bytes=domain_bytes,
-        )[0]
-
-    def vgpr_avf_batch(
-        self,
-        configs: Sequence[AvfConfig],
-        *,
-        style: Interleaving = Interleaving.INTRA_THREAD,
-        factor: int = 1,
-    ) -> List[MbAvfResult]:
-        """MB-AVFs of the stacked register file for many configs in one pass.
-
-        Configs are taken verbatim — apply :func:`due_preempts_sdc_for`
-        yourself if you build them by hand (:meth:`vgpr_avf` does it for
-        you).
-        """
-        layout, lifetimes = self._stacked_vgpr(style, factor)
-        return compute_mb_avf_batch(layout, lifetimes, configs)
-
-    def vgpr_avf(
-        self,
-        mode: FaultMode,
-        scheme: ProtectionScheme,
-        *,
-        style: Interleaving = Interleaving.INTRA_THREAD,
-        factor: int = 1,
-        due_preempts_sdc: Optional[bool] = None,
-        series_edges: Optional[Sequence[int]] = None,
-    ) -> MbAvfResult:
-        """MB-AVF of the vector register file, merged over wavefronts.
-
-        The Sec. VIII rule (:func:`due_preempts_sdc_for`) is applied
-        automatically unless ``due_preempts_sdc`` is forced.
-        """
-        if due_preempts_sdc is None:
-            due_preempts_sdc = due_preempts_sdc_for(style)
-        cfg = AvfConfig(
-            mode=mode, scheme=scheme, due_preempts_sdc=due_preempts_sdc,
-            series_edges=tuple(series_edges) if series_edges is not None else None,
-        )
-        return self.vgpr_avf_batch([cfg], style=style, factor=factor)[0]
-
-    def _stacked_vgpr(
-        self, style: Interleaving, factor: int
-    ) -> Tuple[SramArray, StructureLifetimes]:
-        """All wavefronts' register files stacked into one structure.
-
-        Interleaving stays wavefront-internal (rows never mix wavefronts);
-        stacking just lets one engine invocation cover the whole register
-        file, with byte/domain ids offset per wavefront.  Every layout
-        shares the study's one stacked lifetime table.
-        """
-        n = len(self.vgpr_lifetimes())
-        assert self._vgpr_stack is not None
-        key = ("vgpr-stack", style, factor)
-        if key not in self._layout_cache:
-            base = self._vgpr_layout(style, factor)
-            byte_of = np.vstack(
-                [base.byte_of + np.int32(k * base.n_bytes) for k in range(n)]
-            )
-            domain_of = np.vstack(
-                [base.domain_of + np.int32(k * base.n_domains) for k in range(n)]
-            )
-            self._layout_cache[key] = SramArray(
-                "vgpr", byte_of, domain_of, base.domain_bytes,
-                base.interleave_factor, base.style,
-            )
-        return self._layout_cache[key], self._vgpr_stack
-
     def memory_lifetimes(self, region: Tuple[int, int]) -> StructureLifetimes:
         """Architectural lifetimes of the flat memory region ``(base,
         size)`` (see :func:`repro.core.lifetime.analyze_memory`): the
@@ -360,68 +227,166 @@ class AvfStudy:
             table.end_cycle,
         )
 
-    def _tag_lifetimes(self, level: str, tag_bytes: int) -> List[StructureLifetimes]:
-        """Derived tag-array lifetimes, cached so repeated tag AVFs share
-        the engine's per-lifetimes canonical-id and region caches."""
-        key = ("tag-lts", level, tag_bytes)
-        if key not in self._layout_cache:
-            line_bytes = self._cache_config(level).line_bytes
-            self._layout_cache[key] = [
-                derive_tag_lifetimes(lt, line_bytes, tag_bytes=tag_bytes)
-                for lt in self._cache_lifetimes(level)
-            ]
-        return self._layout_cache[key]
+    # -- structures ---------------------------------------------------------
 
-    def tag_avf_batch(
-        self,
-        level: str,
-        configs: Sequence[AvfConfig],
-        *,
-        factor: int = 1,
-        tag_bytes: int = 3,
-    ) -> List[MbAvfResult]:
-        """MB-AVFs of a cache's tag array for many configs in one pass."""
-        cfg = self._cache_config(level)
-        key = ("tags", level, factor, tag_bytes)
-        if key not in self._layout_cache:
-            self._layout_cache[key] = build_tag_array(
-                cfg.n_sets, cfg.n_ways, tag_bytes=tag_bytes, factor=factor,
-                name=f"{level}.tags",
+    def _replicas(self, structure: str) -> List[StructureLifetimes]:
+        """The lifetime tables of ``structure``, one per replica the engine
+        measures on its own: one per L1, the L2, or every wavefront's
+        register file stacked into one.  A tag array's are derived from
+        its data array's (an entry is ACE while its line holds live data)
+        once, and every layout shares them."""
+        if structure == "vgpr":
+            self.vgpr_lifetimes()
+            assert self._vgpr_stack is not None
+            return [self._vgpr_stack]
+        level, _, tags = structure.partition(".")
+        data = self.l1_lifetimes() if level == "l1" else [self.l2_lifetime()]
+        if not tags:
+            return data
+        if structure not in self._tag_lifetimes:
+            line_bytes = self._cache_config(level).line_bytes
+            self._tag_lifetimes[structure] = [
+                derive_tag_lifetimes(lt, line_bytes) for lt in data
+            ]
+        return self._tag_lifetimes[structure]
+
+    def _cache_config(self, level: str):
+        """The configuration of the ``level`` cache (CU 0's for the L1s)."""
+        memsys = self.apu.memsys
+        return (memsys.l1s[0] if level == "l1" else memsys.l2).config
+
+    def _layout(
+        self, structure: str, style: Optional[Interleaving], factor: int
+    ) -> SramArray:
+        """The physical layout of ``structure`` under (style, factor).
+
+        The VGPR's wavefronts are stacked into one array: interleaving
+        stays wavefront-internal (rows never mix wavefronts), and byte and
+        domain ids are offset per wavefront, so one engine invocation
+        covers the whole register file.
+        """
+        level, _, tags = structure.partition(".")
+        if tags:
+            cfg = self._cache_config(level)
+            return build_tag_array(
+                cfg.n_sets, cfg.n_ways, factor=factor, name=structure
             )
-        return _merged_batch(
-            self._layout_cache[key], self._tag_lifetimes(level, tag_bytes),
-            configs,
+        assert style is not None, "only a tag array takes no style"
+        if structure == "vgpr":
+            base = build_regfile_array(
+                16, self.vgpr_regs, style=style, factor=factor, name="vgpr"
+            )
+            n = len(self.vgpr_lifetimes())
+            byte_of = np.vstack(
+                [base.byte_of + np.int32(k * base.n_bytes) for k in range(n)]
+            )
+            domain_of = np.vstack(
+                [base.domain_of + np.int32(k * base.n_domains) for k in range(n)]
+            )
+            return SramArray(
+                "vgpr", byte_of, domain_of, base.domain_bytes,
+                base.interleave_factor, base.style,
+            )
+        cfg = self._cache_config(level)
+        return build_cache_array(
+            cfg.n_sets, cfg.n_ways, cfg.line_bytes, style=style,
+            factor=factor, name=level,
         )
 
-    def tag_avf(
+    def _structure(
+        self, structure: str, style: Optional[Interleaving], factor: int
+    ) -> Tuple[SramArray, List[StructureLifetimes]]:
+        """``(layout, replicas)`` of ``structure`` under (style, factor).
+
+        ``style=None`` is the structure's default style.  Cached per
+        resolved key: one layout object per key and one set of lifetime
+        tables per structure, so the engine's per-layout enumeration memo
+        and per-lifetimes canonical-id cache are hit across calls.
+        """
+        if structure not in _DEFAULT_STYLE:
+            raise ValueError(
+                f"structure must be one of {sorted(_DEFAULT_STYLE)}, "
+                f"not {structure!r}"
+            )
+        default = _DEFAULT_STYLE[structure]
+        if style is None:
+            style = default
+        elif default is None:
+            raise ValueError(
+                f"{structure!r} takes no style: its factor picks its layout"
+            )
+        key = (structure, style, factor)
+        if key not in self._structures:
+            self._structures[key] = (
+                self._layout(structure, style, factor),
+                self._replicas(structure),
+            )
+        return self._structures[key]
+
+    # -- AVF measurements -------------------------------------------------------
+
+    def avf_batch(
         self,
-        level: str,
+        structure: str,
+        configs: Sequence[AvfConfig],
+        *,
+        style: Optional[Interleaving] = None,
+        factor: int = 1,
+    ) -> List[MbAvfResult]:
+        """MB-AVFs of ``structure`` for many engine configs in one pass.
+
+        All configs share one enumeration/classification cache per
+        replica, and each config's replica results are merged.  Every
+        config gets the layout's Sec. VIII rule
+        (:func:`due_preempts_sdc_for`), whatever it was built with.
+        """
+        layout, replicas = self._structure(structure, style, factor)
+        rule = due_preempts_sdc_for(layout.style)
+        configs = [replace(c, due_preempts_sdc=rule) for c in configs]
+        per_replica = [
+            compute_mb_avf_batch(layout, lt, configs) for lt in replicas
+        ]
+        return [merge_results(rs) for rs in zip(*per_replica)]
+
+    def avf(
+        self,
+        structure: str,
         mode: FaultMode,
         scheme: ProtectionScheme,
         *,
+        style: Optional[Interleaving] = None,
         factor: int = 1,
-        tag_bytes: int = 3,
         series_edges: Optional[Sequence[int]] = None,
     ) -> MbAvfResult:
-        """MB-AVF of a cache's tag array (conservative address-structure model).
-
-        Tag lifetimes are derived from the data array's: an entry is ACE
-        while its line holds live data.  ``factor`` interleaves adjacent
-        ways' tags within a set's row.
-        """
+        """MB-AVF of ``structure`` for one (mode, scheme) under one layout;
+        ``series_edges`` adds a time series (Fig. 5)."""
         cfg = AvfConfig(
             mode=mode, scheme=scheme,
             series_edges=tuple(series_edges) if series_edges is not None else None,
         )
-        return self.tag_avf_batch(
-            level, [cfg], factor=factor, tag_bytes=tag_bytes,
-        )[0]
+        return self.avf_batch(structure, [cfg], style=style, factor=factor)[0]
+
+    # ``cache_avf``/``vgpr_avf`` (and ``sweep_cache_avf``/``sweep_vgpr_avf``)
+    # are older spellings of :meth:`avf` that only
+    # ``benchmarks/pipeline/child.py`` still calls.
+
+    def cache_avf(
+        self, level: str, mode: FaultMode, scheme: ProtectionScheme, **kw
+    ) -> MbAvfResult:
+        """:meth:`avf` of the ``level`` ("l1" or "l2") cache's data array."""
+        return self.avf(_cache_level(level), mode, scheme, **kw)
+
+    def vgpr_avf(
+        self, mode: FaultMode, scheme: ProtectionScheme, **kw
+    ) -> MbAvfResult:
+        """:meth:`avf` of the vector register file."""
+        return self.avf("vgpr", mode, scheme, **kw)
 
     def cache_ace_locality(
-        self, level: str, *, style: Interleaving = Interleaving.NONE,
-        factor: int = 1, domain_bytes: int = 4,
+        self, level: str, *, style: Optional[Interleaving] = None,
+        factor: int = 1,
     ) -> float:
-        """ACE locality of a cache under a given physical layout."""
-        layout = self._cache_layout(level, style, factor, domain_bytes)
-        vals = [ace_locality(layout, lt) for lt in self._cache_lifetimes(level)]
-        return float(np.mean(vals))
+        """ACE locality of a cache under a given physical layout, averaged
+        over its replicas."""
+        layout, replicas = self._structure(level, style, factor)
+        return float(np.mean([ace_locality(layout, lt) for lt in replicas]))

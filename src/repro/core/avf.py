@@ -287,8 +287,9 @@ class MbAvfResult:
 
     @property
     def total_avf(self) -> float:
-        """Any-error AVF (SDC + DUE)."""
-        return self._avf(Outcome.SDC, Outcome.TRUE_DUE, Outcome.FALSE_DUE)
+        """Any-error AVF: :attr:`due_avf` + :attr:`sdc_avf`, the sum every
+        stored row uses, so each path files the same total."""
+        return self.due_avf + self.sdc_avf
 
     def series_avf(self, outcome: Outcome) -> np.ndarray:
         """Per-bucket AVF time series for one outcome class."""

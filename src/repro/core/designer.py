@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .analysis import AvfStudy, due_preempts_sdc_for
+from .analysis import AvfStudy
 from .avf import AvfConfig
 from .faultmodes import FaultMode
 from .layout import Interleaving
@@ -87,8 +87,8 @@ def evaluate_designs(
 
     Rates are the per-mode raw fault rates weighted by the per-mode MB-AVFs
     (eq. 3), averaged across the given studies.  Design points sharing a
-    layout are measured in one engine batch per study, with the Sec. VIII
-    rule of :func:`~repro.core.analysis.due_preempts_sdc_for`.
+    layout are measured in one :meth:`AvfStudy.avf_batch` per study, which
+    applies the Sec. VIII rule.
     """
     modes = _modes_of(fit_by_mode)
     by_layout: Dict[Tuple[Interleaving, int], List[int]] = {}
@@ -99,19 +99,13 @@ def evaluate_designs(
     for study in studies:
         for (style, factor), members in by_layout.items():
             configs = [
-                AvfConfig(
-                    mode=FaultMode.linear(m), scheme=designs[i].scheme,
-                    due_preempts_sdc=due_preempts_sdc_for(style),
-                )
+                AvfConfig(mode=FaultMode.linear(m), scheme=designs[i].scheme)
                 for i in members
                 for m in modes
             ]
-            if structure == "vgpr":
-                res = study.vgpr_avf_batch(configs, style=style, factor=factor)
-            else:
-                res = study.cache_avf_batch(
-                    structure, configs, style=style, factor=factor
-                )
+            res = study.avf_batch(
+                structure, configs, style=style, factor=factor
+            )
             for j, i in enumerate(members):
                 chunk = res[j * len(modes):(j + 1) * len(modes)]
                 avf_by_mode = {
@@ -134,7 +128,7 @@ def sb_approx_ser(study: AvfStudy, point: DesignPoint) -> StructureSer:
     the scheme reaction is derived from the worst per-word flip count
     (``ceil(M / factor)``).
     """
-    sb = study.vgpr_avf(FaultMode.linear(1), NoProtection()).sdc_avf
+    sb = study.avf("vgpr", FaultMode.linear(1), NoProtection()).sdc_avf
     avf_by_mode: Dict[str, Tuple[float, float]] = {}
     for m in _modes_of(TABLE_III):
         reaction = point.scheme.react(math.ceil(m / point.factor))

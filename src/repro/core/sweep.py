@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .analysis import AvfStudy, due_preempts_sdc_for
+from .analysis import AvfStudy, _cache_level
 from .avf import AvfConfig, MbAvfResult
 from .faultmodes import FaultMode
 from .layout import Interleaving
 from .protection import ProtectionScheme
 
-__all__ = ["SweepPoint", "sweep_cache_avf", "sweep_vgpr_avf", "tabulate"]
+__all__ = [
+    "SweepPoint", "sweep_avf", "sweep_cache_avf", "sweep_vgpr_avf", "tabulate",
+]
 
 
 @dataclass(frozen=True)
@@ -57,30 +59,6 @@ class SweepPoint:
         )
 
 
-def _run_grid(
-    structure: str,
-    modes: Iterable[FaultMode],
-    schemes: Iterable[ProtectionScheme],
-    layouts: Iterable[Tuple[Interleaving, int]],
-    measure_batch,
-) -> List[SweepPoint]:
-    """Evaluate the grid, one engine batch per physical layout.
-
-    Every (scheme, mode) cell of a layout goes to
-    ``measure_batch(style, factor, pairs)`` together.
-    """
-    modes = list(modes)
-    pairs = [(scheme, mode) for scheme in schemes for mode in modes]
-    groups: Dict[Tuple[Interleaving, int], List[Tuple]] = {}
-    for style, factor in layouts:
-        groups.setdefault((style, factor), []).extend(pairs)
-    points: List[SweepPoint] = []
-    for (style, factor), cells in groups.items():
-        for res in measure_batch(style, factor, cells):
-            points.append(SweepPoint.from_result(structure, style, factor, res))
-    return points
-
-
 def _sink(
     points: Sequence[SweepPoint], store, workload: str, seed: int
 ) -> None:
@@ -99,19 +77,23 @@ def _sink(
     )
 
 
-def sweep_cache_avf(
+def sweep_avf(
     study: AvfStudy,
-    level: str,
+    structure: str,
     *,
     modes: Iterable[FaultMode],
     schemes: Iterable[ProtectionScheme],
-    layouts: Iterable[Tuple[Interleaving, int]] = ((Interleaving.NONE, 1),),
-    domain_bytes: int = 4,
+    layouts: Optional[Iterable[Tuple[Optional[Interleaving], int]]] = None,
     store=None,
     workload: str = "unknown",
     seed: int = 0,
 ) -> List[SweepPoint]:
-    """Measure every (mode, scheme, layout) combination on a cache level.
+    """Measure every (mode, scheme, layout) combination on ``structure``.
+
+    Each ``(style, factor)`` layout is one :meth:`AvfStudy.avf_batch` over
+    all its (scheme, mode) cells, so enumeration and region caches are
+    shared across them.  ``layouts`` defaults to the structure's default
+    layout; a ``None`` style is the structure's default style.
 
     ``store`` (a :class:`~repro.store.ResultStore` or path) persists the
     measured points under ``workload``/``seed`` through
@@ -120,48 +102,33 @@ def sweep_cache_avf(
     store is a no-op, and a store that fails to take it does not fail
     the sweep.
     """
-
-    def measure_batch(style, factor, pairs):
-        configs = [AvfConfig(mode=m, scheme=s) for s, m in pairs]
-        return study.cache_avf_batch(
-            level, configs,
-            style=style, factor=factor, domain_bytes=domain_bytes,
-        )
-
-    points = _run_grid(level, modes, schemes, layouts, measure_batch)
+    modes = list(modes)
+    configs = [AvfConfig(mode=m, scheme=s) for s in schemes for m in modes]
+    cells: Dict[Tuple[Optional[Interleaving], int], List[AvfConfig]] = {}
+    for key in ((None, 1),) if layouts is None else layouts:
+        cells.setdefault(key, []).extend(configs)
+    points: List[SweepPoint] = []
+    for (style, factor), batch in cells.items():
+        layout, _ = study._structure(structure, style, factor)
+        for res in study.avf_batch(
+            structure, batch, style=style, factor=factor
+        ):
+            points.append(
+                SweepPoint.from_result(structure, layout.style, factor, res)
+            )
     _sink(points, store, workload, seed)
     return points
 
 
-def sweep_vgpr_avf(
-    study: AvfStudy,
-    *,
-    modes: Iterable[FaultMode],
-    schemes: Iterable[ProtectionScheme],
-    layouts: Iterable[Tuple[Interleaving, int]] = (
-        (Interleaving.INTRA_THREAD, 1),
-    ),
-    store=None,
-    workload: str = "unknown",
-    seed: int = 0,
-) -> List[SweepPoint]:
-    """Measure every (mode, scheme, layout) combination on the VGPR.
+def sweep_cache_avf(study: AvfStudy, level: str, **kw) -> List[SweepPoint]:
+    """:func:`sweep_avf` of the ``level`` ("l1" or "l2") cache's data
+    array."""
+    return sweep_avf(study, _cache_level(level), **kw)
 
-    ``store``/``workload``/``seed`` persist the points exactly as in
-    :func:`sweep_cache_avf`.
-    """
 
-    def measure_batch(style, factor, pairs):
-        due = due_preempts_sdc_for(style)
-        configs = [
-            AvfConfig(mode=m, scheme=s, due_preempts_sdc=due)
-            for s, m in pairs
-        ]
-        return study.vgpr_avf_batch(configs, style=style, factor=factor)
-
-    points = _run_grid("vgpr", modes, schemes, layouts, measure_batch)
-    _sink(points, store, workload, seed)
-    return points
+def sweep_vgpr_avf(study: AvfStudy, **kw) -> List[SweepPoint]:
+    """:func:`sweep_avf` of the vector register file."""
+    return sweep_avf(study, "vgpr", **kw)
 
 
 def tabulate(

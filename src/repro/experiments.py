@@ -19,7 +19,7 @@ from .core.analysis import AvfStudy
 from .core.faultmodes import FaultMode
 from .core.layout import Interleaving
 from .core.protection import ProtectionScheme
-from .core.sweep import SweepPoint, sweep_cache_avf, sweep_vgpr_avf
+from .core.sweep import SweepPoint, sweep_avf
 from .obs import format_report, get_metrics, get_tracer
 from .runtime import Executor, Journal, RetryPolicy, Task
 from .workloads import run
@@ -83,15 +83,10 @@ def _grid_task(payload) -> List[dict]:
     the grid costs little more than its most expensive cell.
     """
     name, structure, modes, schemes, layouts = payload
-    study = _GRID_STUDIES(name)
-    if structure == "vgpr":
-        points = sweep_vgpr_avf(
-            study, modes=modes, schemes=schemes, layouts=layouts
-        )
-    else:
-        points = sweep_cache_avf(
-            study, structure, modes=modes, schemes=schemes, layouts=layouts
-        )
+    points = sweep_avf(
+        _GRID_STUDIES(name), structure,
+        modes=modes, schemes=schemes, layouts=layouts,
+    )
     return [asdict(p) for p in points]
 
 
@@ -101,7 +96,7 @@ def sweep_benchmarks(
     *,
     modes: Iterable[FaultMode],
     schemes: Iterable[ProtectionScheme],
-    layouts: Optional[Iterable[Tuple[Interleaving, int]]] = None,
+    layouts: Optional[Iterable[Tuple[Optional[Interleaving], int]]] = None,
     jobs: int = 0,
     timeout: Optional[float] = None,
     retry: Optional[RetryPolicy] = None,
@@ -124,14 +119,9 @@ def sweep_benchmarks(
     does not fail the sweep, and the warning names the ``journal`` to
     resume from.
     """
-    if layouts is None:
-        layouts = (
-            ((Interleaving.INTRA_THREAD, 1),) if structure == "vgpr"
-            else ((Interleaving.NONE, 1),)
-        )
     modes = tuple(modes)
     schemes = tuple(schemes)
-    layouts = tuple(layouts)
+    layouts = ((None, 1),) if layouts is None else tuple(layouts)
     tasks = [
         Task(
             id=f"grid/{structure}/{name}",

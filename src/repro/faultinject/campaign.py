@@ -484,8 +484,8 @@ def run_campaign(
     # records the full methodology (simulate, lifetime, enumerate,
     # integrate, inject) in one timeline.
     with tracer.span("model", benchmark=benchmark):
-        out.model_sdc_avf = runner.study.vgpr_avf(
-            FaultMode.linear(1), SCHEMES["none"]
+        out.model_sdc_avf = runner.study.avf(
+            "vgpr", FaultMode.linear(1), SCHEMES["none"]
         ).sdc_avf
     singles = [runner.random_spec(rng) for _ in range(n_single)]
     with _make_executor(

@@ -7,7 +7,7 @@ insertion order, as the whole-array windowed enumerator, and the same
 multiset as the per-placement reference; its raw keys, weights and band
 count must equal the per-mode band enumerator's whatever order modes come
 in.  Random lifetimes rarely repeat a row, so the arrays here are
-stacked the way :meth:`AvfStudy._stacked_vgpr` stacks wavefronts: one
+stacked the way :meth:`AvfStudy._structure` stacks wavefronts: one
 block's layout and lifetimes tiled several times, byte and domain ids
 offset per block.
 """
@@ -281,16 +281,8 @@ def test_real_workload_grid_matches_windowed_reference():
 
     study = build_study("matmul", n_cus=1)
     for structure, style, factor in GRID:
-        if structure == "vgpr":
-            cases = [study._stacked_vgpr(style, factor)]
-        else:
-            array = study._cache_layout(structure, style, factor, 4)
-            lts = (
-                study.l1_lifetimes() if structure == "l1"
-                else [study.l2_lifetime()]
-            )
-            cases = [(array, lt) for lt in lts]
-        for array, lt in cases:
+        array, lts = study._structure(structure, style, factor)
+        for lt in lts:
             byte2iid = _canonical_iset_ids(lt).byte2iid
             for mode in list(MX1_MODES) + [FaultMode.rect(2, 2)]:
                 got, _ = _signatures(array, byte2iid, mode)

@@ -66,7 +66,7 @@ class TestSbApproxSer:
     """The single-bit-AVF estimate Fig. 11 compares MB-AVF against."""
 
     def _sb(self, study):
-        return study.vgpr_avf(FaultMode.linear(1), NoProtection()).sdc_avf
+        return study.avf("vgpr", FaultMode.linear(1), NoProtection()).sdc_avf
 
     def test_unprotected_scales_single_bit_avf(self, study):
         point = DesignPoint(

@@ -50,12 +50,12 @@ def enumeration_digest(array, lifetimes, mode):
 def study_digest(name):
     """Per-mode fingerprints of one workload's L1s and stacked VGPR."""
     study = build_study(name, seed=SEED)
-    l1 = study._cache_layout("l1", Interleaving.NONE, 1, 4)
-    vgpr, vgpr_lt = study._stacked_vgpr(Interleaving.INTER_THREAD, 2)
+    l1, l1_lts = study._structure("l1", Interleaving.NONE, 1)
+    vgpr, (vgpr_lt,) = study._structure("vgpr", Interleaving.INTER_THREAD, 2)
     return {
         "l1": [
             [enumeration_digest(l1, lt, mode) for mode in MODES]
-            for lt in study.l1_lifetimes()
+            for lt in l1_lts
         ],
         "vgpr": [enumeration_digest(vgpr, vgpr_lt, mode) for mode in MODES],
     }

@@ -221,11 +221,14 @@ def real_structures(request):
 
     study = build_study(request.param, n_cus=1)
     return [
-        (study._cache_layout("l1", Interleaving.WAY_PHYSICAL, 2, 4), lt)
-        for lt in study.l1_lifetimes()
-    ] + [
-        study._stacked_vgpr(Interleaving.INTRA_THREAD, 2),
-        study._stacked_vgpr(Interleaving.INTER_THREAD, 4),
+        (array, lt)
+        for structure, style, factor in (
+            ("l1", Interleaving.WAY_PHYSICAL, 2),
+            ("vgpr", Interleaving.INTRA_THREAD, 2),
+            ("vgpr", Interleaving.INTER_THREAD, 4),
+        )
+        for array, replicas in [study._structure(structure, style, factor)]
+        for lt in replicas
     ]
 
 

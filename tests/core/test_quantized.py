@@ -13,7 +13,7 @@ def series_result():
     r = run("minife")
     study = AvfStudy(r.apu, r.output_ranges)
     edges = np.linspace(0, study.end_cycle, 11).astype(int)
-    return study.cache_avf(
+    return study.avf(
         "l1", FaultMode.linear(1), Parity(), series_edges=edges
     )
 
@@ -44,7 +44,7 @@ class TestQuantizedAvf:
     def test_requires_series(self):
         r = run("vectoradd")
         study = AvfStudy(r.apu, r.output_ranges)
-        res = study.cache_avf("l1", FaultMode.linear(1), Parity())
+        res = study.avf("l1", FaultMode.linear(1), Parity())
         with pytest.raises(ValueError):
             res.quantized_avf()
 

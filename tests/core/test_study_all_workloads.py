@@ -14,9 +14,9 @@ ALL = names()
 def test_pipeline_runs_everywhere(name):
     result = run(name, n_cus=2)
     study = AvfStudy(result.apu, result.output_ranges)
-    l2 = study.cache_avf("l2", FaultMode.linear(2), Parity())
+    l2 = study.avf("l2", FaultMode.linear(2), Parity())
     assert 0.0 <= l2.total_avf <= 1.0
-    vg = study.vgpr_avf(FaultMode.linear(1), Parity())
+    vg = study.avf("vgpr", FaultMode.linear(1), Parity())
     assert 0.0 <= vg.total_avf <= 1.0
     # Something was architecturally required somewhere: outputs exist.
     assert l2.total_avf > 0 or vg.total_avf > 0

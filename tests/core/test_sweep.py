@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core import AvfStudy, FaultMode, Interleaving, Parity, SecDed
-from repro.core.sweep import sweep_cache_avf, sweep_vgpr_avf, tabulate
+from repro.core.sweep import (
+    sweep_avf,
+    sweep_cache_avf,
+    sweep_vgpr_avf,
+    tabulate,
+)
 from repro.workloads import run
 
 
@@ -15,7 +20,7 @@ def study():
 
 class TestSweep:
     def test_cache_sweep_covers_grid(self, study):
-        points = sweep_cache_avf(
+        points = sweep_avf(
             study, "l1",
             modes=[FaultMode.linear(1), FaultMode.linear(2)],
             schemes=[Parity(), SecDed()],
@@ -27,9 +32,8 @@ class TestSweep:
         assert all(0 <= p.due_avf <= 1 for p in points)
 
     def test_vgpr_sweep(self, study):
-        points = sweep_vgpr_avf(
-            study,
-            modes=[FaultMode.linear(2)],
+        points = sweep_avf(
+            study, "vgpr", modes=[FaultMode.linear(2)],
             schemes=[Parity()],
             layouts=[(Interleaving.INTER_THREAD, 2)],
         )
@@ -37,15 +41,46 @@ class TestSweep:
         assert points[0].structure == "vgpr"
         assert points[0].style == "inter_thread"
 
+    @pytest.mark.parametrize("structure,style", [
+        ("l1", "none"), ("l2", "none"), ("vgpr", "intra_thread"),
+        ("l1.tags", "none"), ("l2.tags", "none"),
+    ])
+    def test_default_layout_per_structure(self, study, structure, style):
+        """Every structure sweeps under its own default layout, and its
+        points carry the name that was asked for."""
+        points = sweep_avf(
+            study, structure, modes=[FaultMode.linear(2)], schemes=[Parity()],
+        )
+        assert [(p.structure, p.style, p.factor) for p in points] == [
+            (structure, style, 1)
+        ]
+
+    def test_tag_sweep_labels_the_factors_style(self, study):
+        points = sweep_avf(
+            study, "l1.tags", modes=[FaultMode.linear(2)], schemes=[Parity()],
+            layouts=[(None, 1), (None, 2)],
+        )
+        assert [p.style for p in points] == ["none", "way"]
+        assert points[1].sdc_avf == 0.0  # x2 splits a 2x1 across two tags
+
+    def test_aliases_sweep_their_structure(self, study):
+        kw = dict(modes=[FaultMode.linear(2)], schemes=[Parity()])
+        assert sweep_cache_avf(study, "l2", **kw) == sweep_avf(
+            study, "l2", **kw
+        )
+        assert sweep_vgpr_avf(study, **kw) == sweep_avf(study, "vgpr", **kw)
+        with pytest.raises(ValueError, match="level"):
+            sweep_cache_avf(study, "l1.tags", **kw)
+
     def test_due_splits_into_true_false(self, study):
-        points = sweep_cache_avf(
+        points = sweep_avf(
             study, "l1", modes=[FaultMode.linear(1)], schemes=[Parity()],
         )
         p = points[0]
         assert p.due_avf == pytest.approx(p.true_due_avf + p.false_due_avf)
 
     def test_tabulate(self, study):
-        points = sweep_cache_avf(
+        points = sweep_avf(
             study, "l1",
             modes=[FaultMode.linear(1), FaultMode.linear(2)],
             schemes=[Parity(), SecDed()],
@@ -57,7 +92,7 @@ class TestSweep:
         assert cells[("1x1", "secded")] == 0.0  # SEC-DED corrects 1 bit
 
     def test_tabulate_warns_on_cell_collision(self, study):
-        points = sweep_cache_avf(
+        points = sweep_avf(
             study, "l1", modes=[FaultMode.linear(1)], schemes=[Parity()],
             layouts=[(Interleaving.NONE, 1), (Interleaving.LOGICAL, 2)],
         )

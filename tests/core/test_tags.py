@@ -73,30 +73,30 @@ class TestTagAvfEndToEnd:
         return AvfStudy(r.apu, r.output_ranges)
 
     def test_tag_avf_positive_when_cache_used(self, study):
-        res = study.tag_avf("l1", FaultMode.linear(1), Parity())
+        res = study.avf("l1.tags", FaultMode.linear(1), Parity())
         assert 0 < res.due_avf < 1
 
     def test_tag_avf_at_least_worst_data_byte(self, study):
         """A tag is ACE whenever *any* line byte is: tag SB-AVF >= data
         SB-AVF of the same cache."""
-        tag = study.tag_avf("l1", FaultMode.linear(1), NoProtection())
-        data = study.cache_avf("l1", FaultMode.linear(1), NoProtection())
+        tag = study.avf("l1.tags", FaultMode.linear(1), NoProtection())
+        data = study.avf("l1", FaultMode.linear(1), NoProtection())
         assert tag.sdc_avf >= data.sdc_avf
 
     def test_secded_tags_have_no_single_bit_avf(self, study):
-        res = study.tag_avf("l1", FaultMode.linear(1), SecDed())
+        res = study.avf("l1.tags", FaultMode.linear(1), SecDed())
         assert res.total_avf == 0.0
 
     def test_interleaving_protects_2x1(self, study):
-        plain = study.tag_avf("l1", FaultMode.linear(2), Parity())
-        ilv = study.tag_avf("l1", FaultMode.linear(2), Parity(), factor=2)
+        plain = study.avf("l1.tags", FaultMode.linear(2), Parity())
+        ilv = study.avf("l1.tags", FaultMode.linear(2), Parity(), factor=2)
         assert ilv.sdc_avf == 0.0
         assert plain.sdc_avf >= 0.0
 
     def test_l2_tags(self, study):
-        res = study.tag_avf("l2", FaultMode.linear(1), Parity())
+        res = study.avf("l2.tags", FaultMode.linear(1), Parity())
         assert res.n_groups > 0
 
     def test_bad_level(self, study):
         with pytest.raises(ValueError):
-            study.tag_avf("l3", FaultMode.linear(1), Parity())
+            study.avf("l3.tags", FaultMode.linear(1), Parity())

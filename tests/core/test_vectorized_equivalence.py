@@ -502,10 +502,12 @@ def test_real_workload_grid_matches_reference(workload):
         for due in (False, True)
     ]
     cases = [
-        (study._cache_layout("l1", style, factor, 4), lt)
-        for style, factor in L1_LAYOUTS
-        for lt in study.l1_lifetimes()
-    ] + [study._stacked_vgpr(style, factor) for style, factor in VGPR_LAYOUTS]
+        (array, lt)
+        for structure, layouts in (("l1", L1_LAYOUTS), ("vgpr", VGPR_LAYOUTS))
+        for style, factor in layouts
+        for array, replicas in [study._structure(structure, style, factor)]
+        for lt in replicas
+    ]
     for array, lts in cases:
         got = compute_mb_avf_batch(array, lts, configs)
         want = ref.compute_mb_avf_batch_ref(array, lts, configs)

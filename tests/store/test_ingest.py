@@ -2,8 +2,13 @@
 
 import json
 
+from repro.core import FaultMode, Interleaving
+from repro.core.avf import MbAvfResult
+from repro.core.intervals import Outcome
+from repro.core.sweep import SweepPoint
 from repro.runtime.fabric import merge_shards
 from repro.store import (
+    ResultStore,
     ingest_campaign,
     ingest_journal,
     ingest_results,
@@ -89,6 +94,39 @@ class TestSweepPointsAndResults:
             store, [fake_result()], workload="stencil",
             style="intra_word", factor=2,
         )["deduped"] == 1
+
+
+    def test_both_paths_file_the_same_total(self, tmp_path):
+        """A measurement files the same row whether it arrives as an
+        engine result or as a sweep point.  These cycles make the two
+        ways of adding up a total disagree in the last bit."""
+        res = MbAvfResult(
+            structure="vgpr", mode=FaultMode.linear(2), scheme="parity",
+            n_groups=10, window_cycles=1,
+            outcome_cycles={Outcome.SDC: 1.0, Outcome.TRUE_DUE: 2.0},
+        )
+        assert (1.0 + 2.0) / 10 != 1.0 / 10 + 2.0 / 10
+        point = SweepPoint.from_result("vgpr", Interleaving.INTER_THREAD, 2, res)
+        rows = []
+        for name, ingest in (
+            ("results", lambda s: ingest_results(
+                s, [res], workload="transpose", style=point.style,
+                factor=point.factor, source="batch",
+            )),
+            ("points", lambda s: ingest_sweep_points(
+                s, [point], workload="transpose",
+            )),
+        ):
+            with ResultStore(tmp_path / f"{name}.sqlite") as store:
+                ingest(store)
+                (row,) = store.query()
+            rows.append(row.to_dict())
+        from_results, from_points = rows
+        assert from_results["total_avf"] == res.due_avf + res.sdc_avf
+        # Sweep points carry no group count or window.
+        for column in ("source", "n_groups", "window_cycles"):
+            del from_results[column], from_points[column]
+        assert from_results == from_points
 
 
 class TestCampaigns:

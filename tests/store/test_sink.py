@@ -17,7 +17,7 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.core import FaultMode, Parity, SecDed
-from repro.core.sweep import sweep_cache_avf
+from repro.core.sweep import sweep_avf
 from repro.experiments import build_study, sweep_benchmarks
 from repro.runtime import Journal
 from repro.runtime.chaos import ChaosPolicy, ChaosSpec
@@ -144,10 +144,10 @@ class TestDamagedStore:
 
     def test_study_sweep_returns_the_same_points(self, tmp_path, capsys):
         study = build_study("vectoradd", n_cus=1)
-        control = sweep_cache_avf(study, "l2", **SWEEP)
+        control = sweep_avf(study, "l2", **SWEEP)
         store = damage(tmp_path / "r.sqlite")
         with obs.observe() as (registry, _tracer):
-            points = sweep_cache_avf(study, "l2", store=store, **SWEEP)
+            points = sweep_avf(study, "l2", store=store, **SWEEP)
             assert failures(registry) == 1
         assert points == control
         assert "results-store ingest failed" in capsys.readouterr().err

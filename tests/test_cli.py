@@ -51,6 +51,26 @@ class TestCommands:
         ) == 0
         assert "vgpr" in capsys.readouterr().out
 
+    def test_avf_l1_row_is_filed_under_l1(self, tmp_path, capsys):
+        """The merged L1 result is named after CU 0, but ``--store``
+        files it under the structure that was asked for."""
+        import json
+
+        path = str(tmp_path / "l1.sqlite")
+        assert main(
+            ["avf", "vectoradd", "--structure", "l1", "--mode", "2x1",
+             "--scheme", "parity", "--json", "--store", path]
+        ) == 0
+        live = json.loads(capsys.readouterr().out)
+        assert main(
+            ["query", "--store", path, "--structure", "l1", "--json"]
+        ) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert (row["structure"], row["source"]) == ("l1", "cli/avf")
+        for key in ("due_avf", "sdc_avf", "true_due_avf", "false_due_avf",
+                    "total_avf"):
+            assert row[key] == live[key], key
+
     def test_ser(self, capsys):
         assert main(
             ["ser", "vectoradd", "--structure", "vgpr", "--scheme", "parity",

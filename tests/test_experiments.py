@@ -48,7 +48,7 @@ class TestStudyCache:
 
     def test_cached_study_is_usable(self):
         cache = StudyCache()
-        res = cache("vectoradd").cache_avf("l2", FaultMode.linear(1), Parity())
+        res = cache("vectoradd").avf("l2", FaultMode.linear(1), Parity())
         assert 0 <= res.total_avf <= 1
 
 
