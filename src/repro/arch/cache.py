@@ -7,8 +7,9 @@ write-back/write-allocate (the GCN arrangement).
 
 Caches here are *metadata-only*: functional data lives in
 :class:`~repro.arch.memory.GlobalMemory`.  Every residency-affecting action
-emits an event (fill / read / write / evict) tagged with the global cycle;
-the lifetime analysis turns those events into per-byte ACE intervals.
+appends a row (fill / read / write / evict) to the cache's one event table
+(:class:`CacheEvents`), tagged with the global cycle; the lifetime analysis
+turns those rows into per-byte ACE intervals.
 """
 
 from __future__ import annotations
@@ -19,9 +20,40 @@ from typing import List, Tuple
 import numpy as np
 
 from .memory import lane_bytes
-from .trace import EvictEvent, FillEvent, ReadEvent, WriteEvent
 
-__all__ = ["CacheConfig", "Cache", "MemSystem"]
+__all__ = [
+    "CacheConfig", "Cache", "CacheEvents", "MemSystem",
+    "FILL", "DEMAND_READ", "FILL_READ", "WRITEBACK_READ", "WRITE", "EVICT",
+]
+
+#: Event kinds (:attr:`CacheEvents.kind`): a line filled into (set, way);
+#: its bytes read out for a load, to fill the next level up, or as dirty
+#: bytes written back to the next level down; overwritten by a store; the
+#: line evicted (after its write-back).
+FILL, DEMAND_READ, FILL_READ, WRITEBACK_READ, WRITE, EVICT = range(6)
+
+
+@dataclass(frozen=True, eq=False)
+class CacheEvents:
+    """One cache's event table, a row per event in emission order.
+
+    ``ref`` is the fill id of a fill, the trace row (uid) of a demand read
+    or a write, the next level's fill id that a fill read links to, and
+    the row of ``dirty`` holding a write-back read's dirty byte mask
+    (``-1`` for an evict).  Every column but ``dirty`` is int64.
+    """
+
+    kind: np.ndarray
+    t: np.ndarray
+    set: np.ndarray
+    way: np.ndarray
+    line: np.ndarray
+    ref: np.ndarray
+    #: bool ``(write-backs, line_bytes)``: dirty bytes, in event order
+    dirty: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.kind)
 
 
 @dataclass(frozen=True)
@@ -48,7 +80,7 @@ L2_CONFIG = CacheConfig(n_sets=512, n_ways=8, line_bytes=64, hit_latency=24)
 
 
 class Cache:
-    """One cache level: tags, LRU state, dirty byte masks, event log."""
+    """One cache level: tags, LRU state, dirty byte masks, event table."""
 
     def __init__(self, name: str, config: CacheConfig, writeback: bool) -> None:
         self.name = name
@@ -59,7 +91,8 @@ class Cache:
         self.dirty = np.zeros(
             (config.n_sets, config.n_ways, config.line_bytes), dtype=bool
         )
-        self.events: List[object] = []
+        self._log: List[Tuple[int, int, int, int, int, int]] = []
+        self._dirty_log: List[np.ndarray] = []
         self._lru_clock = 0
         # statistics
         self.hits = 0
@@ -83,21 +116,30 @@ class Cache:
             return int(empty[0])
         return int(np.argmin(self.lru[s]))
 
+    # -- event table ------------------------------------------------------------
+
+    def _emit(self, kind: int, t: int, s: int, way: int, ref: int = -1) -> None:
+        self._log.append((kind, t, s, way, int(self.tags[s, way]), ref))
+
+    def events(self) -> CacheEvents:
+        """Every event emitted so far, as one table."""
+        log = np.array(self._log, dtype=np.int64).reshape(-1, 6)
+        dirty = np.array(self._dirty_log, dtype=bool).reshape(
+            -1, self.config.line_bytes
+        )
+        return CacheEvents(*log.T, dirty)
+
     # -- operations (all emit events) -----------------------------------------
 
     def evict(self, s: int, way: int, t: int) -> None:
         """Evict the line at (s, way); writeback dirty bytes first."""
-        line = int(self.tags[s, way])
-        if line == -1:
+        if self.tags[s, way] == -1:
             return
         if self.writeback and self.dirty[s, way].any():
-            self.events.append(
-                ReadEvent(
-                    t, s, way, line, "writeback", byte_mask=self.dirty[s, way].copy()
-                )
-            )
+            self._emit(WRITEBACK_READ, t, s, way, len(self._dirty_log))
+            self._dirty_log.append(self.dirty[s, way].copy())
             self.dirty[s, way] = False
-        self.events.append(EvictEvent(t, s, way, line))
+        self._emit(EVICT, t, s, way)
         self.tags[s, way] = -1
 
     def install(self, line_addr: int, t: int, fill_id: int) -> Tuple[int, int]:
@@ -107,23 +149,19 @@ class Cache:
         self.evict(s, way, t)
         self.tags[s, way] = line_addr
         self.touch(s, way)
-        self.events.append(FillEvent(t, s, way, line_addr, fill_id))
+        self._emit(FILL, t, s, way, fill_id)
         return s, way
 
     def read_demand(self, s: int, way: int, t: int, uid: int) -> None:
-        self.events.append(
-            ReadEvent(t, s, way, int(self.tags[s, way]), "demand", uid=uid)
-        )
+        self._emit(DEMAND_READ, t, s, way, uid)
 
     def read_for_fill(self, s: int, way: int, t: int, link: int) -> None:
-        self.events.append(
-            ReadEvent(t, s, way, int(self.tags[s, way]), "fill", link=link)
-        )
+        self._emit(FILL_READ, t, s, way, link)
 
     def write(
         self, s: int, way: int, t: int, uid: int, byte_offsets: np.ndarray
     ) -> None:
-        self.events.append(WriteEvent(t, s, way, int(self.tags[s, way]), uid))
+        self._emit(WRITE, t, s, way, uid)
         if self.writeback:
             self.dirty[s, way, byte_offsets] = True
 

@@ -2,10 +2,10 @@
 
 Executes :class:`~repro.arch.isa.Program` kernels on a model with ``n_cus``
 compute units, 16-lane wavefronts, per-CU L1 caches and a shared L2
-(:mod:`repro.arch.cache`).  Every vector instruction is recorded as an
-:class:`~repro.arch.trace.InstrRecord` for the downstream liveness and
-lifetime (ACE) analyses — the "event-tracking phase" of the paper's AVF
-methodology.
+(:mod:`repro.arch.cache`).  Every vector instruction is recorded as a row
+of the device's :class:`~repro.arch.trace.Trace` for the downstream
+liveness and lifetime (ACE) analyses — the "event-tracking phase" of the
+paper's AVF methodology.
 
 The timing model is deliberately simple but produces the behaviour the
 paper's results depend on: one instruction per CU per cycle, round-robin
@@ -25,12 +25,13 @@ from ..obs import get_metrics, get_tracer
 from .cache import L1_CONFIG, L2_CONFIG, CacheConfig, MemSystem
 from .isa import WAVEFRONT_LANES, Instr, Program
 from .memory import GlobalMemory
-from .trace import InstrRecord
+from .trace import Trace, TraceRow
 
 __all__ = ["Wavefront", "ComputeUnit", "Apu", "Launch", "LaunchStats"]
 
 M32 = 0xFFFFFFFF
 _LANES = np.arange(WAVEFRONT_LANES)
+_NO_ADDRS = np.zeros(WAVEFRONT_LANES, dtype=np.uint32)
 
 
 class Launch(NamedTuple):
@@ -152,10 +153,11 @@ class Apu:
         self.lds_bytes = lds_bytes
         self.max_cycles = max_cycles
         self.cycle = 0
-        self.records: List[InstrRecord] = []
+        self._rows: List[TraceRow] = []
+        #: the executed vector instructions, frozen at the end of :meth:`run`
+        self.trace = Trace.from_rows(self._rows)
         self.launches: List[LaunchStats] = []
         self.wf_programs: Dict[int, Program] = {}
-        self._uid = 0
         self._wf_seq = 0
         self._ran = False
         self._injections: Dict[int, List[Tuple[int, int, int, int]]] = {}
@@ -226,6 +228,8 @@ class Apu:
             self._launch(*launch)
         self.memsys.flush(self.cycle)
         self.cycle += 1
+        self.trace = Trace.from_rows(self._rows)
+        self._rows = []
         # Memory flips due by the end of the run still corrupt the image
         # the host reads back.
         self._apply_mem_injections()
@@ -261,10 +265,10 @@ class Apu:
             wf.vregs[0] = (base + _LANES).astype(np.uint32)  # v0 = global tid
             wf.vregs[1] = _LANES.astype(np.uint32)           # v1 = lane id
             self.cus[i % len(self.cus)].pending.append(wf)
-        n_before = len(self.records)
+        n_before = len(self._rows)
         with get_tracer().span("kernel", kernel=name, wavefronts=n_wfs) as sp:
             self._run()
-        stats.instructions = len(self.records) - n_before
+        stats.instructions = len(self._rows) - n_before
         stats.end_cycle = self.cycle
         # The span's args dict is shared with the recorded event, so the
         # counts become visible in the exported trace.
@@ -282,7 +286,7 @@ class Apu:
         Returns instruction/cycle counts, aggregate IPC, and per-level cache
         hit rates — the quick sanity panel for a workload's behaviour.
         """
-        total_instr = len(self.records)
+        total_instr = len(self.trace)
         cycles = max(self.cycle, 1)
         l1_hits = sum(l1.hits for l1 in self.memsys.l1s)
         l1_misses = sum(l1.misses for l1 in self.memsys.l1s)
@@ -341,14 +345,20 @@ class Apu:
 
     # -- execution ---------------------------------------------------------
 
-    def _record(self, wf: Wavefront, ins: Instr, t: int, **kw) -> InstrRecord:
-        rec = InstrRecord(
-            self._uid, t, wf.id, ins.op, ins.dst, ins.srcs,
-            wf.exec_mask.copy(), **kw
-        )
-        self._uid += 1
-        self.records.append(rec)
-        return rec
+    def _record(
+        self, wf: Wavefront, t: int, addrs: np.ndarray = _NO_ADDRS,
+        acc: Optional[np.ndarray] = None,
+    ) -> int:
+        """Append a trace row for ``wf``'s current instruction; its uid.
+        A wavefront's ``exec_mask`` and ``vcc`` are replaced, never
+        written in place, so the row keeps them by reference until
+        :meth:`run` freezes the trace."""
+        exec_mask = wf.exec_mask
+        self._rows.append((
+            t, wf.id, wf.pc, exec_mask, exec_mask if acc is None else acc,
+            wf.vcc, addrs,
+        ))
+        return len(self._rows) - 1
 
     def _execute(self, cu: ComputeUnit, wf: Wavefront, t: int) -> None:
         if self._injections:
@@ -395,7 +405,7 @@ class Apu:
             lane = int(ins.srcs[1][1])
             src = self._fetch_v(wf, ins.srcs[0])
             wf.sregs[ins.dst[1]] = int(src[lane])
-            self._record(wf, ins, t)
+            self._record(wf, t)
             wf.pc = next_pc
             return
 
@@ -412,10 +422,7 @@ class Apu:
     def _exec_valu(self, wf: Wavefront, ins: Instr, t: int) -> None:
         op = ins.op
         mask = wf.exec_mask
-        if op in ("v_cndmask",):
-            rec = self._record(wf, ins, t, vcc_snap=wf.vcc.copy())
-        else:
-            rec = self._record(wf, ins, t)
+        self._record(wf, t)
         srcs = [self._fetch_v(wf, x) for x in ins.srcs]
 
         if op == "v_mov":
@@ -511,16 +518,11 @@ class Apu:
         op = ins.op
         is_store = "store" in op
         is_lds = op.startswith("lds")
-        nbytes = 1 if op.endswith("_u8") else 4
+        nbytes = ins.nbytes
         addr_src = ins.srcs[1] if is_store else ins.srcs[0]
         addrs = (self._fetch_v(wf, addr_src) + np.uint32(ins.offset)).astype(np.uint32)
         active = wf.exec_mask & (wf.vcc if ins.predicated else True)
-        rec = self._record(
-            wf, ins, t,
-            addrs=addrs.copy(), nbytes=nbytes, acc_mask=active.copy(),
-            vcc_snap=wf.vcc.copy() if ins.predicated else None,
-            space="lds" if is_lds else "global",
-        )
+        uid = self._record(wf, t, addrs=addrs, acc=active)
         lat = 2 if is_lds else 1
         if active.any():
             aa = addrs[active]
@@ -533,7 +535,7 @@ class Apu:
                 self._write_v(wf, ins.dst, out, active)
             if not is_lds:
                 access = self.memsys.store if is_store else self.memsys.load
-                lat = access(cu.id, aa, nbytes, t, rec.uid)
+                lat = access(cu.id, aa, nbytes, t, uid)
         wf.ready = t + lat
 
 

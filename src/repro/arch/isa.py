@@ -133,6 +133,11 @@ class Instr:
         if self.cond is not None and self.cond not in CMP_CONDS:
             raise ValueError(f"unknown comparison {self.cond!r}")
 
+    @property
+    def nbytes(self) -> int:
+        """Access width of a memory op in bytes."""
+        return 1 if self.op.endswith("_u8") else 4
+
 
 @dataclass
 class Program:

@@ -13,29 +13,31 @@ dynamic instruction trace:
 * memory and LDS are tracked at byte granularity, seeded by the workload's
   declared output buffers.
 
-The pass annotates each :class:`~repro.arch.trace.InstrRecord` in place with
-``src_needed`` (per-source masks), ``load_needed`` / ``mem_needed`` (which
-loaded/stored bytes matter) — exactly what the lifetime analyses consume to
+The pass returns, per :class:`~repro.arch.trace.Trace` row, whether it is
+live, each source's needed-bit masks and which loaded/stored bits matter
+(:class:`Liveness`) — exactly what the lifetime analyses consume to
 classify reads as live or dead.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .isa import WAVEFRONT_LANES
+from .isa import WAVEFRONT_LANES, Instr, Program
 from .memory import last_lane_wins
-from .trace import InstrRecord
+from .trace import Trace
 
-__all__ = ["analyze_liveness"]
+__all__ = ["Liveness", "analyze_liveness"]
 
 M32 = np.uint32(0xFFFFFFFF)
 _LANES = np.arange(WAVEFRONT_LANES)
 _ZERO = np.zeros(WAVEFRONT_LANES, dtype=np.uint32)
 #: The bits of each byte of a little-endian 32-bit word.
 _BYTE_BITS = np.array([0xFF << (8 * k) for k in range(4)], dtype=np.uint32)
+#: The most source operands any instruction has (``v_fmac``).
+MAX_SRCS = 3
 
 
 def _fill_below_msb(x: np.ndarray) -> np.ndarray:
@@ -59,14 +61,16 @@ def _full_if(out: np.ndarray) -> np.ndarray:
     return np.where(out != 0, M32, np.uint32(0))
 
 
-def _alu_src_masks(rec: InstrRecord, out: np.ndarray) -> List[Optional[np.ndarray]]:
-    """Per-source needed masks for a vector ALU instruction."""
-    op = rec.op
-    srcs = rec.srcs
+def _alu_src_masks(
+    ins: Instr, out: np.ndarray, trace: Trace, i: int
+) -> List[Optional[np.ndarray]]:
+    """Per-source needed masks for vector ALU instruction row ``i``."""
+    op = ins.op
+    srcs = ins.srcs
     masks: List[Optional[np.ndarray]] = [None] * len(srcs)
 
     def imm_of(i: int) -> Optional[int]:
-        return srcs[i][1] if srcs[i][0] == "imm" else None
+        return int(srcs[i][1]) if srcs[i][0] == "imm" else None
 
     if op == "v_mov":
         masks[0] = out
@@ -102,7 +106,7 @@ def _alu_src_masks(rec: InstrRecord, out: np.ndarray) -> List[Optional[np.ndarra
                     out != 0, np.uint32(0x80000000), np.uint32(0)
                 )
     elif op == "v_cndmask":
-        vcc = rec.vcc_snap
+        vcc = trace.vcc[i]
         masks[0] = np.where(vcc, out, np.uint32(0))
         masks[1] = np.where(vcc, np.uint32(0), out)
     elif op == "v_shuffle_up":
@@ -134,134 +138,135 @@ class _WfState:
         self.needed_lds = np.zeros(lds_size, dtype=bool)
 
 
+class Liveness(NamedTuple):
+    """What :func:`analyze_liveness` finds, one entry per trace row."""
+
+    #: bool ``(mem_size,)``: memory bytes still needed before the first row
+    needed_mem: np.ndarray
+    #: bool ``(n,)``: any lane of the row feeds program output
+    live: np.ndarray
+    #: uint32 ``(n, MAX_SRCS, 16)``: each VGPR source's needed bits
+    src_needed: np.ndarray
+    #: uint32 ``(n, 16)``: a load's needed bits of the loaded value, a
+    #: store's of the stored value
+    mem_needed: np.ndarray
+
+
 def analyze_liveness(
-    records: Sequence[InstrRecord],
-    n_vregs_by_wf: Dict[int, int],
+    trace: Trace,
+    programs: Mapping[int, Program],
     mem_size: int,
     output_ranges: Sequence[Tuple[int, int]],
     lds_size: int = 4096,
-) -> np.ndarray:
-    """Annotate ``records`` in place; returns the final needed-memory map.
+) -> Liveness:
+    """One backward walk over ``trace``, whose row ``i`` ran instruction
+    ``programs[wf].instrs[pc]``.
 
     ``output_ranges`` are (base, size) pairs of the buffers the host reads
     after the workload: their final contents are live by definition, and
     everything else is live only if it transitively feeds them.
     """
-    needed_mem = np.zeros(mem_size, dtype=bool)
+    n = len(trace)
+    res = Liveness(
+        np.zeros(mem_size, dtype=bool),
+        np.zeros(n, dtype=bool),
+        np.zeros((n, MAX_SRCS, WAVEFRONT_LANES), dtype=np.uint32),
+        np.zeros((n, WAVEFRONT_LANES), dtype=np.uint32),
+    )
     for base, size in output_ranges:
-        needed_mem[base : base + size] = True
+        res.needed_mem[base : base + size] = True
     wf_states: Dict[int, _WfState] = {}
+    wfs, pcs, execs = trace.wf.tolist(), trace.pc.tolist(), list(trace.exec)
 
-    for rec in reversed(records):
-        st = wf_states.get(rec.wf)
+    for i in range(n - 1, -1, -1):
+        wf = wfs[i]
+        program = programs[wf]
+        st = wf_states.get(wf)
         if st is None:
-            st = _WfState(n_vregs_by_wf[rec.wf], lds_size)
-            wf_states[rec.wf] = st
-        op = rec.op
+            st = _WfState(program.n_vregs, lds_size)
+            wf_states[wf] = st
+        ins = program.instrs[pcs[i]]
+        op = ins.op
+        exec_mask = execs[i]
+        masks: Sequence[Optional[np.ndarray]]
+        lanes: Optional[np.ndarray] = None  # source masks cleared outside
 
         if op in ("v_load", "v_load_u8", "lds_load"):
-            _process_load(rec, st, needed_mem)
+            out = _process_load(trace, i, ins, st, res)
+            masks = [_full_if(out)] * len(ins.srcs)
         elif op in ("v_store", "v_store_u8", "lds_store"):
-            _process_store(rec, st, needed_mem)
+            out = _process_store(trace, i, ins, st, res)
+            masks = [out, _full_if(out)]  # srcs = (value, addr)
         elif op in ("v_cmp", "v_fcmp"):
-            out_lanes = st.needed_vcc & rec.exec_mask
-            mask = np.where(out_lanes, M32, np.uint32(0))
-            rec.src_needed = []
-            for src in rec.srcs:
-                if src[0] == "v":
-                    rec.src_needed.append(mask)
-                    st.needed_vreg[src[1]] |= mask
-                else:
-                    rec.src_needed.append(None)
-            rec.live = bool(out_lanes.any())
-            st.needed_vcc = st.needed_vcc & ~rec.exec_mask
+            out = np.where(st.needed_vcc & exec_mask, M32, np.uint32(0))
+            masks = [out] * len(ins.srcs)
+            st.needed_vcc = st.needed_vcc & ~exec_mask
         elif op == "v_readlane":
             # Scalar state is conservatively always live (it is almost
             # always control/address computation).
-            lane = int(rec.srcs[1][1])
-            mask = np.zeros(WAVEFRONT_LANES, dtype=np.uint32)
-            mask[lane] = M32
-            rec.src_needed = [mask, None]
-            if rec.srcs[0][0] == "v":
-                st.needed_vreg[rec.srcs[0][1]] |= mask
-            rec.live = True
+            out = np.zeros(WAVEFRONT_LANES, dtype=np.uint32)
+            out[int(ins.srcs[1][1])] = M32
+            masks = [out, None]
         else:
-            _process_alu(rec, st)
+            out = _take_out_mask(ins, st, exec_mask)
+            masks = _alu_src_masks(ins, out, trace, i)
+            if op not in ("v_shuffle_up", "v_shuffle_xor"):
+                # Shuffles read source lanes regardless of the exec mask.
+                lanes = exec_mask
+            if op == "v_cndmask":
+                st.needed_vcc |= (out != 0) & exec_mask
 
-    return needed_mem
+        res.live[i] = out.any()
+        for j, (src, mask) in enumerate(zip(ins.srcs, masks)):
+            if src[0] == "v" and mask is not None:
+                if lanes is not None:
+                    mask = np.where(lanes, mask, np.uint32(0))
+                res.src_needed[i, j] = mask
+                st.needed_vreg[int(src[1])] |= mask
+
+    return res
 
 
-def _take_out_mask(rec: InstrRecord, st: _WfState, lanes: np.ndarray) -> np.ndarray:
+def _take_out_mask(ins: Instr, st: _WfState, lanes: np.ndarray) -> np.ndarray:
     """Needed mask for the destination, then mark it redefined on ``lanes``."""
-    dst = rec.dst[1]
+    assert ins.dst is not None
+    dst = int(ins.dst[1])
     out = np.where(lanes, st.needed_vreg[dst], np.uint32(0))
     st.needed_vreg[dst][lanes] = 0
     return out
 
 
-def _process_alu(rec: InstrRecord, st: _WfState) -> None:
-    out = _take_out_mask(rec, st, rec.exec_mask)
-    rec.live = bool(out.any())
-    masks = _alu_src_masks(rec, out)
-    rec.src_needed = []
-    for src, mask in zip(rec.srcs, masks):
-        if src[0] != "v" or mask is None:
-            rec.src_needed.append(None)
-            continue
-        if rec.op in ("v_shuffle_up", "v_shuffle_xor"):
-            # Shuffles read source lanes regardless of the exec mask.
-            lane_mask = mask
-        else:
-            lane_mask = np.where(rec.exec_mask, mask, np.uint32(0))
-        rec.src_needed.append(lane_mask)
-        st.needed_vreg[src[1]] |= lane_mask
-    if rec.op == "v_cndmask":
-        st.needed_vcc |= (out != 0) & rec.exec_mask
-
-
-def _process_load(rec: InstrRecord, st: _WfState, needed_mem: np.ndarray) -> None:
-    lanes = rec.acc_mask
-    out = _take_out_mask(rec, st, lanes)
-    if rec.op.endswith("_u8"):
+def _process_load(
+    trace: Trace, i: int, ins: Instr, st: _WfState, res: Liveness
+) -> np.ndarray:
+    """Mark the bytes row ``i`` loads needed where its value is; returns
+    the value's needed bits."""
+    out = _take_out_mask(ins, st, trace.acc[i])
+    if ins.nbytes == 1:
         out = out & np.uint32(0xFF)
-    rec.load_needed = out
-    rec.live = bool(out.any())
-    mem = st.needed_lds if rec.space == "lds" else needed_mem
-    addr, live = rec.access_bytes()
+    res.mem_needed[i] = out
+    mem = st.needed_lds if ins.op == "lds_load" else res.needed_mem
+    addr, live = trace.access_bytes(i, ins.nbytes, out)
     mem[addr[live]] = True
-    addr_mask = _full_if(out)
-    rec.src_needed = []
-    for src in rec.srcs:
-        if src[0] == "v":
-            rec.src_needed.append(addr_mask)
-            st.needed_vreg[src[1]] |= addr_mask
-        else:
-            rec.src_needed.append(None)
-    if rec.vcc_snap is not None:
-        st.needed_vcc |= (out != 0) & rec.exec_mask
+    if ins.predicated:
+        st.needed_vcc |= (out != 0) & trace.exec[i]
+    return out
 
 
-def _process_store(rec: InstrRecord, st: _WfState, needed_mem: np.ndarray) -> None:
-    lanes = rec.acc_mask
-    mem = st.needed_lds if rec.space == "lds" else needed_mem
-    addr, _ = rec.access_bytes()
+def _process_store(
+    trace: Trace, i: int, ins: Instr, st: _WfState, res: Liveness
+) -> np.ndarray:
+    """Mark the bytes row ``i`` stores overwritten; returns the stored
+    value's needed bits."""
+    mem = st.needed_lds if ins.op == "lds_store" else res.needed_mem
+    addr, _ = trace.access_bytes(i, ins.nbytes)
     # Only the lane whose byte memory keeps can have it read later.
     needed = mem[addr] & last_lane_wins(addr)
     mem[addr] = False  # overwritten: earlier values are dead
-    mem_needed = np.zeros(WAVEFRONT_LANES, dtype=np.uint32)
-    mem_needed[lanes] = (needed * _BYTE_BITS[: rec.nbytes]).sum(
+    mem_needed: np.ndarray = res.mem_needed[i]
+    mem_needed[trace.acc[i]] = (needed * _BYTE_BITS[: ins.nbytes]).sum(
         axis=1, dtype=np.uint32
     )
-    rec.mem_needed = mem_needed
-    rec.live = bool(mem_needed.any())
-    addr_mask = _full_if(mem_needed)
-    # srcs = (value, addr)
-    rec.src_needed = [None, None]
-    if rec.srcs[0][0] == "v":
-        rec.src_needed[0] = mem_needed
-        st.needed_vreg[rec.srcs[0][1]] |= mem_needed
-    if rec.srcs[1][0] == "v":
-        rec.src_needed[1] = addr_mask
-        st.needed_vreg[rec.srcs[1][1]] |= addr_mask
-    if rec.vcc_snap is not None:
-        st.needed_vcc |= (mem_needed != 0) & rec.exec_mask
+    if ins.predicated:
+        st.needed_vcc |= (mem_needed != 0) & trace.exec[i]
+    return mem_needed

@@ -1,191 +1,99 @@
-"""Dynamic trace records shared by the simulator and the AVF analyses.
+"""The dynamic instruction trace shared by the simulator and the analyses.
 
 The simulator is instrumented exactly like the paper's "event-tracking
 phase" (Sec. VI-A): it records *when* potentially-ACEness-affecting events
 happen, and a later analysis phase resolves them into per-byte lifetime
-intervals.  Two kinds of records exist:
+intervals.  Each device keeps one columnar :class:`Trace` with a row per
+executed *vector* instruction (vector ALU, compares, memory); scalar and
+control instructions don't touch tracked state and are treated as
+always-live, so they are not recorded.  Each cache keeps one event table
+(:class:`~repro.arch.cache.CacheEvents`).
 
-* :class:`InstrRecord` — one per executed *vector* instruction (vector ALU,
-  compares, memory).  Scalar/control instructions don't touch tracked state
-  and are treated as always-live, so they are not recorded.
-* Cache events (:class:`FillEvent`, :class:`ReadEvent`, :class:`WriteEvent`,
-  :class:`EvictEvent`) — emitted by each cache level with the global cycle.
-
-The liveness pass (:mod:`repro.arch.liveness`) later annotates
-:class:`InstrRecord` objects in place with per-source needed-bit masks.
+Row ``i`` is dynamic instruction uid ``i``.  A row's static fields (op,
+operands, access width, predication) are not copied: they are the
+instruction at ``pc`` of the wavefront's program.  The liveness pass
+(:mod:`repro.arch.liveness`) returns its needed-bit masks as arrays over
+the same rows.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .isa import WAVEFRONT_LANES
 from .memory import lane_bytes
 
-__all__ = [
-    "InstrRecord",
-    "FillEvent",
-    "ReadEvent",
-    "WriteEvent",
-    "EvictEvent",
-]
+__all__ = ["Trace", "TraceRow"]
+
+#: One row as the simulator records it: ``(t, wf, pc, exec, acc, vcc, addrs)``.
+TraceRow = Tuple[int, int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-class InstrRecord:
-    """One executed vector instruction.
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """One device's executed vector instructions, one row each.
 
-    Attributes filled by the simulator:
-
-    ``uid``        globally-increasing dynamic instruction id
-    ``t``          issue cycle
-    ``wf``         wavefront id
-    ``op``         opcode string
-    ``dst``        destination operand (or None)
-    ``srcs``       source operand tuple
-    ``exec_mask``  active lanes (bool, 16)
-    ``addrs``      per-lane byte addresses for memory ops (uint32, 16)
-    ``nbytes``     access width for memory ops (1 or 4)
-    ``acc_mask``   lanes that actually accessed memory (exec & predicate)
-    ``vcc_snap``   VCC at issue (for cndmask and predicated ops)
-    ``space``      'global' or 'lds' for memory ops
-
-    Attributes filled by the liveness pass:
-
-    ``live``         any lane of this instruction feeds program output
-    ``src_needed``   per-source per-lane needed-bit masks (uint32, 16), or
-                     None for non-register sources
-    ``load_needed``  for loads: per-lane needed-bit masks of the loaded value
-    ``mem_needed``   for stores: per-lane needed-bit masks of the stored value
+    ``t``      issue cycle (int64, ``(n,)``)
+    ``wf``     wavefront id (int64, ``(n,)``)
+    ``pc``     instruction index in the wavefront's program (int64, ``(n,)``)
+    ``exec``   active lanes (bool, ``(n, 16)``)
+    ``acc``    lanes that accessed memory (exec & predicate); ``exec``
+               outside memory ops (bool, ``(n, 16)``)
+    ``vcc``    VCC at issue (bool, ``(n, 16)``)
+    ``addrs``  per-lane byte addresses of memory ops, zero elsewhere
+               (uint32, ``(n, 16)``)
     """
 
-    __slots__ = (
-        "uid", "t", "wf", "op", "dst", "srcs", "exec_mask", "addrs",
-        "nbytes", "acc_mask", "vcc_snap", "space",
-        "live", "src_needed", "load_needed", "mem_needed",
-    )
+    t: np.ndarray
+    wf: np.ndarray
+    pc: np.ndarray
+    exec: np.ndarray
+    acc: np.ndarray
+    vcc: np.ndarray
+    addrs: np.ndarray
 
-    def __init__(
-        self,
-        uid: int,
-        t: int,
-        wf: int,
-        op: str,
-        dst,
-        srcs,
-        exec_mask: np.ndarray,
-        addrs: Optional[np.ndarray] = None,
-        nbytes: int = 4,
-        acc_mask: Optional[np.ndarray] = None,
-        vcc_snap: Optional[np.ndarray] = None,
-        space: str = "global",
-    ) -> None:
-        self.uid = uid
-        self.t = t
-        self.wf = wf
-        self.op = op
-        self.dst = dst
-        self.srcs = srcs
-        self.exec_mask = exec_mask
-        self.addrs = addrs
-        self.nbytes = nbytes
-        self.acc_mask = acc_mask
-        self.vcc_snap = vcc_snap
-        self.space = space
-        self.live = True
-        self.src_needed = None
-        self.load_needed = None
-        self.mem_needed = None
+    @classmethod
+    def from_rows(cls, rows: Sequence[TraceRow]) -> Trace:
+        """The simulator's recorded rows as one table of arrays."""
+        n = len(rows)
+        t, wf, pc, exec_mask, acc, vcc, addrs = list(zip(*rows)) or [()] * 7
 
-    def access_bytes(self) -> Tuple[np.ndarray, np.ndarray]:
-        """:func:`~repro.arch.memory.lane_bytes` of a memory op's active
-        lanes: every byte they touch, and whether a load's
-        ``load_needed`` masks make it live (all live before the liveness
-        pass, and for stores)."""
-        lanes = self.acc_mask
-        needed = self.load_needed
+        def lanes(col: Tuple[object, ...], dtype: type) -> np.ndarray:
+            return np.array(col, dtype=dtype).reshape(n, WAVEFRONT_LANES)
+
+        return cls(
+            np.array(t, dtype=np.int64),
+            np.array(wf, dtype=np.int64),
+            np.array(pc, dtype=np.int64),
+            lanes(exec_mask, bool),
+            lanes(acc, bool),
+            lanes(vcc, bool),
+            lanes(addrs, np.uint32),
+        )
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def access_bytes(
+        self, row: int, nbytes: int, needed: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`~repro.arch.memory.lane_bytes` of memory-op row ``row``'s
+        accessing lanes: every byte they touch, and whether the row's
+        per-lane ``needed`` masks (a load's, from the liveness pass) have
+        a bit in it (all of them without ``needed``)."""
+        lanes = self.acc[row]
         return lane_bytes(
-            self.addrs[lanes],
-            self.nbytes,
+            self.addrs[row][lanes],
+            nbytes,
             None if needed is None else needed[lanes],
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<InstrRecord #{self.uid} t={self.t} wf={self.wf} {self.op}>"
-
-
-class FillEvent:
-    """A line was brought into (set, way) at cycle ``t``."""
-
-    __slots__ = ("t", "set", "way", "line_addr", "fill_id")
-
-    def __init__(self, t: int, set_: int, way: int, line_addr: int, fill_id: int):
-        self.t = t
-        self.set = set_
-        self.way = way
-        self.line_addr = line_addr
-        self.fill_id = fill_id
-
-
-class ReadEvent:
-    """Bytes of a resident line were read out of the array at cycle ``t``.
-
-    ``kind`` is one of:
-
-    * ``'demand'`` — an architectural load hit; ``uid`` references the
-      :class:`InstrRecord` whose per-lane addresses/liveness define which
-      bytes were read and whether they mattered.
-    * ``'fill'`` — the whole line was read to fill the next cache level up;
-      ``link`` is the upper level's fill id, whose resolved byte liveness
-      defines this read's liveness (hierarchical/transitive ACE analysis).
-    * ``'writeback'`` — dirty bytes (``byte_mask``) were read out to be
-      written to the next level down; liveness comes from whether the
-      written-back values are later consumed (memory-level analysis).
-    """
-
-    __slots__ = ("t", "set", "way", "line_addr", "kind", "uid", "link", "byte_mask")
-
-    def __init__(
-        self,
-        t: int,
-        set_: int,
-        way: int,
-        line_addr: int,
-        kind: str,
-        uid: Optional[int] = None,
-        link: Optional[int] = None,
-        byte_mask: Optional[np.ndarray] = None,
-    ):
-        self.t = t
-        self.set = set_
-        self.way = way
-        self.line_addr = line_addr
-        self.kind = kind
-        self.uid = uid
-        self.link = link
-        self.byte_mask = byte_mask
-
-
-class WriteEvent:
-    """Bytes of a resident line were overwritten by a store at cycle ``t``."""
-
-    __slots__ = ("t", "set", "way", "line_addr", "uid")
-
-    def __init__(self, t: int, set_: int, way: int, line_addr: int, uid: int):
-        self.t = t
-        self.set = set_
-        self.way = way
-        self.line_addr = line_addr
-        self.uid = uid
-
-
-class EvictEvent:
-    """A line left (set, way) at cycle ``t`` (writeback already recorded)."""
-
-    __slots__ = ("t", "set", "way", "line_addr")
-
-    def __init__(self, t: int, set_: int, way: int, line_addr: int):
-        self.t = t
-        self.set = set_
-        self.way = way
-        self.line_addr = line_addr
+    def wf_rows(self) -> Dict[int, np.ndarray]:
+        """Each wavefront's row indices in trace order, from one stable
+        argsort of ``wf``; wavefronts that recorded nothing are absent."""
+        order = np.argsort(self.wf, kind="stable")
+        ids, starts = np.unique(self.wf[order], return_index=True)
+        return dict(zip(ids.tolist(), np.split(order, starts[1:])))

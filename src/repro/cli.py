@@ -74,7 +74,7 @@ def _positive_int(text: str) -> int:
 
 
 def _nonnegative_int(text: str) -> int:
-    """An integer >= 0 (injection counts)."""
+    """An integer >= 0 (injection counts, row limits)."""
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, not {n}")
@@ -833,7 +833,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="aggregate for --group-by (default mean)",
     )
     p_query.add_argument(
-        "--limit", type=int, default=None, metavar="N",
+        "--limit", type=_nonnegative_int, default=None, metavar="N",
         help="return at most N rows",
     )
     _add_obs_args(p_query)
@@ -892,6 +892,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command in ("inject", "campaign"):
         if args.jobs < 0:
             parser.error("--jobs must be >= 0 (0 = in-process)")
+        if args.timeout is not None and args.timeout <= 0:
+            parser.error("--timeout must be > 0 seconds")
         if args.retries < 0:
             parser.error("--retries must be >= 0")
         if (

@@ -20,11 +20,14 @@ Nothing here is used on the production path — do not optimise it.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
-from ..arch.trace import InstrRecord
+from ..arch.isa import Program
+from ..arch.trace import Trace
 from .intervals import AceClass, Interval, IntervalSet, Outcome
 from .layout import SramArray
 from .protection import (
@@ -585,7 +588,9 @@ class MemoryConsumptionRef:
 
     def __init__(
         self,
-        records: Sequence[InstrRecord],
+        trace: Trace,
+        programs: Mapping[int, Program],
+        mem_needed: np.ndarray,
         mem_size: int,
         output_ranges: Sequence[Tuple[int, int]],
     ) -> None:
@@ -595,21 +600,27 @@ class MemoryConsumptionRef:
         for base, size in output_ranges:
             self._is_output[base : base + size] = True
         stored = np.zeros(mem_size, dtype=bool)
-        for rec in records:
-            if rec.space != "global" or rec.op not in ("v_store", "v_store_u8"):
+        rows = [
+            (row, t, programs[wf].instrs[pc])
+            for row, (wf, pc, t) in enumerate(
+                zip(trace.wf.tolist(), trace.pc.tolist(), trace.t.tolist())
+            )
+        ]
+        for row, t, ins in rows:
+            if ins.op not in ("v_store", "v_store_u8"):
                 continue
-            addr, _ = rec.access_bytes()
+            addr, _ = trace.access_bytes(row, ins.nbytes)
             stored[addr] = True
             for a in addr.ravel().tolist():
-                self._stores.setdefault(a, []).append(rec.t)
-        for rec in records:
-            if rec.space != "global" or rec.op not in ("v_load", "v_load_u8"):
+                self._stores.setdefault(a, []).append(t)
+        for row, t, ins in rows:
+            if ins.op not in ("v_load", "v_load_u8"):
                 continue
-            addr, live = rec.access_bytes()
+            addr, live = trace.access_bytes(row, ins.nbytes, mem_needed[row])
             kept = stored[addr]
             for a, is_live in zip(addr[kept].tolist(), live[kept].tolist()):
                 ts, ls = self._loads.setdefault(a, ([], []))
-                ts.append(rec.t)
+                ts.append(t)
                 ls.append(is_live)
 
     def _next_store_after(self, addr: int, t: int) -> float:

@@ -2,7 +2,7 @@
 
 :class:`AvfStudy` wires together the full pipeline of the paper:
 
-1. the simulator's event traces (:class:`~repro.arch.gpu.Apu`),
+1. the simulator's trace and cache event tables (:class:`~repro.arch.gpu.Apu`),
 2. the backward liveness pass (dynamic-dead + logic masking),
 3. per-structure lifetime analysis (L1s, L2, per-wavefront VGPRs, and
    one memory table over the allocated footprint),
@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..arch.gpu import Apu
-from ..arch.liveness import analyze_liveness
+from ..arch.liveness import Liveness, analyze_liveness
 from ..obs import get_tracer
 from .avf import (
     AvfConfig,
@@ -124,17 +124,15 @@ class AvfStudy:
         #: most any launched kernel used, rounded up to a power of two for
         #: interleaving
         self.vgpr_regs = 1 << max(3, (most - 1).bit_length())
-        # Liveness annotation (in place on the records).
-        n_vregs_by_wf = {w: p.n_vregs for w, p in apu.wf_programs.items()}
-        with get_tracer().span("liveness", records=len(apu.records)):
-            analyze_liveness(
-                apu.records,
-                n_vregs_by_wf,
+        with get_tracer().span("liveness", records=len(apu.trace)):
+            #: the liveness pass's verdicts, one per trace row
+            self.liveness: Liveness = analyze_liveness(
+                apu.trace,
+                apu.wf_programs,
                 apu.memory.size,
                 self.output_ranges,
                 lds_size=apu.lds_bytes,
             )
-        self._records_by_uid = {r.uid: r for r in apu.records}
         buffers = apu.memory.buffers().values()
         lo = min((b for b, _ in buffers), default=0)
         hi = max((b + s for b, s in buffers), default=lo)
@@ -162,8 +160,9 @@ class AvfStudy:
         if self._memcons is None:
             with get_tracer().span("lifetime", structure="memory"):
                 self._memcons = analyze_memory(
-                    self.apu.records, self.footprint, self.output_ranges,
-                    self.end_cycle,
+                    self.apu.trace, self.apu.wf_programs,
+                    self.liveness.mem_needed, self.footprint,
+                    self.output_ranges, self.end_cycle,
                 )
         return self._memcons
 
@@ -174,7 +173,8 @@ class AvfStudy:
             with get_tracer().span("lifetime", structure="l1"):
                 for l1 in self.apu.memsys.l1s:
                     lt, fills = analyze_cache(
-                        l1, self._records_by_uid, self.end_cycle
+                        l1, self.apu.trace, self.apu.wf_programs,
+                        self.liveness.mem_needed, self.end_cycle,
                     )
                     self._l1_lifetimes.append(lt)
                     self._fills.update(fills)  # fill ids are device-wide
@@ -187,7 +187,9 @@ class AvfStudy:
             with get_tracer().span("lifetime", structure="l2"):
                 self._l2_lifetime, _ = analyze_cache(
                     self.apu.memsys.l2,
-                    self._records_by_uid,
+                    self.apu.trace,
+                    self.apu.wf_programs,
+                    self.liveness.mem_needed,
                     self.end_cycle,
                     memcons=memory,
                     upstream_fills=self._fills,
@@ -198,14 +200,16 @@ class AvfStudy:
         """One register-file lifetime per launched wavefront."""
         if self._vgpr_lifetimes is None:
             with get_tracer().span("lifetime", structure="vgpr"):
-                by_wf: Dict[int, List] = {}
-                for rec in self.apu.records:
-                    by_wf.setdefault(rec.wf, []).append(rec)
+                trace = self.apu.trace
+                by_wf = trace.wf_rows()
+                none = np.zeros(0, dtype=np.int64)
                 lts = [
                     analyze_vgpr(
-                        by_wf.get(wf, []), wf, self.vgpr_regs, self.end_cycle
+                        trace, by_wf.get(wf, none), program,
+                        self.liveness.src_needed, wf, self.vgpr_regs,
+                        self.end_cycle,
                     )
-                    for wf in sorted(self.apu.wf_programs)
+                    for wf, program in sorted(self.apu.wf_programs.items())
                 ]
                 self._vgpr_stack = _stack("vgpr", lts, self.end_cycle)
                 self._vgpr_lifetimes = lts

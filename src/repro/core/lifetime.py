@@ -1,8 +1,8 @@
 """Lifetime analysis: simulator events -> per-byte classed ACE intervals.
 
 This is the "analysis phase" of the paper's two-phase AVF measurement
-(Sec. VI-A).  It consumes the event streams produced by the simulator and
-the annotations produced by the liveness pass, and emits
+(Sec. VI-A).  It consumes the trace and cache event tables produced by the
+simulator and the needed-bit masks produced by the liveness pass, and emits
 :class:`~repro.core.avf.StructureLifetimes` for each tracked structure.
 Every extractor tracks per-byte state in arrays, collects its intervals as
 ``(byte, start, end, class)`` rows, and builds the structure's one CSR
@@ -27,13 +27,13 @@ ACE, i.e. until its last live load, or to the end for output buffers).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..arch.cache import Cache
-from ..arch.isa import WAVEFRONT_LANES
-from ..arch.trace import EvictEvent, FillEvent, InstrRecord, ReadEvent, WriteEvent
+from ..arch.cache import DEMAND_READ, EVICT, FILL, FILL_READ, WRITE, Cache
+from ..arch.isa import WAVEFRONT_LANES, Program
+from ..arch.trace import Trace
 from .avf import StructureLifetimes
 from .intervals import AceClass, _csr_take, union_rows
 
@@ -113,23 +113,31 @@ def _consumed(
     addrs = np.asarray(addrs, dtype=np.int64)
     inside = addrs < memory.n_bytes
     cls = memory.class_at(np.where(inside, addrs, 0), [[t], [t - 1]])
-    return inside & (cls == _ACE).any(axis=0)
+    consumed: np.ndarray = inside & (cls == _ACE).any(axis=0)
+    return consumed
 
 
 def analyze_cache(
     cache: Cache,
-    records_by_uid: Dict[int, InstrRecord],
+    trace: Trace,
+    programs: Mapping[int, Program],
+    mem_needed: np.ndarray,
     end_cycle: int,
     *,
     memcons: Optional[StructureLifetimes] = None,
     upstream_fills: Optional[Dict[int, Tuple[np.ndarray, np.ndarray]]] = None,
 ) -> Tuple[StructureLifetimes, Dict[int, Tuple[np.ndarray, np.ndarray]]]:
-    """Resolve one cache's event stream into per-byte ACE lifetimes.
+    """Resolve one cache's event table into per-byte ACE lifetimes.
+
+    A demand read or a write names its trace row (``ref``), whose
+    accessed bytes in the line are the ones read or written; a demand
+    read's liveness is the load's ``mem_needed`` bits
+    (:class:`~repro.arch.liveness.Liveness`).
 
     Returns ``(lifetimes, fills)`` where ``fills`` maps each of this cache's
     fill ids to ``(read_mask, live_mask)`` over the line's bytes — the
     transitive read/liveness verdicts that the *lower* level's analysis
-    consumes for its ``'fill'``-kind read events.  Analyze the hierarchy top
+    consumes for its fill reads.  Analyze the hierarchy top
     down: L1s first, then the L2 with ``upstream_fills`` set to the L1s'
     verdicts (their fill ids never collide) and ``memcons`` set for
     write-back liveness.
@@ -147,42 +155,49 @@ def analyze_cache(
     whole = np.arange(lb, dtype=np.int64)
     no_upstream = np.ones(lb, dtype=bool)  # conservatively fully live
 
-    def in_line(rec: InstrRecord, line_addr: int) -> Tuple[np.ndarray, ...]:
-        addr, live = rec.access_bytes()
+    def in_line(
+        row: int, line_addr: int, needed: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        ins = programs[int(trace.wf[row])].instrs[int(trace.pc[row])]
+        addr, live = trace.access_bytes(row, ins.nbytes, needed)
         hit = addr - addr % lb == line_addr
         return addr[hit] % lb, live[hit]
 
-    for ev in cache.events:
-        line = (ev.set * cfg.n_ways + ev.way) * lb + whole
-        if isinstance(ev, FillEvent):
-            fills[ev.fill_id] = (np.zeros(lb, dtype=bool), np.zeros(lb, dtype=bool))
-            trk.open(line, ev.t)
-            origin_fill[line] = ev.fill_id
-        elif isinstance(ev, WriteEvent):
-            b = line[np.unique(in_line(records_by_uid[ev.uid], ev.line_addr)[0])]
+    ev = cache.events()
+    for kind, t, s, way, line_addr, ref in zip(
+        *(c.tolist() for c in (ev.kind, ev.t, ev.set, ev.way, ev.line, ev.ref))
+    ):
+        line = (s * cfg.n_ways + way) * lb + whole
+        if kind == FILL:
+            fills[ref] = (np.zeros(lb, dtype=bool), np.zeros(lb, dtype=bool))
+            trk.open(line, t)
+            origin_fill[line] = ref
+        elif kind == WRITE:
+            b = line[np.unique(in_line(ref, line_addr)[0])]
             trk.close(b)
-            trk.open(b, ev.t)
+            trk.open(b, t)
             origin_fill[b] = -1
-        elif isinstance(ev, ReadEvent):
-            if ev.kind == "demand":
-                off, live = in_line(records_by_uid[ev.uid], ev.line_addr)
-            elif ev.kind == "fill":
+        elif kind == EVICT:
+            trk.close(line)
+            origin_fill[line] = -1
+        else:
+            if kind == DEMAND_READ:
+                off, live = in_line(ref, line_addr, mem_needed[ref])
+            elif kind == FILL_READ:
                 off = whole
                 live = (
-                    upstream_fills[ev.link][1]
-                    if upstream_fills is not None and ev.link in upstream_fills
+                    upstream_fills[ref][1]
+                    if upstream_fills is not None and ref in upstream_fills
                     else no_upstream
                 )
             else:  # writeback: clean bytes are checked, not written
                 off = whole
                 live = np.zeros(lb, dtype=bool)
-                if ev.byte_mask is not None:
-                    dirty = np.flatnonzero(ev.byte_mask)
-                    if memcons is not None:
-                        addr = ev.line_addr + dirty
-                        dirty = dirty[_consumed(memcons, addr, ev.t)]
-                    live[dirty] = True
-            trk.read(line[off], ev.t, live)
+                dirty = np.flatnonzero(ev.dirty[ref])
+                if memcons is not None:
+                    dirty = dirty[_consumed(memcons, line_addr + dirty, t)]
+                live[dirty] = True
+            trk.read(line[off], t, live)
             # the line's bytes not yet overwritten carry its fill's verdicts
             fid = origin_fill[line[off]]
             used = fid >= 0
@@ -190,14 +205,13 @@ def analyze_cache(
                 read_mask, live_mask = fills[int(fid[used][0])]
                 read_mask[off[used]] = True
                 live_mask[off[used & live]] = True
-        elif isinstance(ev, EvictEvent):
-            trk.close(line)
-            origin_fill[line] = -1
     return trk.lifetimes(cache.name, end_cycle), fills
 
 
 def analyze_memory(
-    records: Sequence[InstrRecord],
+    trace: Trace,
+    programs: Mapping[int, Program],
+    mem_needed: np.ndarray,
     region: Tuple[int, int],
     output_ranges: Sequence[Tuple[int, int]],
     end_cycle: int,
@@ -209,7 +223,8 @@ def analyze_memory(
     READ_DEAD interval; bytes in program output buffers stay ACE until the
     end of the run unless overwritten.  This is the ground-truth model the
     cache analyses bottom out in, and the reference that fault-injection
-    validation campaigns compare against.
+    validation campaigns compare against.  Global load and store rows are
+    walked in trace order; a load's liveness is its ``mem_needed`` bits.
     """
     base, size = region
     is_output = np.zeros(size, dtype=bool)
@@ -219,18 +234,18 @@ def analyze_memory(
         if lo < hi:
             is_output[lo - base : hi - base] = True
     trk = _ByteTracker(size, open_at=0)
-    for rec in records:
-        if rec.space != "global" or rec.addrs is None:
-            continue
-        if rec.op in ("v_store", "v_store_u8"):
-            addr, _ = rec.access_bytes()
+    rows = zip(trace.wf.tolist(), trace.pc.tolist(), trace.t.tolist())
+    for row, (wf, pc, t) in enumerate(rows):
+        ins = programs[wf].instrs[pc]
+        if ins.op in ("v_store", "v_store_u8"):
+            addr, _ = trace.access_bytes(row, ins.nbytes)
             off = np.unique(addr[(addr >= base) & (addr < base + size)]) - base
             trk.close(off)
-            trk.open(off, rec.t)
-        elif rec.op in ("v_load", "v_load_u8"):
-            addr, live = rec.access_bytes()
+            trk.open(off, t)
+        elif ins.op in ("v_load", "v_load_u8"):
+            addr, live = trace.access_bytes(row, ins.nbytes, mem_needed[row])
             inside = (addr >= base) & (addr < base + size)
-            trk.read(addr[inside] - base, rec.t, live[inside])
+            trk.read(addr[inside] - base, t, live[inside])
     trk.last_live[is_output] = end_cycle
     trk.last_any[is_output] = end_cycle
     return trk.lifetimes("memory", end_cycle)
@@ -281,52 +296,53 @@ def derive_tag_lifetimes(
 
 
 _BYTE_SHIFTS = np.uint32(8) * np.arange(4, dtype=np.uint32)
-_NOT_LIVE = np.zeros(WAVEFRONT_LANES * 4, dtype=bool)
 
 
 def analyze_vgpr(
-    records: Sequence[InstrRecord],
+    trace: Trace,
+    rows: np.ndarray,
+    program: Program,
+    src_needed: np.ndarray,
     wf_id: int,
     n_vregs: int,
     end_cycle: int,
-    *,
-    name: Optional[str] = None,
 ) -> StructureLifetimes:
     """Per-byte ACE lifetimes of one wavefront's vector register file.
 
     The VGPR is physically read row-at-a-time (all 16 lanes of a register at
     once — the Sec. VIII simultaneous-read property), so a read of ``vN``
     touches every lane's copy; liveness applies only to the lanes/bytes whose
-    needed-bit masks are non-zero.
+    needed-bit masks (``src_needed``,
+    :class:`~repro.arch.liveness.Liveness`) are non-zero.
 
-    ``records`` are the wavefront's own trace records, in trace order.
-    Byte ids follow :func:`repro.core.layout.regfile_byte_index` with
-    ``thread = lane``: ``(lane * n_vregs + reg) * 4 + byte``.
+    ``rows`` are the wavefront's own trace rows, in trace order; each ran
+    ``program.instrs[pc]``.  Byte ids follow
+    :func:`repro.core.layout.regfile_byte_index` with ``thread = lane``:
+    ``(lane * n_vregs + reg) * 4 + byte``.
     """
     n_bytes = WAVEFRONT_LANES * n_vregs * 4
-    name = name or f"vgpr.wf{wf_id}"
-    start = records[0].t if records else 0
+    ts = trace.t[rows].tolist()
+    start = ts[0] if ts else 0
     # Byte ids of register r across lanes: shape (16, 4).
     lane_base = (np.arange(WAVEFRONT_LANES) * n_vregs)[:, None] * 4
     reg_idx = [
         (lane_base + r * 4 + np.arange(4)[None, :]).ravel()
         for r in range(n_vregs)
     ]
+    # Each source's live bytes, in reg_idx order: shape (rows, srcs, 64).
+    live = (
+        (src_needed[rows][..., None] >> _BYTE_SHIFTS) & np.uint32(0xFF) != 0
+    ).reshape(len(rows), src_needed.shape[1], WAVEFRONT_LANES * 4)
     trk = _ByteTracker(n_bytes, open_at=start)
-    for rec in records:
-        t = rec.t
-        if rec.src_needed is not None:
-            for src, mask in zip(rec.srcs, rec.src_needed):
-                if src[0] != "v" or src[1] >= n_vregs:
-                    continue
-                live = (
-                    ((mask[:, None] >> _BYTE_SHIFTS) & np.uint32(0xFF)) != 0
-                    if mask is not None else _NOT_LIVE
-                )
-                trk.read(reg_idx[src[1]], t, live.ravel())
-        if rec.dst is not None and rec.dst[0] == "v" and rec.dst[1] < n_vregs:
-            lanes = rec.acc_mask if rec.acc_mask is not None else rec.exec_mask
-            idx = reg_idx[rec.dst[1]].reshape(WAVEFRONT_LANES, 4)[lanes].ravel()
+    for k, (pc, t) in enumerate(zip(trace.pc[rows].tolist(), ts)):
+        ins = program.instrs[pc]
+        for j, (kind, reg) in enumerate(ins.srcs):
+            if kind == "v" and reg < n_vregs:
+                trk.read(reg_idx[int(reg)], t, live[k, j])
+        dst = ins.dst
+        if dst is not None and dst[0] == "v" and dst[1] < n_vregs:
+            lanes = trace.acc[rows[k]]
+            idx = reg_idx[int(dst[1])].reshape(WAVEFRONT_LANES, 4)[lanes].ravel()
             trk.close(idx)
             trk.open(idx, t)
-    return trk.lifetimes(name, end_cycle)
+    return trk.lifetimes(f"vgpr.wf{wf_id}", end_cycle)

@@ -266,12 +266,12 @@ class _Injector:
         #: kept for the ACE-model side of the campaign and the validation
         self.golden_run = golden_run
         self.golden = _output_bytes(golden_run.memory, wl.outputs)
-        recs = golden_run.apu.records
         # VGPR targeting: wavefront activity windows + register counts.
-        self.windows: Dict[int, Tuple[int, int]] = {}
-        for r in recs:
-            lo, hi = self.windows.get(r.wf, (r.t, r.t))
-            self.windows[r.wf] = (min(lo, r.t), max(hi, r.t))
+        t = golden_run.apu.trace.t
+        self.windows: Dict[int, Tuple[int, int]] = {
+            wf: (int(t[rows].min()), int(t[rows].max()))
+            for wf, rows in golden_run.apu.trace.wf_rows().items()
+        }
         self.n_vregs = {
             w: p.n_vregs for w, p in golden_run.apu.wf_programs.items()
         }

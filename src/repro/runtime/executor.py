@@ -553,6 +553,8 @@ class Executor:
     ) -> None:
         if jobs < 0:
             raise ValueError("jobs must be >= 0 (0 = inline)")
+        if timeout is not None and timeout <= 0:
+            raise ValueError("timeout must be > 0 seconds")
         if heartbeat <= 0:
             raise ValueError("heartbeat must be > 0 seconds")
         if fabric is not None and (job is None or jobs):

@@ -375,9 +375,12 @@ class ResultStore:
 
         Keyword filters name :data:`~repro.store.query.FILTER_COLUMNS`
         (scalars or sequences); ``order_by`` names filter columns to sort
-        by instead of the full canonical key.  The query is answered
-        entirely from the store — no simulation, no AVF engine.
+        by instead of the full canonical key; ``limit`` caps the row
+        count (a negative one raises ``ValueError``).  The query is
+        answered entirely from the store — no simulation, no AVF engine.
         """
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0, not {limit}")
         where, params = build_where(filters)
         sql = _SELECT_AVF + where
         if order_by:

@@ -104,21 +104,14 @@ def ingest_sweep_points(
     form) into ``avf_results`` under one workload."""
     from dataclasses import asdict, is_dataclass
 
-    rows = []
-    for p in points:
-        data = asdict(p) if is_dataclass(p) else dict(p)
-        rows.append(
-            _point_to_row(
-                data, workload=workload, seed=seed,
-                ser_model=ser_model, source=source,
-            )
+    rows = [
+        _point_to_row(
+            asdict(p) if is_dataclass(p) else dict(p), workload=workload,
+            seed=seed, ser_model=ser_model, source=source,
         )
-    with get_tracer().span(
-        "ingest", kind="sweep_points", workload=workload, rows=len(rows),
-    ) as span:
-        ingested, deduped = store.put_avf_rows(rows)
-        span.set(ingested=ingested, deduped=deduped)
-    return {"rows": len(rows), "ingested": ingested, "deduped": deduped}
+        for p in points
+    ]
+    return _put_avf_rows(store, rows, kind="sweep_points", workload=workload)
 
 
 def ingest_results(
@@ -138,31 +131,35 @@ def ingest_results(
     ``style``/``factor`` name the physical layout the batch was measured
     under (a batch shares one layout; results do not carry it).
     """
-    rows = []
-    for res in results:
-        rows.append(
+    rows = [
+        _point_to_row(
             {
-                "workload": workload,
-                "structure": str(res.structure),
-                "scheme": str(res.scheme),
+                "structure": res.structure,
+                "scheme": res.scheme,
                 "style": style,
-                "factor": int(factor),
+                "factor": factor,
                 "mode": res.mode.name,
-                "ser_model": ser_model,
-                "seed": int(seed),
-                "engine_version": engine_version(),
-                "due_avf": float(res.due_avf),
-                "sdc_avf": float(res.sdc_avf),
-                "true_due_avf": float(res.true_due_avf),
-                "false_due_avf": float(res.false_due_avf),
-                "total_avf": float(res.total_avf),
+                "due_avf": res.due_avf,
+                "sdc_avf": res.sdc_avf,
+                "true_due_avf": res.true_due_avf,
+                "false_due_avf": res.false_due_avf,
                 "n_groups": int(res.n_groups),
                 "window_cycles": int(res.window_cycles),
-                "source": source,
-            }
+            },
+            workload=workload, seed=seed, ser_model=ser_model, source=source,
         )
+        for res in results
+    ]
+    return _put_avf_rows(store, rows, kind="results", workload=workload)
+
+
+def _put_avf_rows(
+    store: ResultStore, rows: List[Dict[str, Any]], *, kind: str,
+    workload: str,
+) -> Dict[str, int]:
+    """Write ``rows`` to ``avf_results`` inside one ``ingest`` span."""
     with get_tracer().span(
-        "ingest", kind="results", workload=workload, rows=len(rows),
+        "ingest", kind=kind, workload=workload, rows=len(rows),
     ) as span:
         ingested, deduped = store.put_avf_rows(rows)
         span.set(ingested=ingested, deduped=deduped)

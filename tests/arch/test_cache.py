@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.arch.cache import Cache, CacheConfig, MemSystem
-from repro.arch.trace import EvictEvent, FillEvent, ReadEvent, WriteEvent
+from repro.arch.cache import (
+    DEMAND_READ,
+    EVICT,
+    FILL,
+    FILL_READ,
+    WRITE,
+    WRITEBACK_READ,
+    Cache,
+    CacheConfig,
+    MemSystem,
+)
 
 
 def _tiny_memsys(**kw):
@@ -65,39 +74,37 @@ class TestEventStream:
     def test_load_miss_emits_fill_then_read(self):
         ms = _tiny_memsys()
         ms.load(0, _addrs(0, 4), 4, t=10, uid=1)
-        l1_events = ms.l1s[0].events
-        kinds = [type(e).__name__ for e in l1_events]
-        assert kinds == ["FillEvent", "ReadEvent"]
-        assert l1_events[0].t == 10
-        assert l1_events[1].uid == 1
+        l1_events = ms.l1s[0].events()
+        assert l1_events.kind.tolist() == [FILL, DEMAND_READ]
+        assert l1_events.t[0] == 10
+        assert l1_events.ref[1] == 1
         # The L2 saw a fill-read linking the L1 fill.
-        l2_reads = [e for e in ms.l2.events if isinstance(e, ReadEvent)]
-        assert l2_reads[0].kind == "fill"
-        assert l2_reads[0].link == l1_events[0].fill_id
+        l2 = ms.l2.events()
+        l2_reads = np.isin(l2.kind, (DEMAND_READ, FILL_READ, WRITEBACK_READ))
+        assert l2.kind[l2_reads][0] == FILL_READ
+        assert l2.ref[l2_reads][0] == l1_events.ref[0]
 
     def test_load_hit_emits_only_read(self):
         ms = _tiny_memsys()
         ms.load(0, _addrs(0), 4, t=1, uid=1)
-        n = len(ms.l1s[0].events)
+        n = len(ms.l1s[0].events())
         ms.load(0, _addrs(0), 4, t=2, uid=2)
-        new = ms.l1s[0].events[n:]
-        assert len(new) == 1
-        assert isinstance(new[0], ReadEvent)
+        new = ms.l1s[0].events().kind[n:]
+        assert new.tolist() == [DEMAND_READ]
 
     def test_store_is_no_allocate_in_l1(self):
         ms = _tiny_memsys()
         ms.store(0, _addrs(0), 4, t=1, uid=1)
-        assert not ms.l1s[0].events           # L1 miss: nothing recorded
-        l2_kinds = [type(e).__name__ for e in ms.l2.events]
-        assert l2_kinds == ["FillEvent", "WriteEvent"]
+        assert not len(ms.l1s[0].events())   # L1 miss: nothing recorded
+        assert ms.l2.events().kind.tolist() == [FILL, WRITE]
 
     def test_store_hit_updates_l1_write_through(self):
         ms = _tiny_memsys()
         ms.load(0, _addrs(0), 4, t=1, uid=1)
         ms.store(0, _addrs(0), 4, t=2, uid=2)
-        l1_writes = [e for e in ms.l1s[0].events if isinstance(e, WriteEvent)]
-        l2_writes = [e for e in ms.l2.events if isinstance(e, WriteEvent)]
-        assert len(l1_writes) == 1 and len(l2_writes) == 1
+        l1_writes = ms.l1s[0].events().kind == WRITE
+        l2_writes = ms.l2.events().kind == WRITE
+        assert l1_writes.sum() == 1 and l2_writes.sum() == 1
 
     def test_dirty_eviction_emits_writeback_read(self):
         ms = _tiny_memsys()
@@ -106,37 +113,31 @@ class TestEventStream:
         # 2048 share set 0 (4 sets x 64B).
         ms.load(0, _addrs(1024), 4, t=2, uid=2)
         ms.load(0, _addrs(2048), 4, t=3, uid=3)
-        wb = [
-            e for e in ms.l2.events
-            if isinstance(e, ReadEvent) and e.kind == "writeback"
-        ]
+        ev = ms.l2.events()
+        wb = np.flatnonzero(ev.kind == WRITEBACK_READ)
         assert len(wb) == 1
-        assert wb[0].line_addr == 0
-        assert wb[0].byte_mask[:4].all()
-        assert not wb[0].byte_mask[4:].any()
+        assert ev.line[wb[0]] == 0
+        byte_mask = ev.dirty[ev.ref[wb[0]]]
+        assert byte_mask[:4].all()
+        assert not byte_mask[4:].any()
 
     def test_flush_writes_back_and_evicts_everything(self):
         ms = _tiny_memsys()
         ms.store(0, _addrs(0, 64), 4, t=1, uid=1)
         ms.flush(t=100)
         assert (ms.l2.tags == -1).all()
-        wb = [
-            e for e in ms.l2.events
-            if isinstance(e, ReadEvent) and e.kind == "writeback"
-        ]
-        assert len(wb) == 2
-        evs = [e for e in ms.l2.events if isinstance(e, EvictEvent)]
-        assert len(evs) == 2
+        ev = ms.l2.events()
+        assert (ev.kind == WRITEBACK_READ).sum() == 2
+        assert len(ev.dirty) == 2
+        assert (ev.kind == EVICT).sum() == 2
 
     def test_clean_eviction_has_no_writeback(self):
         ms = _tiny_memsys()
         ms.load(0, _addrs(0), 4, t=1, uid=1)
         ms.flush(t=2)
-        wb = [
-            e for e in ms.l2.events
-            if isinstance(e, ReadEvent) and e.kind == "writeback"
-        ]
-        assert not wb
+        ev = ms.l2.events()
+        assert not (ev.kind == WRITEBACK_READ).any()
+        assert not len(ev.dirty)
 
 
 class TestTiming:

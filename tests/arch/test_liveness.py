@@ -8,21 +8,28 @@ from repro.arch.liveness import analyze_liveness
 
 
 def _analyze(program, n_threads, args, mem, outputs):
+    """The device and its liveness verdicts."""
     apu = Apu(memory=mem, n_cus=1)
     apu.run([Launch(program, n_threads, args)])
     ranges = [mem.buffer(o) for o in outputs]
-    analyze_liveness(
-        apu.records,
-        {w: p.n_vregs for w, p in apu.wf_programs.items()},
-        mem.size,
-        ranges,
-        lds_size=apu.lds_bytes,
+    res = analyze_liveness(
+        apu.trace, apu.wf_programs, mem.size, ranges, lds_size=apu.lds_bytes,
     )
-    return apu.records
+    return apu, res
 
 
-def _recs_of(records, op):
-    return [r for r in records if r.op == op]
+def _rows_of(apu, op):
+    """The trace rows that ran ``op``, in trace order."""
+    trace = apu.trace
+    return [
+        i for i, (wf, pc) in enumerate(zip(trace.wf, trace.pc))
+        if apu.wf_programs[wf].instrs[pc].op == op
+    ]
+
+
+def _mem_needed(apu, res, row):
+    """A memory row's ``mem_needed`` bits on the lanes that accessed memory."""
+    return res.mem_needed[row][apu.trace.acc[row]]
 
 
 class TestDeadCode:
@@ -35,10 +42,10 @@ class TestDeadCode:
         p.shl(v(9), v(0), imm(2))
         p.iadd(v(9), v(9), s(2))
         p.store(v(2), v(9))
-        recs = _analyze(p.build(), 16, [out], mem, ["out"])
-        muls = _recs_of(recs, "v_mul")
-        assert muls[0].live
-        assert not muls[1].live
+        apu, res = _analyze(p.build(), 16, [out], mem, ["out"])
+        muls = _rows_of(apu, "v_mul")
+        assert res.live[muls[0]]
+        assert not res.live[muls[1]]
 
     def test_transitively_dead_chain(self):
         mem = GlobalMemory()
@@ -50,9 +57,9 @@ class TestDeadCode:
         p.shl(v(9), v(0), imm(2))
         p.iadd(v(9), v(9), s(2))
         p.store(imm(1), v(9))
-        recs = _analyze(p.build(), 16, [out], mem, ["out"])
-        assert not _recs_of(recs, "v_mul")[0].live
-        assert not _recs_of(recs, "v_xor")[0].live
+        apu, res = _analyze(p.build(), 16, [out], mem, ["out"])
+        assert not res.live[_rows_of(apu, "v_mul")[0]]
+        assert not res.live[_rows_of(apu, "v_xor")[0]]
 
     def test_store_to_scratch_buffer_is_dead(self):
         mem = GlobalMemory()
@@ -64,11 +71,11 @@ class TestDeadCode:
         p.store(imm(5), v(8))          # written, never read -> dead
         p.iadd(v(9), v(9), s(3))       # &out
         p.store(imm(6), v(9))
-        recs = _analyze(p.build(), 16, [scratch, out], mem, ["out"])
-        stores = _recs_of(recs, "v_store")
-        assert not stores[0].live
-        assert stores[1].live
-        assert (stores[1].mem_needed[stores[1].acc_mask] != 0).all()
+        apu, res = _analyze(p.build(), 16, [scratch, out], mem, ["out"])
+        stores = _rows_of(apu, "v_store")
+        assert not res.live[stores[0]]
+        assert res.live[stores[1]]
+        assert (_mem_needed(apu, res, stores[1]) != 0).all()
 
     def test_overwritten_store_is_dead(self):
         mem = GlobalMemory()
@@ -78,10 +85,10 @@ class TestDeadCode:
         p.iadd(v(9), v(9), s(2))
         p.store(imm(1), v(9))          # overwritten before any read -> dead
         p.store(imm(2), v(9))
-        recs = _analyze(p.build(), 16, [out], mem, ["out"])
-        stores = _recs_of(recs, "v_store")
-        assert not stores[0].live
-        assert stores[1].live
+        apu, res = _analyze(p.build(), 16, [out], mem, ["out"])
+        stores = _rows_of(apu, "v_store")
+        assert not res.live[stores[0]]
+        assert res.live[stores[1]]
 
     def test_load_feeding_output_is_live(self):
         mem = GlobalMemory()
@@ -93,10 +100,10 @@ class TestDeadCode:
         p.load(v(2), v(8))
         p.iadd(v(9), v(9), s(3))
         p.store(v(2), v(9))
-        recs = _analyze(p.build(), 16, [inp, out], mem, ["out"])
-        ld = _recs_of(recs, "v_load")[0]
-        assert ld.live
-        assert (ld.load_needed[ld.acc_mask] == 0xFFFFFFFF).all()
+        apu, res = _analyze(p.build(), 16, [inp, out], mem, ["out"])
+        ld = _rows_of(apu, "v_load")[0]
+        assert res.live[ld]
+        assert (_mem_needed(apu, res, ld) == 0xFFFFFFFF).all()
 
 
 class TestLogicMasking:
@@ -111,16 +118,16 @@ class TestLogicMasking:
         body(p)
         p.iadd(v(9), v(9), s(3))
         p.store(v(3), v(9))
-        recs = _analyze(p.build(), 16, [inp, out], mem, ["out"])
-        return _recs_of(recs, "v_load")[0]
+        apu, res = _analyze(p.build(), 16, [inp, out], mem, ["out"])
+        return _mem_needed(apu, res, _rows_of(apu, "v_load")[0])
 
     def test_and_masks_bits(self):
-        ld = self._masked_load(lambda p: p.iand(v(3), v(2), imm(0xFF)))
-        assert (ld.load_needed[ld.acc_mask] == 0xFF).all()
+        needed = self._masked_load(lambda p: p.iand(v(3), v(2), imm(0xFF)))
+        assert (needed == 0xFF).all()
 
     def test_or_masks_set_bits(self):
-        ld = self._masked_load(lambda p: p.ior(v(3), v(2), imm(0xFFFF0000)))
-        assert (ld.load_needed[ld.acc_mask] == 0x0000FFFF).all()
+        needed = self._masked_load(lambda p: p.ior(v(3), v(2), imm(0xFFFF0000)))
+        assert (needed == 0x0000FFFF).all()
 
     def test_shr_shifts_needed_bits(self):
         # v3 = (v2 >> 16) & 0xFF needs bits 16..23 of v2.
@@ -128,8 +135,8 @@ class TestLogicMasking:
             p.shr(v(3), v(2), imm(16))
             p.iand(v(3), v(3), imm(0xFF))
 
-        ld = self._masked_load(body)
-        assert (ld.load_needed[ld.acc_mask] == 0x00FF0000).all()
+        needed = self._masked_load(body)
+        assert (needed == 0x00FF0000).all()
 
     def test_byte_store_needs_low_byte(self):
         mem = GlobalMemory()
@@ -141,17 +148,17 @@ class TestLogicMasking:
         p.load(v(2), v(8))
         p.iadd(v(9), v(0), s(3))
         p.store_u8(v(2), v(9))
-        recs = _analyze(p.build(), 16, [inp, out], mem, ["out"])
-        ld = _recs_of(recs, "v_load")[0]
-        assert (ld.load_needed[ld.acc_mask] == 0xFF).all()
+        apu, res = _analyze(p.build(), 16, [inp, out], mem, ["out"])
+        ld = _rows_of(apu, "v_load")[0]
+        assert (_mem_needed(apu, res, ld) == 0xFF).all()
 
     def test_cmp_needs_everything(self):
         def body(p):
             p.cmp("lt", v(2), imm(100))
             p.cndmask(v(3), imm(1), imm(0))
 
-        ld = self._masked_load(body)
-        assert (ld.load_needed[ld.acc_mask] == 0xFFFFFFFF).all()
+        needed = self._masked_load(body)
+        assert (needed == 0xFFFFFFFF).all()
 
     def test_cndmask_uses_snapshot(self):
         """Only the taken side of a select keeps its producer live."""
@@ -167,9 +174,9 @@ class TestLogicMasking:
         p.cndmask(v(3), v(2), v(4))
         p.iadd(v(9), v(9), s(3))
         p.store(v(3), v(9))
-        recs = _analyze(p.build(), 16, [inp, out], mem, ["out"])
-        assert _recs_of(recs, "v_load")[0].live
-        assert not _recs_of(recs, "v_mul")[0].live  # untaken side is dead
+        apu, res = _analyze(p.build(), 16, [inp, out], mem, ["out"])
+        assert res.live[_rows_of(apu, "v_load")[0]]
+        assert not res.live[_rows_of(apu, "v_mul")[0]]  # untaken side is dead
 
 
 class TestLdsLiveness:
@@ -186,9 +193,9 @@ class TestLdsLiveness:
         p.lds_load(v(3), v(7))
         p.iadd(v(9), v(9), s(3))
         p.store(v(3), v(9))
-        recs = _analyze(p.build(), 16, [inp, out], mem, ["out"])
-        assert _recs_of(recs, "v_load")[0].live
-        assert _recs_of(recs, "lds_store")[0].live
+        apu, res = _analyze(p.build(), 16, [inp, out], mem, ["out"])
+        assert res.live[_rows_of(apu, "v_load")[0]]
+        assert res.live[_rows_of(apu, "lds_store")[0]]
 
     def test_unread_lds_store_is_dead(self):
         mem = GlobalMemory()
@@ -202,9 +209,9 @@ class TestLdsLiveness:
         p.lds_store(v(2), v(7))        # never loaded back
         p.iadd(v(9), v(9), s(3))
         p.store(imm(4), v(9))
-        recs = _analyze(p.build(), 16, [inp, out], mem, ["out"])
-        assert not _recs_of(recs, "lds_store")[0].live
-        assert not _recs_of(recs, "v_load")[0].live
+        apu, res = _analyze(p.build(), 16, [inp, out], mem, ["out"])
+        assert not res.live[_rows_of(apu, "lds_store")[0]]
+        assert not res.live[_rows_of(apu, "v_load")[0]]
 
 
 class TestDuplicateAddressStores:
@@ -221,8 +228,9 @@ class TestDuplicateAddressStores:
         p.iadd(v(5), v(5), imm(0x101))
         p.mov(v(9), s(2))                  # one address for every lane
         (p.store_u8 if byte else p.store)(v(5), v(9), pred=True)
-        recs = _analyze(p.build(), 16, [out], mem, ["out"])
-        (store,) = _recs_of(recs, "v_store_u8" if byte else "v_store")
-        assert np.flatnonzero(store.mem_needed).tolist() == [10]
-        assert store.mem_needed[10] == (0xFF if byte else 0xFFFFFFFF)
-        assert store.src_needed[0].tolist() == store.mem_needed.tolist()
+        apu, res = _analyze(p.build(), 16, [out], mem, ["out"])
+        (store,) = _rows_of(apu, "v_store_u8" if byte else "v_store")
+        mem_needed = res.mem_needed[store]
+        assert np.flatnonzero(mem_needed).tolist() == [10]
+        assert mem_needed[10] == (0xFF if byte else 0xFFFFFFFF)
+        assert res.src_needed[store, 0].tolist() == mem_needed.tolist()

@@ -2,10 +2,13 @@
 
 The committed ``liveness_digests.json`` records, per ``(workload, seed)``
 run through :func:`repro.workloads.run` at its default ``n_cus`` and
-annotated by :func:`repro.arch.liveness.analyze_liveness` with the
-workload's output ranges, a sha256 over every trace record's ``live``,
-``load_needed``, ``mem_needed`` and ``src_needed`` (in trace order), a
-sha256 of the returned needed-memory map, and the record count.  Any
+analyzed by :func:`repro.arch.liveness.analyze_liveness` with the
+workload's output ranges, a sha256 over every trace row's ``live``, its
+loaded value's needed bits (loads), its stored value's needed bits
+(stores) and each source's needed bits (in trace order; ``-`` where the
+row's static instruction has no such mask: not a load, not a store, or a
+source that is not a VGPR), a sha256 of the returned needed-memory map,
+and the row count.  Any
 change to the liveness pass's verdicts or needed-bit masks changes one of
 them, so a rewrite of the pass must keep this file byte-identical.
 
@@ -41,28 +44,29 @@ def liveness_digest(name, seed):
     """The pinned fingerprint of one workload's liveness annotations."""
     result = run(name, seed=seed)
     apu = result.apu
-    needed_mem = analyze_liveness(
-        apu.records,
-        {w: p.n_vregs for w, p in apu.wf_programs.items()},
+    trace = apu.trace
+    res = analyze_liveness(
+        trace,
+        apu.wf_programs,
         apu.memory.size,
         result.output_ranges,
         lds_size=apu.lds_bytes,
     )
     h = hashlib.sha256()
-    for r in apu.records:
-        h.update(b"L" if r.live else b"D")
-        _feed(h, r.load_needed)
-        _feed(h, r.mem_needed)
-        srcs = r.src_needed or []
-        h.update(len(srcs).to_bytes(1, "little"))
-        for mask in srcs:
-            _feed(h, mask)
+    for i, (wf, pc) in enumerate(zip(trace.wf.tolist(), trace.pc.tolist())):
+        ins = apu.wf_programs[wf].instrs[pc]
+        h.update(b"L" if res.live[i] else b"D")
+        _feed(h, res.mem_needed[i] if "load" in ins.op else None)
+        _feed(h, res.mem_needed[i] if "store" in ins.op else None)
+        h.update(len(ins.srcs).to_bytes(1, "little"))
+        for j, src in enumerate(ins.srcs):
+            _feed(h, res.src_needed[i, j] if src[0] == "v" else None)
     return {
         "records_sha256": h.hexdigest(),
         "needed_mem_sha256": hashlib.sha256(
-            np.packbits(needed_mem).tobytes()
+            np.packbits(res.needed_mem).tobytes()
         ).hexdigest(),
-        "n_records": len(apu.records),
+        "n_records": len(trace),
     }
 
 

@@ -54,9 +54,9 @@ class TestSchedulingFairness:
             p.iadd(v(2), v(2), imm(1))
         apu = Apu(memory=mem, n_cus=1)
         apu.run([Launch(p.build(), 32, [buf])])
-        # Two wavefronts of pure ALU work: their records must interleave
-        # rather than run one wavefront to completion first.
-        wf_seq = [r.wf for r in apu.records]
+        # Two wavefronts of pure ALU work: their trace rows must
+        # interleave rather than run one wavefront to completion first.
+        wf_seq = apu.trace.wf.tolist()
         first_wf1 = wf_seq.index(1)
         assert first_wf1 < 8  # wavefront 1 issues before wavefront 0 retires
 
@@ -69,7 +69,7 @@ class TestSchedulingFairness:
         # All six wavefronts ran to completion despite only 2 being
         # resident at a time.
         assert stats.n_wavefronts == 6
-        assert len({r.wf for r in apu.records}) == 6
+        assert len(set(apu.trace.wf.tolist())) == 6
 
     def test_cycle_skipping_when_stalled(self):
         """With a single stalled wavefront the clock jumps to its ready

@@ -2,8 +2,8 @@
 
 The committed ``sim_digests.json`` records, per ``(workload, seed)`` run
 through :func:`repro.workloads.run` at its default ``n_cus``, a sha256 of
-the final global-memory image, a sha256 of every trace record's
-``(uid, t, wf)``, the record count, the end cycle, and each L1's and the
+the final global-memory image, a sha256 of every trace row's
+``(uid, t, wf)`` (the uid is the row index), the row count, the end cycle, and each L1's and the
 L2's ``(hits, misses)``.  Any change to the simulator's functional
 results, timing, issue order or cache behaviour changes one of them, so
 a hot-path rewrite must keep this file byte-identical.
@@ -29,9 +29,10 @@ SEEDS = (0, 1)
 def sim_digest(name, seed):
     """The pinned fingerprint of one workload run."""
     result = run(name, seed=seed)
-    records = np.array(
-        [(r.uid, r.t, r.wf) for r in result.apu.records], dtype=np.int64
-    ).reshape(-1, 3)
+    trace = result.apu.trace
+    records = np.stack(
+        [np.arange(len(trace)), trace.t, trace.wf], axis=1
+    ).astype(np.int64)
     memsys = result.apu.memsys
     return {
         "memory_sha256": hashlib.sha256(

@@ -253,7 +253,8 @@ class TestMemoryRegions:
         for region in regions:
             got = study.memory_lifetimes(region)
             want = analyze_memory(
-                study.apu.records, region, study.output_ranges,
+                study.apu.trace, study.apu.wf_programs,
+                study.liveness.mem_needed, region, study.output_ranges,
                 study.end_cycle,
             )
             for field in ("offsets", "starts", "ends", "cls"):
@@ -268,7 +269,7 @@ class TestMemoryRegions:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(args[3])
             return analyze_memory(*args, **kwargs)
 
         monkeypatch.setattr(analysis, "analyze_memory", counted)

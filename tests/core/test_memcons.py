@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.arch import Apu, GlobalMemory, Launch, ProgramBuilder, imm, s, v
-from repro.arch.trace import FillEvent, ReadEvent
+from repro.arch.cache import FILL, WRITEBACK_READ
 from repro.core import AvfStudy
 from repro.core._reference import MemoryConsumptionRef
 from repro.core.intervals import AceClass
@@ -53,7 +53,12 @@ def _copy_a_to_b(p):
 
 
 def _store_times(study):
-    return sorted(r.t for r in study.apu.records if r.op == "v_store")
+    apu = study.apu
+    trace = apu.trace
+    return sorted(
+        t for t, wf, pc in zip(trace.t, trace.wf, trace.pc)
+        if apu.wf_programs[wf].instrs[pc].op == "v_store"
+    )
 
 
 class TestWritebackVerdict:
@@ -125,17 +130,19 @@ def test_writeback_verdict_matches_reference(name):
     """Every dirty byte of every L2 write-back: the table's verdict equals
     the per-byte consumption index it replaced."""
     study = build_study(name, seed=0)
+    apu = study.apu
     ref = MemoryConsumptionRef(
-        study.apu.records, study.apu.memory.size, study.output_ranges
+        apu.trace, apu.wf_programs, study.liveness.mem_needed,
+        apu.memory.size, study.output_ranges,
     )
     table = _address_table(study)
     n = 0
-    for ev in study.apu.memsys.l2.events:
-        if not (isinstance(ev, ReadEvent) and ev.kind == "writeback"):
-            continue
-        addrs = ev.line_addr + np.flatnonzero(ev.byte_mask)
-        expected = [ref.live_after(a, ev.t) for a in addrs.tolist()]
-        assert _consumed(table, addrs, ev.t).tolist() == expected
+    ev = apu.memsys.l2.events()
+    for k in np.flatnonzero(ev.kind == WRITEBACK_READ):
+        t = int(ev.t[k])
+        addrs = ev.line[k] + np.flatnonzero(ev.dirty[ev.ref[k]])
+        expected = [ref.live_after(a, t) for a in addrs.tolist()]
+        assert _consumed(table, addrs, t).tolist() == expected
         n += len(addrs)
     assert n, "no write-backs: nothing was compared"
 
@@ -145,8 +152,8 @@ def test_l1_fill_ids_are_disjoint():
     verdicts share one map with no key written twice."""
     study = build_study("matmul", seed=0)
     per_l1 = [
-        {ev.fill_id for ev in l1.events if isinstance(ev, FillEvent)}
-        for l1 in study.apu.memsys.l1s
+        set(ev.ref[ev.kind == FILL].tolist())
+        for ev in (l1.events() for l1 in study.apu.memsys.l1s)
     ]
     assert len(per_l1) > 1 and all(per_l1)
     assert sum(map(len, per_l1)) == len(set().union(*per_l1))

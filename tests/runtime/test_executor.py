@@ -105,6 +105,12 @@ class TestInlineExecutor:
         with pytest.raises(ValueError):
             Executor(dispatch, jobs=0).run([Task("a"), Task("a")])
 
+    @pytest.mark.parametrize("timeout", [0, -1.0])
+    def test_non_positive_timeout_rejected(self, timeout):
+        """A budget of zero or less would time out every task."""
+        with pytest.raises(ValueError, match="timeout must be > 0"):
+            Executor(dispatch, jobs=1, timeout=timeout)
+
     def test_timeout_without_isolation_warns_once(self):
         from repro import obs
         from repro.runtime.executor import _reset_inline_timeout_warning

@@ -67,6 +67,12 @@ class TestQuery:
         with pytest.raises(KeyError, match="unknown order column"):
             seeded.query(order_by=("sdc_avf",))
 
+    def test_negative_limit_raises(self, seeded):
+        """sqlite would read a negative LIMIT as no limit at all."""
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            seeded.query(limit=-1)
+        assert len(seeded.query(limit=0)) == 0
+
     def test_rows_are_typed(self, seeded):
         row = seeded.query(workload="stencil")[0]
         assert row.n_groups is None and row.window_cycles is None

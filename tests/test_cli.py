@@ -146,6 +146,25 @@ class TestCampaignRuntimeFlags:
         with pytest.raises(SystemExit):
             main(["inject", "transpose", "--jobs", "-1"])
 
+    @pytest.mark.parametrize("timeout", ["0", "-1"])
+    def test_non_positive_timeout_rejected(self, timeout, capsys):
+        """A zero or negative budget would fail every injection as a
+        timeout; the parser refuses it instead."""
+        with pytest.raises(SystemExit) as exc:
+            main(["inject", "vectoradd", "--singles", "2", "--groups", "0",
+                  "--jobs", "1", "--timeout", timeout])
+        assert exc.value.code == 2
+        assert "--timeout must be > 0" in capsys.readouterr().err
+
+    def test_negative_query_limit_rejected(self, tmp_path, capsys):
+        """sqlite reads a negative LIMIT as no limit; the parser refuses
+        it."""
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "--store", str(tmp_path / "s.sqlite"),
+                  "--limit", "-1"])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
     def test_negative_retries_rejected(self):
         with pytest.raises(SystemExit):
             main(["inject", "transpose", "--retries", "-2"])
