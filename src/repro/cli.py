@@ -48,6 +48,7 @@ from .core import (
     figure2_sweep,
     soft_error_rate,
 )
+from .core.layout import CACHE_STYLES, REGFILE_STYLES
 from .experiments import observability_report, scaled_apu_kwargs
 from .workloads import names, run
 
@@ -889,6 +890,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 parser.error(
                     f"--{flag} {path}: directory {parent} does not exist"
                 )
+    if args.command in ("avf", "ser"):
+        # An impossible layout must fail before the workload simulates.
+        styles = REGFILE_STYLES if args.structure == "vgpr" else CACHE_STYLES
+        if _STYLES[args.style] not in styles:
+            parser.error(
+                f"--style {args.style} cannot lay out {args.structure} "
+                f"(valid: {', '.join(s.value for s in styles)})"
+            )
     if args.command in ("inject", "campaign"):
         if args.jobs < 0:
             parser.error("--jobs must be >= 0 (0 = in-process)")

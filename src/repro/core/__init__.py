@@ -24,8 +24,6 @@ from .avf import (
     ace_locality,
     compute_mb_avf,
     compute_mb_avf_batch,
-    compute_sb_avf,
-    merge_results,
 )
 from .faultmodes import MX1_MODES, FaultMode
 from .intervals import AceClass, IntervalSet, Outcome
@@ -79,8 +77,6 @@ __all__ = [
     "ace_locality",
     "compute_mb_avf",
     "compute_mb_avf_batch",
-    "compute_sb_avf",
-    "merge_results",
     "MX1_MODES",
     "FaultMode",
     "AceClass",

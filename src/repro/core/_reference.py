@@ -29,7 +29,7 @@ import numpy as np
 from ..arch.isa import Program
 from ..arch.trace import Trace
 from .intervals import AceClass, Interval, IntervalSet, Outcome
-from .layout import SramArray
+from .layout import Interleaving, SramArray
 from .protection import (
     KIND_NONE,
     OUTCOME_TABLE,
@@ -452,7 +452,6 @@ def compute_outcome_cycles_ref(
     mode,
     scheme: ProtectionScheme,
     *,
-    due_preempts_sdc: bool = False,
     miscorrect_corrupts: bool = False,
     series_edges: Optional[Sequence[int]] = None,
 ):
@@ -461,6 +460,8 @@ def compute_outcome_cycles_ref(
     Returns ``(outcome_cycles, series)`` computed exactly as the
     pre-vectorization engine did; the production
     :func:`repro.core.avf.compute_mb_avf` must reproduce both bit-for-bit.
+    The Sec. VIII rule is the layout's: it applies to an inter-thread
+    array only.
     """
     from .avf import _canonical_iset_ids
 
@@ -491,7 +492,7 @@ def compute_outcome_cycles_ref(
     for sig, weight in sigs.items():
         combined = combine_outcomes_ref(
             [region_outcome(n, ids) for n, ids in sig],
-            due_preempts_sdc=due_preempts_sdc,
+            due_preempts_sdc=array.style is Interleaving.INTER_THREAD,
         )
         if not combined:
             continue
@@ -511,9 +512,10 @@ def compute_mb_avf_batch_ref(array: SramArray, lifetimes, configs) -> list:
     config and signature, every region's ACE union is swept (eq. 5),
     classified through the scheme's reaction (eq. 6), the regions are
     combined under the precedence rules and the combined outcome is
-    integrated into outcome cycles and series buckets.  The grouped sweep of
-    :func:`repro.core.avf.compute_mb_avf_batch` must return the same
-    results bit for bit.
+    integrated into outcome cycles and series buckets, the Sec. VIII rule
+    applying exactly to an inter-thread array.  The grouped sweep of
+    :func:`repro.core.avf.compute_mb_avf_batch` over the one replica
+    ``lifetimes`` must return the same results bit for bit.
     """
     from .avf import MbAvfResult, _canonical_iset_ids, _enumerate_signatures
 
@@ -552,7 +554,7 @@ def compute_mb_avf_batch_ref(array: SramArray, lifetimes, configs) -> list:
         for sig, weight in sigs.items():
             combined = combine_outcomes_ref(
                 [region_outcome(n, ids) for n, ids in sig],
-                due_preempts_sdc=cfg.due_preempts_sdc,
+                due_preempts_sdc=array.style is Interleaving.INTER_THREAD,
             )
             if not combined:
                 continue

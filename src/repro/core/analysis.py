@@ -16,7 +16,6 @@ paper's infrastructure.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +29,6 @@ from .avf import (
     StructureLifetimes,
     ace_locality,
     compute_mb_avf_batch,
-    merge_results,
 )
 from .faultmodes import FaultMode
 from .layout import (
@@ -48,14 +46,7 @@ from .lifetime import (
 )
 from .protection import ProtectionScheme
 
-__all__ = ["AvfStudy", "due_preempts_sdc_for"]
-
-
-def due_preempts_sdc_for(style: Interleaving) -> bool:
-    """The Sec. VIII rule: with inter-thread interleaving the threads of
-    a wavefront read a register row simultaneously, so a detected region
-    fires before an undetected one propagates (DUE preempts SDC)."""
-    return style is Interleaving.INTER_THREAD
+__all__ = ["AvfStudy"]
 
 
 def _stack(
@@ -235,8 +226,8 @@ class AvfStudy:
 
     def _replicas(self, structure: str) -> List[StructureLifetimes]:
         """The lifetime tables of ``structure``, one per replica the engine
-        measures on its own: one per L1, the L2, or every wavefront's
-        register file stacked into one.  A tag array's are derived from
+        sums over: one per L1, the L2, or every wavefront's register file
+        stacked into one.  A tag array's are derived from
         its data array's (an entry is ACE while its line holds live data)
         once, and every layout shares them."""
         if structure == "vgpr":
@@ -337,20 +328,12 @@ class AvfStudy:
         style: Optional[Interleaving] = None,
         factor: int = 1,
     ) -> List[MbAvfResult]:
-        """MB-AVFs of ``structure`` for many engine configs in one pass.
-
-        All configs share one enumeration/classification cache per
-        replica, and each config's replica results are merged.  Every
-        config gets the layout's Sec. VIII rule
-        (:func:`due_preempts_sdc_for`), whatever it was built with.
-        """
+        """MB-AVFs of ``structure`` for many engine configs in one pass:
+        one :func:`~repro.core.avf.compute_mb_avf_batch` call over the
+        structure's layout and replicas, which sums each config over the
+        replicas and applies the layout's Sec. VIII rule."""
         layout, replicas = self._structure(structure, style, factor)
-        rule = due_preempts_sdc_for(layout.style)
-        configs = [replace(c, due_preempts_sdc=rule) for c in configs]
-        per_replica = [
-            compute_mb_avf_batch(layout, lt, configs) for lt in replicas
-        ]
-        return [merge_results(rs) for rs in zip(*per_replica)]
+        return compute_mb_avf_batch(layout, replicas, configs)
 
     def avf(
         self,

@@ -59,12 +59,13 @@ they can be shared:
   every mode,
 * the region table is memoized per ``(array, mode, lifetimes)``, and with
   it each config's outcome cycles and series, keyed by ``(scheme,
-  miscorrect_corrupts, due_preempts_sdc, series_edges)``.
+  miscorrect_corrupts, series_edges)``.
 
-:func:`compute_mb_avf_batch` exposes this directly: hand it a list of
-:class:`AvfConfig` and it shares every cache across the whole batch; the
-single-config :func:`compute_mb_avf` is a thin wrapper.  Cache traffic is
-observable via the ``avf.batch_cache_hits`` counter.
+:func:`compute_mb_avf_batch` is the one engine call per structure layout:
+it takes every replica's lifetimes and a list of :class:`AvfConfig`, and
+shares every cache across the whole batch; the single-config
+:func:`compute_mb_avf` is a thin wrapper.  Cache traffic is observable via
+the ``avf.batch_cache_hits`` counter.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from .intervals import (
     _csr_take,
     union_rows,
 )
-from .layout import SramArray
+from .layout import Interleaving, SramArray
 from .protection import OUTCOME_TABLE, ProtectionScheme, reaction_kind
 
 __all__ = [
@@ -94,8 +95,6 @@ __all__ = [
     "MbAvfResult",
     "compute_mb_avf",
     "compute_mb_avf_batch",
-    "compute_sb_avf",
-    "merge_results",
     "ace_locality",
 ]
 
@@ -241,7 +240,6 @@ class AvfConfig:
 
     mode: FaultMode
     scheme: ProtectionScheme
-    due_preempts_sdc: bool = False
     miscorrect_corrupts: bool = False
     series_edges: Optional[Tuple[int, ...]] = None
 
@@ -635,8 +633,9 @@ _OUTCOMES = np.array(OUTCOME_TABLE, dtype=np.int64)
 #: the outcome classes an MB-AVF result reports, in ``Outcome`` order
 _REPORTED = (Outcome.FALSE_DUE, Outcome.TRUE_DUE, Outcome.SDC)
 
-#: (scheme, miscorrect_corrupts, due_preempts_sdc, series_edges)
-_ResultKey = Tuple[ProtectionScheme, bool, bool, Optional[Tuple[int, ...]]]
+#: (scheme, miscorrect_corrupts, series_edges); the Sec. VIII rule is the
+#: layout's, so it is fixed per enumeration memo
+_ResultKey = Tuple[ProtectionScheme, bool, Optional[Tuple[int, ...]]]
 #: weighted cycles per reported outcome, and the optional series
 _Result = Tuple[Tuple[int, ...], Optional[np.ndarray]]
 
@@ -877,89 +876,116 @@ def _signatures_for(
 
 def compute_mb_avf_batch(
     array: SramArray,
-    lifetimes: StructureLifetimes,
+    replicas: Sequence[StructureLifetimes],
     configs: Sequence[AvfConfig],
 ) -> List[MbAvfResult]:
-    """Compute MB-AVFs for many engine configurations in one pass.
+    """MB-AVFs of one structure layout for many engine configurations.
 
-    Canonical lifetime ids are resolved once; every mode's fault-group
-    enumeration reads one row table per layout, and its region table is
-    memoized per mode; region ACE unions are shared across every config,
-    and each config's outcome cycles and series are cached with its
-    enumeration.  Use this instead of looping over :func:`compute_mb_avf`
-    whenever several (mode, scheme) pairs are evaluated on the same
-    structure — sweeps, design-space studies, the perf benches.
+    ``replicas`` are the lifetime tables of every identical copy of the
+    structure laid out as ``array`` (the per-CU L1s, say), sharing one
+    analysis window.  Each config's outcome cycles, group count and series
+    are summed over them in replica order; the result is named after the
+    first.  The Sec. VIII rule (DUE preempts SDC: a wavefront reads a
+    register row at once, so a detected region fires before an undetected
+    one propagates) applies exactly to an ``INTER_THREAD`` array.
+
+    Every cache described in the module docstring is shared across the
+    batch, so use this instead of looping over :func:`compute_mb_avf`
+    whenever several (mode, scheme) pairs are evaluated on one structure.
     """
+    if not replicas:
+        raise ValueError("a structure needs at least one replica")
+    first = replicas[0]
+    window = (first.start_cycle, first.end_cycle)
+    if any((lt.start_cycle, lt.end_cycle) != window for lt in replicas):
+        raise ValueError("replicas must share one analysis window")
+    tracer = get_tracer()
+    cycles = [[0.0] * len(_REPORTED) for _ in configs]
+    series: List[Optional[np.ndarray]] = [None] * len(configs)
+    for lifetimes in replicas:
+        with tracer.span(
+            "batch", structure=lifetimes.name, configs=len(configs)
+        ):
+            canon = _canonical_iset_ids(lifetimes)
+            for i, cfg in enumerate(configs):
+                got, got_series = _config_result(
+                    array, canon, lifetimes, cfg
+                )
+                cycles[i] = [a + float(b) for a, b in zip(cycles[i], got)]
+                if got_series is not None:
+                    total = series[i]
+                    series[i] = (
+                        got_series.copy() if total is None
+                        else total + got_series
+                    )
+    return [
+        MbAvfResult(
+            structure=first.name,
+            mode=cfg.mode,
+            scheme=cfg.scheme.name,
+            n_groups=len(replicas)
+            * array.n_groups(cfg.mode.height, cfg.mode.width),
+            window_cycles=first.window_cycles,
+            outcome_cycles=dict(zip(_REPORTED, c)),
+            series_edges=None if cfg.series_edges is None
+            else np.asarray(cfg.series_edges, dtype=np.int64),
+            series=s,
+        )
+        for cfg, c, s in zip(configs, cycles, series)
+    ]
+
+
+def _config_result(
+    array: SramArray,
+    canon: _CanonicalIds,
+    lifetimes: StructureLifetimes,
+    cfg: AvfConfig,
+) -> _Result:
+    """One config's outcome cycles and series on one replica, from the
+    enumeration memo's result cache or classified and integrated anew."""
     tracer = get_tracer()
     metrics = get_metrics()
-    results: List[MbAvfResult] = []
+    mode, scheme = cfg.mode, cfg.scheme
+    sigs = _signatures_for(array, canon, mode, lifetimes)
+    if metrics:
+        # The dedup hit-rate is 1 - signatures/groups: every group
+        # beyond its signature's first is classified for free.
+        metrics.counter("avf.computations").inc()
+        metrics.counter("avf.groups_enumerated").inc(
+            array.n_groups(mode.height, mode.width)
+        )
+        metrics.counter("avf.unique_signatures").inc(sigs.n_signatures)
+    key = (scheme, cfg.miscorrect_corrupts, cfg.series_edges)
+    cached = sigs.results.get(key)
+    if cached is not None:
+        if metrics:
+            metrics.counter("avf.batch_cache_hits").inc()
+        return cached
     with tracer.span(
-        "batch", structure=lifetimes.name, configs=len(configs)
-    ):
-        canon = _canonical_iset_ids(lifetimes)
-        for cfg in configs:
-            mode, scheme = cfg.mode, cfg.scheme
-            sigs = _signatures_for(array, canon, mode, lifetimes)
-            n_groups = array.n_groups(mode.height, mode.width)
-            if metrics:
-                # The dedup hit-rate is 1 - signatures/groups: every group
-                # beyond its signature's first is classified for free.
-                metrics.counter("avf.computations").inc()
-                metrics.counter("avf.groups_enumerated").inc(n_groups)
-                metrics.counter("avf.unique_signatures").inc(sigs.n_signatures)
-
-            edges = None
-            if cfg.series_edges is not None:
-                edges = np.asarray(cfg.series_edges, dtype=np.int64)
-            key = (
-                scheme, cfg.miscorrect_corrupts, cfg.due_preempts_sdc,
-                cfg.series_edges,
-            )
-            cached = sigs.results.get(key)
-            if cached is None:
-                with tracer.span(
-                    "classify", signatures=sigs.n_signatures, scheme=scheme.name
-                ) as span:
-                    kinds = np.array(
-                        [
-                            reaction_kind(
-                                scheme.react(n),
-                                miscorrect_corrupts=cfg.miscorrect_corrupts,
-                            )
-                            for n in range(mode.n_bits + 1)
-                        ],
-                        dtype=np.int64,
-                    )
-                    events, weights, n_regions, n_combos = sigs.classify(
-                        canon, kinds
-                    )
-                    span.set(combinations=n_combos)
-                if metrics:
-                    metrics.counter("avf.regions_classified").inc(n_regions)
-                with tracer.span("integrate", signatures=sigs.n_signatures):
-                    cached = _integrate(
-                        events, weights, cfg.due_preempts_sdc, edges
-                    )
-                sigs.results[key] = cached
-            elif metrics:
-                metrics.counter("avf.batch_cache_hits").inc()
-            cycles, series = cached
-
-            results.append(
-                MbAvfResult(
-                    structure=lifetimes.name,
-                    mode=mode,
-                    scheme=scheme.name,
-                    n_groups=n_groups,
-                    window_cycles=lifetimes.window_cycles,
-                    outcome_cycles={
-                        o: float(v) for o, v in zip(_REPORTED, cycles)
-                    },
-                    series_edges=edges,
-                    series=None if series is None else series.copy(),
+        "classify", signatures=sigs.n_signatures, scheme=scheme.name
+    ) as span:
+        kinds = np.array(
+            [
+                reaction_kind(
+                    scheme.react(n),
+                    miscorrect_corrupts=cfg.miscorrect_corrupts,
                 )
-            )
-    return results
+                for n in range(mode.n_bits + 1)
+            ],
+            dtype=np.int64,
+        )
+        events, weights, n_regions, n_combos = sigs.classify(canon, kinds)
+        span.set(combinations=n_combos)
+    if metrics:
+        metrics.counter("avf.regions_classified").inc(n_regions)
+    edges = None
+    if cfg.series_edges is not None:
+        edges = np.asarray(cfg.series_edges, dtype=np.int64)
+    with tracer.span("integrate", signatures=sigs.n_signatures):
+        cached = sigs.results[key] = _integrate(
+            events, weights, array.style is Interleaving.INTER_THREAD, edges
+        )
+    return cached
 
 
 def compute_mb_avf(
@@ -968,79 +994,26 @@ def compute_mb_avf(
     mode: FaultMode,
     scheme: ProtectionScheme,
     *,
-    due_preempts_sdc: bool = False,
     miscorrect_corrupts: bool = False,
     series_edges: Optional[Sequence[int]] = None,
 ) -> MbAvfResult:
-    """Compute the DUE and SDC MB-AVF of ``array`` for one fault mode.
-
-    ``due_preempts_sdc`` enables the Sec. VIII simultaneous-read rule (a
-    detected region fires before an undetected region's data can propagate,
-    e.g. inter-thread interleaving within one GPU wavefront read).
+    """The DUE and SDC MB-AVF of ``array`` for one fault mode, over one
+    lifetime table: :func:`compute_mb_avf_batch` of one replica and one
+    config.
 
     ``series_edges`` optionally requests an AVF-over-time series with the
     given bucket boundaries (used for the paper's phase plots, Fig. 5/8).
 
     Repeated calls on the same ``(array, lifetimes)`` reuse the cached
-    enumeration and classifications; see :func:`compute_mb_avf_batch`.
+    enumeration and classifications.
     """
     cfg = AvfConfig(
         mode=mode,
         scheme=scheme,
-        due_preempts_sdc=due_preempts_sdc,
         miscorrect_corrupts=miscorrect_corrupts,
         series_edges=tuple(series_edges) if series_edges is not None else None,
     )
-    return compute_mb_avf_batch(array, lifetimes, [cfg])[0]
-
-
-def compute_sb_avf(
-    array: SramArray,
-    lifetimes: StructureLifetimes,
-    scheme: ProtectionScheme,
-    *,
-    series_edges: Optional[Sequence[int]] = None,
-) -> MbAvfResult:
-    """Single-bit AVF: MB-AVF of the degenerate 1x1 fault mode."""
-    return compute_mb_avf(
-        array, lifetimes, FaultMode.linear(1), scheme, series_edges=series_edges
-    )
-
-
-def merge_results(results: Sequence[MbAvfResult]) -> MbAvfResult:
-    """Aggregate MB-AVF results over replicated structures.
-
-    Used to combine the per-CU L1 caches, or the per-wavefront register
-    files, into one structure-level AVF: outcome group-cycles and group
-    counts add; all inputs must share the fault mode, scheme and analysis
-    window.
-    """
-    if not results:
-        raise ValueError("nothing to merge")
-    first = results[0]
-    outcome: Dict[Outcome, float] = {}
-    n_groups = 0
-    series = None
-    for r in results:
-        if r.mode != first.mode or r.scheme != first.scheme:
-            raise ValueError("cannot merge results of different configurations")
-        if r.window_cycles != first.window_cycles:
-            raise ValueError("cannot merge results with different windows")
-        n_groups += r.n_groups
-        for o, cyc in r.outcome_cycles.items():
-            outcome[o] = outcome.get(o, 0.0) + cyc
-        if r.series is not None:
-            series = r.series.copy() if series is None else series + r.series
-    return MbAvfResult(
-        structure=first.structure,
-        mode=first.mode,
-        scheme=first.scheme,
-        n_groups=n_groups,
-        window_cycles=first.window_cycles,
-        outcome_cycles=outcome,
-        series_edges=first.series_edges,
-        series=series,
-    )
+    return compute_mb_avf_batch(array, [lifetimes], [cfg])[0]
 
 
 def ace_locality(array: SramArray, lifetimes: StructureLifetimes) -> float:

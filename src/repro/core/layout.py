@@ -31,6 +31,8 @@ import numpy as np
 
 __all__ = [
     "Interleaving",
+    "CACHE_STYLES",
+    "REGFILE_STYLES",
     "SramArray",
     "build_cache_array",
     "build_regfile_array",
@@ -49,6 +51,21 @@ class Interleaving(Enum):
     INDEX_PHYSICAL = "index"
     INTRA_THREAD = "intra_thread"
     INTER_THREAD = "inter_thread"
+
+
+#: the styles :func:`build_cache_array` lays out
+CACHE_STYLES = (
+    Interleaving.NONE,
+    Interleaving.LOGICAL,
+    Interleaving.WAY_PHYSICAL,
+    Interleaving.INDEX_PHYSICAL,
+)
+#: the styles :func:`build_regfile_array` lays out
+REGFILE_STYLES = (
+    Interleaving.NONE,
+    Interleaving.INTRA_THREAD,
+    Interleaving.INTER_THREAD,
+)
 
 
 @dataclass
@@ -161,6 +178,8 @@ def build_cache_array(
     domains are bit-interleaved per cluster; ``style`` chooses where the
     cluster's companion domains come from.
     """
+    if style not in CACHE_STYLES:
+        raise ValueError(f"{style} is not a cache interleaving style")
     if factor < 1:
         raise ValueError("interleave factor must be >= 1")
     if style is Interleaving.NONE:
@@ -202,7 +221,7 @@ def build_cache_array(
                         for k in range(domains_per_line)
                     ]
                 )
-    elif style is Interleaving.INDEX_PHYSICAL:
+    else:  # index-physical
         if n_sets % factor:
             raise ValueError("index interleaving factor must divide set count")
         # One row per (set-group, way); cluster k interleaves domain k of the
@@ -215,8 +234,6 @@ def build_cache_array(
                         for k in range(domains_per_line)
                     ]
                 )
-    else:
-        raise ValueError(f"{style} is not a cache interleaving style")
     return _assemble(name, rows, domain_bytes, factor, style)
 
 
@@ -274,6 +291,8 @@ def build_regfile_array(
     ``I`` consecutive registers of the same thread; ``inter_thread`` ("txI")
     interleaves the same register of ``I`` adjacent threads.
     """
+    if style not in REGFILE_STYLES:
+        raise ValueError(f"{style} is not a register-file interleaving style")
     if factor < 1:
         raise ValueError("interleave factor must be >= 1")
 
@@ -293,7 +312,7 @@ def build_regfile_array(
                     for g in range(n_regs // factor)
                 ]
             )
-    elif style is Interleaving.INTER_THREAD:
+    else:  # inter-thread
         if n_threads % factor:
             raise ValueError("inter-thread factor must divide thread count")
         for tg in range(n_threads // factor):
@@ -303,6 +322,4 @@ def build_regfile_array(
                     for r in range(n_regs)
                 ]
             )
-    else:
-        raise ValueError(f"{style} is not a register-file interleaving style")
     return _assemble(name, rows, reg_bytes, factor, style)

@@ -56,6 +56,7 @@ exception storms, corrupted or failing journal writes — which is how
 
 from __future__ import annotations
 
+import json
 import multiprocessing as mp
 import signal
 import sys
@@ -501,7 +502,9 @@ def load_journaled_results(
     A journaled record is returned as-is (never re-executed), a record
     that cannot be rebuilt is quarantined and its task re-run, and the
     ``runtime.tasks_resumed`` counter records how much work the journal
-    already covered.
+    already covered.  A record whose ``meta`` differs from its task's
+    (compared as JSON; skipped when either has none) was written under
+    another configuration: :class:`ExecutorError`, before any work runs.
     """
     results: Dict[str, TaskResult] = {}
     pending: List[Task] = []
@@ -511,6 +514,14 @@ def load_journaled_results(
         if rec is None:
             pending.append(t)
             continue
+        meta = json.loads(json.dumps(t.meta)) if t.meta else None
+        if meta and rec.get("meta") and meta != rec["meta"]:
+            raise ExecutorError(
+                f"journal {journal.path} holds task {t.id!r} under "
+                f"another configuration (journaled meta {rec['meta']}, "
+                f"this run's {meta}); resume with the journal's "
+                "configuration or use a new journal"
+            )
         try:
             results[t.id] = TaskResult.from_record(rec)
         except JournalRecordError:

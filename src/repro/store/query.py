@@ -80,6 +80,15 @@ _AGGREGATES: Dict[str, Callable[[Sequence[float]], float]] = {
 }
 
 
+def _aggregate(agg: str, values: Iterable[Any]) -> float:
+    """``agg`` over ``values``, skipping NULLs as SQL does: ``count``
+    counts the non-NULL values, and any other aggregate of none is NaN."""
+    xs = [float(v) for v in values if v is not None]
+    if not xs and agg != "count":
+        return float("nan")
+    return _AGGREGATES[agg](xs)
+
+
 def build_where(
     filters: Mapping[str, Any]
 ) -> Tuple[str, List[Any]]:
@@ -159,12 +168,11 @@ class QueryResult:
         return [r.to_dict() for r in self.rows]
 
     def aggregate(self, value: str = "sdc_avf", agg: str = "mean") -> float:
-        """One aggregate over the whole result set."""
+        """One aggregate over the whole result set; NULL values are
+        skipped, as in SQL."""
         if not self.rows:
             raise ValueError("cannot aggregate an empty result set")
-        return _AGGREGATES[agg](
-            [float(getattr(r, value) or 0.0) for r in self.rows]
-        )
+        return _aggregate(agg, (getattr(r, value) for r in self.rows))
 
     def group_by(
         self,
@@ -175,9 +183,10 @@ class QueryResult:
         """Aggregate ``value`` per distinct key tuple.
 
         ``keys`` are filter-column names; ``agg`` is one of ``mean``,
-        ``min``, ``max``, ``sum``, ``count``.  Group order follows the
-        sorted key tuples, so renderers iterating the result are
-        deterministic.
+        ``min``, ``max``, ``sum``, ``count``.  NULL values are skipped, as
+        in SQL: ``count`` counts the non-NULL ones, and a group with only
+        NULLs aggregates to NaN.  Group order follows the sorted key
+        tuples, so renderers iterating the result are deterministic.
         """
         if isinstance(keys, str):
             keys = (keys,)
@@ -189,11 +198,8 @@ class QueryResult:
                 f"unknown aggregate {agg!r}; valid: "
                 + ", ".join(sorted(_AGGREGATES))
             )
-        buckets: Dict[Tuple[Any, ...], List[float]] = {}
+        buckets: Dict[Tuple[Any, ...], List[Any]] = {}
         for r in self.rows:
             bucket = tuple(getattr(r, k) for k in keys)
-            buckets.setdefault(bucket, []).append(
-                float(getattr(r, value) or 0.0)
-            )
-        fn = _AGGREGATES[agg]
-        return {k: fn(vs) for k, vs in sorted(buckets.items())}
+            buckets.setdefault(bucket, []).append(getattr(r, value))
+        return {k: _aggregate(agg, vs) for k, vs in sorted(buckets.items())}

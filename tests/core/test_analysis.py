@@ -13,8 +13,7 @@ from repro.core import (
     Parity,
     SecDed,
 )
-from repro.core.analysis import due_preempts_sdc_for
-from repro.core.avf import AvfConfig, compute_mb_avf_batch, merge_results
+from repro.core.avf import AvfConfig, compute_mb_avf_batch
 from repro.core.intervals import Outcome
 from repro.workloads import run
 
@@ -162,6 +161,22 @@ def _assert_same_result(got, want):
             assert a == b, f.name
 
 
+def _summed(parts):
+    """``parts``, one result per replica, summed in replica order: the
+    cycles, group counts and series add; the rest is the first part's."""
+    cycles = {}
+    for p in parts:
+        for o, c in p.outcome_cycles.items():
+            cycles[o] = cycles.get(o, 0.0) + c
+    series = [p.series for p in parts if p.series is not None]
+    return dataclasses.replace(
+        parts[0],
+        n_groups=sum(p.n_groups for p in parts),
+        outcome_cycles=cycles,
+        series=sum(series[1:], series[0].copy()) if series else None,
+    )
+
+
 class TestAvfBatch:
     @pytest.mark.parametrize(
         "structure,layouts", STRUCTURE_LAYOUTS,
@@ -172,7 +187,7 @@ class TestAvfBatch:
     ):
         """One path: every structure's AVF is the engine batch on each
         replica of ``_structure``, under the layout's Sec. VIII rule,
-        merged with ``merge_results``."""
+        summed over the replicas in order."""
         edges = tuple(np.linspace(0, matmul_study.end_cycle, 5, dtype=int))
         configs = [
             AvfConfig(mode=mode, scheme=scheme, series_edges=series)
@@ -185,37 +200,12 @@ class TestAvfBatch:
                 structure, configs, style=style, factor=factor
             )
             layout, replicas = matmul_study._structure(structure, style, factor)
-            rule = due_preempts_sdc_for(layout.style)
-            ruled = [
-                dataclasses.replace(c, due_preempts_sdc=rule) for c in configs
-            ]
             per_replica = [
-                compute_mb_avf_batch(layout, lt, ruled) for lt in replicas
+                compute_mb_avf_batch(layout, [lt], configs) for lt in replicas
             ]
             assert len(got) == len(configs)
             for res, rs in zip(got, zip(*per_replica)):
-                _assert_same_result(res, merge_results(rs))
-
-    @pytest.mark.parametrize("style", [
-        Interleaving.INTRA_THREAD, Interleaving.INTER_THREAD,
-    ])
-    def test_config_gets_the_layouts_rule(self, minife_study, style):
-        """A config built with the wrong ``due_preempts_sdc`` is measured
-        under the layout's rule all the same."""
-        rule = due_preempts_sdc_for(style)
-        mode, scheme = FaultMode.linear(3), Parity()
-        wrong, right = minife_study.avf_batch(
-            "vgpr",
-            [
-                AvfConfig(mode=mode, scheme=scheme, due_preempts_sdc=not rule),
-                AvfConfig(mode=mode, scheme=scheme, due_preempts_sdc=rule),
-            ],
-            style=style, factor=2,
-        )
-        _assert_same_result(wrong, right)
-        _assert_same_result(
-            wrong, minife_study.avf("vgpr", mode, scheme, style=style, factor=2)
-        )
+                _assert_same_result(res, _summed(rs))
 
     def test_default_styles(self, matmul_study):
         def layout(structure, style=None, factor=1):

@@ -1,12 +1,15 @@
 """Unit tests for the MB-AVF engine, including the paper's worked examples."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.avf import (
+    AvfConfig,
     ace_locality,
     compute_mb_avf,
-    compute_sb_avf,
+    compute_mb_avf_batch,
 )
 from repro.core.faultmodes import FaultMode
 from repro.core.intervals import AceClass, IntervalSet, Outcome
@@ -17,6 +20,8 @@ from .tables import lifetimes_of
 
 ACE = int(AceClass.ACE)
 DEAD = int(AceClass.READ_DEAD)
+#: single-bit AVF is the MB-AVF of the degenerate 1x1 fault mode
+SB = FaultMode.linear(1)
 
 
 def _array_two_domains(interleaved: bool) -> SramArray:
@@ -45,7 +50,7 @@ class TestSbAvf:
     def test_unprotected_sb_avf_is_ace_fraction(self):
         arr = _array_two_domains(False)
         lt = _lifetimes(IntervalSet([(0, 50, ACE)]), IntervalSet())
-        res = compute_sb_avf(arr, lt, NoProtection())
+        res = compute_mb_avf(arr, lt, SB, NoProtection())
         # 8 bits ACE for 50 of 100 cycles, 8 bits never ACE.
         assert res.sdc_avf == pytest.approx(0.25)
         assert res.due_avf == 0.0
@@ -54,21 +59,21 @@ class TestSbAvf:
     def test_parity_turns_sb_sdc_into_due(self):
         arr = _array_two_domains(False)
         lt = _lifetimes(IntervalSet([(0, 50, ACE)]), IntervalSet())
-        res = compute_sb_avf(arr, lt, Parity())
+        res = compute_mb_avf(arr, lt, SB, Parity())
         assert res.due_avf == pytest.approx(0.25)
         assert res.sdc_avf == 0.0
 
     def test_secded_corrects_single_bits(self):
         arr = _array_two_domains(False)
         lt = _lifetimes(IntervalSet([(0, 50, ACE)]), IntervalSet())
-        res = compute_sb_avf(arr, lt, SecDed())
+        res = compute_mb_avf(arr, lt, SB, SecDed())
         assert res.due_avf == 0.0
         assert res.sdc_avf == 0.0
 
     def test_read_dead_gives_false_due(self):
         arr = _array_two_domains(False)
         lt = _lifetimes(IntervalSet([(0, 40, DEAD)]), IntervalSet())
-        res = compute_sb_avf(arr, lt, Parity())
+        res = compute_mb_avf(arr, lt, SB, Parity())
         assert res.false_due_avf == pytest.approx(8 * 40 / 1600)
         assert res.true_due_avf == 0.0
 
@@ -113,7 +118,7 @@ class TestMbVsSbBounds:
         arr = _array_two_domains(True)
         same = IntervalSet([(0, 50, ACE)])
         lt = _lifetimes(same, same)
-        sb = compute_sb_avf(arr, lt, NoProtection())
+        sb = compute_mb_avf(arr, lt, SB, NoProtection())
         mb = compute_mb_avf(arr, lt, FaultMode.linear(2), NoProtection())
         assert sb.sdc_avf == pytest.approx(0.5)
         assert mb.sdc_avf == pytest.approx(0.5)
@@ -123,7 +128,7 @@ class TestMbVsSbBounds:
         lt = _lifetimes(
             IntervalSet([(0, 50, ACE)]), IntervalSet([(50, 100, ACE)])
         )
-        sb = compute_sb_avf(arr, lt, NoProtection())
+        sb = compute_mb_avf(arr, lt, SB, NoProtection())
         mb = compute_mb_avf(arr, lt, FaultMode.linear(2), NoProtection())
         assert sb.sdc_avf == pytest.approx(0.5)
         assert mb.sdc_avf == pytest.approx(1.0)  # 2x the SB-AVF
@@ -137,7 +142,7 @@ class TestMbVsSbBounds:
             i0 = IntervalSet([(a[0], a[1], ACE)]) if a[0] < a[1] else IntervalSet()
             i1 = IntervalSet([(b[0], b[1], ACE)]) if b[0] < b[1] else IntervalSet()
             lt = _lifetimes(i0, i1)
-            sb = compute_sb_avf(arr, lt, NoProtection())
+            sb = compute_mb_avf(arr, lt, SB, NoProtection())
             mb = compute_mb_avf(arr, lt, FaultMode.linear(2), NoProtection())
             assert mb.sdc_avf >= sb.sdc_avf - 1e-12
             assert mb.sdc_avf <= 2 * sb.sdc_avf + 1e-12
@@ -194,9 +199,9 @@ class TestPaperFigure7:
 
     def test_figure7_simultaneous_read(self):
         arr, lt = self._setup()
-        res = compute_mb_avf(
-            arr, lt, FaultMode.linear(3), Parity(), due_preempts_sdc=True
-        )
+        # an inter-thread layout is read a row at once (Sec. VIII)
+        arr = dataclasses.replace(arr, style=Interleaving.INTER_THREAD)
+        res = compute_mb_avf(arr, lt, FaultMode.linear(3), Parity())
         # The straddling groups' SDC is preempted by the simultaneous DUE.
         assert res.outcome_cycles[Outcome.SDC] == pytest.approx(0)
         assert res.outcome_cycles[Outcome.TRUE_DUE] == pytest.approx(14 * 10)
@@ -206,7 +211,7 @@ class TestSeries:
     def test_series_buckets(self):
         arr = _array_two_domains(False)
         lt = _lifetimes(IntervalSet([(0, 50, ACE)]), IntervalSet())
-        res = compute_sb_avf(arr, lt, Parity(), series_edges=[0, 50, 100])
+        res = compute_mb_avf(arr, lt, SB, Parity(), series_edges=[0, 50, 100])
         due = res.series_avf(Outcome.TRUE_DUE)
         assert due[0] == pytest.approx(8 * 50 / (16 * 50))
         assert due[1] == pytest.approx(0.0)
@@ -214,7 +219,7 @@ class TestSeries:
     def test_series_requires_edges(self):
         arr = _array_two_domains(False)
         lt = _lifetimes(IntervalSet(), IntervalSet())
-        res = compute_sb_avf(arr, lt, Parity())
+        res = compute_mb_avf(arr, lt, SB, Parity())
         with pytest.raises(ValueError):
             res.series_avf(Outcome.SDC)
 
@@ -275,3 +280,53 @@ class TestLargeModesAndMiscorrection:
         for m in (1, 2, 3, 8):
             res = compute_mb_avf(arr, lt, FaultMode.linear(m), Parity())
             assert res.total_avf == 0.0
+
+
+class TestReplicas:
+    """One engine call measures every identical copy of a structure."""
+
+    def _replicas(self, window=30):
+        arr = _array_two_domains(False)
+        cu0 = lifetimes_of(
+            "cu0", [IntervalSet([(0, 10, ACE)]), IntervalSet([(0, 10, ACE)])],
+            0, 30,
+        )
+        cu1 = lifetimes_of(
+            "cu1", [IntervalSet([(5, 25, ACE)]), IntervalSet([(2, 4, DEAD)])],
+            0, window,
+        )
+        return arr, [cu0, cu1]
+
+    def test_sums_cycles_groups_and_series(self):
+        arr, replicas = self._replicas()
+        cfg = AvfConfig(FaultMode.linear(3), Parity(), series_edges=(0, 15, 30))
+        (got,) = compute_mb_avf_batch(arr, replicas, [cfg])
+        parts = [
+            compute_mb_avf(
+                arr, lt, cfg.mode, cfg.scheme, series_edges=cfg.series_edges
+            )
+            for lt in replicas
+        ]
+        assert got.structure == "cu0"
+        assert got.n_groups == sum(p.n_groups for p in parts)
+        assert got.window_cycles == 30
+        for o in (Outcome.FALSE_DUE, Outcome.TRUE_DUE, Outcome.SDC):
+            assert got.outcome_cycles[o] == sum(
+                p.outcome_cycles[o] for p in parts
+            )
+        assert got.outcome_cycles[Outcome.FALSE_DUE] > 0
+        np.testing.assert_array_equal(
+            got.series, parts[0].series + parts[1].series
+        )
+
+    def test_replicas_share_one_window(self):
+        arr, replicas = self._replicas(window=40)
+        cfg = AvfConfig(FaultMode.linear(2), Parity())
+        with pytest.raises(ValueError, match="one analysis window"):
+            compute_mb_avf_batch(arr, replicas, [cfg])
+
+    def test_needs_a_replica(self):
+        arr, _ = self._replicas()
+        cfg = AvfConfig(FaultMode.linear(2), Parity())
+        with pytest.raises(ValueError, match="at least one replica"):
+            compute_mb_avf_batch(arr, [], [cfg])

@@ -1,14 +1,21 @@
 """Property-based tests (hypothesis) on the core data structures."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core._reference import bucket_accumulate_ref, classify_region
-from repro.core.avf import StructureLifetimes, compute_mb_avf, compute_sb_avf
+from repro.core.avf import (
+    AvfConfig,
+    StructureLifetimes,
+    compute_mb_avf,
+    compute_mb_avf_batch,
+)
 from repro.core.faultmodes import FaultMode
-from repro.core.intervals import AceClass, IntervalSet, sweep_max
+from repro.core.intervals import AceClass, IntervalSet, Outcome, sweep_max
 from repro.core.layout import Interleaving, SramArray, build_cache_array
 from repro.core.mttf import mttf_smbf_hours, mttf_tmbf_hours
 from repro.core.protection import (
@@ -121,6 +128,10 @@ class TestFaultModeProperties:
         assert mode.n_bits == len(offsets)
 
 
+#: single-bit AVF is the MB-AVF of the degenerate 1x1 fault mode
+SB = FaultMode.linear(1)
+
+
 def _toy_lifetimes(spans, window=100):
     """Two-byte toy structure with hypothesis-chosen ACE spans."""
     isets = []
@@ -158,7 +169,7 @@ class TestAvfEngineProperties:
         """SB-AVF <= MB-AVF <= M * SB-AVF for any lifetimes (Sec. IV-D)."""
         arr = _toy_array(interleaved)
         lt = _toy_lifetimes(spans)
-        sb = compute_sb_avf(arr, lt, NoProtection()).sdc_avf
+        sb = compute_mb_avf(arr, lt, SB, NoProtection()).sdc_avf
         mb = compute_mb_avf(arr, lt, FaultMode.linear(m), NoProtection()).sdc_avf
         assert sb - 1e-12 <= mb <= m * sb + 1e-12
 
@@ -209,7 +220,9 @@ class TestAvfEngineProperties:
         lt = _toy_lifetimes(spans)
         mode = FaultMode.linear(m)
         plain = compute_mb_avf(arr, lt, mode, Parity())
-        pre = compute_mb_avf(arr, lt, mode, Parity(), due_preempts_sdc=True)
+        # the same maps as an inter-thread layout, which takes the rule
+        inter = dataclasses.replace(arr, style=Interleaving.INTER_THREAD)
+        pre = compute_mb_avf(inter, lt, mode, Parity())
         assert pre.sdc_avf <= plain.sdc_avf + 1e-12
         assert pre.total_avf == pytest.approx(plain.total_avf, abs=1e-12)
 
@@ -245,15 +258,14 @@ class TestRealWorkloadProperties:
             for mode in REAL_MODES:
                 for scheme in ("parity", "secded"):
                     res = compute_mb_avf(
-                        array, lts, mode, SCHEMES[scheme],
-                        due_preempts_sdc=True, series_edges=edges,
+                        array, lts, mode, SCHEMES[scheme], series_edges=edges,
                     )
                     for outcome, cycles in res.outcome_cycles.items():
                         assert res.series[:, int(outcome)].sum() == cycles
 
     def test_unprotected_1x1_sdc_is_sb_ace_fraction(self, real_structures):
         for array, lts in real_structures:
-            sdc = compute_sb_avf(array, lts, NoProtection()).sdc_avf
+            sdc = compute_mb_avf(array, lts, SB, NoProtection()).sdc_avf
             assert sdc == pytest.approx(lts.sb_ace_fraction(), rel=1e-12)
 
     def test_outcome_avfs_partition_at_most_one(self, real_structures):
@@ -270,7 +282,7 @@ class TestRealWorkloadProperties:
         modes = [FaultMode.linear(m) for m in (2, 3, 8)]
         modes.append(FaultMode.rect(2, 2))
         for array, lts in real_structures:
-            sb = compute_sb_avf(array, lts, NoProtection()).sdc_avf
+            sb = compute_mb_avf(array, lts, SB, NoProtection()).sdc_avf
             for mode in modes:
                 mb = compute_mb_avf(array, lts, mode, NoProtection()).sdc_avf
                 assert sb - 1e-12 <= mb <= mode.n_bits * sb + 1e-12, mode.name
@@ -292,6 +304,41 @@ class TestRealWorkloadProperties:
                     for name in ("sdc_avf", "true_due_avf",
                                  "false_due_avf", "due_avf", "total_avf"):
                         assert getattr(a, name) == getattr(b, name)
+
+
+def test_sec_viii_rule_only_moves_sdc_to_true_due():
+    """The Sec. VIII rule on an inter-thread VGPR layout, against the same
+    byte and domain maps relabelled intra-thread: the group count, the
+    false-DUE and the total cycles agree, and SDC falls by exactly the
+    cycles true DUE gains."""
+    from repro.experiments import build_study
+
+    study = build_study("vectoradd", n_cus=1)
+    configs = [
+        AvfConfig(mode=FaultMode.linear(m), scheme=Parity()) for m in (2, 3, 4)
+    ]
+    moved = 0.0
+    for factor in (2, 4):
+        layout, replicas = study._structure(
+            "vgpr", Interleaving.INTER_THREAD, factor
+        )
+        relabelled = dataclasses.replace(
+            layout, style=Interleaving.INTRA_THREAD
+        )
+        for cfg, ruled, plain in zip(
+            configs,
+            compute_mb_avf_batch(layout, replicas, configs),
+            compute_mb_avf_batch(relabelled, replicas, configs),
+        ):
+            got, want = ruled.outcome_cycles, plain.outcome_cycles
+            assert ruled.n_groups == plain.n_groups, cfg
+            assert got[Outcome.FALSE_DUE] == want[Outcome.FALSE_DUE], cfg
+            assert sum(got.values()) == sum(want.values()), cfg
+            fell = want[Outcome.SDC] - got[Outcome.SDC]
+            assert fell >= 0, cfg
+            assert got[Outcome.TRUE_DUE] - want[Outcome.TRUE_DUE] == fell, cfg
+            moved += fell
+    assert moved > 0  # the rule bites somewhere in the grid
 
 
 class TestLayoutProperties:

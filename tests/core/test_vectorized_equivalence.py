@@ -12,6 +12,7 @@ time origin of ``10**9``: all arithmetic is exact int64, so moving the
 origin must change nothing.
 """
 
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -199,6 +200,14 @@ def _random_lifetimes(rng, n_bytes, end_cycle=120, share=0.3, origin=0):
     return lifetimes_of("t", isets, origin, origin + end_cycle)
 
 
+def _ruled(array, due):
+    """``array`` relabelled inter-thread when ``due``: the same maps under
+    the Sec. VIII rule, which only an inter-thread layout takes."""
+    if not due:
+        return array
+    return dataclasses.replace(array, style=Interleaving.INTER_THREAD)
+
+
 MODES = [
     FaultMode.linear(1),
     FaultMode.linear(2),
@@ -237,20 +246,18 @@ def test_enumerator_matches_reference(seed, mode):
 @pytest.mark.parametrize("origin", ORIGINS)
 def test_engine_outcomes_match_reference(seed, scheme, due, origin):
     rng = np.random.default_rng(seed)
-    array = build_cache_array(
+    array = _ruled(build_cache_array(
         4, 2, 16, domain_bytes=4,
         style=Interleaving.NONE, factor=1, name="t",
-    )
+    ), due)
     mode = FaultMode.rect(2, 2) if seed else FaultMode.linear(3)
     edges = tuple(origin + e for e in (0, 30, 60, 90, 120))
     lts = _random_lifetimes(rng, array.n_bytes, origin=origin)
     res = compute_mb_avf(
-        array, lts, mode, SCHEMES[scheme],
-        due_preempts_sdc=due, series_edges=edges,
+        array, lts, mode, SCHEMES[scheme], series_edges=edges,
     )
     want_cycles, want_series = ref.compute_outcome_cycles_ref(
-        array, lts, mode, SCHEMES[scheme],
-        due_preempts_sdc=due, series_edges=edges,
+        array, lts, mode, SCHEMES[scheme], series_edges=edges,
     )
     assert res.outcome_cycles == want_cycles
     np.testing.assert_array_equal(res.series, want_series)
@@ -258,36 +265,33 @@ def test_engine_outcomes_match_reference(seed, scheme, due, origin):
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_batch_matches_singles(seed):
-    rng = np.random.default_rng(seed)
-    array = build_cache_array(
-        4, 2, 16, domain_bytes=4,
-        style=Interleaving.WAY_PHYSICAL, factor=2, name="t",
-    )
     configs = [
-        AvfConfig(mode=m, scheme=SCHEMES[s], due_preempts_sdc=d)
+        AvfConfig(mode=m, scheme=SCHEMES[s])
         for m in (FaultMode.linear(2), FaultMode.rect(2, 2))
         for s in ("parity", "secded")
-        for d in (False, True)
     ]
-    lts_batch = _random_lifetimes(rng, array.n_bytes)
-    batch = compute_mb_avf_batch(array, lts_batch, configs)
-    # Fresh lifetimes (and a fresh array memo) for the single-call runs so
-    # the comparison does not share state with the batch.
-    rng = np.random.default_rng(seed)
-    array2 = build_cache_array(
-        4, 2, 16, domain_bytes=4,
-        style=Interleaving.WAY_PHYSICAL, factor=2, name="t",
-    )
-    lts_single = _random_lifetimes(rng, array2.n_bytes)
-    for cfg, got in zip(configs, batch):
-        want = compute_mb_avf(
-            array2, lts_single, cfg.mode, cfg.scheme,
-            due_preempts_sdc=cfg.due_preempts_sdc,
-        )
-        assert got.outcome_cycles == want.outcome_cycles
-        assert got.n_groups == want.n_groups
-        assert got.due_avf == want.due_avf
-        assert got.sdc_avf == want.sdc_avf
+    for due in (False, True):
+        rng = np.random.default_rng(seed)
+        array = _ruled(build_cache_array(
+            4, 2, 16, domain_bytes=4,
+            style=Interleaving.WAY_PHYSICAL, factor=2, name="t",
+        ), due)
+        lts_batch = _random_lifetimes(rng, array.n_bytes)
+        batch = compute_mb_avf_batch(array, [lts_batch], configs)
+        # Fresh lifetimes (and a fresh array memo) for the single-call runs
+        # so the comparison does not share state with the batch.
+        rng = np.random.default_rng(seed)
+        array2 = _ruled(build_cache_array(
+            4, 2, 16, domain_bytes=4,
+            style=Interleaving.WAY_PHYSICAL, factor=2, name="t",
+        ), due)
+        lts_single = _random_lifetimes(rng, array2.n_bytes)
+        for cfg, got in zip(configs, batch):
+            want = compute_mb_avf(array2, lts_single, cfg.mode, cfg.scheme)
+            assert got.outcome_cycles == want.outcome_cycles
+            assert got.n_groups == want.n_groups
+            assert got.due_avf == want.due_avf
+            assert got.sdc_avf == want.sdc_avf
 
 
 def test_batch_reuses_caches(monkeypatch):
@@ -304,7 +308,7 @@ def test_batch_reuses_caches(monkeypatch):
     obs.enable()
     try:
         obs.get_metrics().reset()
-        compute_mb_avf_batch(array, lts, configs)
+        compute_mb_avf_batch(array, [lts], configs)
         snap = obs.get_metrics().snapshot()
         # config 3 re-enumerates nothing and re-classifies nothing: the
         # memoized enumeration and the config-result cache both hit.
@@ -328,7 +332,7 @@ def test_row_table_reuse_is_not_a_cache_hit():
     obs.enable()
     try:
         obs.get_metrics().reset()
-        compute_mb_avf_batch(array, lts, configs)
+        compute_mb_avf_batch(array, [lts], configs)
         counters = obs.get_metrics().snapshot()["counters"]
         # three fresh modes share one row table, which counts as no hit
         assert counters.get("avf.batch_cache_hits", 0) == 0
@@ -395,24 +399,28 @@ def test_grouped_batch_matches_reference(seed, style):
         factor=1 if style is Interleaving.NONE else 2, name="t",
     )
     lts = _random_lifetimes(rng, array.n_bytes)
-    grid = itertools.product(
+    grid = list(itertools.product(
         GROUPED_MODES, SCHEMES.values(), (False, True), (False, True)
-    )
+    ))
     # the edge variants take turns; five of them against the four
     # (due, corrupts) pairs, so every pair meets every variant
-    configs = [
-        AvfConfig(
-            mode=mode, scheme=scheme, due_preempts_sdc=due,
-            miscorrect_corrupts=corrupts,
-            series_edges=SERIES_EDGES[i % len(SERIES_EDGES)],
+    for due in (False, True):
+        ruled = _ruled(array, due)
+        configs = [
+            AvfConfig(
+                mode=mode, scheme=scheme, miscorrect_corrupts=corrupts,
+                series_edges=SERIES_EDGES[i % len(SERIES_EDGES)],
+            )
+            for i, (mode, scheme, d, corrupts) in enumerate(grid)
+            if d is due
+        ]
+        got = compute_mb_avf_batch(ruled, [lts], configs)
+        want = ref.compute_mb_avf_batch_ref(ruled, lts, configs)
+        _assert_same_results(got, want, configs)
+        # a second pass answers every config from the result cache
+        _assert_same_results(
+            compute_mb_avf_batch(ruled, [lts], configs), want, configs
         )
-        for i, (mode, scheme, due, corrupts) in enumerate(grid)
-    ]
-    got = compute_mb_avf_batch(array, lts, configs)
-    want = ref.compute_mb_avf_batch_ref(array, lts, configs)
-    _assert_same_results(got, want, configs)
-    # a second pass answers every config from the result cache, unchanged
-    _assert_same_results(compute_mb_avf_batch(array, lts, configs), want, configs)
 
 
 @pytest.mark.parametrize("window", [(0, 120), (50, 50)], ids=["window", "none"])
@@ -421,20 +429,19 @@ def test_grouped_batch_all_empty_lifetimes(window):
     lts = lifetimes_of("t", [IntervalSet()] * array.n_bytes, *window)
     configs = [
         AvfConfig(
-            mode=mode, scheme=SCHEMES["parity"], due_preempts_sdc=due,
-            series_edges=(0, 60, 120),
+            mode=mode, scheme=SCHEMES["parity"], series_edges=(0, 60, 120),
         )
         for mode in GROUPED_MODES
-        for due in (False, True)
     ]
-    got = compute_mb_avf_batch(array, lts, configs)
-    _assert_same_results(
-        got, ref.compute_mb_avf_batch_ref(array, lts, configs), configs
-    )
-    for res in got:
-        assert set(res.outcome_cycles.values()) == {0.0}
-        assert not res.series.any()
-        assert res.total_avf == 0.0
+    for ruled in (array, _ruled(array, True)):
+        got = compute_mb_avf_batch(ruled, [lts], configs)
+        _assert_same_results(
+            got, ref.compute_mb_avf_batch_ref(ruled, lts, configs), configs
+        )
+        for res in got:
+            assert set(res.outcome_cycles.values()) == {0.0}
+            assert not res.series.any()
+            assert res.total_avf == 0.0
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -491,7 +498,7 @@ def test_real_workload_grid_matches_reference(workload):
     edges = tuple(np.linspace(0, study.end_cycle, 9).astype(int).tolist())
     configs = [
         AvfConfig(
-            mode=mode, scheme=SCHEMES[scheme], due_preempts_sdc=due,
+            mode=mode, scheme=SCHEMES[scheme],
             series_edges=edges if mode.n_bits == 2 else None,
         )
         for mode in (
@@ -499,7 +506,6 @@ def test_real_workload_grid_matches_reference(workload):
             FaultMode.linear(8), FaultMode.rect(2, 2),
         )
         for scheme in ("parity", "secded", "dected")
-        for due in (False, True)
     ]
     cases = [
         (array, lt)
@@ -509,6 +515,6 @@ def test_real_workload_grid_matches_reference(workload):
         for lt in replicas
     ]
     for array, lts in cases:
-        got = compute_mb_avf_batch(array, lts, configs)
+        got = compute_mb_avf_batch(array, [lts], configs)
         want = ref.compute_mb_avf_batch_ref(array, lts, configs)
         _assert_same_results(got, want, configs)

@@ -15,7 +15,12 @@ from repro.runtime import (
     TaskResult,
     classify_exception,
 )
-from repro.runtime.errors import InfraError, SimulationCrash, SimulationHang
+from repro.runtime.errors import (
+    ExecutorError,
+    InfraError,
+    SimulationCrash,
+    SimulationHang,
+)
 
 from .stubs import dispatch
 
@@ -166,6 +171,33 @@ class TestJournalResume:
         # "a" came from the journal (so its old OK verdict), "b" ran fresh.
         assert results["a"].outcome == TaskOutcome.OK
         assert results["b"].value == 4
+
+    def test_resume_refuses_another_configuration(self, tmp_path):
+        """A journal written under another configuration (a different
+        ``meta`` for the same task id) is refused before anything runs."""
+        journal = tmp_path / "j.jsonl"
+        spec = {"seed": 0, "bits": (3, 4)}
+        Executor(dispatch, jobs=0, journal=journal).run(
+            [Task("a", ("ok", 1), meta=spec)]
+        )
+
+        def must_not_run(payload):
+            raise AssertionError("ran before the configuration check")
+
+        other = Executor(must_not_run, jobs=0, journal=journal)
+        with pytest.raises(ExecutorError, match="another configuration") as exc:
+            other.run([
+                Task("b", ("ok", 2)),
+                Task("a", ("ok", 1), meta={**spec, "seed": 1}),
+            ])
+        assert "'a'" in str(exc.value) and str(journal) in str(exc.value)
+        # The same configuration (tuples journal as lists) and a task
+        # without meta still replay.
+        for meta in (spec, None):
+            again = Executor(must_not_run, jobs=0, journal=journal).run(
+                [Task("a", ("ok", 1), meta=meta)]
+            )
+            assert again["a"].value == 2
 
     def test_journal_records_meta_and_outcome(self, tmp_path):
         journal = tmp_path / "j.jsonl"

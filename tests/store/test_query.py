@@ -111,6 +111,26 @@ class TestQueryResult:
         assert result.aggregate("sdc_avf", "max") == 0.30
         assert result.aggregate("sdc_avf", "count") == 2
 
+    def test_aggregates_skip_null(self, store):
+        """NULL is no value, as in SQL: it neither counts nor reads as 0."""
+        store.put_avf_rows([
+            avf_row(workload="matmul", n_groups=1000),
+            avf_row(workload="matmul", mode="4x1", n_groups=None),
+            avf_row(workload="stencil", n_groups=None),
+        ])
+        matmul = store.query(workload="matmul")
+        assert matmul.aggregate("n_groups", "mean") == 1000.0
+        assert matmul.aggregate("n_groups", "count") == 1
+        result = store.query()
+        counts = result.group_by("workload", value="n_groups", agg="count")
+        assert counts == {("matmul",): 1.0, ("stencil",): 0.0}
+        means = result.group_by("workload", value="n_groups")
+        assert means[("matmul",)] == 1000.0
+        assert np.isnan(means[("stencil",)])
+        assert np.isnan(
+            store.query(workload="stencil").aggregate("n_groups", "max")
+        )
+
     def test_aggregate_empty_raises(self):
         with pytest.raises(ValueError, match="empty"):
             QueryResult([]).aggregate()

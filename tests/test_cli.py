@@ -199,6 +199,23 @@ class TestCampaignRuntimeFlags:
         assert exc.value.code == 2
         assert "must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["avf", "vectoradd", "--structure", "l1", "--style", "inter_thread"],
+        ["avf", "vectoradd", "--structure", "vgpr", "--style", "way"],
+        ["ser", "vectoradd", "--structure", "l2", "--style", "intra_thread"],
+    ])
+    def test_impossible_layout_rejected_before_simulating(
+        self, argv, capsys, monkeypatch
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before checking the layout")
+
+        monkeypatch.setattr("repro.cli.run", no_run)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "cannot lay out" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--scaled", "--paper-caches"])
     def test_inject_takes_no_cache_flags(self, flag, capsys):
         """Injection campaigns always run the default caches."""
