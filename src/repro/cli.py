@@ -35,9 +35,10 @@ import json
 import os
 import shlex
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from . import obs
+from .arch.cache import L1_CONFIG, L2_CONFIG
 from .runtime.errors import CampaignInterrupted
 from .core import (
     SCHEMES,
@@ -48,7 +49,13 @@ from .core import (
     figure2_sweep,
     soft_error_rate,
 )
-from .core.layout import CACHE_STYLES, REGFILE_STYLES
+from .core.layout import (
+    CACHE_STYLES,
+    REGFILE_STYLES,
+    SramArray,
+    build_cache_array,
+    build_regfile_array,
+)
 from .experiments import observability_report, scaled_apu_kwargs
 from .workloads import names, run
 
@@ -61,9 +68,11 @@ def _parse_mode(text: str) -> FaultMode:
     """'3x1' -> linear mode; '2x2' -> rectangular mode."""
     try:
         w, h = (int(x) for x in text.lower().split("x"))
+        return FaultMode.linear(w) if h == 1 else FaultMode.rect(h, w)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad fault mode {text!r} (want MxN)")
-    return FaultMode.linear(w) if h == 1 else FaultMode.rect(h, w)
+        raise argparse.ArgumentTypeError(
+            f"bad fault mode {text!r} (want MxN, M and N >= 1)"
+        )
 
 
 def _positive_int(text: str) -> int:
@@ -87,6 +96,67 @@ def _build_study(args) -> AvfStudy:
     result = run(args.workload, seed=args.seed, n_cus=args.cus,
                  apu_kwargs=kwargs)
     return AvfStudy(result.apu, result.output_ranges)
+
+
+class _UsageError(Exception):
+    """A request the run turned out unable to answer: exits 2 with its
+    message, as a bad flag does."""
+
+
+def _layout_problem(
+    args, build: Callable[[], Optional[SramArray]]
+) -> Optional[str]:
+    """Why the layout ``build()`` returns cannot answer ``args``, if it
+    cannot: the layout's own ``ValueError``, or an ``avf --mode`` larger
+    than the array.  ``build`` may return None to check the factor only."""
+    try:
+        layout = build()
+    except ValueError as exc:
+        return f"--style {args.style} --factor {args.factor}: {exc}"
+    mode = getattr(args, "mode", None)
+    if layout is not None and mode is not None and not layout.n_groups(
+        mode.height, mode.width
+    ):
+        return (
+            f"--mode {mode.name} does not fit the {args.structure} array "
+            f"({layout.rows} rows x {layout.cols} columns)"
+        )
+    return None
+
+
+def _planned_layout(args) -> Optional[SramArray]:
+    """The asked layout as far as it is known before the run.
+
+    The caches' geometry is fixed by ``--scaled``/``--paper-caches``.  The
+    register file's register count is the run's, so only its thread count
+    is checked here: an inter-thread layout does not depend on the
+    register count, and one register per thread stands in for it."""
+    style = _STYLES[args.style]
+    if args.structure == "vgpr":
+        if style is Interleaving.INTER_THREAD:
+            build_regfile_array(
+                AvfStudy.vgpr_threads, 1, style=style, factor=args.factor
+            )
+        return None
+    configs = scaled_apu_kwargs() if args.scaled else {
+        "l1_config": L1_CONFIG, "l2_config": L2_CONFIG,
+    }
+    cfg = configs[f"{args.structure}_config"]
+    return build_cache_array(
+        cfg.n_sets, cfg.n_ways, cfg.line_bytes, style=style,
+        factor=args.factor,
+    )
+
+
+def _layout_study(args) -> AvfStudy:
+    """The run's study, once the asked layout is known to fit the run."""
+    study = _build_study(args)
+    problem = _layout_problem(args, lambda: study._structure(
+        args.structure, _STYLES[args.style], args.factor
+    )[0])
+    if problem:
+        raise _UsageError(problem)
+    return study
 
 
 def _measure(study: AvfStudy, args, mode: FaultMode):
@@ -162,7 +232,7 @@ def _store_notice(args, counts: Optional[dict]) -> None:
 
 
 def _cmd_avf(args) -> int:
-    study = _build_study(args)
+    study = _layout_study(args)
     res = _measure(study, args, args.mode)
     payload = {
         "workload": args.workload,
@@ -209,7 +279,7 @@ def _cmd_avf(args) -> int:
 
 
 def _cmd_ser(args) -> int:
-    study = _build_study(args)
+    study = _layout_study(args)
     avf_by_mode = {}
     for mode_name in TABLE_III:
         m = int(mode_name.split("x")[0])
@@ -898,6 +968,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"--style {args.style} cannot lay out {args.structure} "
                 f"(valid: {', '.join(s.value for s in styles)})"
             )
+        problem = _layout_problem(args, lambda: _planned_layout(args))
+        if problem:
+            parser.error(problem)
     if args.command in ("inject", "campaign"):
         if args.jobs < 0:
             parser.error("--jobs must be >= 0 (0 = in-process)")
@@ -1000,6 +1073,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             with obs.observe(trace=trace, metrics=metrics):
                 return handler(args)
         return handler(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
     except CampaignInterrupted as stop:
         # Graceful drain: every completed task is already fsynced in the
         # journal, so tell the operator exactly how to pick the campaign

@@ -6,9 +6,10 @@ original (pre-vectorization) per-event / per-placement implementations as
 an executable specification, plus the whole-array windowed enumerator that
 band deduplication replaced, the per-mode band enumerator that the shared
 row table and prefix ranks replaced, the per-signature classify and
-integrate body that the grouped event sweep replaced, and the per-byte
-memory consumption index that the study's one memory lifetime table
-replaced for the L2 write-back verdict.  The equivalence suites
+integrate body that the grouped event sweep replaced, the per-bit layout
+assembly loop that array ops replaced, and the per-byte memory
+consumption index that the study's one memory lifetime table replaced
+for the L2 write-back verdict.  The equivalence suites
 (``tests/core/test_vectorized_equivalence.py``,
 ``tests/core/test_band_enumeration.py``) test that the vectorized kernels,
 the band-deduplicated enumerator and the batch API produce byte-identical
@@ -54,6 +55,7 @@ __all__ = [
     "compute_mb_avf_batch_ref",
     "ace_locality_ref",
     "compute_outcome_cycles_ref",
+    "assemble_ref",
     "MemoryConsumptionRef",
 ]
 
@@ -255,8 +257,8 @@ def enumerate_signatures_ref(
     rows, cols = array.rows, array.cols
     if h > rows or w > cols:
         return {}
-    iid_of = byte2iid[array.byte_of]
-    dom_of = array.domain_of
+    byte_of, dom_of = array.take_rows(np.arange(rows))
+    iid_of = byte2iid[byte_of]
     sigs: Dict[GroupSignature, int] = {}
     offsets = mode.offsets
     for r0 in range(rows - h + 1):
@@ -328,8 +330,9 @@ def enumerate_signatures_windowed_ref(
     if h > array.rows or w > array.cols:
         return {}
     k = mode.n_bits
-    iid_of = byte2iid[array.byte_of]
-    dom_win = sliding_window_view(array.domain_of, (h, w))
+    byte_of, dom_of = array.take_rows(np.arange(array.rows))
+    iid_of = byte2iid[byte_of]
+    dom_win = sliding_window_view(dom_of, (h, w))
     iid_win = sliding_window_view(iid_of, (h, w))
     n_win = dom_win.shape[0] * dom_win.shape[1]
     sel = np.fromiter(
@@ -374,8 +377,8 @@ def enumerate_signatures_banded_ref(
     no_weights = np.zeros(0, dtype=np.int64)
     if h > array.rows or w > array.cols:
         return no_keys, no_weights, 0
-    iid_of = byte2iid[array.byte_of]
-    dom_of = array.domain_of
+    byte_of, dom_of = array.take_rows(np.arange(array.rows))
+    iid_of = byte2iid[byte_of]
     first_dom = dom_of[:, 0]
     _, row_id = np.unique(
         _as_scalars(np.hstack([iid_of, dom_of - first_dom[:, None]])),
@@ -419,7 +422,8 @@ def ace_locality_ref(array: SramArray, lifetimes) -> float:
 
     canon = _canonical_iset_ids(lifetimes)
     byte2iid, isets = canon.byte2iid, canon.isets
-    iid_of = byte2iid[array.byte_of]
+    byte_of, _ = array.take_rows(np.arange(array.rows))
+    iid_of = byte2iid[byte_of]
     pair_counts: Dict[Tuple[int, int], int] = {}
     for r in range(array.rows):
         row = iid_of[r]
@@ -577,6 +581,35 @@ def compute_mb_avf_batch_ref(array: SramArray, lifetimes, configs) -> list:
             )
         )
     return results
+
+
+def assemble_ref(
+    name: str,
+    clusters: np.ndarray,
+    domain_bytes: int,
+    factor: int,
+    style: Interleaving,
+) -> SramArray:
+    """Bit-at-a-time :func:`repro.core.layout._assemble`: physical position
+    ``q`` of a cluster holds bit ``q // I`` of domain ``cluster[q % I]``."""
+    rows_of_clusters = np.asarray(clusters).tolist()
+    domain_bits = domain_bytes * 8
+    width = len(rows_of_clusters[0]) * len(rows_of_clusters[0][0]) * domain_bits
+    byte_of = np.empty((len(rows_of_clusters), width), dtype=np.int32)
+    domain_of = np.empty_like(byte_of)
+    for r, clusters in enumerate(rows_of_clusters):
+        col = 0
+        for cluster in clusters:
+            ilv = len(cluster)
+            for q in range(ilv * domain_bits):
+                dom = cluster[q % ilv]
+                bit = q // ilv
+                domain_of[r, col] = dom
+                byte_of[r, col] = dom * domain_bytes + bit // 8
+                col += 1
+        if col != width:
+            raise ValueError("rows must all have the same physical width")
+    return SramArray(name, byte_of, domain_of, domain_bytes, factor, style)
 
 
 class MemoryConsumptionRef:

@@ -16,6 +16,7 @@ paper's infrastructure.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -103,6 +104,9 @@ class AvfStudy:
     (merged over CUs), ``"l2"``, ``"vgpr"`` (merged over wavefronts),
     ``"l1.tags"`` or ``"l2.tags"``.
     """
+
+    #: threads per wavefront register-file tile
+    vgpr_threads = 16
 
     def __init__(
         self, apu: Apu, output_ranges: Sequence[Tuple[int, int]]
@@ -255,10 +259,10 @@ class AvfStudy:
     ) -> SramArray:
         """The physical layout of ``structure`` under (style, factor).
 
-        The VGPR's wavefronts are stacked into one array: interleaving
+        The VGPR is one register-file tile per wavefront: interleaving
         stays wavefront-internal (rows never mix wavefronts), and byte and
-        domain ids are offset per wavefront, so one engine invocation
-        covers the whole register file.
+        domain ids are offset per tile, so one engine invocation covers
+        the whole register file.
         """
         level, _, tags = structure.partition(".")
         if tags:
@@ -268,20 +272,11 @@ class AvfStudy:
             )
         assert style is not None, "only a tag array takes no style"
         if structure == "vgpr":
-            base = build_regfile_array(
-                16, self.vgpr_regs, style=style, factor=factor, name="vgpr"
+            tile = build_regfile_array(
+                self.vgpr_threads, self.vgpr_regs, style=style,
+                factor=factor, name="vgpr",
             )
-            n = len(self.vgpr_lifetimes())
-            byte_of = np.vstack(
-                [base.byte_of + np.int32(k * base.n_bytes) for k in range(n)]
-            )
-            domain_of = np.vstack(
-                [base.domain_of + np.int32(k * base.n_domains) for k in range(n)]
-            )
-            return SramArray(
-                "vgpr", byte_of, domain_of, base.domain_bytes,
-                base.interleave_factor, base.style,
-            )
+            return dataclasses.replace(tile, tiles=len(self.vgpr_lifetimes()))
         cfg = self._cache_config(level)
         return build_cache_array(
             cfg.n_sets, cfg.n_ways, cfg.line_bytes, style=style,

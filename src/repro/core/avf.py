@@ -474,6 +474,12 @@ _PACK_LIMIT = 1 << 62
 _Offsets = Tuple[Tuple[int, int], ...]
 
 
+def _row_ids(a: np.ndarray) -> np.ndarray:
+    """Dense ids of the rows of 2-D ``a``: equal rows, equal ids."""
+    _, ids = np.unique(_as_scalars(a), return_inverse=True)
+    return ids.reshape(-1)
+
+
 def _dense_rank(code: np.ndarray) -> Tuple[np.ndarray, int]:
     """Dense rank of each value of 1-D ``code``, and the number of ranks."""
     values, rank = np.unique(code, return_inverse=True)
@@ -494,21 +500,61 @@ class _RowTable:
     ``ranks`` keeps one prefix-rank grid per band height: the offsets it
     ranks, and the rank of each (band, column origin) under them (see
     :func:`_enumerate_signatures`).
+
+    No map of the whole array is built: rows are read through
+    :meth:`SramArray.take_rows`.  A row is keyed by its tile row's shape
+    (domain and byte ids relative to its first bit) and the lifetime ids
+    of its distinct bytes, about an eighth of its bits.  Equal keys mean
+    equal rows, and within one shape different keys mean different rows.
+    Rows of two shapes can be equal only when the shapes share a domain
+    pattern; then one row per key is read whole and keys with equal rows
+    merge.  Either way the row ids partition the rows as their full
+    contents do.
     """
 
-    __slots__ = (
-        "byte_of", "domain_of", "byte2iid", "row_id", "bands", "ranks",
-    )
+    __slots__ = ("array", "byte2iid", "row_id", "bands", "ranks")
 
     def __init__(self, array: SramArray, byte2iid: np.ndarray) -> None:
-        self.byte_of = array.byte_of
-        self.domain_of = array.domain_of
+        self.array = array
         self.byte2iid = byte2iid
-        rows = np.hstack([
-            byte2iid[self.byte_of], self.domain_of - self.domain_of[:, :1],
-        ])
-        _, row_id = np.unique(_as_scalars(rows), return_inverse=True)
-        self.row_id = row_id.reshape(-1)
+        tile_byte, tile_dom = array.byte_of, array.domain_of
+        dom_shape = _row_ids(tile_dom - tile_dom[:, :1])
+        _, shape_row, shape = np.unique(
+            dom_shape * array.tile_rows
+            + _row_ids(tile_byte - tile_byte[:, :1]),
+            return_index=True, return_inverse=True,
+        )
+        shape = shape.reshape(-1)
+        # each shape's distinct bytes, one column each (rows of one shape
+        # group their columns into bytes alike), padded with column 0
+        by_byte = np.argsort(tile_byte[shape_row], axis=1, kind="stable")
+        ranked = np.take_along_axis(tile_byte[shape_row], by_byte, axis=1)
+        first = np.ones(ranked.shape, dtype=bool)
+        np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+        nth = np.cumsum(first, axis=1) - 1
+        shape_cols = np.zeros(
+            (len(shape_row), int(nth.max()) + 1), dtype=np.intp
+        )
+        shape_cols[np.nonzero(first)[0], nth[first]] = by_byte[first]
+        key_bytes, _ = array.take_rows(
+            np.arange(array.rows, dtype=np.intp).reshape(array.tiles, -1, 1),
+            shape_cols[shape],
+        )
+        row_shape = np.tile(shape, array.tiles).astype(np.int32, copy=False)
+        _, rep, row_id = np.unique(
+            _as_scalars(np.hstack([
+                row_shape[:, None], byte2iid[key_bytes.reshape(array.rows, -1)],
+            ])),
+            return_index=True, return_inverse=True,
+        )
+        row_id = row_id.reshape(-1)
+        if len(np.unique(dom_shape)) < len(shape_row):
+            # shapes sharing a domain pattern may still hold equal rows
+            byte, dom = array.take_rows(rep)
+            row_id = _row_ids(
+                np.hstack([byte2iid[byte], dom - dom[:, :1]])
+            )[row_id]
+        self.row_id = row_id
         #: height -> (band counts, representative domains, representative ids)
         self.bands: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         #: height -> (ranked offsets, rank grid)
@@ -521,7 +567,9 @@ class _RowTable:
         cached = self.bands.get(h)
         if cached is not None:
             return cached
-        first_win = sliding_window_view(self.domain_of[:, 0], h)
+        array = self.array
+        _, first_dom = array.take_rows(np.arange(array.rows, dtype=np.intp), 0)
+        first_win = sliding_window_view(first_dom, h)
         band_keys = np.hstack([
             sliding_window_view(self.row_id, h),
             first_win[:, 1:] - first_win[:, :1],
@@ -529,11 +577,11 @@ class _RowTable:
         _, band_start, band_count = np.unique(
             _as_scalars(band_keys), return_index=True, return_counts=True
         )
-        band_rows = band_start[:, None] + np.arange(h, dtype=np.intp)
+        byte, dom = array.take_rows(
+            band_start[:, None] + np.arange(h, dtype=np.intp)
+        )
         cached = self.bands[h] = (
-            band_count.astype(np.int64, copy=False),
-            self.domain_of[band_rows],
-            self.byte2iid[self.byte_of[band_rows]],
+            band_count.astype(np.int64, copy=False), dom, self.byte2iid[byte]
         )
         return cached
 
@@ -649,7 +697,8 @@ class _Signatures:
     ``region_bits[r]`` faulty bits and member id set ``region_set[r]``,
     whose sorted nonzero lifetime ids are row ``set_rows[region_set[r]]``
     (zero-padded); rows have at most ``n_cols`` regions.  ``n_signatures``
-    counts the distinct region multisets.
+    counts the distinct region multisets.  The per-region columns are
+    ``int32``, the weights ``int64``.
 
     ``set_union`` maps each id set to its row of the canonical ACE union
     table once a config classifies this entry; ``results`` caches each
@@ -669,7 +718,7 @@ class _Signatures:
         self.results: Dict[_ResultKey, _Result] = {}
         n = len(keys)
         if not n:
-            empty = np.zeros(0, dtype=np.int64)
+            empty = np.zeros(0, dtype=np.int32)
             self.region_row = self.region_col = empty
             self.region_bits = self.region_set = empty
             self.set_rows = np.zeros((0, 1), dtype=np.int32)
@@ -690,10 +739,10 @@ class _Signatures:
         head = head.ravel()
         region = np.cumsum(head) - 1
         first = np.flatnonzero(head)
-        self.region_row = first // k
-        self.region_col = col[first]
+        self.region_row = (first // k).astype(np.int32, copy=False)
+        self.region_col = col[first].astype(np.int32, copy=False)
         self.n_cols = int(col.max()) + 1
-        self.region_bits = np.bincount(region)
+        self.region_bits = np.bincount(region).astype(np.int32, copy=False)
         # Members: nonzero ids, each once per region, ranked within it.
         member = iid != 0
         member[1:] &= head[1:] | (iid[1:] != iid[:-1])
@@ -705,10 +754,11 @@ class _Signatures:
         _, set_first, region_set = np.unique(
             _as_scalars(id_rows), return_index=True, return_inverse=True
         )
-        self.region_set = region_set.reshape(-1)
+        self.region_set = region_set.reshape(-1).astype(np.int32, copy=False)
         self.set_rows = id_rows[set_first]
         pairs = self._row_table(
-            self.region_bits * len(set_first) + self.region_set,
+            self.region_bits.astype(np.int64, copy=False) * len(set_first)
+            + self.region_set,
             np.ones(len(first), dtype=bool),
         )
         self.n_signatures = len(np.unique(_as_scalars(pairs)))
@@ -739,7 +789,9 @@ class _Signatures:
         """
         if self.set_union is None:
             self.set_union = canon.region_ace(self.set_rows)
-            self.region_mask = canon.cls_mask[self.set_union][self.region_set]
+            self.region_mask = canon.cls_mask[self.set_union].astype(
+                np.int32, copy=False
+            )[self.region_set]
         assert self.region_mask is not None
         n_sets = len(self.set_rows)
         region_kind = kinds[self.region_bits]
@@ -1029,18 +1081,26 @@ def ace_locality(array: SramArray, lifetimes: StructureLifetimes) -> float:
     never overlaps (MB-AVF approaches M times SB-AVF).  Structures with high
     ACE locality have lower MB-AVF (Sec. VI-B).
 
-    All adjacent pairs of the whole array are bucketed with one lexsort, and
-    the unions of every distinct (lifetime id, lifetime id) pair are swept
-    in one grouped :func:`union_rows` call; each overlap is then
-    ``|ACE_i| + |ACE_j| - |ACE_i ∪ ACE_j|``, in exact int64.
+    Each tile's adjacent pairs are bucketed with one lexsort and the
+    tiles' buckets merged with one more, and the unions of every distinct
+    (lifetime id, lifetime id) pair are swept in one grouped
+    :func:`union_rows` call; each overlap is then ``|ACE_i| + |ACE_j| -
+    |ACE_i ∪ ACE_j|``, in exact int64.
     """
     canon = _canonical_iset_ids(lifetimes)
     u = canon.unique
-    iid_of = canon.byte2iid[array.byte_of]
-    pairs = np.stack(
-        [iid_of[:, :-1].ravel(), iid_of[:, 1:].ravel()], axis=1
+    tile_rows = np.arange(array.tile_rows, dtype=np.intp)
+    buckets = []
+    for k in range(array.tiles):
+        byte, _ = array.take_rows(tile_rows + k * array.tile_rows)
+        iid_of = canon.byte2iid[byte]
+        buckets.append(_unique_rows(np.stack(
+            [iid_of[:, :-1].ravel(), iid_of[:, 1:].ravel()], axis=1
+        )))
+    uniq, counts = _unique_rows(
+        np.vstack([b for b, _ in buckets]),
+        np.concatenate([n for _, n in buckets]),
     )
-    uniq, counts = _unique_rows(pairs)
     ace = u.cls >= int(AceClass.ACE)
     dur = np.zeros(len(u.ends) + 1, dtype=np.int64)
     np.cumsum((u.ends - u.starts) * ace, out=dur[1:])

@@ -15,17 +15,18 @@ the array's interleaving style (Sec. II-C, VI-B, VIII of the paper):
 * **inter-thread** interleaving (register files, "txI") — adjacent bits come
   from the same register of different GPU threads.
 
-A :class:`SramArray` materialises the layout as two dense (rows x cols) maps:
-``byte_of`` (which tracked byte each physical bit belongs to) and
-``domain_of`` (which protection domain covers it).  By convention domain
-``d`` covers tracked bytes ``[d * domain_bytes, (d+1) * domain_bytes)``.
+A :class:`SramArray` holds the layout as one tile of two dense (rows x cols)
+maps: ``byte_of`` (which tracked byte each physical bit belongs to) and
+``domain_of`` (which protection domain covers it), repeated ``tiles`` times
+down the array.  By convention domain ``d`` covers tracked bytes
+``[d * domain_bytes, (d+1) * domain_bytes)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -72,8 +73,13 @@ REGFILE_STYLES = (
 class SramArray:
     """Physical geometry of a tracked structure.
 
-    ``byte_of[r, c]`` is the tracked byte id stored at physical bit (r, c);
-    ``domain_of[r, c]`` is the protection domain id covering that bit.
+    ``byte_of[r, c]`` is the tracked byte id stored at bit (r, c) of one
+    tile; ``domain_of[r, c]`` is the protection domain id covering it.  The
+    array is ``tiles`` such tiles, one below the other: tile ``k`` holds
+    the tile's bytes offset by ``k * tile_bytes`` and its domains offset by
+    ``k * tile_domains`` (every wavefront's register file, say, laid out
+    alike).  :meth:`take_rows` reads any rows of the whole array; nothing
+    else stores them.
     """
 
     name: str
@@ -82,6 +88,7 @@ class SramArray:
     domain_bytes: int
     interleave_factor: int
     style: Interleaving
+    tiles: int = 1
     #: AVF-engine enumeration memo, populated lazily by
     #: core.avf._signatures_for: one row table per canonical lifetime ids
     #: (shared by every mode) and one region table per (mode, canonical ids)
@@ -94,26 +101,62 @@ class SramArray:
             raise ValueError("byte_of and domain_of must have the same shape")
         if self.byte_of.ndim != 2:
             raise ValueError("layout maps must be 2-D (rows x cols)")
+        if self.tiles < 1:
+            raise ValueError("an array needs at least one tile")
 
     @property
-    def rows(self) -> int:
-        return self.byte_of.shape[0]
+    def tile_rows(self) -> int:
+        return int(self.byte_of.shape[0])
 
     @property
-    def cols(self) -> int:
-        return self.byte_of.shape[1]
-
-    @property
-    def n_bits(self) -> int:
-        return self.byte_of.size
-
-    @property
-    def n_bytes(self) -> int:
+    def tile_bytes(self) -> int:
         return int(self.byte_of.max()) + 1
 
     @property
-    def n_domains(self) -> int:
+    def tile_domains(self) -> int:
         return int(self.domain_of.max()) + 1
+
+    @property
+    def rows(self) -> int:
+        return self.tiles * self.tile_rows
+
+    @property
+    def cols(self) -> int:
+        return int(self.byte_of.shape[1])
+
+    @property
+    def n_bits(self) -> int:
+        return self.tiles * int(self.byte_of.size)
+
+    @property
+    def n_bytes(self) -> int:
+        return self.tiles * self.tile_bytes
+
+    @property
+    def n_domains(self) -> int:
+        return self.tiles * self.tile_domains
+
+    def take_rows(
+        self,
+        rows: Union[int, np.ndarray],
+        cols: Union[None, int, np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(byte ids, domain ids) of the array's ``rows``, in the tile's
+        dtype.
+
+        Without ``cols`` each row comes whole: the maps have the shape of
+        ``rows`` plus one column axis, so ``take_rows(np.arange(rows))``
+        is the dense array.  With ``cols``, rows and columns broadcast
+        against each other and pick single bits.
+        """
+        tile, r = np.divmod(np.asarray(rows, dtype=np.intp), self.tile_rows)
+        if cols is None:
+            byte, dom, tile = self.byte_of[r], self.domain_of[r], tile[..., None]
+        else:
+            byte, dom = self.byte_of[r, cols], self.domain_of[r, cols]
+        byte += (tile * self.tile_bytes).astype(byte.dtype)
+        dom += (tile * self.tile_domains).astype(dom.dtype)
+        return byte, dom
 
     def n_groups(self, mode_height: int, mode_width: int) -> int:
         """Number of fault groups of an HxW bounding box in this array."""
@@ -124,33 +167,24 @@ class SramArray:
 
 def _assemble(
     name: str,
-    rows_of_clusters: Sequence[Sequence[Sequence[int]]],
+    clusters: np.ndarray,
     domain_bytes: int,
     factor: int,
     style: Interleaving,
 ) -> SramArray:
-    """Build an :class:`SramArray` from per-row lists of interleave clusters.
+    """Build an :class:`SramArray` from a ``(rows, clusters, I)`` table of
+    interleave clusters.
 
-    Each cluster is a list of ``I`` domain ids whose bits are bit-interleaved
-    across ``I * domain_bits`` physical columns: physical position ``q``
-    inside the cluster holds bit ``q // I`` of domain ``cluster[q % I]``.
+    Each cluster is ``I`` domain ids whose bits are bit-interleaved across
+    ``I * domain_bits`` physical columns: physical position ``q`` inside
+    the cluster holds bit ``q // I`` of domain ``cluster[q % I]``.
     """
-    domain_bits = domain_bytes * 8
-    width = len(rows_of_clusters[0]) * len(rows_of_clusters[0][0]) * domain_bits
-    byte_of = np.empty((len(rows_of_clusters), width), dtype=np.int32)
-    domain_of = np.empty_like(byte_of)
-    for r, clusters in enumerate(rows_of_clusters):
-        col = 0
-        for cluster in clusters:
-            ilv = len(cluster)
-            for q in range(ilv * domain_bits):
-                dom = cluster[q % ilv]
-                bit = q // ilv
-                domain_of[r, col] = dom
-                byte_of[r, col] = dom * domain_bytes + bit // 8
-                col += 1
-        if col != width:
-            raise ValueError("rows must all have the same physical width")
+    table = np.asarray(clusters, dtype=np.int32)
+    n_rows, n_clusters, ilv = table.shape
+    q = np.arange(ilv * domain_bytes * 8, dtype=np.int32)
+    domain_of = table[:, :, q % ilv].reshape(n_rows, n_clusters * len(q))
+    byte_in_domain = np.tile(q // ilv // 8, n_clusters)
+    byte_of = domain_of * np.int32(domain_bytes) + byte_in_domain
     return SramArray(name, byte_of, domain_of, domain_bytes, factor, style)
 
 
@@ -186,55 +220,35 @@ def build_cache_array(
         factor = 1
     if line_bytes % domain_bytes:
         raise ValueError("line size must be a multiple of the domain size")
-    domains_per_line = line_bytes // domain_bytes
-
-    def line_domain(set_idx: int, way: int, k: int) -> int:
-        return (
-            cache_byte_index(set_idx, way, 0, n_ways, line_bytes) // domain_bytes + k
-        )
-
-    rows: List[List[List[int]]] = []
+    dpl = line_bytes // domain_bytes
+    # domain k of the line at (set, way) is (set * n_ways + way) * dpl + k
+    k = np.arange(dpl)[:, None]
+    i = np.arange(factor)
     if style in (Interleaving.NONE, Interleaving.LOGICAL):
-        if domains_per_line % factor:
+        if dpl % factor:
             raise ValueError("logical interleaving factor must divide domains/line")
         # One row per line; clusters of `factor` consecutive domains of the
         # same line are bit-interleaved (= each factor*domain-bit data word is
         # split into `factor` check words).
-        for s in range(n_sets):
-            for w in range(n_ways):
-                rows.append(
-                    [
-                        [line_domain(s, w, g * factor + i) for i in range(factor)]
-                        for g in range(domains_per_line // factor)
-                    ]
-                )
+        line = np.arange(n_sets * n_ways)[:, None, None]
+        clusters = line * dpl + np.arange(0, dpl, factor)[:, None] + i
     elif style is Interleaving.WAY_PHYSICAL:
         if n_ways % factor:
             raise ValueError("way interleaving factor must divide associativity")
         # One row per (set, way-group); cluster k interleaves domain k of the
         # `factor` lines in the group.
-        for s in range(n_sets):
-            for wg in range(n_ways // factor):
-                rows.append(
-                    [
-                        [line_domain(s, wg * factor + i, k) for i in range(factor)]
-                        for k in range(domains_per_line)
-                    ]
-                )
+        sets = np.arange(n_sets)[:, None, None, None]
+        wg = np.arange(0, n_ways, factor)[:, None, None]
+        clusters = ((sets * n_ways + wg + i) * dpl + k).reshape(-1, dpl, factor)
     else:  # index-physical
         if n_sets % factor:
             raise ValueError("index interleaving factor must divide set count")
         # One row per (set-group, way); cluster k interleaves domain k of the
         # lines at `factor` adjacent indices.
-        for sg in range(n_sets // factor):
-            for w in range(n_ways):
-                rows.append(
-                    [
-                        [line_domain(sg * factor + i, w, k) for i in range(factor)]
-                        for k in range(domains_per_line)
-                    ]
-                )
-    return _assemble(name, rows, domain_bytes, factor, style)
+        sg = np.arange(0, n_sets, factor)[:, None, None, None]
+        w = np.arange(n_ways)[:, None, None]
+        clusters = (((sg + i) * n_ways + w) * dpl + k).reshape(-1, dpl, factor)
+    return _assemble(name, clusters, domain_bytes, factor, style)
 
 
 def build_tag_array(
@@ -254,20 +268,12 @@ def build_tag_array(
     """
     if factor < 1 or n_ways % factor:
         raise ValueError("interleave factor must divide the way count")
-
-    def tag_domain(set_idx: int, way: int) -> int:
-        return set_idx * n_ways + way
-
-    rows: List[List[List[int]]] = []
-    for s in range(n_sets):
-        rows.append(
-            [
-                [tag_domain(s, wg * factor + i) for i in range(factor)]
-                for wg in range(n_ways // factor)
-            ]
-        )
+    # tag (set, way) is domain set * n_ways + way
+    clusters = np.arange(n_sets * n_ways).reshape(
+        n_sets, n_ways // factor, factor
+    )
     style = Interleaving.NONE if factor == 1 else Interleaving.WAY_PHYSICAL
-    return _assemble(name, rows, tag_bytes, factor, style)
+    return _assemble(name, clusters, tag_bytes, factor, style)
 
 
 def regfile_byte_index(thread: int, reg: int, byte: int, n_regs: int, reg_bytes: int = 4) -> int:
@@ -295,31 +301,20 @@ def build_regfile_array(
         raise ValueError(f"{style} is not a register-file interleaving style")
     if factor < 1:
         raise ValueError("interleave factor must be >= 1")
-
-    def reg_domain(thread: int, reg: int) -> int:
-        return thread * n_regs + reg
-
-    rows: List[List[List[int]]] = []
+    # register (thread, reg) is domain thread * n_regs + reg
     if style in (Interleaving.NONE, Interleaving.INTRA_THREAD):
         if style is Interleaving.NONE:
             factor = 1
         if n_regs % factor:
             raise ValueError("intra-thread factor must divide register count")
-        for t in range(n_threads):
-            rows.append(
-                [
-                    [reg_domain(t, g * factor + i) for i in range(factor)]
-                    for g in range(n_regs // factor)
-                ]
-            )
+        clusters = np.arange(n_threads * n_regs).reshape(
+            n_threads, n_regs // factor, factor
+        )
     else:  # inter-thread
         if n_threads % factor:
             raise ValueError("inter-thread factor must divide thread count")
-        for tg in range(n_threads // factor):
-            rows.append(
-                [
-                    [reg_domain(tg * factor + i, r) for i in range(factor)]
-                    for r in range(n_regs)
-                ]
-            )
-    return _assemble(name, rows, reg_bytes, factor, style)
+        clusters = (
+            np.arange(n_threads * n_regs).reshape(-1, factor, n_regs)
+            .transpose(0, 2, 1)
+        )
+    return _assemble(name, clusters, reg_bytes, factor, style)

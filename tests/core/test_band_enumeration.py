@@ -7,17 +7,28 @@ insertion order, as the whole-array windowed enumerator, and the same
 multiset as the per-placement reference; its raw keys, weights and band
 count must equal the per-mode band enumerator's whatever order modes come
 in.  Random lifetimes rarely repeat a row, so the arrays here are
-stacked the way :meth:`AvfStudy._structure` stacks wavefronts: one
-block's layout and lifetimes tiled several times, byte and domain ids
-offset per block.
+stacked the way :meth:`AvfStudy._structure` lays out wavefronts: one
+block's layout and lifetimes repeated several times, byte and domain ids
+offset per block.  A tiled array (one tile plus a tile count) must give
+exactly what its densely stacked copy gives.
 """
+
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core import _reference as ref
 from repro.core import avf
-from repro.core.avf import _canonical_iset_ids, _enumerate_signatures
+from repro.core.analysis import _stack
+from repro.core.avf import (
+    AvfConfig,
+    _canonical_iset_ids,
+    _enumerate_signatures,
+    ace_locality,
+    compute_mb_avf_batch,
+)
 from repro.core.faultmodes import MX1_MODES, FaultMode
 from repro.core.intervals import IntervalSet
 from repro.core.layout import (
@@ -27,6 +38,7 @@ from repro.core.layout import (
     build_regfile_array,
     build_tag_array,
 )
+from repro.core.protection import SCHEMES
 
 from .tables import lifetimes_of
 
@@ -100,6 +112,37 @@ def _stacked(base, rng, n_blocks=5):
         base.domain_bytes, base.interleave_factor, base.style,
     )
     return array, lifetimes_of("t", isets, 0, 120)
+
+
+def _dense_copy(tiled):
+    """``tiled`` stacked into one tile, ids offset per block by hand."""
+    n_bytes, n_domains = tiled.tile_bytes, tiled.tile_domains
+    return SramArray(
+        tiled.name,
+        np.vstack([tiled.byte_of + np.int32(k * n_bytes)
+                   for k in range(tiled.tiles)]),
+        np.vstack([tiled.domain_of + np.int32(k * n_domains)
+                   for k in range(tiled.tiles)]),
+        tiled.domain_bytes, tiled.interleave_factor, tiled.style,
+    )
+
+
+def _tiled(base, rng, n_blocks=6):
+    """``n_blocks`` tiles of ``base`` and their lifetimes.
+
+    Blocks repeat the first block's lifetimes, except block 2, which has
+    its own, and block 4, whose bytes are all lifetime-empty.
+    """
+    first = _block_lifetimes(rng, base.n_bytes)
+    odd = _block_lifetimes(rng, base.n_bytes)
+    empty = [IntervalSet()] * base.n_bytes
+    isets = []
+    for k in range(n_blocks):
+        isets.extend(odd if k == 2 else empty if k == 4 else first)
+    return (
+        dataclasses.replace(base, tiles=n_blocks),
+        lifetimes_of("t", isets, 0, 120),
+    )
 
 
 def _signatures(array, byte2iid, mode):
@@ -292,3 +335,111 @@ def test_real_workload_grid_matches_windowed_reference():
                 label = (structure, style.value, factor, mode.name)
                 assert got == want, label
                 assert list(got) == list(want), label
+
+
+#: Mx1 modes stay within a row; 2x2 and 3x2 bands cross tile boundaries
+TILED_MODES = list(MX1_MODES) + [FaultMode.rect(2, 2), FaultMode.rect(3, 2)]
+
+
+def _outcomes(result):
+    series = None if result.series is None else result.series.tolist()
+    return (
+        result.n_groups, result.window_cycles, result.outcome_cycles, series
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_tiled_array_matches_its_stacked_copy(layout, seed):
+    tiled, lts = _tiled(LAYOUTS[layout], np.random.default_rng(seed))
+    stacked = _dense_copy(tiled)
+    geometry = ("rows", "cols", "n_bits", "n_bytes", "n_domains")
+    assert [getattr(tiled, g) for g in geometry] == [
+        getattr(stacked, g) for g in geometry
+    ]
+    byte_of, domain_of = tiled.take_rows(np.arange(tiled.rows))
+    assert byte_of.dtype == domain_of.dtype == np.int32
+    assert np.array_equal(byte_of, stacked.byte_of)
+    assert np.array_equal(domain_of, stacked.domain_of)
+    byte2iid = _canonical_iset_ids(lts).byte2iid
+    for mode in TILED_MODES:
+        got = _enumerate_signatures(tiled, byte2iid, mode)
+        want = _enumerate_signatures(stacked, byte2iid, mode)
+        assert got[0].dtype == want[0].dtype, mode.name
+        assert np.array_equal(got[0], want[0]), mode.name
+        assert np.array_equal(got[1], want[1]), mode.name
+        assert got[2] == want[2], mode.name
+    edges = (0, 30, 60, 90, 120)
+    configs = [
+        AvfConfig(mode, SCHEMES[name], series_edges=edges)
+        for mode in TILED_MODES for name in ("parity", "secded")
+    ]
+    for got, want in zip(
+        compute_mb_avf_batch(tiled, [lts], configs),
+        compute_mb_avf_batch(stacked, [lts], configs),
+    ):
+        assert _outcomes(got) == _outcomes(want), got.mode.name
+    locality = ace_locality(tiled, lts)
+    assert locality == ace_locality(stacked, lts)
+    assert locality == ref.ace_locality_ref(tiled, lts)
+
+
+def test_row_table_of_many_tiles_allocates_less_than_its_dense_maps():
+    """The row table reads rows through the tile: building it (and two
+    band heights) for 2,000 tiles allocates less than one dense copy of
+    the array's two maps would take."""
+    tile = build_regfile_array(
+        16, 8, style=Interleaving.INTRA_THREAD, factor=2, name="t"
+    )
+    rng = np.random.default_rng(0)
+    blocks = [
+        lifetimes_of("t", _block_lifetimes(rng, tile.n_bytes), 0, 120)
+        for _ in range(3)
+    ]
+    n_tiles = 2000
+    array = dataclasses.replace(tile, tiles=n_tiles)
+    lts = _stack("t", [blocks[k % 3] for k in range(n_tiles)], 120)
+    byte2iid = _canonical_iset_ids(lts).byte2iid
+    tracemalloc.start()
+    try:
+        table = avf._RowTable(array, byte2iid)
+        table.band(1)
+        table.band(2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense = 2 * array.n_bits * tile.byte_of.itemsize
+    assert peak < dense, (peak, dense)
+
+
+def test_rows_equal_across_byte_groupings_share_an_id():
+    """Two tile-row shapes with one domain pattern: the odd rows group
+    their columns into bytes alternately, the even rows in halves.  Rows
+    equal bit for bit still share a row id, so bands and keys match the
+    reference built on dense rows."""
+    rows, cols = np.arange(6)[:, None], np.arange(16)
+    domain_of = np.repeat(rows, 16, axis=1).astype(np.int32)
+    byte_of = (2 * rows + np.where(rows % 2, cols % 2, cols // 8)).astype(
+        np.int32
+    )
+    live = IntervalSet([(5, 20, 2)])
+    isets = [IntervalSet()] * 12
+    for b in (4, 5, 6, 7, 8, 10):
+        isets[b] = live
+    lts = lifetimes_of("t", isets, 0, 120)
+    array = SramArray("t", byte_of, domain_of, 2, 1, Interleaving.NONE)
+    byte2iid = _canonical_iset_ids(lts).byte2iid
+    table = avf._RowTable(array, byte2iid)
+    # rows 0/1 are all empty and rows 2/3 all live; rows 4 and 5 differ
+    row_id = table.row_id.tolist()
+    assert row_id[0] == row_id[1] and row_id[2] == row_id[3]
+    assert len(set(row_id)) == 4
+    for mode in (FaultMode.linear(2), FaultMode.rect(2, 1),
+                 FaultMode.rect(2, 2)):
+        keys, weights, n_bands = _enumerate_signatures(
+            array, byte2iid, mode, table
+        )
+        want = ref.enumerate_signatures_banded_ref(array, byte2iid, mode)
+        assert np.array_equal(keys, want[0]), mode.name
+        assert np.array_equal(weights, want[1]), mode.name
+        assert n_bands == want[2], mode.name

@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.arch.cache import L1_CONFIG, L2_CONFIG
+from repro.core import _reference as ref
+from repro.core import layout
 from repro.core.layout import (
+    CACHE_STYLES,
+    REGFILE_STYLES,
     Interleaving,
     build_cache_array,
     build_regfile_array,
+    build_tag_array,
     cache_byte_index,
     regfile_byte_index,
 )
+from repro.experiments import SCALED_L1, SCALED_L2
 
 
 class TestIndexHelpers:
@@ -179,3 +186,110 @@ class TestRegfileLayout:
             build_regfile_array(4, 3, style=Interleaving.INTRA_THREAD, factor=2)
         with pytest.raises(ValueError):
             build_regfile_array(3, 4, style=Interleaving.INTER_THREAD, factor=2)
+
+
+def _cache_cases():
+    """Every cache style at factors 1, 2 and 4 on the scaled caches and
+    the paper's L1; one factor per style on the paper's (large) L2."""
+    for cfg in (SCALED_L1, SCALED_L2, L1_CONFIG):
+        for style in CACHE_STYLES:
+            for factor in (1, 2, 4):
+                yield cfg, style, factor
+    for style in CACHE_STYLES:
+        yield L2_CONFIG, style, 4
+
+
+class TestAssembleMatchesReference:
+    """The array-op assembly builds the bit-at-a-time loop's maps."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        pairs = []
+        real = layout._assemble
+
+        def both(*args):
+            got = real(*args)
+            pairs.append((got, ref.assemble_ref(*args)))
+            return got
+
+        monkeypatch.setattr(layout, "_assemble", both)
+        return pairs
+
+    @staticmethod
+    def _check(pairs):
+        ((got, want),) = pairs
+        for name in ("byte_of", "domain_of"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype == np.int32, name
+            assert np.array_equal(a, b), name
+        assert (got.name, got.domain_bytes, got.interleave_factor,
+                got.style, got.tiles) == (
+            want.name, want.domain_bytes, want.interleave_factor,
+            want.style, want.tiles,
+        )
+
+    @pytest.mark.parametrize("cfg, style, factor", list(_cache_cases()))
+    def test_cache(self, cfg, style, factor, built):
+        build_cache_array(
+            cfg.n_sets, cfg.n_ways, cfg.line_bytes, style=style, factor=factor
+        )
+        self._check(built)
+
+    @pytest.mark.parametrize("cfg", [SCALED_L1, SCALED_L2, L1_CONFIG, L2_CONFIG])
+    @pytest.mark.parametrize("factor", [1, 2, 4])
+    def test_tags(self, cfg, factor, built):
+        build_tag_array(cfg.n_sets, cfg.n_ways, factor=factor)
+        self._check(built)
+
+    @pytest.mark.parametrize("style", REGFILE_STYLES)
+    @pytest.mark.parametrize("factor", [1, 2, 4, 8, 16])
+    def test_regfile(self, style, factor, built):
+        build_regfile_array(16, 16, style=style, factor=factor)
+        self._check(built)
+
+
+class TestTiles:
+    def test_tiles_count_every_tile(self):
+        tile = build_regfile_array(16, 8, style=Interleaving.INTER_THREAD,
+                                   factor=4)
+        arr = layout.SramArray(
+            "t", tile.byte_of, tile.domain_of, tile.domain_bytes,
+            tile.interleave_factor, tile.style, tiles=3,
+        )
+        assert arr.rows == 3 * tile.rows and arr.cols == tile.cols
+        assert arr.n_bits == 3 * tile.n_bits
+        assert arr.n_bytes == 3 * tile.n_bytes
+        assert arr.n_domains == 3 * tile.n_domains
+        assert arr.n_groups(2, 2) == (arr.rows - 1) * (arr.cols - 1)
+
+    def test_take_rows_offsets_ids_per_tile(self):
+        tile = build_regfile_array(4, 4, factor=2)
+        arr = layout.SramArray(
+            "t", tile.byte_of, tile.domain_of, tile.domain_bytes,
+            tile.interleave_factor, tile.style, tiles=3,
+        )
+        byte_of, domain_of = arr.take_rows(np.arange(arr.rows))
+        for k in range(3):
+            rows = slice(k * tile.rows, (k + 1) * tile.rows)
+            assert np.array_equal(
+                byte_of[rows], tile.byte_of + k * tile.n_bytes
+            )
+            assert np.array_equal(
+                domain_of[rows], tile.domain_of + k * tile.n_domains
+            )
+        # any shape of rows; with columns, single bits
+        b, d = arr.take_rows(np.array([[5, 0], [11, 7]]))
+        assert b.shape == d.shape == (2, 2, arr.cols)
+        assert np.array_equal(b[1, 0], byte_of[11])
+        b, d = arr.take_rows(np.array([[9], [2]]), np.array([0, 3, 5]))
+        assert np.array_equal(b, byte_of[[[9], [2]], [0, 3, 5]])
+        assert np.array_equal(d, domain_of[[[9], [2]], [0, 3, 5]])
+        # reading rows leaves the tile as it was
+        assert np.array_equal(arr.byte_of, tile.byte_of)
+
+    def test_tiles_must_be_positive(self):
+        tile = build_regfile_array(4, 4)
+        with pytest.raises(ValueError, match="at least one tile"):
+            layout.SramArray(
+                "t", tile.byte_of, tile.domain_of, 4, 1, tile.style, tiles=0
+            )

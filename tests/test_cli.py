@@ -22,6 +22,16 @@ class TestParseMode:
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_mode("banana")
 
+    @pytest.mark.parametrize("text", ["0x1", "2x0", "0x0"])
+    def test_empty_mode_says_what_is_wrong(self, text, capsys):
+        """A zero or negative dimension is a bad mode, not a crash in the
+        FaultMode constructor."""
+        with pytest.raises(SystemExit) as exc:
+            main(["avf", "vectoradd", "--mode", text])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"bad fault mode '{text}' (want MxN, M and N >= 1)" in err
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -215,6 +225,72 @@ class TestCampaignRuntimeFlags:
             main(argv)
         assert exc.value.code == 2
         assert "cannot lay out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (
+            ["avf", "vectoradd", "--structure", "vgpr",
+             "--style", "inter_thread", "--factor", "3"],
+            "--factor 3: inter-thread factor must divide thread count",
+        ),
+        (
+            ["avf", "vectoradd", "--structure", "l1",
+             "--style", "way", "--factor", "3"],
+            "--factor 3: way interleaving factor must divide associativity",
+        ),
+        (
+            ["ser", "vectoradd", "--structure", "l1",
+             "--style", "index", "--factor", "3"],
+            "--factor 3: index interleaving factor must divide set count",
+        ),
+        (
+            ["avf", "vectoradd", "--structure", "l2", "--paper-caches",
+             "--style", "index", "--factor", "1024"],
+            "--factor 1024: index interleaving factor must divide set count",
+        ),
+        (
+            ["avf", "vectoradd", "--mode", "9999x1"],
+            "--mode 9999x1 does not fit the l1 array "
+            "(64 rows x 512 columns)",
+        ),
+        (
+            ["avf", "vectoradd", "--paper-caches", "--structure", "l2",
+             "--mode", "2x9999"],
+            "--mode 2x9999 does not fit the l2 array "
+            "(4096 rows x 512 columns)",
+        ),
+    ])
+    def test_impossible_factor_or_mode_rejected_before_simulating(
+        self, argv, message, capsys, monkeypatch
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before checking the layout")
+
+        monkeypatch.setattr("repro.cli.run", no_run)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (
+            ["--style", "intra_thread", "--factor", "16"],
+            "--factor 16: intra-thread factor must divide register count",
+        ),
+        (
+            ["--mode", "9999x1"],
+            "--mode 9999x1 does not fit the vgpr array (256 rows x ",
+        ),
+    ])
+    def test_layout_the_run_cannot_take_exits_2(self, argv, message, capsys):
+        """The register count and wavefront count are the run's: what
+        only the run rules out still exits 2 with the reason."""
+        with pytest.raises(SystemExit) as exc:
+            main(["avf", "vectoradd", "--cus", "1", "--structure", "vgpr",
+                  *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err + captured.out
 
     @pytest.mark.parametrize("flag", ["--scaled", "--paper-caches"])
     def test_inject_takes_no_cache_flags(self, flag, capsys):
