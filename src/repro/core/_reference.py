@@ -242,6 +242,12 @@ def intersection_duration_ref(a: IntervalSet, b: IntervalSet, klass: int) -> int
 GroupSignature = Tuple[Tuple[int, FrozenSet[int]], ...]
 
 
+def _span(array: SramArray) -> int:
+    """Rows of each array the references treat on its own: a tile when
+    the tiles are separate arrays, else the whole array."""
+    return array.tile_rows if array.separate_tiles else array.rows
+
+
 def enumerate_signatures_ref(
     array: SramArray, byte2iid: np.ndarray, mode
 ) -> Dict[GroupSignature, int]:
@@ -251,17 +257,20 @@ def enumerate_signatures_ref(
     path (:func:`enumerate_signatures_windowed_ref`) replaced.  Unlike the
     production enumerator it also emits the signature of all-lifetime-empty
     placements (whose regions classify to nothing either way); equivalence
-    tests compare after dropping it.
+    tests compare after dropping it.  Separate tiles are placed in one at
+    a time.
     """
     h, w = mode.height, mode.width
     rows, cols = array.rows, array.cols
-    if h > rows or w > cols:
+    if not array.n_groups(h, w):
         return {}
     byte_of, dom_of = array.take_rows(np.arange(rows))
     iid_of = byte2iid[byte_of]
     sigs: Dict[GroupSignature, int] = {}
     offsets = mode.offsets
-    for r0 in range(rows - h + 1):
+    span = _span(array)
+    starts = [t + r for t in range(0, rows, span) for r in range(span - h + 1)]
+    for r0 in starts:
         dom_rows = [list(map(int, dom_of[r0 + dr])) for dr in range(h)]
         iid_rows = [list(map(int, iid_of[r0 + dr])) for dr in range(h)]
         for c0 in range(cols - w + 1):
@@ -320,21 +329,24 @@ def enumerate_signatures_windowed_ref(
     :func:`sliding_window_view`, restricted to the mode's offsets, keyed by
     (domain id relative to the first offset's domain, lifetime id) per
     position and bucketed with one lexsort.  Like the production enumerator
-    it drops all-lifetime-empty placements.
+    it drops all-lifetime-empty placements.  Separate tiles are windowed
+    along their own axis, so no window spans two.
     """
     from numpy.lib.stride_tricks import sliding_window_view
 
     from .avf import _unique_rows
 
     h, w = mode.height, mode.width
-    if h > array.rows or w > array.cols:
+    if not array.n_groups(h, w):
         return {}
     k = mode.n_bits
-    byte_of, dom_of = array.take_rows(np.arange(array.rows))
+    byte_of, dom_of = array.take_rows(
+        np.arange(array.rows).reshape(-1, _span(array))
+    )
     iid_of = byte2iid[byte_of]
-    dom_win = sliding_window_view(dom_of, (h, w))
-    iid_win = sliding_window_view(iid_of, (h, w))
-    n_win = dom_win.shape[0] * dom_win.shape[1]
+    dom_win = sliding_window_view(dom_of, (h, w), axis=(1, 2))
+    iid_win = sliding_window_view(iid_of, (h, w), axis=(1, 2))
+    n_win = int(np.prod(dom_win.shape[:3]))
     sel = np.fromiter(
         (r * w + c for r, c in mode.offsets), dtype=np.intp, count=k
     )
@@ -365,7 +377,8 @@ def enumerate_signatures_banded_ref(
     restricted to the mode's offsets; each window weighs as many groups as
     its band occurs, all-lifetime-empty windows are dropped, and equal
     ``(relative domain, lifetime id)`` keys are bucketed with one weighted
-    lexsort.
+    lexsort.  Separate tiles are banded along their own axis, so no band
+    spans two.
     """
     from numpy.lib.stride_tricks import sliding_window_view
 
@@ -375,7 +388,7 @@ def enumerate_signatures_banded_ref(
     k = mode.n_bits
     no_keys = np.zeros((0, 2 * k), dtype=np.int32)
     no_weights = np.zeros(0, dtype=np.int64)
-    if h > array.rows or w > array.cols:
+    if not array.n_groups(h, w):
         return no_keys, no_weights, 0
     byte_of, dom_of = array.take_rows(np.arange(array.rows))
     iid_of = byte2iid[byte_of]
@@ -384,14 +397,19 @@ def enumerate_signatures_banded_ref(
         _as_scalars(np.hstack([iid_of, dom_of - first_dom[:, None]])),
         return_inverse=True,
     )
-    first_win = sliding_window_view(first_dom, h)
+    span = _span(array)
+    n_starts = array.rows // span * (span - h + 1)
+    first_win = sliding_window_view(first_dom.reshape(-1, span), h, axis=1)
     band_keys = np.hstack([
-        sliding_window_view(row_id, h),
-        first_win[:, 1:] - first_win[:, :1],
+        sliding_window_view(row_id.reshape(-1, span), h, axis=1)
+        .reshape(n_starts, h),
+        (first_win[..., 1:] - first_win[..., :1]).reshape(n_starts, h - 1),
     ])
     _, band_start, band_count = np.unique(
         _as_scalars(band_keys), return_index=True, return_counts=True
     )
+    tile, band_start = np.divmod(band_start, span - h + 1)
+    band_start += tile * span
     n_bands = len(band_start)
     band_rows = band_start[:, None] + np.arange(h, dtype=np.intp)
     dom_win = sliding_window_view(dom_of[band_rows], (h, w), axis=(1, 2))
@@ -417,37 +435,39 @@ def enumerate_signatures_banded_ref(
 
 
 def ace_locality_ref(array: SramArray, lifetimes) -> float:
-    """Row-at-a-time adjacent-pair ACE locality (Sec. VI-B)."""
+    """Row-at-a-time adjacent-pair ACE locality (Sec. VI-B), the mean over
+    the tiles when they are separate arrays."""
     from .avf import _canonical_iset_ids
 
     canon = _canonical_iset_ids(lifetimes)
     byte2iid, isets = canon.byte2iid, canon.isets
     byte_of, _ = array.take_rows(np.arange(array.rows))
     iid_of = byte2iid[byte_of]
-    pair_counts: Dict[Tuple[int, int], int] = {}
-    for r in range(array.rows):
-        row = iid_of[r]
-        left, right = row[:-1], row[1:]
-        keys = np.stack([left, right], axis=1)
-        uniq, counts = np.unique(keys, axis=0, return_counts=True)
-        for (a, b), n in zip(uniq, counts):
-            pair_counts[(int(a), int(b))] = pair_counts.get((int(a), int(b)), 0) + int(n)
-    inter = 0.0
-    union = 0.0
-    ace = int(AceClass.ACE)
-    for (ia, ib), n in pair_counts.items():
-        da = total_at_least_ref(isets[ia], ace) if ia else 0
-        db = total_at_least_ref(isets[ib], ace) if ib else 0
-        if da == 0 and db == 0:
-            continue
-        ov = (
-            intersection_duration_ref(isets[ia], isets[ib], ace)
-            if ia and ib
-            else 0
-        )
-        inter += n * ov
-        union += n * (da + db - ov)
-    return inter / union if union else 1.0
+    span = _span(array)
+    localities = []
+    for base in range(0, array.rows, span):
+        pair_counts: Dict[Tuple[int, int], int] = {}
+        for row in iid_of[base:base + span]:
+            keys = np.stack([row[:-1], row[1:]], axis=1)
+            uniq, counts = np.unique(keys, axis=0, return_counts=True)
+            for (a, b), n in zip(uniq.tolist(), counts.tolist()):
+                pair_counts[(a, b)] = pair_counts.get((a, b), 0) + n
+        inter = union = 0.0
+        ace = int(AceClass.ACE)
+        for (ia, ib), n in pair_counts.items():
+            da = total_at_least_ref(isets[ia], ace) if ia else 0
+            db = total_at_least_ref(isets[ib], ace) if ib else 0
+            if da == 0 and db == 0:
+                continue
+            ov = (
+                intersection_duration_ref(isets[ia], isets[ib], ace)
+                if ia and ib
+                else 0
+            )
+            inter += n * ov
+            union += n * (da + db - ov)
+        localities.append(inter / union if union else 1.0)
+    return float(np.mean(localities))
 
 
 def compute_outcome_cycles_ref(
@@ -462,64 +482,34 @@ def compute_outcome_cycles_ref(
     """Reference MB-AVF core: per-placement enumeration + reference kernels.
 
     Returns ``(outcome_cycles, series)`` computed exactly as the
-    pre-vectorization engine did; the production
+    pre-vectorization engine did: :func:`compute_mb_avf_batch_ref` over
+    the signatures of :func:`enumerate_signatures_ref`.  The production
     :func:`repro.core.avf.compute_mb_avf` must reproduce both bit-for-bit.
-    The Sec. VIII rule is the layout's: it applies to an inter-thread
-    array only.
     """
-    from .avf import _canonical_iset_ids
+    from .avf import AvfConfig
 
-    canon = _canonical_iset_ids(lifetimes)
-    isets = canon.isets
-    sigs = enumerate_signatures_ref(array, canon.byte2iid, mode)
-
-    region_ace_cache: Dict[FrozenSet[int], IntervalSet] = {}
-
-    def region_outcome(n_bits: int, ids: FrozenSet[int]) -> IntervalSet:
-        ace = region_ace_cache.get(ids)
-        if ace is None:
-            ace = sweep_max_ref([isets[i] for i in ids]) if ids else IntervalSet()
-            region_ace_cache[ids] = ace
-        return classify_region(
-            scheme.react(n_bits), ace, miscorrect_corrupts=miscorrect_corrupts
-        )
-
-    outcome_cycles: Dict[Outcome, float] = {
-        Outcome.FALSE_DUE: 0.0,
-        Outcome.TRUE_DUE: 0.0,
-        Outcome.SDC: 0.0,
-    }
-    edges = series = None
-    if series_edges is not None:
-        edges = np.asarray(series_edges, dtype=np.int64)
-        series = np.zeros((len(edges) - 1, 4), dtype=np.float64)
-    for sig, weight in sigs.items():
-        combined = combine_outcomes_ref(
-            [region_outcome(n, ids) for n, ids in sig],
-            due_preempts_sdc=array.style is Interleaving.INTER_THREAD,
-        )
-        if not combined:
-            continue
-        for s, e, c in combined:
-            outcome_cycles[Outcome(c)] += weight * (e - s)
-        if series is not None:
-            tmp = np.zeros_like(series)
-            bucket_accumulate_ref(combined, edges, tmp)
-            series += weight * tmp
-    return outcome_cycles, series
+    edges = None if series_edges is None else tuple(series_edges)
+    cfg = AvfConfig(mode, scheme, miscorrect_corrupts, edges)
+    (res,) = compute_mb_avf_batch_ref(
+        array, lifetimes, [cfg], signatures=enumerate_signatures_ref
+    )
+    return res.outcome_cycles, res.series
 
 
-def compute_mb_avf_batch_ref(array: SramArray, lifetimes, configs) -> list:
+def compute_mb_avf_batch_ref(
+    array: SramArray, lifetimes, configs, *, signatures=None
+) -> list:
     """Reference batch body: classify and integrate one signature at a time.
 
-    The production enumerator's keys are decoded into signatures; then, per
-    config and signature, every region's ACE union is swept (eq. 5),
-    classified through the scheme's reaction (eq. 6), the regions are
-    combined under the precedence rules and the combined outcome is
-    integrated into outcome cycles and series buckets, the Sec. VIII rule
-    applying exactly to an inter-thread array.  The grouped sweep of
-    :func:`repro.core.avf.compute_mb_avf_batch` over the one replica
-    ``lifetimes`` must return the same results bit for bit.
+    ``signatures`` enumerates each mode (by default the production
+    enumerator's keys, decoded); then, per config and signature, every
+    region's ACE union is swept (eq. 5), classified through the scheme's
+    reaction (eq. 6), the regions are combined under the precedence rules
+    and the combined outcome is integrated into outcome cycles and series
+    buckets, the Sec. VIII rule applying exactly to an inter-thread
+    array.  The grouped sweep of
+    :func:`repro.core.avf.compute_mb_avf_batch` must return the same
+    results bit for bit.
     """
     from .avf import MbAvfResult, _canonical_iset_ids, _enumerate_signatures
 
@@ -529,8 +519,11 @@ def compute_mb_avf_batch_ref(array: SramArray, lifetimes, configs) -> list:
     results = []
     for cfg in configs:
         mode, scheme = cfg.mode, cfg.scheme
-        keys, weights, _ = _enumerate_signatures(array, canon.byte2iid, mode)
-        sigs = sigs_from_keys(keys, weights, mode.n_bits)
+        if signatures is None:
+            keys, weights, _ = _enumerate_signatures(array, canon.byte2iid, mode)
+            sigs = sigs_from_keys(keys, weights, mode.n_bits)
+        else:
+            sigs = signatures(array, canon.byte2iid, mode)
 
         def region_outcome(n_bits: int, ids: FrozenSet[int]) -> IntervalSet:
             ace = region_ace.get(ids)

@@ -101,7 +101,7 @@ class AvfStudy:
 
     Every AVF question goes through :meth:`avf_batch` (or its
     single-config form :meth:`avf`) and names its structure: ``"l1"``
-    (merged over CUs), ``"l2"``, ``"vgpr"`` (merged over wavefronts),
+    (one tile per CU), ``"l2"``, ``"vgpr"`` (one tile per wavefront),
     ``"l1.tags"`` or ``"l2.tags"``.
     """
 
@@ -136,13 +136,12 @@ class AvfStudy:
         self._memcons: Optional[StructureLifetimes] = None
         self._l1_lifetimes: Optional[List[StructureLifetimes]] = None
         self._fills: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._l2_lifetime: Optional[StructureLifetimes] = None
         self._vgpr_lifetimes: Optional[List[StructureLifetimes]] = None
-        self._vgpr_stack: Optional[StructureLifetimes] = None
-        self._tag_lifetimes: Dict[str, List[StructureLifetimes]] = {}
+        #: each structure's one lifetime table, by structure name
+        self._tables: Dict[str, StructureLifetimes] = {}
         self._structures: Dict[
             Tuple[str, Optional[Interleaving], int],
-            Tuple[SramArray, List[StructureLifetimes]],
+            Tuple[SramArray, StructureLifetimes],
         ] = {}
 
     # -- lifetimes (lazy, cached) -------------------------------------------
@@ -164,23 +163,26 @@ class AvfStudy:
     def l1_lifetimes(self) -> List[StructureLifetimes]:
         """Per-CU L1 lifetimes (also resolves fill verdicts for the L2)."""
         if self._l1_lifetimes is None:
-            self._l1_lifetimes = []
+            lts = []
             with get_tracer().span("lifetime", structure="l1"):
                 for l1 in self.apu.memsys.l1s:
                     lt, fills = analyze_cache(
                         l1, self.apu.trace, self.apu.wf_programs,
                         self.liveness.mem_needed, self.end_cycle,
                     )
-                    self._l1_lifetimes.append(lt)
+                    lts.append(lt)
                     self._fills.update(fills)  # fill ids are device-wide
+                # named after CU 0's, as its results are
+                self._tables["l1"] = _stack(lts[0].name, lts, self.end_cycle)
+                self._l1_lifetimes = lts
         return self._l1_lifetimes
 
     def l2_lifetime(self) -> StructureLifetimes:
-        if self._l2_lifetime is None:
+        if "l2" not in self._tables:
             self.l1_lifetimes()  # ensure fill verdicts exist
             memory = self.memory_lifetimes((0, sum(self.footprint)))
             with get_tracer().span("lifetime", structure="l2"):
-                self._l2_lifetime, _ = analyze_cache(
+                self._tables["l2"], _ = analyze_cache(
                     self.apu.memsys.l2,
                     self.apu.trace,
                     self.apu.wf_programs,
@@ -189,7 +191,7 @@ class AvfStudy:
                     memcons=memory,
                     upstream_fills=self._fills,
                 )
-        return self._l2_lifetime
+        return self._tables["l2"]
 
     def vgpr_lifetimes(self) -> List[StructureLifetimes]:
         """One register-file lifetime per launched wavefront."""
@@ -206,7 +208,7 @@ class AvfStudy:
                     )
                     for wf, program in sorted(self.apu.wf_programs.items())
                 ]
-                self._vgpr_stack = _stack("vgpr", lts, self.end_cycle)
+                self._tables["vgpr"] = _stack("vgpr", lts, self.end_cycle)
                 self._vgpr_lifetimes = lts
         return self._vgpr_lifetimes
 
@@ -228,26 +230,24 @@ class AvfStudy:
 
     # -- structures ---------------------------------------------------------
 
-    def _replicas(self, structure: str) -> List[StructureLifetimes]:
-        """The lifetime tables of ``structure``, one per replica the engine
-        sums over: one per L1, the L2, or every wavefront's register file
-        stacked into one.  A tag array's are derived from
-        its data array's (an entry is ACE while its line holds live data)
-        once, and every layout shares them."""
-        if structure == "vgpr":
-            self.vgpr_lifetimes()
-            assert self._vgpr_stack is not None
-            return [self._vgpr_stack]
+    def _lifetimes(self, structure: str) -> StructureLifetimes:
+        """The one lifetime table of ``structure``: the L2's, or every
+        CU's L1 or every wavefront's register file stacked into one, tile
+        after tile.  A tag array's is derived from its data array's (an
+        entry is ACE while its line holds live data) once, and every
+        layout shares it."""
         level, _, tags = structure.partition(".")
-        data = self.l1_lifetimes() if level == "l1" else [self.l2_lifetime()]
-        if not tags:
-            return data
-        if structure not in self._tag_lifetimes:
-            line_bytes = self._cache_config(level).line_bytes
-            self._tag_lifetimes[structure] = [
-                derive_tag_lifetimes(lt, line_bytes) for lt in data
-            ]
-        return self._tag_lifetimes[structure]
+        if level == "l1":
+            self.l1_lifetimes()
+        elif level == "l2":
+            self.l2_lifetime()
+        else:
+            self.vgpr_lifetimes()
+        if tags and structure not in self._tables:
+            self._tables[structure] = derive_tag_lifetimes(
+                self._tables[level], self._cache_config(level).line_bytes
+            )
+        return self._tables[structure]
 
     def _cache_config(self, level: str):
         """The configuration of the ``level`` cache (CU 0's for the L1s)."""
@@ -259,39 +259,45 @@ class AvfStudy:
     ) -> SramArray:
         """The physical layout of ``structure`` under (style, factor).
 
-        The VGPR is one register-file tile per wavefront: interleaving
-        stays wavefront-internal (rows never mix wavefronts), and byte and
-        domain ids are offset per tile, so one engine invocation covers
-        the whole register file.
+        One tile per wavefront for the VGPR: interleaving stays
+        wavefront-internal, but a fault group may span two wavefronts'
+        rows.  One tile per CU for an L1 (data or tags): each CU's is its
+        own array, so no fault group spans two.
         """
         level, _, tags = structure.partition(".")
-        if tags:
-            cfg = self._cache_config(level)
-            return build_tag_array(
-                cfg.n_sets, cfg.n_ways, factor=factor, name=structure
-            )
-        assert style is not None, "only a tag array takes no style"
-        if structure == "vgpr":
+        if level == "vgpr":
+            assert style is not None
             tile = build_regfile_array(
                 self.vgpr_threads, self.vgpr_regs, style=style,
                 factor=factor, name="vgpr",
             )
             return dataclasses.replace(tile, tiles=len(self.vgpr_lifetimes()))
         cfg = self._cache_config(level)
-        return build_cache_array(
-            cfg.n_sets, cfg.n_ways, cfg.line_bytes, style=style,
-            factor=factor, name=level,
+        if tags:
+            tile = build_tag_array(
+                cfg.n_sets, cfg.n_ways, factor=factor, name=structure
+            )
+        else:
+            assert style is not None, "only a tag array takes no style"
+            tile = build_cache_array(
+                cfg.n_sets, cfg.n_ways, cfg.line_bytes, style=style,
+                factor=factor, name=level,
+            )
+        separate = level == "l1"
+        return dataclasses.replace(
+            tile, tiles=len(self.apu.memsys.l1s) if separate else 1,
+            separate_tiles=separate,
         )
 
     def _structure(
         self, structure: str, style: Optional[Interleaving], factor: int
-    ) -> Tuple[SramArray, List[StructureLifetimes]]:
-        """``(layout, replicas)`` of ``structure`` under (style, factor).
+    ) -> Tuple[SramArray, StructureLifetimes]:
+        """``(layout, lifetimes)`` of ``structure`` under (style, factor).
 
         ``style=None`` is the structure's default style.  Cached per
-        resolved key: one layout object per key and one set of lifetime
-        tables per structure, so the engine's per-layout enumeration memo
-        and per-lifetimes canonical-id cache are hit across calls.
+        resolved key: one layout object per key and one lifetime table per
+        structure, so the engine's per-layout enumeration memo and
+        per-lifetimes canonical-id cache are hit across calls.
         """
         if structure not in _DEFAULT_STYLE:
             raise ValueError(
@@ -309,7 +315,7 @@ class AvfStudy:
         if key not in self._structures:
             self._structures[key] = (
                 self._layout(structure, style, factor),
-                self._replicas(structure),
+                self._lifetimes(structure),
             )
         return self._structures[key]
 
@@ -325,10 +331,11 @@ class AvfStudy:
     ) -> List[MbAvfResult]:
         """MB-AVFs of ``structure`` for many engine configs in one pass:
         one :func:`~repro.core.avf.compute_mb_avf_batch` call over the
-        structure's layout and replicas, which sums each config over the
-        replicas and applies the layout's Sec. VIII rule."""
-        layout, replicas = self._structure(structure, style, factor)
-        return compute_mb_avf_batch(layout, replicas, configs)
+        structure's layout and lifetime table, under the layout's Sec.
+        VIII rule."""
+        return compute_mb_avf_batch(
+            *self._structure(structure, style, factor), configs
+        )
 
     def avf(
         self,
@@ -368,7 +375,6 @@ class AvfStudy:
         self, level: str, *, style: Optional[Interleaving] = None,
         factor: int = 1,
     ) -> float:
-        """ACE locality of a cache under a given physical layout, averaged
-        over its replicas."""
-        layout, replicas = self._structure(level, style, factor)
-        return float(np.mean([ace_locality(layout, lt) for lt in replicas]))
+        """ACE locality of a cache's data array under a given physical
+        layout, averaged over its CUs for the L1."""
+        return ace_locality(*self._structure(_cache_level(level), style, factor))

@@ -62,7 +62,7 @@ they can be shared:
   miscorrect_corrupts, series_edges)``.
 
 :func:`compute_mb_avf_batch` is the one engine call per structure layout:
-it takes every replica's lifetimes and a list of :class:`AvfConfig`, and
+it takes its one lifetime table and a list of :class:`AvfConfig`, and
 shares every cache across the whole batch; the single-config
 :func:`compute_mb_avf` is a thin wrapper.  Cache traffic is observable via
 the ``avf.batch_cache_hits`` counter.
@@ -491,11 +491,12 @@ class _RowTable:
 
     Rows get dense ids over ``[lifetime ids | domain ids − the row's first
     domain id]``.  An ``HxW`` group lies within a band of H consecutive
-    rows, and its key does not change when every domain id of the band
-    shifts by one amount, so a band is keyed by its H row ids plus the H−1
-    first-domain deltas to its first row.  :meth:`band` holds, per band
-    height, one representative per distinct band and how often each
-    occurs; every ``Mx1`` mode shares the height-1 table.
+    rows (of one tile, when the tiles are separate arrays), and its key
+    does not change when every domain id of the band shifts by one amount,
+    so a band is keyed by its H row ids plus the H−1 first-domain deltas
+    to its first row.  :meth:`band` holds, per band height, one
+    representative per distinct band and how often each occurs; every
+    ``Mx1`` mode shares the height-1 table.
 
     ``ranks`` keeps one prefix-rank grid per band height: the offsets it
     ranks, and the rank of each (band, column origin) under them (see
@@ -574,9 +575,14 @@ class _RowTable:
             sliding_window_view(self.row_id, h),
             first_win[:, 1:] - first_win[:, :1],
         ])
+        starts = np.arange(len(band_keys), dtype=np.intp)
+        if array.separate_tiles:  # no band spans two separate arrays
+            starts = starts[starts % array.tile_rows <= array.tile_rows - h]
         _, band_start, band_count = np.unique(
-            _as_scalars(band_keys), return_index=True, return_counts=True
+            _as_scalars(band_keys[starts]), return_index=True,
+            return_counts=True,
         )
+        band_start = starts[band_start]
         byte, dom = array.take_rows(
             band_start[:, None] + np.arange(h, dtype=np.intp)
         )
@@ -618,7 +624,7 @@ def _enumerate_signatures(
     """
     h, w = mode.height, mode.width
     k = mode.n_bits
-    if h > array.rows or w > array.cols:
+    if array.n_groups(h, w) == 0:
         return (
             np.zeros((0, 2 * k), dtype=np.int32), np.zeros(0, dtype=np.int64), 0
         )
@@ -928,62 +934,40 @@ def _signatures_for(
 
 def compute_mb_avf_batch(
     array: SramArray,
-    replicas: Sequence[StructureLifetimes],
+    lifetimes: StructureLifetimes,
     configs: Sequence[AvfConfig],
 ) -> List[MbAvfResult]:
     """MB-AVFs of one structure layout for many engine configurations.
 
-    ``replicas`` are the lifetime tables of every identical copy of the
-    structure laid out as ``array`` (the per-CU L1s, say), sharing one
-    analysis window.  Each config's outcome cycles, group count and series
-    are summed over them in replica order; the result is named after the
-    first.  The Sec. VIII rule (DUE preempts SDC: a wavefront reads a
-    register row at once, so a detected region fires before an undetected
-    one propagates) applies exactly to an ``INTER_THREAD`` array.
+    ``lifetimes`` is the structure's one lifetime table: byte ``i`` of it
+    is byte id ``i`` of ``array``, every tile's bytes included.  The
+    result is named after it.  The Sec. VIII rule (DUE preempts SDC: a
+    wavefront reads a register row at once, so a detected region fires
+    before an undetected one propagates) applies exactly to an
+    ``INTER_THREAD`` array.
 
     Every cache described in the module docstring is shared across the
     batch, so use this instead of looping over :func:`compute_mb_avf`
     whenever several (mode, scheme) pairs are evaluated on one structure.
     """
-    if not replicas:
-        raise ValueError("a structure needs at least one replica")
-    first = replicas[0]
-    window = (first.start_cycle, first.end_cycle)
-    if any((lt.start_cycle, lt.end_cycle) != window for lt in replicas):
-        raise ValueError("replicas must share one analysis window")
-    tracer = get_tracer()
-    cycles = [[0.0] * len(_REPORTED) for _ in configs]
-    series: List[Optional[np.ndarray]] = [None] * len(configs)
-    for lifetimes in replicas:
-        with tracer.span(
-            "batch", structure=lifetimes.name, configs=len(configs)
-        ):
-            canon = _canonical_iset_ids(lifetimes)
-            for i, cfg in enumerate(configs):
-                got, got_series = _config_result(
-                    array, canon, lifetimes, cfg
-                )
-                cycles[i] = [a + float(b) for a, b in zip(cycles[i], got)]
-                if got_series is not None:
-                    total = series[i]
-                    series[i] = (
-                        got_series.copy() if total is None
-                        else total + got_series
-                    )
+    with get_tracer().span(
+        "batch", structure=lifetimes.name, configs=len(configs)
+    ):
+        canon = _canonical_iset_ids(lifetimes)
+        done = [_config_result(array, canon, lifetimes, cfg) for cfg in configs]
     return [
         MbAvfResult(
-            structure=first.name,
+            structure=lifetimes.name,
             mode=cfg.mode,
             scheme=cfg.scheme.name,
-            n_groups=len(replicas)
-            * array.n_groups(cfg.mode.height, cfg.mode.width),
-            window_cycles=first.window_cycles,
-            outcome_cycles=dict(zip(_REPORTED, c)),
+            n_groups=array.n_groups(cfg.mode.height, cfg.mode.width),
+            window_cycles=lifetimes.window_cycles,
+            outcome_cycles={o: float(c) for o, c in zip(_REPORTED, cycles)},
             series_edges=None if cfg.series_edges is None
             else np.asarray(cfg.series_edges, dtype=np.int64),
-            series=s,
+            series=None if series is None else series.copy(),
         )
-        for cfg, c, s in zip(configs, cycles, series)
+        for cfg, (cycles, series) in zip(configs, done)
     ]
 
 
@@ -993,8 +977,8 @@ def _config_result(
     lifetimes: StructureLifetimes,
     cfg: AvfConfig,
 ) -> _Result:
-    """One config's outcome cycles and series on one replica, from the
-    enumeration memo's result cache or classified and integrated anew."""
+    """One config's outcome cycles and series, from the enumeration memo's
+    result cache or classified and integrated anew."""
     tracer = get_tracer()
     metrics = get_metrics()
     mode, scheme = cfg.mode, cfg.scheme
@@ -1049,9 +1033,8 @@ def compute_mb_avf(
     miscorrect_corrupts: bool = False,
     series_edges: Optional[Sequence[int]] = None,
 ) -> MbAvfResult:
-    """The DUE and SDC MB-AVF of ``array`` for one fault mode, over one
-    lifetime table: :func:`compute_mb_avf_batch` of one replica and one
-    config.
+    """The DUE and SDC MB-AVF of ``array`` for one fault mode:
+    :func:`compute_mb_avf_batch` of one config.
 
     ``series_edges`` optionally requests an AVF-over-time series with the
     given bucket boundaries (used for the paper's phase plots, Fig. 5/8).
@@ -1065,7 +1048,7 @@ def compute_mb_avf(
         miscorrect_corrupts=miscorrect_corrupts,
         series_edges=tuple(series_edges) if series_edges is not None else None,
     )
-    return compute_mb_avf_batch(array, [lifetimes], [cfg])[0]
+    return compute_mb_avf_batch(array, lifetimes, [cfg])[0]
 
 
 def ace_locality(array: SramArray, lifetimes: StructureLifetimes) -> float:
@@ -1085,7 +1068,8 @@ def ace_locality(array: SramArray, lifetimes: StructureLifetimes) -> float:
     tiles' buckets merged with one more, and the unions of every distinct
     (lifetime id, lifetime id) pair are swept in one grouped
     :func:`union_rows` call; each overlap is then ``|ACE_i| + |ACE_j| -
-    |ACE_i ∪ ACE_j|``, in exact int64.
+    |ACE_i ∪ ACE_j|``, in exact int64.  When the tiles are separate arrays
+    (one per CU, say) the result is the mean of each tile's locality.
     """
     canon = _canonical_iset_ids(lifetimes)
     u = canon.unique
@@ -1094,13 +1078,18 @@ def ace_locality(array: SramArray, lifetimes: StructureLifetimes) -> float:
     for k in range(array.tiles):
         byte, _ = array.take_rows(tile_rows + k * array.tile_rows)
         iid_of = canon.byte2iid[byte]
+        group = np.full(
+            iid_of[:, 1:].size, k if array.separate_tiles else 0,
+            dtype=np.int64,
+        )
         buckets.append(_unique_rows(np.stack(
-            [iid_of[:, :-1].ravel(), iid_of[:, 1:].ravel()], axis=1
+            [group, iid_of[:, :-1].ravel(), iid_of[:, 1:].ravel()], axis=1
         )))
-    uniq, counts = _unique_rows(
+    keyed, counts = _unique_rows(
         np.vstack([b for b, _ in buckets]),
         np.concatenate([n for _, n in buckets]),
     )
+    group, uniq = keyed[:, 0], keyed[:, 1:]
     ace = u.cls >= int(AceClass.ACE)
     dur = np.zeros(len(u.ends) + 1, dtype=np.int64)
     np.cumsum((u.ends - u.starts) * ace, out=dur[1:])
@@ -1118,5 +1107,8 @@ def ace_locality(array: SramArray, lifetimes: StructureLifetimes) -> float:
     np.cumsum(ends - starts, out=covered[1:])
     union = covered[offsets[1:]] - covered[offsets[:-1]]
     inter = dur[uniq[:, 0]] + dur[uniq[:, 1]] - union
-    total = int((counts * union).sum())
-    return int((counts * inter).sum()) / total if total else 1.0
+    n_tiles = array.tiles if array.separate_tiles else 1
+    totals = np.zeros((2, n_tiles), dtype=np.int64)
+    np.add.at(totals, (0, group), counts * inter)
+    np.add.at(totals, (1, group), counts * union)
+    return float(np.mean([i / t if t else 1.0 for i, t in totals.T.tolist()]))

@@ -79,7 +79,8 @@ class SramArray:
     the tile's bytes offset by ``k * tile_bytes`` and its domains offset by
     ``k * tile_domains`` (every wavefront's register file, say, laid out
     alike).  :meth:`take_rows` reads any rows of the whole array; nothing
-    else stores them.
+    else stores them.  With ``separate_tiles`` each tile is its own
+    physical array (one per CU, say), so no fault group spans two tiles.
     """
 
     name: str
@@ -89,6 +90,7 @@ class SramArray:
     interleave_factor: int
     style: Interleaving
     tiles: int = 1
+    separate_tiles: bool = False
     #: AVF-engine enumeration memo, populated lazily by
     #: core.avf._signatures_for: one row table per canonical lifetime ids
     #: (shared by every mode) and one region table per (mode, canonical ids)
@@ -159,10 +161,14 @@ class SramArray:
         return byte, dom
 
     def n_groups(self, mode_height: int, mode_width: int) -> int:
-        """Number of fault groups of an HxW bounding box in this array."""
-        if mode_height > self.rows or mode_width > self.cols:
+        """Number of fault groups of an HxW bounding box in this array
+        (with separate tiles: in all of them, none spanning two)."""
+        rows = self.tile_rows if self.separate_tiles else self.rows
+        if mode_height > rows or mode_width > self.cols:
             return 0
-        return (self.rows - mode_height + 1) * (self.cols - mode_width + 1)
+        return self.rows // rows * (rows - mode_height + 1) * (
+            self.cols - mode_width + 1
+        )
 
 
 def _assemble(

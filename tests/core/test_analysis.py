@@ -17,6 +17,8 @@ from repro.core.avf import AvfConfig, compute_mb_avf_batch
 from repro.core.intervals import Outcome
 from repro.workloads import run
 
+from .tables import one_tile_calls
+
 
 @pytest.fixture(scope="module")
 def matmul_study():
@@ -162,7 +164,7 @@ def _assert_same_result(got, want):
 
 
 def _summed(parts):
-    """``parts``, one result per replica, summed in replica order: the
+    """``parts``, one result per physical array, summed in order: the
     cycles, group counts and series add; the rest is the first part's."""
     cycles = {}
     for p in parts:
@@ -182,12 +184,12 @@ class TestAvfBatch:
         "structure,layouts", STRUCTURE_LAYOUTS,
         ids=[s for s, _ in STRUCTURE_LAYOUTS],
     )
-    def test_is_engine_batch_over_replicas_merged(
+    def test_is_engine_batch_summed_over_arrays(
         self, matmul_study, structure, layouts
     ):
-        """One path: every structure's AVF is the engine batch on each
-        replica of ``_structure``, under the layout's Sec. VIII rule,
-        summed over the replicas in order."""
+        """One path: every structure's AVF is the engine batch on each of
+        its physical arrays (every CU's L1 on the one-CU layout), under
+        the layout's Sec. VIII rule, summed over them in order."""
         edges = tuple(np.linspace(0, matmul_study.end_cycle, 5, dtype=int))
         configs = [
             AvfConfig(mode=mode, scheme=scheme, series_edges=series)
@@ -199,12 +201,14 @@ class TestAvfBatch:
             got = matmul_study.avf_batch(
                 structure, configs, style=style, factor=factor
             )
-            layout, replicas = matmul_study._structure(structure, style, factor)
-            per_replica = [
-                compute_mb_avf_batch(layout, [lt], configs) for lt in replicas
+            per_array = [
+                compute_mb_avf_batch(layout, lt, configs)
+                for layout, lt in one_tile_calls(
+                    matmul_study, structure, style, factor
+                )
             ]
             assert len(got) == len(configs)
-            for res, rs in zip(got, zip(*per_replica)):
+            for res, rs in zip(got, zip(*per_array)):
                 _assert_same_result(res, _summed(rs))
 
     def test_default_styles(self, matmul_study):
@@ -271,3 +275,9 @@ def test_aliases_ask_avf(matmul_study):
     for name in ("vgpr", "l1.tags"):
         with pytest.raises(ValueError, match="level"):
             matmul_study.cache_avf(name, mode, scheme)
+
+
+@pytest.mark.parametrize("name", ["vgpr", "l1.tags"])
+def test_ace_locality_takes_only_a_cache_level(matmul_study, name):
+    with pytest.raises(ValueError, match="level"):
+        matmul_study.cache_ace_locality(name)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.analysis import _stack
 from repro.core.avf import (
     AvfConfig,
     ace_locality,
@@ -282,10 +283,11 @@ class TestLargeModesAndMiscorrection:
             assert res.total_avf == 0.0
 
 
-class TestReplicas:
-    """One engine call measures every identical copy of a structure."""
+class TestSeparateTiles:
+    """One engine call measures every tile of an array whose tiles are
+    separate arrays, as the sum of one call per tile."""
 
-    def _replicas(self, window=30):
+    def test_sums_cycles_groups_and_series(self):
         arr = _array_two_domains(False)
         cu0 = lifetimes_of(
             "cu0", [IntervalSet([(0, 10, ACE)]), IntervalSet([(0, 10, ACE)])],
@@ -293,19 +295,17 @@ class TestReplicas:
         )
         cu1 = lifetimes_of(
             "cu1", [IntervalSet([(5, 25, ACE)]), IntervalSet([(2, 4, DEAD)])],
-            0, window,
+            0, 30,
         )
-        return arr, [cu0, cu1]
-
-    def test_sums_cycles_groups_and_series(self):
-        arr, replicas = self._replicas()
+        tiled = dataclasses.replace(arr, tiles=2, separate_tiles=True)
         cfg = AvfConfig(FaultMode.linear(3), Parity(), series_edges=(0, 15, 30))
-        (got,) = compute_mb_avf_batch(arr, replicas, [cfg])
+        lts = _stack("cu0", [cu0, cu1], 30)
+        (got,) = compute_mb_avf_batch(tiled, lts, [cfg])
         parts = [
             compute_mb_avf(
                 arr, lt, cfg.mode, cfg.scheme, series_edges=cfg.series_edges
             )
-            for lt in replicas
+            for lt in (cu0, cu1)
         ]
         assert got.structure == "cu0"
         assert got.n_groups == sum(p.n_groups for p in parts)
@@ -318,15 +318,3 @@ class TestReplicas:
         np.testing.assert_array_equal(
             got.series, parts[0].series + parts[1].series
         )
-
-    def test_replicas_share_one_window(self):
-        arr, replicas = self._replicas(window=40)
-        cfg = AvfConfig(FaultMode.linear(2), Parity())
-        with pytest.raises(ValueError, match="one analysis window"):
-            compute_mb_avf_batch(arr, replicas, [cfg])
-
-    def test_needs_a_replica(self):
-        arr, _ = self._replicas()
-        cfg = AvfConfig(FaultMode.linear(2), Parity())
-        with pytest.raises(ValueError, match="at least one replica"):
-            compute_mb_avf_batch(arr, [], [cfg])

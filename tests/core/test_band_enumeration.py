@@ -324,17 +324,14 @@ def test_real_workload_grid_matches_windowed_reference():
 
     study = build_study("matmul", n_cus=1)
     for structure, style, factor in GRID:
-        array, lts = study._structure(structure, style, factor)
-        for lt in lts:
-            byte2iid = _canonical_iset_ids(lt).byte2iid
-            for mode in list(MX1_MODES) + [FaultMode.rect(2, 2)]:
-                got, _ = _signatures(array, byte2iid, mode)
-                want = ref.enumerate_signatures_windowed_ref(
-                    array, byte2iid, mode
-                )
-                label = (structure, style.value, factor, mode.name)
-                assert got == want, label
-                assert list(got) == list(want), label
+        array, lt = study._structure(structure, style, factor)
+        byte2iid = _canonical_iset_ids(lt).byte2iid
+        for mode in list(MX1_MODES) + [FaultMode.rect(2, 2)]:
+            got, _ = _signatures(array, byte2iid, mode)
+            want = ref.enumerate_signatures_windowed_ref(array, byte2iid, mode)
+            label = (structure, style.value, factor, mode.name)
+            assert got == want, label
+            assert list(got) == list(want), label
 
 
 #: Mx1 modes stay within a row; 2x2 and 3x2 bands cross tile boundaries
@@ -375,8 +372,8 @@ def test_tiled_array_matches_its_stacked_copy(layout, seed):
         for mode in TILED_MODES for name in ("parity", "secded")
     ]
     for got, want in zip(
-        compute_mb_avf_batch(tiled, [lts], configs),
-        compute_mb_avf_batch(stacked, [lts], configs),
+        compute_mb_avf_batch(tiled, lts, configs),
+        compute_mb_avf_batch(stacked, lts, configs),
     ):
         assert _outcomes(got) == _outcomes(want), got.mode.name
     locality = ace_locality(tiled, lts)

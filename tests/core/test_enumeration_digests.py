@@ -3,11 +3,12 @@
 The committed ``enumeration_digests.json`` records, per workload opened
 through :func:`repro.experiments.build_study`, one fingerprint of
 :func:`repro.core.avf._enumerate_signatures` per fault mode (the eight
-Table III ``Mx1`` modes and a 2x2 block) on two layouts: every L1 under
-the uninterleaved layout, and the stacked register file under 2-way
-inter-thread interleaving.  A fingerprint is the sha256 of the distinct
-keys (their shape and int64 values, in returned order), the int64 group
-weights and the number of distinct row bands.  Any change to the
+Table III ``Mx1`` modes and a 2x2 block) on two layouts: every CU's L1
+table (:meth:`~repro.core.analysis.AvfStudy.l1_lifetimes`) on its own
+under the uninterleaved one-CU layout, and the stacked register file
+under 2-way inter-thread interleaving.  A fingerprint is the sha256 of
+the distinct keys (their shape and int64 values, in returned order), the
+int64 group weights and the number of distinct row bands.  Any change to the
 enumerator's keys, their order, their weights or its band count changes
 one of them, so a rewrite of the enumerator must keep this file
 byte-identical.
@@ -26,7 +27,7 @@ import pytest
 
 from repro.core.avf import _canonical_iset_ids, _enumerate_signatures
 from repro.core.faultmodes import MX1_MODES, FaultMode
-from repro.core.layout import Interleaving
+from repro.core.layout import Interleaving, build_cache_array
 from repro.experiments import build_study
 from repro.workloads import names
 
@@ -50,12 +51,13 @@ def enumeration_digest(array, lifetimes, mode):
 def study_digest(name):
     """Per-mode fingerprints of one workload's L1s and stacked VGPR."""
     study = build_study(name, seed=SEED)
-    l1, l1_lts = study._structure("l1", Interleaving.NONE, 1)
-    vgpr, (vgpr_lt,) = study._structure("vgpr", Interleaving.INTER_THREAD, 2)
+    cfg = study.apu.memsys.l1s[0].config
+    l1 = build_cache_array(cfg.n_sets, cfg.n_ways, cfg.line_bytes, name="l1")
+    vgpr, vgpr_lt = study._structure("vgpr", Interleaving.INTER_THREAD, 2)
     return {
         "l1": [
             [enumeration_digest(l1, lt, mode) for mode in MODES]
-            for lt in l1_lts
+            for lt in study.l1_lifetimes()
         ],
         "vgpr": [enumeration_digest(vgpr, vgpr_lt, mode) for mode in MODES],
     }

@@ -66,7 +66,7 @@ def study_digest(name):
     memsys = study.apu.memsys
     l1s = study.l1_lifetimes()
     l2 = study.l2_lifetime()
-    _, (vgpr,) = study._structure("vgpr", Interleaving.INTRA_THREAD, 1)
+    _, vgpr = study._structure("vgpr", Interleaving.INTRA_THREAD, 1)
     return {
         "l1": [lifetime_digest(lt, canonical=True) for lt in l1s],
         "l2": lifetime_digest(l2, canonical=True),

@@ -234,14 +234,12 @@ def real_structures(request):
 
     study = build_study(request.param, n_cus=1)
     return [
-        (array, lt)
+        study._structure(structure, style, factor)
         for structure, style, factor in (
             ("l1", Interleaving.WAY_PHYSICAL, 2),
             ("vgpr", Interleaving.INTRA_THREAD, 2),
             ("vgpr", Interleaving.INTER_THREAD, 4),
         )
-        for array, replicas in [study._structure(structure, style, factor)]
-        for lt in replicas
     ]
 
 
@@ -319,7 +317,7 @@ def test_sec_viii_rule_only_moves_sdc_to_true_due():
     ]
     moved = 0.0
     for factor in (2, 4):
-        layout, replicas = study._structure(
+        layout, lifetimes = study._structure(
             "vgpr", Interleaving.INTER_THREAD, factor
         )
         relabelled = dataclasses.replace(
@@ -327,8 +325,8 @@ def test_sec_viii_rule_only_moves_sdc_to_true_due():
         )
         for cfg, ruled, plain in zip(
             configs,
-            compute_mb_avf_batch(layout, replicas, configs),
-            compute_mb_avf_batch(relabelled, replicas, configs),
+            compute_mb_avf_batch(layout, lifetimes, configs),
+            compute_mb_avf_batch(relabelled, lifetimes, configs),
         ):
             got, want = ruled.outcome_cycles, plain.outcome_cycles
             assert ruled.n_groups == plain.n_groups, cfg

@@ -277,7 +277,7 @@ def test_batch_matches_singles(seed):
             style=Interleaving.WAY_PHYSICAL, factor=2, name="t",
         ), due)
         lts_batch = _random_lifetimes(rng, array.n_bytes)
-        batch = compute_mb_avf_batch(array, [lts_batch], configs)
+        batch = compute_mb_avf_batch(array, lts_batch, configs)
         # Fresh lifetimes (and a fresh array memo) for the single-call runs
         # so the comparison does not share state with the batch.
         rng = np.random.default_rng(seed)
@@ -308,7 +308,7 @@ def test_batch_reuses_caches(monkeypatch):
     obs.enable()
     try:
         obs.get_metrics().reset()
-        compute_mb_avf_batch(array, [lts], configs)
+        compute_mb_avf_batch(array, lts, configs)
         snap = obs.get_metrics().snapshot()
         # config 3 re-enumerates nothing and re-classifies nothing: the
         # memoized enumeration and the config-result cache both hit.
@@ -332,7 +332,7 @@ def test_row_table_reuse_is_not_a_cache_hit():
     obs.enable()
     try:
         obs.get_metrics().reset()
-        compute_mb_avf_batch(array, [lts], configs)
+        compute_mb_avf_batch(array, lts, configs)
         counters = obs.get_metrics().snapshot()["counters"]
         # three fresh modes share one row table, which counts as no hit
         assert counters.get("avf.batch_cache_hits", 0) == 0
@@ -414,12 +414,12 @@ def test_grouped_batch_matches_reference(seed, style):
             for i, (mode, scheme, d, corrupts) in enumerate(grid)
             if d is due
         ]
-        got = compute_mb_avf_batch(ruled, [lts], configs)
+        got = compute_mb_avf_batch(ruled, lts, configs)
         want = ref.compute_mb_avf_batch_ref(ruled, lts, configs)
         _assert_same_results(got, want, configs)
         # a second pass answers every config from the result cache
         _assert_same_results(
-            compute_mb_avf_batch(ruled, [lts], configs), want, configs
+            compute_mb_avf_batch(ruled, lts, configs), want, configs
         )
 
 
@@ -434,7 +434,7 @@ def test_grouped_batch_all_empty_lifetimes(window):
         for mode in GROUPED_MODES
     ]
     for ruled in (array, _ruled(array, True)):
-        got = compute_mb_avf_batch(ruled, [lts], configs)
+        got = compute_mb_avf_batch(ruled, lts, configs)
         _assert_same_results(
             got, ref.compute_mb_avf_batch_ref(ruled, lts, configs), configs
         )
@@ -508,13 +508,11 @@ def test_real_workload_grid_matches_reference(workload):
         for scheme in ("parity", "secded", "dected")
     ]
     cases = [
-        (array, lt)
+        study._structure(structure, style, factor)
         for structure, layouts in (("l1", L1_LAYOUTS), ("vgpr", VGPR_LAYOUTS))
         for style, factor in layouts
-        for array, replicas in [study._structure(structure, style, factor)]
-        for lt in replicas
     ]
     for array, lts in cases:
-        got = compute_mb_avf_batch(array, [lts], configs)
+        got = compute_mb_avf_batch(array, lts, configs)
         want = ref.compute_mb_avf_batch_ref(array, lts, configs)
         _assert_same_results(got, want, configs)
