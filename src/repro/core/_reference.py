@@ -174,12 +174,7 @@ def map_class_ref(iset: IntervalSet, fn: Callable[[int], int]) -> IntervalSet:
     return _sorted_set(out)
 
 
-def classify_region(
-    reaction: Reaction,
-    ace: IntervalSet,
-    *,
-    miscorrect_corrupts: bool = False,
-) -> IntervalSet:
+def classify_region(reaction: Reaction, ace: IntervalSet) -> IntervalSet:
     """Map an overlapped region's ACE intervals to fault outcomes (eq. 6).
 
     ``ace`` carries :class:`AceClass` labels; the result carries
@@ -189,7 +184,7 @@ def classify_region(
     The engine's grouped classify reads the same
     :data:`~repro.core.protection.OUTCOME_TABLE` row per region.
     """
-    kind = reaction_kind(reaction, miscorrect_corrupts=miscorrect_corrupts)
+    kind = reaction_kind(reaction)
     if kind == KIND_NONE:
         return IntervalSet()
     row = OUTCOME_TABLE[kind]
@@ -476,7 +471,6 @@ def compute_outcome_cycles_ref(
     mode,
     scheme: ProtectionScheme,
     *,
-    miscorrect_corrupts: bool = False,
     series_edges: Optional[Sequence[int]] = None,
 ):
     """Reference MB-AVF core: per-placement enumeration + reference kernels.
@@ -489,7 +483,7 @@ def compute_outcome_cycles_ref(
     from .avf import AvfConfig
 
     edges = None if series_edges is None else tuple(series_edges)
-    cfg = AvfConfig(mode, scheme, miscorrect_corrupts, edges)
+    cfg = AvfConfig(mode, scheme, edges)
     (res,) = compute_mb_avf_batch_ref(
         array, lifetimes, [cfg], signatures=enumerate_signatures_ref
     )
@@ -530,11 +524,7 @@ def compute_mb_avf_batch_ref(
             if ace is None:
                 ace = sweep_max_ref([isets[i] for i in ids]) if ids else IntervalSet()
                 region_ace[ids] = ace
-            return classify_region(
-                scheme.react(n_bits),
-                ace,
-                miscorrect_corrupts=cfg.miscorrect_corrupts,
-            )
+            return classify_region(scheme.react(n_bits), ace)
 
         outcome_cycles: Dict[Outcome, float] = {
             Outcome.FALSE_DUE: 0.0,

@@ -4,8 +4,9 @@
 
 1. the simulator's trace and cache event tables (:class:`~repro.arch.gpu.Apu`),
 2. the backward liveness pass (dynamic-dead + logic masking),
-3. per-structure lifetime analysis (L1s, L2, per-wavefront VGPRs, and
-   one memory table over the allocated footprint),
+3. lifetime analysis, one table per structure: the allocated memory
+   footprint, the L2, and the per-CU L1s and per-wavefront VGPRs each
+   stacked into one (per-part lists are views of it),
 4. the MB-AVF engine for any (fault mode, protection scheme, interleaving)
    combination.
 
@@ -67,6 +68,18 @@ def _stack(
         0,
         end_cycle,
     )
+
+
+def _tiles(
+    table: StructureLifetimes, names: Sequence[str]
+) -> List[StructureLifetimes]:
+    """``table`` cut into ``len(names)`` equal tiles, one
+    :meth:`~StructureLifetimes.byte_range` view per name."""
+    size = table.n_bytes // max(len(names), 1)
+    return [
+        table.byte_range(k * size, (k + 1) * size, name)
+        for k, name in enumerate(names)
+    ]
 
 
 #: Each structure's interleaving style when none is asked for.  A tag
@@ -133,11 +146,9 @@ class AvfStudy:
         hi = max((b + s for b, s in buffers), default=lo)
         #: ``(base, size)`` spanning every allocated buffer
         self.footprint = (lo, hi - lo)
-        self._memcons: Optional[StructureLifetimes] = None
-        self._l1_lifetimes: Optional[List[StructureLifetimes]] = None
         self._fills: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._vgpr_lifetimes: Optional[List[StructureLifetimes]] = None
-        #: each structure's one lifetime table, by structure name
+        #: each structure's one lifetime table, by structure name ("memory"
+        #: too); per-part lists and memory regions are views of it
         self._tables: Dict[str, StructureLifetimes] = {}
         self._structures: Dict[
             Tuple[str, Optional[Interleaving], int],
@@ -151,103 +162,97 @@ class AvfStudy:
         """The study's one memory lifetime table, over :attr:`footprint`
         (byte ``i`` is address ``footprint[0] + i``).  Every memory
         liveness question reads it."""
-        if self._memcons is None:
-            with get_tracer().span("lifetime", structure="memory"):
-                self._memcons = analyze_memory(
-                    self.apu.trace, self.apu.wf_programs,
-                    self.liveness.mem_needed, self.footprint,
-                    self.output_ranges, self.end_cycle,
-                )
-        return self._memcons
+        return self._lifetimes("memory")
 
     def l1_lifetimes(self) -> List[StructureLifetimes]:
-        """Per-CU L1 lifetimes (also resolves fill verdicts for the L2)."""
-        if self._l1_lifetimes is None:
-            lts = []
-            with get_tracer().span("lifetime", structure="l1"):
-                for l1 in self.apu.memsys.l1s:
-                    lt, fills = analyze_cache(
-                        l1, self.apu.trace, self.apu.wf_programs,
-                        self.liveness.mem_needed, self.end_cycle,
-                    )
-                    lts.append(lt)
-                    self._fills.update(fills)  # fill ids are device-wide
-                # named after CU 0's, as its results are
-                self._tables["l1"] = _stack(lts[0].name, lts, self.end_cycle)
-                self._l1_lifetimes = lts
-        return self._l1_lifetimes
+        """Per-CU L1 lifetimes: views of the study's one L1 table, built
+        per call and named after their CU's cache."""
+        return _tiles(
+            self._lifetimes("l1"), [l1.name for l1 in self.apu.memsys.l1s]
+        )
 
     def l2_lifetime(self) -> StructureLifetimes:
-        if "l2" not in self._tables:
-            self.l1_lifetimes()  # ensure fill verdicts exist
-            memory = self.memory_lifetimes((0, sum(self.footprint)))
-            with get_tracer().span("lifetime", structure="l2"):
-                self._tables["l2"], _ = analyze_cache(
-                    self.apu.memsys.l2,
-                    self.apu.trace,
-                    self.apu.wf_programs,
-                    self.liveness.mem_needed,
-                    self.end_cycle,
-                    memcons=memory,
-                    upstream_fills=self._fills,
-                )
-        return self._tables["l2"]
+        return self._lifetimes("l2")
 
     def vgpr_lifetimes(self) -> List[StructureLifetimes]:
-        """One register-file lifetime per launched wavefront."""
-        if self._vgpr_lifetimes is None:
-            with get_tracer().span("lifetime", structure="vgpr"):
-                trace = self.apu.trace
-                by_wf = trace.wf_rows()
-                none = np.zeros(0, dtype=np.int64)
-                lts = [
-                    analyze_vgpr(
-                        trace, by_wf.get(wf, none), program,
-                        self.liveness.src_needed, wf, self.vgpr_regs,
-                        self.end_cycle,
-                    )
-                    for wf, program in sorted(self.apu.wf_programs.items())
-                ]
-                self._tables["vgpr"] = _stack("vgpr", lts, self.end_cycle)
-                self._vgpr_lifetimes = lts
-        return self._vgpr_lifetimes
+        """One register-file lifetime per launched wavefront, in wavefront
+        id order: views of the study's one VGPR table, built per call."""
+        return _tiles(
+            self._lifetimes("vgpr"),
+            [f"vgpr.wf{wf}" for wf in sorted(self.apu.wf_programs)],
+        )
 
     def memory_lifetimes(self, region: Tuple[int, int]) -> StructureLifetimes:
         """Architectural lifetimes of the flat memory region ``(base,
         size)`` (see :func:`repro.core.lifetime.analyze_memory`): the
-        region's CSR slice of :attr:`memcons`.  Bytes outside the
-        footprint have no rows."""
-        table = self.memcons
+        region's :meth:`~StructureLifetimes.byte_range` of
+        :attr:`memcons`.  Bytes outside the footprint have no rows."""
         base, size = region
-        pos = np.arange(base, base + size + 1) - self.footprint[0]
-        offsets = table.offsets[np.clip(pos, 0, table.n_bytes)]
-        rows = slice(offsets[0], offsets[-1])
-        return StructureLifetimes(
-            table.name, offsets - offsets[0], table.starts[rows],
-            table.ends[rows], table.cls[rows], table.start_cycle,
-            table.end_cycle,
-        )
-
-    # -- structures ---------------------------------------------------------
+        lo = base - self.footprint[0]
+        return self.memcons.byte_range(lo, lo + size)
 
     def _lifetimes(self, structure: str) -> StructureLifetimes:
-        """The one lifetime table of ``structure``: the L2's, or every
-        CU's L1 or every wavefront's register file stacked into one, tile
-        after tile.  A tag array's is derived from its data array's (an
-        entry is ACE while its line holds live data) once, and every
-        layout shares it."""
-        level, _, tags = structure.partition(".")
-        if level == "l1":
-            self.l1_lifetimes()
-        elif level == "l2":
-            self.l2_lifetime()
-        else:
-            self.vgpr_lifetimes()
-        if tags and structure not in self._tables:
-            self._tables[structure] = derive_tag_lifetimes(
-                self._tables[level], self._cache_config(level).line_bytes
-            )
+        """The one lifetime table of ``structure``, built on first ask:
+        the memory footprint's, the L2's, or every CU's L1 or every
+        wavefront's register file stacked into one, tile after tile.  A
+        tag array's is derived from its data array's (an entry is ACE
+        while its line holds live data) once, and every layout shares
+        it."""
+        if structure not in self._tables:
+            level, _, tags = structure.partition(".")
+            if tags:
+                table = derive_tag_lifetimes(
+                    self._lifetimes(level),
+                    self._cache_config(level).line_bytes,
+                )
+            else:
+                if level == "l2":  # reads the L1s' fill verdicts and memory
+                    self._lifetimes("l1")
+                    self._lifetimes("memory")
+                with get_tracer().span("lifetime", structure=level):
+                    table = self._analyze(level)
+            self._tables[structure] = table
         return self._tables[structure]
+
+    def _analyze(self, level: str) -> StructureLifetimes:
+        """Run the extractors of ``level`` ("memory", "l1", "l2" or
+        "vgpr"), stacking per-part tables into one."""
+        apu, needed = self.apu, self.liveness.mem_needed
+        if level == "memory":
+            return analyze_memory(
+                apu.trace, apu.wf_programs, needed, self.footprint,
+                self.output_ranges, self.end_cycle,
+            )
+        if level == "l2":
+            table, _ = analyze_cache(
+                apu.memsys.l2, apu.trace, apu.wf_programs, needed,
+                self.end_cycle,
+                memcons=self.memory_lifetimes((0, sum(self.footprint))),
+                upstream_fills=self._fills,
+            )
+            return table
+        if level == "l1":
+            parts = []
+            for l1 in apu.memsys.l1s:
+                lt, fills = analyze_cache(
+                    l1, apu.trace, apu.wf_programs, needed, self.end_cycle
+                )
+                parts.append(lt)
+                self._fills.update(fills)  # fill ids are device-wide
+            # named after CU 0's, as its results are
+            return _stack(parts[0].name, parts, self.end_cycle)
+        by_wf = apu.trace.wf_rows()
+        none = np.zeros(0, dtype=np.int64)
+        parts = [
+            analyze_vgpr(
+                apu.trace, by_wf.get(wf, none), program,
+                self.liveness.src_needed, wf, self.vgpr_regs, self.end_cycle,
+            )
+            for wf, program in sorted(apu.wf_programs.items())
+        ]
+        return _stack("vgpr", parts, self.end_cycle)
+
+    # -- structures ---------------------------------------------------------
 
     def _cache_config(self, level: str):
         """The configuration of the ``level`` cache (CU 0's for the L1s)."""
@@ -271,7 +276,7 @@ class AvfStudy:
                 self.vgpr_threads, self.vgpr_regs, style=style,
                 factor=factor, name="vgpr",
             )
-            return dataclasses.replace(tile, tiles=len(self.vgpr_lifetimes()))
+            return dataclasses.replace(tile, tiles=len(self.apu.wf_programs))
         cfg = self._cache_config(level)
         if tags:
             tile = build_tag_array(

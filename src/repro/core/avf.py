@@ -59,7 +59,7 @@ they can be shared:
   every mode,
 * the region table is memoized per ``(array, mode, lifetimes)``, and with
   it each config's outcome cycles and series, keyed by ``(scheme,
-  miscorrect_corrupts, series_edges)``.
+  series_edges)``.
 
 :func:`compute_mb_avf_batch` is the one engine call per structure layout:
 it takes its one lifetime table and a list of :class:`AvfConfig`, and
@@ -203,6 +203,27 @@ class StructureLifetimes:
     def window_cycles(self) -> int:
         return self.end_cycle - self.start_cycle
 
+    def byte_range(
+        self, lo: int, hi: int, name: Optional[str] = None
+    ) -> "StructureLifetimes":
+        """Bytes ``[lo, hi)`` of this table as a table of their own,
+        named ``name`` (this table's by default).
+
+        Its ``starts``, ``ends`` and ``cls`` are slices of this table's
+        arrays; only ``offsets`` is new, rebased to 0.  Bytes outside
+        ``[0, n_bytes)`` have no rows.
+        """
+        if hi < lo:
+            raise ValueError(f"inverted byte range [{lo}, {hi})")
+        pos = np.arange(lo, hi + 1, dtype=np.int64)
+        offsets = self.offsets[np.clip(pos, 0, self.n_bytes)]
+        rows = slice(offsets[0], offsets[-1])
+        return StructureLifetimes(
+            self.name if name is None else name, offsets - offsets[0],
+            self.starts[rows], self.ends[rows], self.cls[rows],
+            self.start_cycle, self.end_cycle,
+        )
+
     def class_at(self, byte_ids: ArrayLike, cycle: ArrayLike) -> np.ndarray:
         """:meth:`IntervalSet.class_at` of each of ``byte_ids`` at ``cycle``
         (broadcast against them): one bisection of every byte's rows."""
@@ -240,7 +261,6 @@ class AvfConfig:
 
     mode: FaultMode
     scheme: ProtectionScheme
-    miscorrect_corrupts: bool = False
     series_edges: Optional[Tuple[int, ...]] = None
 
 
@@ -687,9 +707,9 @@ _OUTCOMES = np.array(OUTCOME_TABLE, dtype=np.int64)
 #: the outcome classes an MB-AVF result reports, in ``Outcome`` order
 _REPORTED = (Outcome.FALSE_DUE, Outcome.TRUE_DUE, Outcome.SDC)
 
-#: (scheme, miscorrect_corrupts, series_edges); the Sec. VIII rule is the
-#: layout's, so it is fixed per enumeration memo
-_ResultKey = Tuple[ProtectionScheme, bool, Optional[Tuple[int, ...]]]
+#: (scheme, series_edges); the Sec. VIII rule is the layout's, so it is
+#: fixed per enumeration memo
+_ResultKey = Tuple[ProtectionScheme, Optional[Tuple[int, ...]]]
 #: weighted cycles per reported outcome, and the optional series
 _Result = Tuple[Tuple[int, ...], Optional[np.ndarray]]
 
@@ -991,7 +1011,7 @@ def _config_result(
             array.n_groups(mode.height, mode.width)
         )
         metrics.counter("avf.unique_signatures").inc(sigs.n_signatures)
-    key = (scheme, cfg.miscorrect_corrupts, cfg.series_edges)
+    key = (scheme, cfg.series_edges)
     cached = sigs.results.get(key)
     if cached is not None:
         if metrics:
@@ -1001,13 +1021,7 @@ def _config_result(
         "classify", signatures=sigs.n_signatures, scheme=scheme.name
     ) as span:
         kinds = np.array(
-            [
-                reaction_kind(
-                    scheme.react(n),
-                    miscorrect_corrupts=cfg.miscorrect_corrupts,
-                )
-                for n in range(mode.n_bits + 1)
-            ],
+            [reaction_kind(scheme.react(n)) for n in range(mode.n_bits + 1)],
             dtype=np.int64,
         )
         events, weights, n_regions, n_combos = sigs.classify(canon, kinds)
@@ -1030,7 +1044,6 @@ def compute_mb_avf(
     mode: FaultMode,
     scheme: ProtectionScheme,
     *,
-    miscorrect_corrupts: bool = False,
     series_edges: Optional[Sequence[int]] = None,
 ) -> MbAvfResult:
     """The DUE and SDC MB-AVF of ``array`` for one fault mode:
@@ -1045,7 +1058,6 @@ def compute_mb_avf(
     cfg = AvfConfig(
         mode=mode,
         scheme=scheme,
-        miscorrect_corrupts=miscorrect_corrupts,
         series_edges=tuple(series_edges) if series_edges is not None else None,
     )
     return compute_mb_avf_batch(array, lifetimes, [cfg])[0]

@@ -43,6 +43,13 @@ __all__ = [
 ]
 
 
+#: an int or an integer array, as the byte-id formulas take them
+_Index = Union[int, np.ndarray]
+
+#: bytes per register, each register its own protection domain
+_REG_BYTES = 4
+
+
 class Interleaving(Enum):
     """Interleaving styles from the paper's evaluation."""
 
@@ -195,10 +202,15 @@ def _assemble(
 
 
 def cache_byte_index(
-    set_idx: int, way: int, offset: int, n_ways: int, line_bytes: int
-) -> int:
-    """Tracked byte id of (set, way, offset) in a cache data array."""
-    return (set_idx * n_ways + way) * line_bytes + offset
+    set_idx: _Index,
+    way: _Index,
+    offset: _Index,
+    n_ways: int,
+    line_bytes: int,
+) -> np.ndarray:
+    """Tracked byte ids of (set, way, offset) in a cache data array;
+    integer arrays broadcast."""
+    return np.asarray((set_idx * n_ways + way) * line_bytes + offset)
 
 
 def build_cache_array(
@@ -282,16 +294,18 @@ def build_tag_array(
     return _assemble(name, clusters, tag_bytes, factor, style)
 
 
-def regfile_byte_index(thread: int, reg: int, byte: int, n_regs: int, reg_bytes: int = 4) -> int:
-    """Tracked byte id of (thread, register, byte) in a register file."""
-    return (thread * n_regs + reg) * reg_bytes + byte
+def regfile_byte_index(
+    thread: _Index, reg: _Index, byte: _Index, n_regs: int
+) -> np.ndarray:
+    """Tracked byte ids of (thread, register, byte) in a register file of
+    ``n_regs`` 4-byte registers per thread; integer arrays broadcast."""
+    return np.asarray((thread * n_regs + reg) * _REG_BYTES + byte)
 
 
 def build_regfile_array(
     n_threads: int,
     n_regs: int,
     *,
-    reg_bytes: int = 4,
     style: Interleaving = Interleaving.INTRA_THREAD,
     factor: int = 1,
     name: str = "vgpr",
@@ -323,4 +337,4 @@ def build_regfile_array(
             np.arange(n_threads * n_regs).reshape(-1, factor, n_regs)
             .transpose(0, 2, 1)
         )
-    return _assemble(name, clusters, reg_bytes, factor, style)
+    return _assemble(name, clusters, _REG_BYTES, factor, style)

@@ -36,6 +36,7 @@ from ..arch.isa import WAVEFRONT_LANES, Program
 from ..arch.trace import Trace
 from .avf import StructureLifetimes
 from .intervals import AceClass, _csr_take, union_rows
+from .layout import cache_byte_index, regfile_byte_index
 
 __all__ = [
     "analyze_cache",
@@ -164,10 +165,12 @@ def analyze_cache(
         return addr[hit] % lb, live[hit]
 
     ev = cache.events()
-    for kind, t, s, way, line_addr, ref in zip(
-        *(c.tolist() for c in (ev.kind, ev.t, ev.set, ev.way, ev.line, ev.ref))
+    # each event's line: its first byte id, plus the line's offsets
+    first = cache_byte_index(ev.set, ev.way, 0, cfg.n_ways, lb)
+    for kind, t, line0, line_addr, ref in zip(
+        *(c.tolist() for c in (ev.kind, ev.t, first, ev.line, ev.ref))
     ):
-        line = (s * cfg.n_ways + way) * lb + whole
+        line = line0 + whole
         if kind == FILL:
             fills[ref] = (np.zeros(lb, dtype=bool), np.zeros(lb, dtype=bool))
             trk.open(line, t)
@@ -316,19 +319,20 @@ def analyze_vgpr(
     :class:`~repro.arch.liveness.Liveness`) are non-zero.
 
     ``rows`` are the wavefront's own trace rows, in trace order; each ran
-    ``program.instrs[pc]``.  Byte ids follow
-    :func:`repro.core.layout.regfile_byte_index` with ``thread = lane``:
-    ``(lane * n_vregs + reg) * 4 + byte``.
+    ``program.instrs[pc]``.  Byte ids are
+    :func:`repro.core.layout.regfile_byte_index` ``(lane, reg, byte,
+    n_vregs)``.
     """
     n_bytes = WAVEFRONT_LANES * n_vregs * 4
     ts = trace.t[rows].tolist()
     start = ts[0] if ts else 0
-    # Byte ids of register r across lanes: shape (16, 4).
-    lane_base = (np.arange(WAVEFRONT_LANES) * n_vregs)[:, None] * 4
-    reg_idx = [
-        (lane_base + r * 4 + np.arange(4)[None, :]).ravel()
-        for r in range(n_vregs)
-    ]
+    # Byte ids of register r across lanes: row r, lane-major (16 x 4).
+    reg_idx = regfile_byte_index(
+        np.arange(WAVEFRONT_LANES)[:, None],
+        np.arange(n_vregs)[:, None, None],
+        np.arange(4),
+        n_vregs,
+    ).reshape(n_vregs, WAVEFRONT_LANES * 4)
     # Each source's live bytes, in reg_idx order: shape (rows, srcs, 64).
     live = (
         (src_needed[rows][..., None] >> _BYTE_SHIFTS) & np.uint32(0xFF) != 0

@@ -16,12 +16,8 @@ reaction              region ACE  region        region
 ``CORRECTED``         unACE       unACE         unACE
 ``DETECTED``          true DUE    false DUE     unACE
 ``UNDETECTED``        SDC         unACE         unACE
-``MISCORRECTED``      SDC         unACE [#]_    unACE
+``MISCORRECTED``      SDC         unACE         unACE
 ====================  ==========  ============  =======
-
-.. [#] With ``miscorrect_corrupts=True`` a miscorrection on dead data is
-   classified SDC, modelling the decoder flipping an additional (possibly
-   live) bit in the domain.
 """
 
 from __future__ import annotations
@@ -221,7 +217,7 @@ SCHEMES: Dict[str, ProtectionScheme] = {
 
 #: Reaction kinds, the rows of :data:`OUTCOME_TABLE`.  Every reaction a
 #: scheme can produce classifies a region like exactly one of these.
-KIND_NONE, KIND_DETECTED, KIND_UNDETECTED, KIND_CORRUPTS = range(4)
+KIND_NONE, KIND_DETECTED, KIND_UNDETECTED = range(3)
 
 #: ``OUTCOME_TABLE[kind][ace_class]`` is the :class:`Outcome` of a region
 #: whose reaction has kind ``kind`` at an instant its ACE union has class
@@ -231,17 +227,14 @@ OUTCOME_TABLE: Tuple[Tuple[int, int, int], ...] = (
     (0, 0, 0),
     (0, int(Outcome.FALSE_DUE), int(Outcome.TRUE_DUE)),
     (0, 0, int(Outcome.SDC)),
-    (0, int(Outcome.SDC), int(Outcome.SDC)),
 )
 
 
-def reaction_kind(reaction: Reaction, *, miscorrect_corrupts: bool = False) -> int:
+def reaction_kind(reaction: Reaction) -> int:
     """The :data:`OUTCOME_TABLE` row that classifies ``reaction``."""
     if reaction in (Reaction.NO_FAULT, Reaction.CORRECTED):
         return KIND_NONE
     if reaction is Reaction.DETECTED:
         return KIND_DETECTED
-    if reaction is Reaction.MISCORRECTED and miscorrect_corrupts:
-        return KIND_CORRUPTS
-    # UNDETECTED, or MISCORRECTED treated as silent corruption of live data
+    # UNDETECTED, or MISCORRECTED: silent corruption of live data
     return KIND_UNDETECTED

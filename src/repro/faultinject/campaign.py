@@ -40,6 +40,7 @@ import numpy as np
 from ..core.analysis import AvfStudy
 from ..core.faultmodes import FaultMode
 from ..core.intervals import AceClass
+from ..core.layout import regfile_byte_index
 from ..core.protection import SCHEMES
 from ..obs import get_metrics, get_tracer
 from ..runtime import (
@@ -154,23 +155,25 @@ def injection_class(
     ``(write, read]`` and the deciding class is ``class_at(c - 1)``.  A
     class below ``AceClass.ACE`` proves the flip masked.
 
-    A VGPR spec reads byte ``(lane * study.vgpr_regs + reg) * 4 + bit // 8``
-    of its wavefront's lifetimes (``vgpr_regs`` is the padded register
-    count, not the wavefront's own) and takes the highest class over its
-    bits.  A memory spec reads the study's memory table; a byte outside
-    the allocated footprint is UNACE.
+    A VGPR spec reads the study's one VGPR table, whose tiles are the
+    wavefronts in id order: byte :func:`regfile_byte_index` ``(lane, reg,
+    bit // 8)`` of its wavefront's tile (over ``study.vgpr_regs``, the
+    padded register count, not the wavefront's own), and takes the
+    highest class over its bits.  A memory spec reads the study's memory
+    table; a byte outside the allocated footprint is UNACE.
     """
     if isinstance(spec, MemorySpec):
-        lifetimes = study.memory_lifetimes((spec.addr, 1))
-        ids = [0]
-    else:
-        if spec.reg >= study.apu.wf_programs[spec.wf].n_vregs:
-            return AceClass.UNACE  # the simulator drops the flip
-        wfs = sorted(study.apu.wf_programs)
-        lifetimes = study.vgpr_lifetimes()[wfs.index(spec.wf)]
-        row = (spec.lane * study.vgpr_regs + spec.reg) * 4
-        ids = [row + b // 8 for b in spec.bits]
-    return int(lifetimes.class_at(ids, spec.cycle - 1).max())
+        memory = study.memory_lifetimes((spec.addr, 1))
+        return int(memory.class_at(0, spec.cycle - 1))
+    if spec.reg >= study.apu.wf_programs[spec.wf].n_vregs:
+        return AceClass.UNACE  # the simulator drops the flip
+    wfs = sorted(study.apu.wf_programs)
+    vgpr = study._lifetimes("vgpr")
+    tile_bytes = vgpr.n_bytes // len(wfs)
+    ids = wfs.index(spec.wf) * tile_bytes + regfile_byte_index(
+        spec.lane, spec.reg, np.asarray(spec.bits) // 8, study.vgpr_regs
+    )
+    return int(vgpr.class_at(ids, spec.cycle - 1).max())
 
 
 @dataclass

@@ -4,20 +4,18 @@ The reproduction's claims rest on invariants no unit test can watch
 everywhere at once: bit-replayable determinism from a seed, int64/float64
 kernel dtype discipline, spawn-only fork safety with atomic whole-file
 writes, and no-op-singleton observability.  This package checks them
-statically, with a ratcheting committed baseline so existing debt can
-only shrink.
+statically; any finding fails the run.
 
 Use it three ways::
 
-    repro lint src/repro --baseline tools/staticcheck_baseline.json
+    repro lint src/repro
     python -m repro.staticcheck src/repro --format=json
     from repro.staticcheck import run  # programmatic
 
-See ``docs/static-analysis.md`` for the rule catalogue, suppression
-syntax, and the baseline-ratchet workflow.
+See ``docs/static-analysis.md`` for the rule catalogue and suppression
+syntax.
 """
 
-from .baseline import compare, counts_for
 from .engine import RunResult, run
 from .findings import Finding, Module, Rule
 from .registry import all_rules, get_rule, register, rule_classes
@@ -28,8 +26,6 @@ __all__ = [
     "Rule",
     "RunResult",
     "run",
-    "compare",
-    "counts_for",
     "register",
     "all_rules",
     "rule_classes",

@@ -2,9 +2,9 @@
 
 Exit codes::
 
-    0   clean (no findings, or all findings baselined and no stale cells)
-    1   violations: new findings and/or stale baseline entries
-    2   usage / IO error (bad baseline file, unreadable path)
+    0   clean: no findings
+    1   violations: any finding
+    2   usage / IO error (unreadable path)
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from . import baseline as baseline_mod
 from .engine import run
 from .registry import rule_classes
 from .reporters import render_json, render_text
@@ -46,14 +45,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="compare findings against a ratcheting baseline file",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite --baseline to match current findings and exit 0",
-    )
-    parser.add_argument(
         "--output", metavar="FILE", default=None,
         help="write the report to FILE (atomically) instead of stdout",
     )
@@ -80,19 +71,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 def lint_command(args: argparse.Namespace) -> int:
     """Shared implementation behind ``repro lint`` and ``python -m``.
 
-    ``args`` needs: paths, format, baseline, update_baseline, output,
-    list_rules.
+    ``args`` needs: paths, format, output, list_rules.
     """
     if args.list_rules:
         print(_list_rules())
         return 0
-
-    if args.update_baseline and not args.baseline:
-        print(
-            "repro.staticcheck: --update-baseline requires --baseline",
-            file=sys.stderr,
-        )
-        return 2
 
     paths = [Path(p) for p in args.paths]
     missing = [str(p) for p in paths if not p.exists()]
@@ -102,32 +85,8 @@ def lint_command(args: argparse.Namespace) -> int:
         return 2
 
     result = run(paths)
-
-    comparison = None
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if args.update_baseline:
-            from ..ioutil import atomic_write
-
-            content = baseline_mod.dump(
-                baseline_mod.counts_for(result.findings)
-            )
-            atomic_write(baseline_path, content)
-            print(
-                f"baseline updated: {baseline_path} "
-                f"({len(result.findings)} findings across "
-                f"{len(baseline_mod.counts_for(result.findings))} cells)"
-            )
-            return 0
-        try:
-            known = baseline_mod.load(baseline_path)
-        except (ValueError, KeyError, TypeError) as exc:
-            print(f"repro.staticcheck: bad baseline: {exc}", file=sys.stderr)
-            return 2
-        comparison = baseline_mod.compare(result.findings, known)
-
     render = render_json if args.format == "json" else render_text
-    report = render(result, comparison)
+    report = render(result)
 
     if args.output:
         from ..ioutil import atomic_write
@@ -135,7 +94,4 @@ def lint_command(args: argparse.Namespace) -> int:
         atomic_write(Path(args.output), report)
     else:
         print(report)
-
-    if comparison is not None:
-        return 0 if comparison.clean else 1
     return 0 if not result.findings else 1

@@ -30,6 +30,15 @@ class TestIndexHelpers:
         assert regfile_byte_index(0, 1, 0, n_regs=8) == 4
         assert regfile_byte_index(1, 0, 2, n_regs=8) == 8 * 4 + 2
 
+    def test_byte_indices_broadcast(self):
+        thread, reg, byte = np.ix_(range(3), range(8), range(4))
+        ids = regfile_byte_index(thread, reg, byte, n_regs=8)
+        assert ids.shape == (3, 8, 4)
+        assert ids.ravel().tolist() == list(range(3 * 8 * 4))
+        way, off = np.ix_(range(4), range(64))
+        lines = cache_byte_index(2, way, off, n_ways=4, line_bytes=64)
+        assert lines.ravel().tolist() == list(range(8 * 64, 12 * 64))
+
 
 class TestCacheLayoutInvariants:
     @pytest.mark.parametrize(

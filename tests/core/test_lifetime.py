@@ -1,5 +1,7 @@
 """Integration tests: simulator events -> per-byte ACE lifetimes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from repro.arch import Apu, GlobalMemory, Launch, ProgramBuilder, imm, s, v
 from repro.core import analysis
 from repro.core.analysis import AvfStudy
 from repro.core.intervals import AceClass
-from repro.core.lifetime import analyze_memory
+from repro.core.lifetime import analyze_memory, analyze_vgpr
 from repro.experiments import build_study
 
 from .tables import lifetimes_of
@@ -278,3 +280,106 @@ class TestMemoryRegions:
         for region in study.output_ranges:
             study.memory_lifetimes(region)
         assert calls == [study.footprint]
+
+
+class TestByteRange:
+    FIELDS = ("starts", "ends", "cls")
+
+    @pytest.mark.parametrize("lo, hi", [
+        (-8, -2), (-5, 6), (10, 30), (0, 40), (33, 47), (41, 50), (12, 12),
+    ], ids=["before", "across-start", "inside", "whole", "across-end",
+            "past", "empty"])
+    def test_rows_are_the_parents(self, lo, hi):
+        lt = _random_table(np.random.default_rng(7), 40, 100)
+        view = lt.byte_range(lo, hi)
+        assert view.n_bytes == hi - lo
+        assert (view.name, view.start_cycle, view.end_cycle) == (
+            lt.name, lt.start_cycle, lt.end_cycle
+        )
+        for b in range(lo, hi):
+            want = lt.byte_isets[b].intervals() if 0 <= b < lt.n_bytes else []
+            assert view.byte_isets[b - lo].intervals() == want, b
+        inside = range(max(lo, 0), min(hi, lt.n_bytes))
+        assert len(view.starts) == sum(len(lt.byte_isets[b]) for b in inside)
+        for field in self.FIELDS:
+            assert len(view.starts) == 0 or np.shares_memory(
+                getattr(view, field), getattr(lt, field)
+            ), field
+
+    def test_takes_a_name(self):
+        lt = _random_table(np.random.default_rng(0), 8, 50)
+        assert lt.byte_range(2, 4, "part").name == "part"
+
+    def test_inverted_range_rejected(self):
+        lt = _random_table(np.random.default_rng(0), 8, 50)
+        with pytest.raises(ValueError):
+            lt.byte_range(5, 4)
+
+
+def _same_table(got, want):
+    for field in ("offsets", "starts", "ends", "cls"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert (got.name, got.start_cycle, got.end_cycle) == (
+        want.name, want.start_cycle, want.end_cycle
+    )
+
+
+def _table_nbytes(table):
+    return sum(
+        getattr(table, f).nbytes for f in ("offsets", "starts", "ends", "cls")
+    )
+
+
+class TestOneTablePerStructure:
+    @pytest.mark.parametrize("name", ["matmul", "dct", "minife"])
+    def test_vgpr_views_match_per_wavefront_analysis(self, name):
+        study = build_study(name, seed=0)
+        views = study.vgpr_lifetimes()
+        trace = study.apu.trace
+        by_wf = trace.wf_rows()
+        none = np.zeros(0, dtype=np.int64)
+        programs = sorted(study.apu.wf_programs.items())
+        assert len(views) == len(programs)
+        table = study._tables["vgpr"]
+        for view, (wf, program) in zip(views, programs):
+            _same_table(view, analyze_vgpr(
+                trace, by_wf.get(wf, none), program,
+                study.liveness.src_needed, wf, study.vgpr_regs,
+                study.end_cycle,
+            ))
+            for field in ("starts", "ends", "cls"):
+                assert len(view.starts) == 0 or np.shares_memory(
+                    getattr(view, field), getattr(table, field)
+                )
+
+    def test_l1_views_share_the_stacked_table(self):
+        study = build_study("matmul", seed=0)
+        views = study.l1_lifetimes()
+        table = study._tables["l1"]
+        assert [v.name for v in views] == [
+            l1.name for l1 in study.apu.memsys.l1s
+        ]
+        assert table.name == views[0].name
+        assert sum(v.n_bytes for v in views) == table.n_bytes
+        for view in views:
+            assert np.shares_memory(view.starts, table.starts)
+
+    def test_vgpr_rows_are_held_once(self):
+        study = build_study("minife", seed=0)
+        for structure in ("memory", "l1", "l2", "l1.tags", "l2.tags"):
+            study._lifetimes(structure)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            views = study.vgpr_lifetimes()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        table = _table_nbytes(study._tables["vgpr"])
+        # the table plus the views' own offsets: a second copy of the
+        # rows would double it
+        assert table <= held < 1.5 * table
+        assert len(views) == len(study.apu.wf_programs)
+        assert sorted(study._tables) == [
+            "l1", "l1.tags", "l2", "l2.tags", "memory", "vgpr",
+        ]

@@ -114,12 +114,6 @@ class TestClassifyRegion:
         out = classify_region(Reaction.MISCORRECTED, self.MIXED)
         assert out.intervals() == [(0, 10, int(Outcome.SDC))]
 
-    def test_miscorrect_corrupts_dead_data(self):
-        out = classify_region(
-            Reaction.MISCORRECTED, self.MIXED, miscorrect_corrupts=True
-        )
-        assert out.intervals() == [(0, 20, int(Outcome.SDC))]
-
     def test_mixed_detected(self):
         out = classify_region(Reaction.DETECTED, self.MIXED)
         assert out.intervals() == [

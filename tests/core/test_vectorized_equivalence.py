@@ -400,18 +400,18 @@ def test_grouped_batch_matches_reference(seed, style):
     )
     lts = _random_lifetimes(rng, array.n_bytes)
     grid = list(itertools.product(
-        GROUPED_MODES, SCHEMES.values(), (False, True), (False, True)
+        GROUPED_MODES, SCHEMES.values(), (False, True)
     ))
-    # the edge variants take turns; five of them against the four
-    # (due, corrupts) pairs, so every pair meets every variant
+    # the edge variants take turns; five of them against the two due
+    # rules, so each rule meets every variant
     for due in (False, True):
         ruled = _ruled(array, due)
         configs = [
             AvfConfig(
-                mode=mode, scheme=scheme, miscorrect_corrupts=corrupts,
+                mode=mode, scheme=scheme,
                 series_edges=SERIES_EDGES[i % len(SERIES_EDGES)],
             )
-            for i, (mode, scheme, d, corrupts) in enumerate(grid)
+            for i, (mode, scheme, d) in enumerate(grid)
             if d is due
         ]
         got = compute_mb_avf_batch(ruled, lts, configs)

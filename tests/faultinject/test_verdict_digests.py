@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.lifetime import analyze_vgpr
 from repro.faultinject import injection_class
 from repro.faultinject.campaign import _Injector
 from repro.faultinject.validation import _draw_points
@@ -65,6 +66,34 @@ def test_verdicts_match_pinned_digest(key):
     benchmark, seed = key.split("/")
     pinned = json.loads(DIGESTS.read_text())
     assert verdict_digest(benchmark, int(seed)) == pinned[key]
+
+
+def _wavefront_class(study, spec):
+    """The deciding class read from the spec's own wavefront's lifetimes,
+    analysed alone: byte ``(lane * vgpr_regs + reg) * 4 + bit // 8``."""
+    trace = study.apu.trace
+    rows = trace.wf_rows().get(spec.wf, np.zeros(0, dtype=np.int64))
+    lifetimes = analyze_vgpr(
+        trace, rows, study.apu.wf_programs[spec.wf],
+        study.liveness.src_needed, spec.wf, study.vgpr_regs, study.end_cycle,
+    )
+    ids = [(spec.lane * study.vgpr_regs + spec.reg) * 4 + b // 8
+           for b in spec.bits]
+    return int(lifetimes.class_at(ids, spec.cycle - 1).max())
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_injection_class_matches_per_wavefront_lookup(key, monkeypatch):
+    benchmark, seed = key.split("/")
+    runner = _Injector(benchmark, int(seed), N_CUS)
+    # it reads the one VGPR table, never a per-wavefront list
+    monkeypatch.setattr(runner.study, "vgpr_lifetimes", None)
+    rng = np.random.default_rng(int(seed) + 0xFA117)
+    specs = [runner.random_spec(rng) for _ in range(N_POINTS)]
+    specs += [runner.random_spec(rng, n) for n in (2, 5, 12)]
+    assert [injection_class(runner.study, s) for s in specs] == [
+        _wavefront_class(runner.study, s) for s in specs
+    ]
 
 
 if __name__ == "__main__":

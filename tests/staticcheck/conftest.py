@@ -10,7 +10,6 @@ HERE = Path(__file__).resolve().parent
 FIXTURES = HERE / "fixtures"
 REPO = HERE.parents[1]
 SRC_REPRO = REPO / "src" / "repro"
-BASELINE = REPO / "tools" / "staticcheck_baseline.json"
 
 
 @pytest.fixture(scope="session")

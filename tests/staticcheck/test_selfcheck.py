@@ -1,42 +1,24 @@
-"""Self-check: the shipped tree stays clean against the shipped baseline.
+"""Self-check: the shipped tree has zero findings.
 
 This is the test-suite copy of the CI gate: linting ``src/repro`` must
-match ``tools/staticcheck_baseline.json`` exactly — and the baseline must
-hold ZERO determinism- and atomic-IO-family debt (those violations were
-fixed, not baselined).  The injection tests prove the gate actually
-bites: planting a violation in a scratch copy of ``core/avf.py`` is
-caught.
+find nothing.  The injection tests prove the gate actually bites:
+planting a violation in a scratch copy of ``core/avf.py`` is caught.
 """
 
-from repro.staticcheck import compare, run
-from repro.staticcheck.baseline import load
+from repro.staticcheck import run
 
-from .conftest import BASELINE, SRC_REPRO
+from .conftest import SRC_REPRO
 
 
 class TestShippedTreeIsClean:
-    def test_lint_matches_committed_baseline(self):
-        result = run([SRC_REPRO])
-        comparison = compare(result.findings, load(BASELINE))
-        assert comparison.clean, (
-            "src/repro drifted from tools/staticcheck_baseline.json:\n"
-            + "\n".join(f.location() + " " + f.rule for f in comparison.new)
-            + "".join(f"\nstale: {s}" for s in comparison.stale)
+    def test_lint_finds_nothing(self):
+        findings = run([SRC_REPRO]).findings
+        assert findings == [], "src/repro has lint findings:\n" + "\n".join(
+            f.location() + " " + f.rule for f in findings
         )
 
     def test_no_parse_errors_in_tree(self):
         assert run([SRC_REPRO]).parse_errors == []
-
-    def test_baseline_has_no_determinism_or_atomic_io_debt(self):
-        baseline = load(BASELINE)
-        dirty = [
-            (rule, path) for (rule, path) in baseline
-            if rule.startswith("D") or rule == "F302"
-        ]
-        assert dirty == [], (
-            "determinism/atomic-IO findings must be fixed, never "
-            f"baselined: {dirty}"
-        )
 
 
 class TestInjectedViolationsAreCaught:
