@@ -2,7 +2,11 @@
 
 Executes :class:`~repro.arch.isa.Program` kernels on a model with ``n_cus``
 compute units, 16-lane wavefronts, per-CU L1 caches and a shared L2
-(:mod:`repro.arch.cache`).  Every vector instruction is recorded as a row
+(:mod:`repro.arch.cache`).  Each instruction runs its row of the opcode
+table (:data:`~repro.arch.isa.OPS`): the row's kind says where its operands
+come from and where its result goes, its ``fn`` what it computes, and a
+memory op's space, direction and width route it through the LDS or the
+cache hierarchy.  Every vector instruction is recorded as a row
 of the device's :class:`~repro.arch.trace.Trace` for the downstream
 liveness and lifetime (ACE) analyses — the "event-tracking phase" of the
 paper's AVF methodology.
@@ -23,14 +27,15 @@ import numpy as np
 
 from ..obs import get_metrics, get_tracer
 from .cache import L1_CONFIG, L2_CONFIG, CacheConfig, MemSystem
-from .isa import WAVEFRONT_LANES, Instr, Program
+from .isa import (
+    BRANCH, LANE_IDS, LDS, M32, MEM, OPS, READLANE, SALU, SCMP, VALU, VCMP,
+    WAVEFRONT_LANES, Instr, Program,
+)
 from .memory import GlobalMemory
 from .trace import Trace, TraceRow
 
 __all__ = ["Wavefront", "ComputeUnit", "Apu", "Launch", "LaunchStats"]
 
-M32 = 0xFFFFFFFF
-_LANES = np.arange(WAVEFRONT_LANES)
 _NO_ADDRS = np.zeros(WAVEFRONT_LANES, dtype=np.uint32)
 
 
@@ -256,14 +261,14 @@ class Apu:
             wf_id = self._wf_seq
             self._wf_seq += 1
             base = i * WAVEFRONT_LANES
-            exec_mask = (base + _LANES) < n_threads
+            exec_mask = (base + LANE_IDS) < n_threads
             sregs = [i, wf_id] + [int(a) & M32 for a in args]
             wf = Wavefront(
                 wf_id, program, exec_mask, sregs, GlobalMemory(self.lds_bytes)
             )
             self.wf_programs[wf_id] = program
-            wf.vregs[0] = (base + _LANES).astype(np.uint32)  # v0 = global tid
-            wf.vregs[1] = _LANES.astype(np.uint32)           # v1 = lane id
+            wf.vregs[0] = (base + LANE_IDS).astype(np.uint32)  # v0 = global tid
+            wf.vregs[1] = LANE_IDS.astype(np.uint32)           # v1 = lane id
             self.cus[i % len(self.cus)].pending.append(wf)
         n_before = len(self._rows)
         with get_tracer().span("kernel", kernel=name, wavefronts=n_wfs) as sp:
@@ -364,161 +369,40 @@ class Apu:
         if self._injections:
             self._apply_injections(wf, t)
         ins = wf.program.instrs[wf.pc]
-        op = ins.op
+        row = OPS[ins.op]
+        kind = row.kind
         next_pc = wf.pc + 1
         wf.ready = t + 1
 
-        if op == "s_endpgm":
+        if kind == VALU or kind == VCMP or kind == READLANE:
+            # recorded, then into the dst VGPR's or VCC's active lanes or an SGPR
+            self._record(wf, t)
+            res = row.fn([self._fetch_v(wf, x) for x in ins.srcs], ins, wf.vcc)
+            if kind == VALU:
+                self._write_v(wf, ins.dst, res, wf.exec_mask)
+            elif kind == VCMP:
+                wf.vcc = np.where(wf.exec_mask, res, wf.vcc)
+            else:
+                wf.sregs[ins.dst[1]] = int(res)
+        elif kind == MEM:
+            self._exec_memory(cu, wf, ins, t)
+        elif kind == SALU or kind == SCMP:
+            res = row.fn([self._fetch_s(wf, x) for x in ins.srcs], ins, wf.vcc)
+            if kind == SALU:
+                wf.sregs[ins.dst[1]] = res & M32
+            else:
+                wf.scc = res
+        elif kind == BRANCH:
+            if row.fn([wf.scc], ins, wf.vcc):
+                next_pc = wf.program.target_pc(ins.target)
+        else:  # END
             wf.done = True
             return
-        if op == "s_branch":
-            wf.pc = wf.program.target_pc(ins.target)
-            return
-        if op == "s_cbranch":
-            want = bool(ins.srcs[0][1])
-            wf.pc = wf.program.target_pc(ins.target) if wf.scc == want else next_pc
-            return
-        if op == "s_cmp":
-            a = _signed(self._fetch_s(wf, ins.srcs[0]))
-            b = _signed(self._fetch_s(wf, ins.srcs[1]))
-            wf.scc = _compare_scalar(ins.cond, a, b)
-            wf.pc = next_pc
-            return
-        if op in ("s_mov", "s_add", "s_sub", "s_mul", "s_shl", "s_shr"):
-            srcs = [self._fetch_s(wf, x) for x in ins.srcs]
-            if op == "s_mov":
-                val = srcs[0]
-            elif op == "s_add":
-                val = srcs[0] + srcs[1]
-            elif op == "s_sub":
-                val = srcs[0] - srcs[1]
-            elif op == "s_mul":
-                val = srcs[0] * srcs[1]
-            elif op == "s_shl":
-                val = srcs[0] << (srcs[1] & 31)
-            else:
-                val = (srcs[0] & M32) >> (srcs[1] & 31)
-            wf.sregs[ins.dst[1]] = val & M32
-            wf.pc = next_pc
-            return
-        if op == "v_readlane":
-            lane = int(ins.srcs[1][1])
-            src = self._fetch_v(wf, ins.srcs[0])
-            wf.sregs[ins.dst[1]] = int(src[lane])
-            self._record(wf, t)
-            wf.pc = next_pc
-            return
-
-        if op in ("v_load", "v_store", "v_load_u8", "v_store_u8",
-                  "lds_load", "lds_store"):
-            self._exec_memory(cu, wf, ins, t)
-            wf.pc = next_pc
-            return
-
-        # Vector ALU.
-        self._exec_valu(wf, ins, t)
         wf.pc = next_pc
 
-    def _exec_valu(self, wf: Wavefront, ins: Instr, t: int) -> None:
-        op = ins.op
-        mask = wf.exec_mask
-        self._record(wf, t)
-        srcs = [self._fetch_v(wf, x) for x in ins.srcs]
-
-        if op == "v_mov":
-            res = srcs[0].copy()
-        elif op == "v_add":
-            res = srcs[0] + srcs[1]
-        elif op == "v_sub":
-            res = srcs[0] - srcs[1]
-        elif op == "v_mul":
-            res = srcs[0] * srcs[1]
-        elif op == "v_and":
-            res = srcs[0] & srcs[1]
-        elif op == "v_or":
-            res = srcs[0] | srcs[1]
-        elif op == "v_xor":
-            res = srcs[0] ^ srcs[1]
-        elif op == "v_not":
-            res = ~srcs[0]
-        elif op == "v_shl":
-            res = srcs[0] << (srcs[1] & np.uint32(31))
-        elif op == "v_shr":
-            res = srcs[0] >> (srcs[1] & np.uint32(31))
-        elif op == "v_ashr":
-            res = (srcs[0].view(np.int32) >> (srcs[1] & np.uint32(31)).view(np.int32)).view(np.uint32)
-        elif op == "v_min":
-            res = np.minimum(srcs[0].view(np.int32), srcs[1].view(np.int32)).view(np.uint32)
-        elif op == "v_max":
-            res = np.maximum(srcs[0].view(np.int32), srcs[1].view(np.int32)).view(np.uint32)
-        elif op == "v_abs":
-            res = np.abs(srcs[0].view(np.int32)).view(np.uint32)
-        elif op in ("v_cmp", "v_fcmp"):
-            if op == "v_cmp":
-                a, b = srcs[0].view(np.int32), srcs[1].view(np.int32)
-            else:
-                a, b = srcs[0].view(np.float32), srcs[1].view(np.float32)
-            res_b = _compare_vector(ins.cond, a, b)
-            wf.vcc = np.where(mask, res_b, wf.vcc)
-            return
-        elif op == "v_cndmask":
-            res = np.where(wf.vcc, srcs[0], srcs[1])
-        elif op == "v_shuffle_up":
-            delta = int(ins.srcs[1][1])
-            res = np.zeros(WAVEFRONT_LANES, dtype=np.uint32)
-            if delta < WAVEFRONT_LANES:
-                res[delta:] = srcs[0][: WAVEFRONT_LANES - delta]
-        elif op == "v_shuffle_xor":
-            xm = int(ins.srcs[1][1])
-            res = srcs[0][_LANES ^ xm].astype(np.uint32)
-        elif op in ("v_cvt_i2f",):
-            res = srcs[0].view(np.int32).astype(np.float32).view(np.uint32)
-        elif op in ("v_cvt_f2i",):
-            with np.errstate(invalid="ignore"):
-                f = srcs[0].view(np.float32)
-                res = np.where(
-                    np.isfinite(f), f, 0.0
-                ).astype(np.int32).view(np.uint32)
-        else:
-            res = self._exec_float(op, srcs)
-        self._write_v(wf, ins.dst, res, mask)
-
-    @staticmethod
-    def _exec_float(op: str, srcs: List[np.ndarray]) -> np.ndarray:
-        fs = [x.view(np.float32) for x in srcs]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore",
-                         under="ignore"):
-            if op == "v_fadd":
-                out = fs[0] + fs[1]
-            elif op == "v_fsub":
-                out = fs[0] - fs[1]
-            elif op == "v_fmul":
-                out = fs[0] * fs[1]
-            elif op == "v_fmac":
-                out = fs[2] + fs[0] * fs[1]
-            elif op == "v_frcp":
-                out = np.float32(1.0) / fs[0]
-            elif op == "v_fsqrt":
-                out = np.sqrt(fs[0])
-            elif op == "v_fexp":
-                out = np.exp(fs[0])
-            elif op == "v_flog":
-                out = np.log(np.abs(fs[0]))
-            elif op == "v_fmin":
-                out = np.minimum(fs[0], fs[1])
-            elif op == "v_fmax":
-                out = np.maximum(fs[0], fs[1])
-            elif op == "v_fabs":
-                out = np.abs(fs[0])
-            else:  # pragma: no cover - guarded by ISA validation
-                raise ValueError(f"unhandled op {op}")
-        return np.nan_to_num(out.astype(np.float32), nan=0.0).view(np.uint32)
-
     def _exec_memory(self, cu: ComputeUnit, wf: Wavefront, ins: Instr, t: int) -> None:
-        op = ins.op
-        is_store = "store" in op
-        is_lds = op.startswith("lds")
-        nbytes = ins.nbytes
+        row = OPS[ins.op]
+        is_store, is_lds, nbytes = row.store, row.space == LDS, row.nbytes
         addr_src = ins.srcs[1] if is_store else ins.srcs[0]
         addrs = (self._fetch_v(wf, addr_src) + np.uint32(ins.offset)).astype(np.uint32)
         active = wf.exec_mask & (wf.vcc if ins.predicated else True)
@@ -537,36 +421,3 @@ class Apu:
                 access = self.memsys.store if is_store else self.memsys.load
                 lat = access(cu.id, aa, nbytes, t, uid)
         wf.ready = t + lat
-
-
-def _signed(x: int) -> int:
-    x &= M32
-    return x - (1 << 32) if x & 0x80000000 else x
-
-
-def _compare_scalar(cond: str, a: int, b: int) -> bool:
-    if cond == "lt":
-        return a < b
-    if cond == "le":
-        return a <= b
-    if cond == "eq":
-        return a == b
-    if cond == "ne":
-        return a != b
-    if cond == "gt":
-        return a > b
-    return a >= b
-
-
-def _compare_vector(cond: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if cond == "lt":
-        return a < b
-    if cond == "le":
-        return a <= b
-    if cond == "eq":
-        return a == b
-    if cond == "ne":
-        return a != b
-    if cond == "gt":
-        return a > b
-    return a >= b

@@ -32,7 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..arch.cache import DEMAND_READ, EVICT, FILL, FILL_READ, WRITE, Cache
-from ..arch.isa import WAVEFRONT_LANES, Program
+from ..arch.isa import GLOBAL, OPS, WAVEFRONT_LANES, Program
 from ..arch.trace import Trace
 from .avf import StructureLifetimes
 from .intervals import AceClass, _csr_take, union_rows
@@ -239,14 +239,16 @@ def analyze_memory(
     trk = _ByteTracker(size, open_at=0)
     rows = zip(trace.wf.tolist(), trace.pc.tolist(), trace.t.tolist())
     for row, (wf, pc, t) in enumerate(rows):
-        ins = programs[wf].instrs[pc]
-        if ins.op in ("v_store", "v_store_u8"):
-            addr, _ = trace.access_bytes(row, ins.nbytes)
+        op = OPS[programs[wf].instrs[pc].op]
+        if op.space != GLOBAL:
+            continue
+        if op.store:
+            addr, _ = trace.access_bytes(row, op.nbytes)
             off = np.unique(addr[(addr >= base) & (addr < base + size)]) - base
             trk.close(off)
             trk.open(off, t)
-        elif ins.op in ("v_load", "v_load_u8"):
-            addr, live = trace.access_bytes(row, ins.nbytes, mem_needed[row])
+        else:
+            addr, live = trace.access_bytes(row, op.nbytes, mem_needed[row])
             inside = (addr >= base) & (addr < base + size)
             trk.read(addr[inside] - base, t, live[inside])
     trk.last_live[is_output] = end_cycle

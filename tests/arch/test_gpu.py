@@ -163,6 +163,13 @@ class TestAluSemantics:
         out = self._exec_unary(body, list(range(16)))
         assert (out == 5).all()
 
+    @pytest.mark.parametrize("delta", [16, 40])
+    def test_shuffle_up_past_the_wavefront_reads_zero(self, delta):
+        out = self._exec_unary(
+            lambda p: p.shuffle_up(v(3), v(2), delta), list(range(1, 17))
+        )
+        assert (out == 0).all()
+
 
 class TestControlFlow:
     def test_scalar_loop(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.arch.cache import DEMAND_READ, FILL, FILL_READ, WRITE
-from repro.arch.isa import MEM_OPS, WAVEFRONT_LANES
+from repro.arch.isa import MEM, OPS, WAVEFRONT_LANES
 from repro.workloads import names, run
 
 _OPS = {DEMAND_READ: ("v_load", "v_load_u8"), WRITE: ("v_store", "v_store_u8")}
@@ -52,7 +52,7 @@ def test_trace_columns(name):
     assert trace.addrs.dtype == np.uint32
     assert trace.addrs.shape == (n, WAVEFRONT_LANES)
     is_mem = np.array([
-        apu.wf_programs[wf].instrs[pc].op in MEM_OPS
+        OPS[apu.wf_programs[wf].instrs[pc].op].kind == MEM
         for wf, pc in zip(trace.wf.tolist(), trace.pc.tolist())
     ])
     assert is_mem.any() and not is_mem.all()
