@@ -52,7 +52,6 @@ __all__ = [
     "ProgramBuilder",
     "OpDef",
     "OPS",
-    "COMPARE",
     "CMP_CONDS",
     # op kinds and memory spaces
     "VALU", "VCMP", "READLANE", "SALU", "SCMP", "MEM", "BRANCH", "END",
@@ -278,16 +277,16 @@ def _shuffle_up(srcs: Sequence[Any], ins: Instr, vcc: np.ndarray) -> Any:
 
 
 #: The six comparisons, shared by ``s_cmp``, ``v_cmp`` and ``v_fcmp``.
-COMPARE: Dict[str, Callable[[Any, Any], Any]] = {
+_COMPARE: Dict[str, Callable[[Any, Any], Any]] = {
     "lt": operator.lt, "le": operator.le, "eq": operator.eq,
     "ne": operator.ne, "gt": operator.gt, "ge": operator.ge,
 }
-CMP_CONDS = tuple(COMPARE)
+CMP_CONDS = tuple(_COMPARE)
 
 
 def _compare(view: Callable[[Any], Any]) -> Semantics:
     """``a <cond> b`` on both sources seen through ``view``."""
-    return lambda s, i, c: COMPARE[str(i.cond)](view(s[0]), view(s[1]))
+    return lambda s, i, c: _COMPARE[str(i.cond)](view(s[0]), view(s[1]))
 
 
 def _computes_nothing(srcs: Sequence[Any], ins: Instr, vcc: np.ndarray) -> Any:
@@ -423,7 +422,7 @@ class Instr:
         row = OPS.get(self.op)
         if row is None:
             raise ValueError(f"unknown op {self.op!r}")
-        if self.cond is not None and self.cond not in COMPARE:
+        if self.cond is not None and self.cond not in _COMPARE:
             raise ValueError(f"unknown comparison {self.cond!r}")
         if self.cond is None and row.kind in (VCMP, SCMP):
             raise ValueError(f"{self.op} needs a comparison")
