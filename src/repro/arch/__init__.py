@@ -1,7 +1,9 @@
 """GPU/APU simulation substrate: ISA, caches, memory, execution, liveness."""
 
 from .cache import L1_CONFIG, L2_CONFIG, Cache, CacheConfig, MemSystem
-from .gpu import Apu, ComputeUnit, Launch, LaunchStats, Wavefront
+from .gpu import (
+    Apu, ComputeUnit, Launch, LaunchStats, SimulationHang, Wavefront,
+)
 from .isa import (
     WAVEFRONT_LANES,
     Instr,
@@ -25,6 +27,7 @@ __all__ = [
     "ComputeUnit",
     "Launch",
     "LaunchStats",
+    "SimulationHang",
     "Wavefront",
     "WAVEFRONT_LANES",
     "Instr",

@@ -34,9 +34,16 @@ from .isa import (
 from .memory import GlobalMemory
 from .trace import Trace, TraceRow
 
-__all__ = ["Wavefront", "ComputeUnit", "Apu", "Launch", "LaunchStats"]
+__all__ = [
+    "Wavefront", "ComputeUnit", "Apu", "Launch", "LaunchStats",
+    "SimulationHang",
+]
 
 _NO_ADDRS = np.zeros(WAVEFRONT_LANES, dtype=np.uint32)
+
+
+class SimulationHang(RuntimeError):
+    """The run passed the device's ``max_cycles`` (a runaway kernel)."""
 
 
 class Launch(NamedTuple):
@@ -175,15 +182,24 @@ class Apu:
         reaches ``cycle``.  Because the hierarchy is modelled as coherent
         (functional data lives in one image), this represents a fault in
         whichever copy of the byte is current at that time.
+
+        Raises ``ValueError`` for an address outside memory or a mask
+        that is zero or wider than one byte.
         """
-        self._mem_injections.append((cycle, addr, bitmask & 0xFF))
+        if not 0 <= addr < self.memory.size:
+            raise ValueError(
+                f"address {addr} outside memory [0, {self.memory.size})"
+            )
+        if not 0 < bitmask <= 0xFF:
+            raise ValueError(f"byte bitmask {bitmask:#x} flips no bit or "
+                             "spans more than one byte")
+        self._mem_injections.append((cycle, addr, bitmask))
         self._mem_injections.sort()
 
     def _apply_mem_injections(self) -> None:
         while self._mem_injections and self._mem_injections[0][0] <= self.cycle:
             _, addr, bitmask = self._mem_injections.pop(0)
-            if 0 <= addr < self.memory.size:
-                self.memory.data[addr] ^= np.uint8(bitmask)
+            self.memory.data[addr] ^= np.uint8(bitmask)
 
     def inject_fault(
         self, wf_id: int, reg: int, lane: int, bitmask: int, cycle: int
@@ -194,9 +210,21 @@ class Apu:
         next time the wavefront issues an instruction at or after ``cycle``
         (the fault persists until then, as a real SRAM flip would).  Used by
         the fault-injection campaigns (:mod:`repro.faultinject`).
+
+        Raises ``ValueError`` for a lane outside the wavefront, a negative
+        register, or a mask that is zero or wider than 32 bits.  A
+        register at or past the wavefront's count is legal: the flip is
+        dropped, as it hits no architectural state.
         """
+        if not 0 <= lane < WAVEFRONT_LANES:
+            raise ValueError(f"lane {lane} outside [0, {WAVEFRONT_LANES})")
+        if reg < 0:
+            raise ValueError(f"register {reg} is negative")
+        if not 0 < bitmask <= M32:
+            raise ValueError(f"register bitmask {bitmask:#x} flips no bit "
+                             "or spans more than 32 bits")
         self._injections.setdefault(wf_id, []).append(
-            (cycle, reg, lane, bitmask & M32)
+            (cycle, reg, lane, bitmask)
         )
 
     def _apply_injections(self, wf: Wavefront, t: int) -> None:
@@ -323,7 +351,9 @@ class Apu:
                 break
             self.cycle = max(self.cycle + 1, min(nxt))
             if self.cycle > self.max_cycles:
-                raise RuntimeError("simulation exceeded max_cycles (runaway kernel?)")
+                raise SimulationHang(
+                    "simulation exceeded max_cycles (runaway kernel?)"
+                )
 
     # -- operand access ----------------------------------------------------
 

@@ -34,6 +34,7 @@ __all__ = [
     "Interleaving",
     "CACHE_STYLES",
     "REGFILE_STYLES",
+    "TAG_BYTES",
     "SramArray",
     "build_cache_array",
     "build_regfile_array",
@@ -48,6 +49,10 @@ _Index = Union[int, np.ndarray]
 
 #: bytes per register, each register its own protection domain
 _REG_BYTES = 4
+
+#: bytes per cache tag entry, each entry its own protection domain: the
+#: width of a tag array's layout and of its derived lifetime table alike
+TAG_BYTES = 3
 
 
 class Interleaving(Enum):
@@ -273,7 +278,7 @@ def build_tag_array(
     n_sets: int,
     n_ways: int,
     *,
-    tag_bytes: int = 3,
+    tag_bytes: int = TAG_BYTES,
     factor: int = 1,
     name: str = "tags",
 ) -> SramArray:

@@ -36,7 +36,7 @@ from ..arch.isa import GLOBAL, OPS, WAVEFRONT_LANES, Program
 from ..arch.trace import Trace
 from .avf import StructureLifetimes
 from .intervals import AceClass, _csr_take, union_rows
-from .layout import cache_byte_index, regfile_byte_index
+from .layout import TAG_BYTES, cache_byte_index, regfile_byte_index
 
 __all__ = [
     "analyze_cache",
@@ -260,7 +260,7 @@ def derive_tag_lifetimes(
     data_lifetimes: StructureLifetimes,
     line_bytes: int,
     *,
-    tag_bytes: int = 3,
+    tag_bytes: int = TAG_BYTES,
     name: Optional[str] = None,
 ) -> StructureLifetimes:
     """Tag-array lifetimes derived from the data array's (conservative).

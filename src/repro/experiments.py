@@ -21,7 +21,7 @@ from .core.layout import Interleaving
 from .core.protection import ProtectionScheme
 from .core.sweep import SweepPoint, sweep_avf
 from .obs import format_report, get_metrics, get_tracer
-from .runtime import Executor, Journal, RetryPolicy, Task
+from .runtime import Executor, Journal, Task
 from .workloads import run
 
 __all__ = [
@@ -98,20 +98,16 @@ def sweep_benchmarks(
     schemes: Iterable[ProtectionScheme],
     layouts: Optional[Iterable[Tuple[Optional[Interleaving], int]]] = None,
     jobs: int = 0,
-    timeout: Optional[float] = None,
-    retry: Optional[RetryPolicy] = None,
     journal: Optional[Union[Journal, str]] = None,
-    progress: Union[bool, str] = False,
     store=None,
 ) -> Tuple[Dict[str, List[SweepPoint]], Dict[str, str]]:
     """Measure one sweep grid across many benchmarks through the runtime.
 
     Each benchmark is one task: with ``jobs >= 1`` benchmarks are simulated
-    in parallel isolated workers, a ``timeout`` bounds each benchmark's
-    wall clock, and a ``journal`` makes the whole grid resumable.  Returns
-    ``(points by benchmark, failures by benchmark)`` — a benchmark whose
-    simulation fails is reported in the second mapping instead of
-    aborting the sweep.
+    in parallel isolated workers, and a ``journal`` makes the whole grid
+    resumable.  Returns ``(points by benchmark, failures by benchmark)`` —
+    a benchmark whose simulation fails is reported in the second mapping
+    instead of aborting the sweep.
 
     ``store`` (a :class:`~repro.store.ResultStore` or path) persists
     every measured point under its benchmark name through
@@ -133,11 +129,8 @@ def sweep_benchmarks(
     with Executor(
         _grid_task,
         jobs=jobs,
-        timeout=timeout,
-        retry=retry,
         journal=journal,
         initializer=_init_grid_worker,
-        progress=progress,
     ) as executor:
         with get_tracer().span(
             "sweep", structure=structure, benchmarks=len(tasks),

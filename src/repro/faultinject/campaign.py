@@ -17,11 +17,17 @@ The study proceeds exactly as in the paper:
 The paper finds 2 interfering groups out of 1730 SDC ACE bits (~0.1%),
 concluding single-bit ACE analysis is a sound basis for SDC MB-AVF.
 
-Every injection runs through the fault-tolerant campaign runtime
-(:mod:`repro.runtime`): with ``jobs >= 1`` each simulation executes in an
-isolated worker process with a wall-clock timeout and bounded retries,
-and with a ``journal`` every completed injection is checkpointed so a
-killed campaign resumes from where it died.
+Each injected run is judged where it runs, in ``_Injector.inject``: the
+outputs match the golden run (masked) or not (SDC), the simulator passed
+its cycle budget (:class:`~repro.arch.gpu.SimulationHang`: hang), or it
+raised anything else after the flip (crash).  The verdict is the task's
+value in the fault-tolerant campaign runtime (:mod:`repro.runtime`),
+which knows nothing of simulators: with ``jobs >= 1`` each simulation
+executes in an isolated worker process with a wall-clock timeout and
+bounded retries, and with a ``journal`` every completed injection is
+checkpointed so a killed campaign resumes from where it died.  An
+exception out of a task is a harness failure (``infra_error``), never a
+verdict.
 
 The same runner serves the memory-image validation
 (:mod:`repro.faultinject.validation`): a :class:`MemorySpec` schedules
@@ -37,6 +43,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..arch.gpu import SimulationHang
 from ..core.analysis import AvfStudy
 from ..core.faultmodes import FaultMode
 from ..core.intervals import AceClass
@@ -46,13 +53,11 @@ from ..obs import get_metrics, get_tracer
 from ..runtime import (
     ChaosPolicy,
     Executor,
-    InfraError,
     Journal,
     RetryPolicy,
     Task,
     TaskOutcome,
     TaskResult,
-    classify_exception,
 )
 from ..workloads.base import new_device, run_workload
 from ..workloads.suite import OPENCL_SAMPLES, REGISTRY
@@ -72,22 +77,15 @@ DEFAULT_MAX_CYCLES = 2_000_000
 
 
 class InjectionOutcome:
-    """Semantic outcome labels for a single injection run."""
+    """Verdict labels for a single injection run."""
 
     MASKED = "masked"      # output identical to golden
     SDC = "sdc"            # output silently corrupted
-    CRASH = "crash"        # simulator trapped (bad address, illegal op...)
-    HANG = "hang"          # simulator exceeded its cycle budget
+    CRASH = "crash"        # the run raised (bad address, illegal op...)
+    HANG = "hang"          # the run passed its cycle budget
 
     #: Table II counts crash and hang alike as non-SDC detections
     ALL = (MASKED, SDC, CRASH, HANG)
-
-
-#: runtime taxonomy -> injection verdict for semantic failures
-_TASK_TO_VERDICT = {
-    TaskOutcome.SIM_CRASH: InjectionOutcome.CRASH,
-    TaskOutcome.SIM_HANG: InjectionOutcome.HANG,
-}
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,7 @@ class InjectionSpec:
     def bitmask(self) -> int:
         mask = 0
         for b in self.bits:
-            mask |= 1 << (b & 31)
+            mask |= 1 << b
         return mask
 
     def to_dict(self) -> Dict:
@@ -301,31 +299,28 @@ class _Injector:
         return spec
 
     def inject(self, spec: Union[InjectionSpec, MemorySpec]) -> str:
+        """Run one injected simulation and return its verdict.
+
+        An exception out of :meth:`Apu.run` is a consequence of the flip:
+        :class:`SimulationHang` is a hang, anything else a crash.  An
+        exception before the run (device setup, an out-of-range spec) has
+        no fault behind it and propagates.
+        """
         get_metrics().counter("campaign.injections").inc()
         with get_tracer().span("inject", **spec.trace_args) as span:
             wl = self.workload_cls(seed=self.seed)
-            try:
-                apu = new_device(
-                    wl, n_cus=self.n_cus,
-                    apu_kwargs={"max_cycles": self.max_cycles},
-                )
-                launches = list(wl.kernels())
-            except Exception as exc:
-                # No fault has landed yet: a setup or schedule failure is a
-                # harness bug wherever it was raised.
-                raise InfraError(
-                    f"{self.benchmark}: device setup failed: {exc!r}"
-                ) from exc
+            apu = new_device(
+                wl, n_cus=self.n_cus,
+                apu_kwargs={"max_cycles": self.max_cycles},
+            )
+            launches = list(wl.kernels())
             spec.schedule(apu)
             try:
                 apu.run(launches)
-            except Exception as exc:
-                # Post-injection exceptions are fault consequences: a cycle
-                # budget overrun is a hang, a simulator trap is a crash.
-                # Anything the taxonomy pins on the harness still propagates.
-                verdict = _TASK_TO_VERDICT.get(classify_exception(exc))
-                if verdict is None:
-                    raise
+            except SimulationHang:
+                verdict = InjectionOutcome.HANG
+            except Exception:
+                verdict = InjectionOutcome.CRASH
             else:
                 verdict = (
                     InjectionOutcome.MASKED
@@ -406,16 +401,14 @@ def _make_executor(
 def _tally(
     failures: Dict[str, int], result: TaskResult
 ) -> Optional[str]:
-    """Map a runtime result to an injection verdict.
+    """The injection verdict of a runtime result.
 
-    A result with no verdict is an infrastructure failure: it is counted
-    in ``failures`` by outcome and None is returned.
+    Only an ``OK`` result carries one, as its value; any other is a
+    harness failure, counted in ``failures`` by outcome, and None is
+    returned.
     """
     if result.outcome == TaskOutcome.OK:
         return result.value
-    verdict = _TASK_TO_VERDICT.get(result.outcome)
-    if verdict is not None:
-        return verdict
     failures[result.outcome] = failures.get(result.outcome, 0) + 1
     return None
 

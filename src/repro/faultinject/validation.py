@@ -15,8 +15,7 @@ prediction, while remaining the right order of magnitude.
 
 Like the ACE-interference campaign, every injection is dispatched through
 the fault-tolerant runtime: ``jobs >= 1`` isolates simulations in worker
-processes with timeouts and retries, and a ``journal`` makes the
-validation run restartable.
+processes, and a ``journal`` makes the validation run restartable.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..runtime import Journal, RetryPolicy, Task
+from ..runtime import Journal, Task
 from .campaign import (
     InjectionOutcome,
     MemorySpec,
@@ -91,8 +90,6 @@ def validate_memory_avf(
     seed: int = 0,
     n_cus: int = 2,
     jobs: int = 0,
-    timeout: Optional[float] = None,
-    retry: Optional[RetryPolicy] = None,
     journal: Optional[Union[Journal, str]] = None,
 ) -> ValidationResult:
     """Run the injection-vs-ACE validation for one benchmark.
@@ -119,7 +116,9 @@ def validate_memory_avf(
         Task(id=f"{benchmark}/val/{i:05d}", payload=p, meta=p._asdict())
         for i, p in enumerate(points)
     ]
-    with _make_executor(runner, jobs, timeout, retry, journal) as executor:
+    with _make_executor(
+        runner, jobs, timeout=None, retry=None, journal=journal
+    ) as executor:
         results = executor.run(tasks)
     for task in tasks:
         verdict = _tally(result.failures, results[task.id])

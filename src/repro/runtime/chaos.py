@@ -69,8 +69,6 @@ import time
 from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
-from .errors import InfraError
-
 __all__ = ["ChaosError", "ChaosSpec", "ChaosPolicy", "apply_worker_action"]
 
 #: fault points applied by the executor, keyed on (task id, attempt)
@@ -90,12 +88,9 @@ STORE_POINTS = ("store_locked", "store_enospc")
 _MAGNITUDE_FIELDS = ("slow_seconds", "rpc_delay_seconds", "partition_span")
 
 
-class ChaosError(InfraError):
-    """The fault the ``task_error`` point raises inside a task.
-
-    Subclasses :class:`InfraError` so the taxonomy reports it as
-    ``infra_error`` — a harness failure, never a simulation verdict.
-    """
+class ChaosError(Exception):
+    """The fault the ``task_error`` point raises inside a task; like any
+    exception a task raises, it is recorded as ``infra_error``."""
 
 
 @dataclass(frozen=True)

@@ -1,34 +1,22 @@
-"""Structured error taxonomy for the campaign runtime.
+"""Outcome labels and exceptions of the campaign runtime.
 
-Large injection campaigns fail in qualitatively different ways, and the
-runtime keeps them apart instead of folding everything into ``CRASH``:
-
-* **semantic** outcomes are properties of the simulated fault — the
-  simulator trapped (``SIM_CRASH``) or span past its cycle limit
-  (``SIM_HANG``).  They are results, never retried.
-* **infrastructure** outcomes are properties of the harness — a worker
-  process died (``WORKER_DIED``), exceeded its wall-clock budget
-  (``TIMEOUT``), or the task function itself raised a bug
-  (``INFRA_ERROR``).  Worker death and timeout are transient and
-  retryable; a harness bug is deterministic and is not retried by
-  default.
+The runtime knows nothing of what a task computes.  A task that returns
+has outcome ``OK`` and its value is the result (an injection's verdict,
+a sweep's points).  Every other outcome is a property of the harness: a
+worker process died (``WORKER_DIED``), exceeded its wall-clock budget
+(``TIMEOUT``), kept killing workers (``POISONED``), or the task itself
+raised (``INFRA_ERROR``).  Worker death and timeout are transient and
+retryable; an exception is deterministic and is not retried by default.
 """
 
 from __future__ import annotations
 
-import os
-
 __all__ = [
     "TaskOutcome",
-    "SimulationError",
-    "SimulationCrash",
-    "SimulationHang",
-    "InfraError",
     "ExecutorError",
     "JournalRecordError",
     "JournalWriteError",
     "CampaignInterrupted",
-    "classify_exception",
 ]
 
 
@@ -36,33 +24,10 @@ class TaskOutcome:
     """Outcome labels for one task attempt (and its final result)."""
 
     OK = "ok"                    # fn returned a value
-    SIM_CRASH = "sim_crash"      # simulator trapped under the fault
-    SIM_HANG = "sim_hang"        # simulator exceeded its cycle limit
     WORKER_DIED = "worker_died"  # worker process exited mid-task
     TIMEOUT = "timeout"          # wall-clock budget exceeded; worker killed
-    INFRA_ERROR = "infra_error"  # harness bug (task fn raised)
+    INFRA_ERROR = "infra_error"  # the task fn raised
     POISONED = "poisoned"        # task quarantined: it kept killing workers
-
-    ALL = (OK, SIM_CRASH, SIM_HANG, WORKER_DIED, TIMEOUT, INFRA_ERROR,
-           POISONED)
-    #: outcomes caused by the harness rather than the simulated fault
-    INFRASTRUCTURE = (WORKER_DIED, TIMEOUT, INFRA_ERROR, POISONED)
-
-
-class SimulationError(Exception):
-    """Base class for exceptions that are *results*, not harness bugs."""
-
-
-class SimulationCrash(SimulationError):
-    """The simulator trapped (bad address, illegal op) under the fault."""
-
-
-class SimulationHang(SimulationError):
-    """The simulator exceeded its cycle limit (runaway kernel)."""
-
-
-class InfraError(Exception):
-    """A harness problem: the task could not be evaluated at all."""
 
 
 class ExecutorError(RuntimeError):
@@ -108,36 +73,3 @@ class CampaignInterrupted(KeyboardInterrupt):
         self.completed = completed
         self.total = total
         self.journal_path = journal_path
-
-
-#: path fragments that mark a frame as simulator code; an exception whose
-#: traceback passes through one of these is a fault consequence, not a bug.
-_SIM_PATHS = (
-    os.path.join("repro", "arch") + os.sep,
-    os.path.join("repro", "workloads") + os.sep,
-)
-
-
-def classify_exception(exc: BaseException) -> str:
-    """Map an exception raised by a task function to a :class:`TaskOutcome`.
-
-    Typed exceptions win; a ``RuntimeError`` mentioning ``max_cycles`` is
-    the simulator's runaway-kernel trap; any other exception whose
-    traceback passes through simulator code is a fault-induced crash; all
-    that remains is a harness bug.
-    """
-    if isinstance(exc, SimulationHang):
-        return TaskOutcome.SIM_HANG
-    if isinstance(exc, SimulationCrash):
-        return TaskOutcome.SIM_CRASH
-    if isinstance(exc, InfraError):
-        return TaskOutcome.INFRA_ERROR
-    if isinstance(exc, RuntimeError) and "max_cycles" in str(exc):
-        return TaskOutcome.SIM_HANG
-    tb = exc.__traceback__
-    while tb is not None:
-        filename = tb.tb_frame.f_code.co_filename
-        if any(frag in filename for frag in _SIM_PATHS):
-            return TaskOutcome.SIM_CRASH
-        tb = tb.tb_next
-    return TaskOutcome.INFRA_ERROR

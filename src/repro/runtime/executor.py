@@ -9,7 +9,7 @@ one place:
 
 * **bounded retries** — infrastructure failures (worker death, timeout)
   are re-queued per a :class:`~repro.runtime.retry.RetryPolicy`, after
-  its backoff delay; semantic outcomes are never retried;
+  its backoff delay; a task that raised is not retried by default;
 * **poison quarantine** — a per-task circuit breaker: a payload whose
   attempts keep killing workers is finalised as ``POISONED`` instead of
   burning its remaining retries (and more workers);
@@ -28,7 +28,7 @@ one place:
 A task runs on one of three slot kinds, which differ only in transport:
 
 * **the driver itself** (``jobs=0``, and fabric demotion) — the same
-  taxonomy, retry and journal behaviour but no isolation, and therefore
+  outcomes, retry and journal behaviour but no isolation, and therefore
   no timeout enforcement;
 * **a spawned worker process** over a ``multiprocessing`` pipe
   (``jobs>=1``) — a hung or segfaulting simulation cannot take the
@@ -78,7 +78,6 @@ from .errors import (
     JournalRecordError,
     JournalWriteError,
     TaskOutcome,
-    classify_exception,
 )
 from .journal import Journal, PathLike
 from .retry import RetryPolicy
@@ -184,9 +183,9 @@ def run_attempt(
     *,
     span: Optional[Dict[str, Any]] = None,
 ) -> Tuple[str, Any, str, float, List[Dict]]:
-    """Run one attempt on any slot: chaos action, ``fn(payload)``, then
-    :func:`classify_exception`.  Returns ``(outcome, value, error,
-    duration, spans)``.
+    """Run one attempt on any slot: chaos action, then ``fn(payload)``.
+    A returned value is ``OK``; any exception is ``INFRA_ERROR``.  Returns
+    ``(outcome, value, error, duration, spans)``.
 
     With ``span`` (its args), the attempt runs inside a ``fabric_task``
     span and its interior spans are cut from the local tracer and
@@ -204,7 +203,7 @@ def run_attempt(
         outcome, error = TaskOutcome.OK, ""
     except Exception as exc:
         value = None
-        outcome = classify_exception(exc)
+        outcome = TaskOutcome.INFRA_ERROR
         error = f"{type(exc).__name__}: {exc}"
     duration = time.monotonic() - t0
     spans: List[Dict] = []

@@ -1,11 +1,12 @@
 """Bounded retry with exponential backoff and deterministic jitter.
 
-Only *infrastructure* failures are retried: a worker that died or a task
-that hit its wall-clock timeout may well succeed on a second attempt, but
-a simulator crash or hang is a measurement — retrying it would bias the
-campaign — and a harness bug is deterministic.  Jitter is derived from a
-hash of ``(seed, task id, attempt)`` so that a resumed campaign replays
-the exact same schedule as an uninterrupted one.
+By default only transient failures are retried: a worker that died or a
+task that hit its wall-clock timeout may well succeed on a second
+attempt, but a task that raised will raise again.  (A simulator crash or
+hang is not a failure at all: the injection task returns it as its
+verdict.)  Jitter is derived from a hash of ``(seed, task id, attempt)``
+so that a resumed campaign replays the exact same schedule as an
+uninterrupted one.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class RetryPolicy:
     jitter: float = 0.0
     #: seed for the jitter hash
     seed: int = 0
-    #: outcomes worth retrying (infrastructure failures only)
+    #: outcomes worth retrying (by default the transient ones)
     retry_on: Tuple[str, ...] = (TaskOutcome.WORKER_DIED, TaskOutcome.TIMEOUT)
     #: per-task circuit breaker: a task whose attempts have killed this
     #: many workers (death or timeout-kill) is quarantined as ``poisoned``

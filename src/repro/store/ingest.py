@@ -58,9 +58,6 @@ _POINT_KEYS = frozenset(
 #: keys identifying a journal meta block as an InjectionSpec
 _SPEC_KEYS = frozenset(("wf", "reg", "lane", "bits", "cycle"))
 
-#: runtime outcomes that still carry an injection verdict
-_OUTCOME_VERDICTS = {"sim_crash": "crash", "sim_hang": "hang"}
-
 
 def _point_to_row(
     point: Mapping[str, Any],
@@ -224,8 +221,6 @@ def _injection_row(
     outcome = str(rec.get("outcome", ""))
     value = rec.get("value")
     verdict = value if isinstance(value, str) else None
-    if verdict is None:
-        verdict = _OUTCOME_VERDICTS.get(outcome)
     meta = rec.get("meta") if isinstance(rec.get("meta"), dict) else {}
     return {
         "source": source,

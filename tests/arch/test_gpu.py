@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.arch import Apu, GlobalMemory, Launch, ProgramBuilder, fimm, imm, s, v
+from repro.arch import (
+    Apu, GlobalMemory, Launch, ProgramBuilder, SimulationHang, fimm, imm, s, v,
+)
 
 
 def _run(program, n_threads, args, mem=None, apu_kwargs=None):
@@ -209,8 +211,10 @@ class TestControlFlow:
         p.label("forever")
         p.branch("forever")
         apu = Apu(memory=GlobalMemory(), max_cycles=10_000)
-        with pytest.raises(RuntimeError, match="max_cycles"):
+        with pytest.raises(SimulationHang, match="max_cycles") as info:
             apu.run([Launch(p.build(), 16, [])])
+        # still a RuntimeError, as callers caught it before it had a type
+        assert isinstance(info.value, RuntimeError)
 
 
 class TestLds:

@@ -9,9 +9,9 @@ from repro.runtime import (
     ChaosError,
     ChaosPolicy,
     ChaosSpec,
-    InfraError,
     JournalRecordError,
     JournalWriteError,
+    TaskOutcome,
     TaskResult,
 )
 from repro.runtime.chaos import (
@@ -193,11 +193,18 @@ class TestApplyWorkerAction:
 
 class TestErrorTaxonomy:
     """The new error types slot into the hierarchies callers already
-    catch: chaos failures are infra failures, write failures are OSErrors,
-    a drain is an interrupt."""
+    catch: a chaos failure is a task exception (so ``infra_error``),
+    write failures are OSErrors, a drain is an interrupt."""
 
     def test_chaos_error_is_infra(self):
-        assert issubclass(ChaosError, InfraError)
+        from repro.runtime.executor import run_attempt
+
+        assert issubclass(ChaosError, Exception)
+        outcome, value, error, _, _ = run_attempt(
+            lambda payload: payload, 1, ("error", 0.0)
+        )
+        assert (outcome, value) == (TaskOutcome.INFRA_ERROR, None)
+        assert error.startswith("ChaosError")
 
     def test_journal_write_error_is_os_error(self):
         assert issubclass(JournalWriteError, OSError)

@@ -223,6 +223,22 @@ class TestAvfBatch:
         # One layout object per key, whether the default is named or not.
         assert layout("vgpr") is layout("vgpr", Interleaving.INTRA_THREAD)
 
+    @pytest.mark.parametrize("structure", ["l1.tags", "l2.tags"])
+    def test_tag_layout_and_lifetimes_agree_on_width(
+        self, matmul_study, structure
+    ):
+        """A tag array's layout and its derived lifetime table take their
+        entry width from one constant, so they cover the same bytes under
+        every factor the study accepts (those dividing the way count)."""
+        n_ways = matmul_study._cache_config(structure[:2]).n_ways
+        factors = [f for f in range(1, n_ways + 1) if n_ways % f == 0]
+        assert len(factors) >= 3
+        for factor in factors:
+            layout, lifetimes = matmul_study._structure(
+                structure, None, factor
+            )
+            assert layout.n_bytes == lifetimes.n_bytes, factor
+
 
 #: every AvfStudy method that takes a structure name, called with ``name``
 STRUCTURE_METHODS = {

@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.arch import Apu, GlobalMemory, Launch, ProgramBuilder, imm, s, v
+from repro.arch import (
+    Apu, GlobalMemory, Launch, ProgramBuilder, SimulationHang, imm, s, v,
+)
 from repro.faultinject import (
     BenchmarkCampaign,
     InjectionOutcome,
     InjectionSpec,
+    MemorySpec,
     run_campaign,
 )
 from repro.faultinject.campaign import _Injector
 from repro.runtime import Executor, Task, TaskOutcome
 from repro.workloads import Workload
+from repro.workloads.suite import REGISTRY
 
 
 class TestInjectionHook:
@@ -57,6 +61,23 @@ class TestInjectionHook:
         out = self._run(inject=(0, 500, 3, 1, 0))
         assert (out == np.arange(16)).all()
 
+    @pytest.mark.parametrize("lane", [16, -1])
+    def test_lane_outside_wavefront_rejected(self, lane):
+        """Lane 16 used to crash inside the run and lane -1 to flip lane
+        15; both are refused when the flip is scheduled."""
+        with pytest.raises(ValueError, match="lane"):
+            self._run(inject=(0, 2, lane, 1, 0))
+
+    def test_negative_register_rejected(self):
+        """Register -1 used to flip the wavefront's last register."""
+        with pytest.raises(ValueError, match="negative"):
+            self._run(inject=(0, -1, 3, 1, 0))
+
+    @pytest.mark.parametrize("bitmask", [0, 1 << 32])
+    def test_mask_outside_one_word_rejected(self, bitmask):
+        with pytest.raises(ValueError, match="register bitmask"):
+            self._run(inject=(0, 2, 3, bitmask, 0))
+
 
 class TestInjectionSpec:
     def test_bitmask(self):
@@ -66,6 +87,13 @@ class TestInjectionSpec:
     def test_bitmask_wraps_at_32(self):
         spec = InjectionSpec(0, 1, 2, (31,), 5)
         assert spec.bitmask == 1 << 31
+
+    def test_bit_past_the_word_is_not_folded(self):
+        """Bit 33 used to wrap to bit 1; now it is refused on schedule."""
+        spec = InjectionSpec(0, 1, 2, (33,), 5)
+        assert spec.bitmask == 1 << 33
+        with pytest.raises(ValueError, match="register bitmask"):
+            spec.schedule(Apu(memory=GlobalMemory(), n_cus=1))
 
 
 class TestRunner:
@@ -113,6 +141,71 @@ class TestRunner:
         r = _Injector("transpose", seed=0, n_cus=1, max_cycles=5)
         spec = InjectionSpec(0, 200, 0, (0,), 0)
         assert r.inject(spec) == InjectionOutcome.HANG
+
+    def test_hang_is_the_type_not_the_message(self, runner, monkeypatch):
+        def reworded(self):
+            raise SimulationHang("cycle budget spent")
+
+        monkeypatch.setattr(Apu, "_run", reworded)
+        spec = InjectionSpec(0, 200, 0, (0,), 0)
+        assert runner.inject(spec) == InjectionOutcome.HANG
+
+    @pytest.mark.parametrize("exc", [IndexError, MemoryError, RuntimeError])
+    def test_other_exception_in_run_is_crash(self, runner, monkeypatch, exc):
+        def trap(self):
+            raise exc("simulated trap")
+
+        monkeypatch.setattr(Apu, "_run", trap)
+        spec = InjectionSpec(0, 200, 0, (0,), 0)
+        assert runner.inject(spec) == InjectionOutcome.CRASH
+
+    @pytest.mark.parametrize("spec", [
+        InjectionSpec(0, 2, 16, (0,), 0),
+        InjectionSpec(0, 2, -1, (0,), 0),
+        InjectionSpec(0, -1, 0, (0,), 0),
+        InjectionSpec(0, 2, 0, (33,), 0),
+        MemorySpec(10**9, 0, 0),
+        MemorySpec(0, 8, 0),
+    ])
+    def test_out_of_range_spec_is_infra_error(self, runner, spec):
+        """A spec the device refuses never runs: no verdict, a harness
+        failure."""
+        with pytest.raises(ValueError):
+            runner.inject(spec)
+        results = Executor(runner.inject, jobs=0).run([Task("t", spec)])
+        assert results["t"].outcome == TaskOutcome.INFRA_ERROR
+        assert results["t"].value is None
+
+    def test_setup_failure_propagates(self, monkeypatch):
+        r = _Injector("vectoradd", seed=0, n_cus=1)
+
+        def broken(self, mem):
+            raise OSError("input file unreadable")
+
+        monkeypatch.setattr(r.workload_cls, "setup", broken)
+        with pytest.raises(OSError, match="unreadable"):
+            r.inject(InjectionSpec(0, 200, 0, (0,), 0))
+
+    def test_setup_failure_is_counted_not_judged(self, monkeypatch):
+        """The golden run sets up once; every injected run's setup fails,
+        and the campaign files each under infra_error, not a verdict."""
+        cls = REGISTRY["vectoradd"]
+        setup = cls.setup
+        calls = []
+
+        def golden_only(self, mem):
+            calls.append(1)
+            if len(calls) > 1:
+                raise OSError("input file unreadable")
+            setup(self, mem)
+
+        monkeypatch.setattr(cls, "setup", golden_only)
+        out = run_campaign(
+            "vectoradd", n_single=3, max_groups_per_mode=0, seed=0, n_cus=1
+        )
+        assert out.failures == {TaskOutcome.INFRA_ERROR: 3}
+        assert out.single_outcomes == {}
+        assert len(calls) == 4
 
 
     def test_failing_schedule_is_infra_error(self, monkeypatch):

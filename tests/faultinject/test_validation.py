@@ -55,10 +55,18 @@ class TestMemoryInjectionHook:
         clean, _, _ = self._run(inject=(8, 1, 0))  # below first allocation
         assert (clean == out).all()
 
-    def test_out_of_range_address_ignored(self):
-        out, a, b = self._run()
-        clean, _, _ = self._run(inject=(10**9, 1, 0))
-        assert (clean == out).all()
+    @pytest.mark.parametrize("addr", [10**9, GlobalMemory().size, -1])
+    def test_out_of_range_address_rejected(self, addr):
+        """An address outside memory is refused when the flip is
+        scheduled, not silently dropped (which filed it as masked)."""
+        with pytest.raises(ValueError, match="outside memory"):
+            self._run(inject=(addr, 1, 0))
+
+    @pytest.mark.parametrize("bitmask", [0, 1 << 8, 0x1FF])
+    def test_mask_outside_one_byte_rejected(self, bitmask):
+        """A memory bit of 8 or more no longer masks to zero."""
+        with pytest.raises(ValueError, match="byte bitmask"):
+            self._run(inject=(8, bitmask, 0))
 
 
 class TestMemoryLifetimes:

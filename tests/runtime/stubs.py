@@ -8,8 +8,6 @@ process-mode Executor must live at module level, here.
 import os
 import time
 
-from repro.runtime import InfraError, SimulationCrash, SimulationHang
-
 
 def dispatch(payload):
     """One picklable entry point multiplexing all stub behaviours."""
@@ -21,20 +19,14 @@ def _ok(arg):
     return arg * 2
 
 
-def _crash(_):
-    raise SimulationCrash("simulated trap")
-
-
-def _hang(_):
-    raise SimulationHang("simulated runaway kernel")
-
-
 def _bug(_):
     raise ValueError("harness bug")
 
 
-def _infra(_):
-    raise InfraError("explicit infrastructure failure")
+def _trap(_):
+    """Raises a simulator-style trap: the runtime reads no meaning into
+    an exception's type or message."""
+    raise RuntimeError("simulation exceeded max_cycles (runaway kernel?)")
 
 
 def _sleep(seconds):
@@ -58,10 +50,8 @@ def _flaky(marker_path):
 
 _STUBS = {
     "ok": _ok,
-    "crash": _crash,
-    "hang": _hang,
     "bug": _bug,
-    "infra": _infra,
+    "trap": _trap,
     "sleep": _sleep,
     "die": _die,
     "flaky": _flaky,

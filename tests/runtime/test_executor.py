@@ -13,69 +13,46 @@ from repro.runtime import (
     Task,
     TaskOutcome,
     TaskResult,
-    classify_exception,
 )
-from repro.runtime.errors import (
-    ExecutorError,
-    InfraError,
-    SimulationCrash,
-    SimulationHang,
-)
+from repro.runtime.errors import ExecutorError
 
 from .stubs import dispatch
 
-TAXONOMY_TASKS = [
+#: one task per rule: a returned value is OK, a raised exception is
+#: INFRA_ERROR whatever its type or message
+OUTCOME_TASKS = [
     Task("t/ok", ("ok", 21)),
-    Task("t/crash", ("crash", None)),
-    Task("t/hang", ("hang", None)),
     Task("t/bug", ("bug", None)),
-    Task("t/infra", ("infra", None)),
+    Task("t/trap", ("trap", None)),
 ]
 
 EXPECTED_OUTCOMES = {
     "t/ok": TaskOutcome.OK,
-    "t/crash": TaskOutcome.SIM_CRASH,
-    "t/hang": TaskOutcome.SIM_HANG,
     "t/bug": TaskOutcome.INFRA_ERROR,
-    "t/infra": TaskOutcome.INFRA_ERROR,
+    "t/trap": TaskOutcome.INFRA_ERROR,
 }
 
 
-class TestClassifyException:
-    def test_typed_exceptions(self):
-        assert classify_exception(SimulationHang()) == TaskOutcome.SIM_HANG
-        assert classify_exception(SimulationCrash()) == TaskOutcome.SIM_CRASH
-        assert classify_exception(InfraError()) == TaskOutcome.INFRA_ERROR
-
-    def test_max_cycles_runtime_error_is_hang(self):
-        exc = RuntimeError("simulation exceeded max_cycles (runaway kernel?)")
-        assert classify_exception(exc) == TaskOutcome.SIM_HANG
-
-    def test_plain_exception_is_infra(self):
-        try:
-            raise KeyError("nope")
-        except KeyError as exc:
-            assert classify_exception(exc) == TaskOutcome.INFRA_ERROR
-
-    def test_simulator_frame_is_crash(self):
-        from repro.arch import Apu, GlobalMemory, Launch
-
-        try:
-            Apu(memory=GlobalMemory()).run([Launch(None, 0, [])])
-        except Exception as exc:
-            assert classify_exception(exc) == TaskOutcome.SIM_CRASH
+def test_outcome_labels_are_the_harness_set():
+    labels = {
+        v for k, v in vars(TaskOutcome).items() if not k.startswith("_")
+    }
+    assert labels == {
+        "ok", "worker_died", "timeout", "infra_error", "poisoned",
+    }
 
 
 class TestInlineExecutor:
-    def test_taxonomy(self):
-        results = Executor(dispatch, jobs=0).run(TAXONOMY_TASKS)
+    def test_two_way_outcomes(self):
+        results = Executor(dispatch, jobs=0).run(OUTCOME_TASKS)
         assert {k: r.outcome for k, r in results.items()} == EXPECTED_OUTCOMES
         assert results["t/ok"].value == 42
-        assert results["t/crash"].error.startswith("SimulationCrash")
+        assert results["t/bug"].value is None
+        assert results["t/trap"].error.startswith("RuntimeError: simulation")
 
     def test_failures_do_not_abort_the_batch(self):
-        results = Executor(dispatch, jobs=0).run(TAXONOMY_TASKS)
-        assert len(results) == len(TAXONOMY_TASKS)
+        results = Executor(dispatch, jobs=0).run(OUTCOME_TASKS)
+        assert len(results) == len(OUTCOME_TASKS)
 
     def test_retry_then_succeed(self):
         calls = []
@@ -83,7 +60,7 @@ class TestInlineExecutor:
         def flaky_inline(payload):
             calls.append(payload)
             if len(calls) == 1:
-                raise InfraError("transient")
+                raise OSError("transient")
             return "recovered"
 
         retry = RetryPolicy(
@@ -94,16 +71,17 @@ class TestInlineExecutor:
         assert results["f"].value == "recovered"
         assert results["f"].attempts == 2
 
-    def test_semantic_outcomes_never_retried(self):
+    def test_raised_exceptions_not_retried_by_default(self):
         calls = []
 
         def crashing(payload):
             calls.append(payload)
-            raise SimulationCrash("trap")
+            raise RuntimeError("trap")
 
         retry = RetryPolicy(max_attempts=5)
         results = Executor(crashing, jobs=0, retry=retry).run([Task("c")])
-        assert results["c"].outcome == TaskOutcome.SIM_CRASH
+        assert results["c"].outcome == TaskOutcome.INFRA_ERROR
+        assert results["c"].attempts == 1
         assert len(calls) == 1
 
     def test_duplicate_task_ids_rejected(self):
@@ -259,9 +237,8 @@ class TestRetryPolicy:
         p = RetryPolicy(max_attempts=3)
         assert p.should_retry(TaskOutcome.TIMEOUT, 1)
         assert p.should_retry(TaskOutcome.WORKER_DIED, 2)
-        assert not p.should_retry(TaskOutcome.SIM_CRASH, 1)
-        assert not p.should_retry(TaskOutcome.SIM_HANG, 1)
         assert not p.should_retry(TaskOutcome.INFRA_ERROR, 1)
+        assert not p.should_retry(TaskOutcome.POISONED, 1)
         assert not p.should_retry(TaskOutcome.TIMEOUT, 3)  # attempts exhausted
 
 
@@ -272,8 +249,8 @@ class TestProcessIsolation:
     these tests batch what they can into shared runs.
     """
 
-    def test_taxonomy_matches_inline(self):
-        results = Executor(dispatch, jobs=2).run(TAXONOMY_TASKS)
+    def test_outcomes_match_inline(self):
+        results = Executor(dispatch, jobs=2).run(OUTCOME_TASKS)
         assert {k: r.outcome for k, r in results.items()} == EXPECTED_OUTCOMES
         assert results["t/ok"].value == 42
 
@@ -328,7 +305,7 @@ class TestOneTableThreeSlots:
                 drain_signals=False,
             )
             try:
-                results = ex.run(TAXONOMY_TASKS)
+                results = ex.run(OUTCOME_TASKS)
             finally:
                 ex.close()
                 if coord is not None:

@@ -187,26 +187,20 @@ class TestJournalIngest:
     def test_injection_rows_decode_spec_meta(self, store, tmp_path):
         path = write_journal(
             tmp_path / "c.jsonl",
-            [injection_record("vectoradd/single/0001", verdict="sdc"),
-             injection_record(
-                 "vectoradd/multi/2x1/0002", verdict=None,
-                 outcome="sim_crash", value=None,
-             )],
+            [injection_record("vectoradd/single/0001", verdict="sdc")],
         )
         ingest_journal(store, path, source="campaign-7")
-        stats = {
-            (s["verdict"], s["count"]) for s in store.injection_stats()
-        }
-        # sim_crash maps onto the crash verdict even with no value
-        assert stats == {("sdc", 1), ("crash", 1)}
         conn = store._conn
         row = conn.execute(
-            "SELECT source, benchmark, wf, bits FROM injections "
-            "WHERE task = 'vectoradd/single/0001'"
+            "SELECT source, benchmark, verdict, wf, reg, lane, cycle, bits "
+            "FROM injections WHERE task = 'vectoradd/single/0001'"
         ).fetchone()
         assert row["source"] == "campaign-7"
         assert row["benchmark"] == "vectoradd"
-        assert row["wf"] == 1
+        assert row["verdict"] == "sdc"
+        assert (row["wf"], row["reg"], row["lane"], row["cycle"]) == (
+            1, 4, 7, 90
+        )
         assert json.loads(row["bits"]) == [3]
 
     def test_workload_falls_back_to_argument(self, store, tmp_path):
